@@ -22,7 +22,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .covariance import cluster_covariance, satterthwaite_df
@@ -50,6 +49,7 @@ from .weights import (
     aggregate_test,
     flat_weights,
     pwrd_weights,
+    t_p_value,
     test_slope,
 )
 
@@ -185,18 +185,12 @@ def cmd_analyze(args) -> int:
             panel, method=method, covariates=covs, variant=args.cov_variant
         )
         t = ex.estimate / ex.se
-        if args.alternative == "greater":
-            p = float(stats.t.sf(t, ex.df))
-        elif args.alternative == "less":
-            p = float(stats.t.cdf(t, ex.df))
-        else:
-            p = float(2.0 * stats.t.sf(abs(t), ex.df))
         payload["exit"] = {
             "estimate": ex.estimate,
             "se": ex.se,
             "df": ex.df,
             "t_stat": t,
-            "p_value": p,
+            "p_value": t_p_value(t, ex.df, args.alternative),
             "n": ex.n,
         }
         _emit(payload, args.out)

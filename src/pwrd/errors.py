@@ -10,8 +10,12 @@ class PwrdError(Exception):
     exit_code = 1
 
 
-class InputError(PwrdError):
-    """Malformed input data, schema, or configuration."""
+class InputError(PwrdError, ValueError):
+    """Malformed input data, schema, or configuration.
+
+    Also a ``ValueError``, so callers that catch bare validation errors
+    keep working.
+    """
 
     exit_code = 2
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateDataError, NumericalError
 from .panel import PanelDataset
+from .weights import t_p_value
 
 EIG_FLOOR = 1e-12
 
@@ -70,14 +70,7 @@ class MixedModelFit:
     def p_value(self, alternative: str = "greater") -> float:
         if self.df <= 0:
             raise DegenerateDataError(f"refusing to test with df = {self.df}")
-        t = self.tau_hat / self.se_cluster_robust
-        if alternative == "greater":
-            return float(stats.t.sf(t, self.df))
-        if alternative == "less":
-            return float(stats.t.cdf(t, self.df))
-        if alternative == "two-sided":
-            return float(2.0 * stats.t.sf(abs(t), self.df))
-        raise ValueError(f"unknown alternative '{alternative}'")
+        return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
 
 
 def _cluster_splits(cluster: np.ndarray, n_clusters: int) -> list[np.ndarray]:

@@ -29,14 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .covariance import cluster_covariance, satterthwaite_df
 from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_estimate
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
 from .panel import PanelDataset
-from .weights import aggregate_test, flat_weights, pwrd_weights
+from .weights import aggregate_test, flat_weights, pwrd_weights, t_p_value
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # Every year at or below one half flagged: with full negative spillover the
@@ -639,8 +639,7 @@ def analyze_replicate(
         out["mixed"] = fit.p_value("greater") <= alpha
     if "exit" in methods:
         ex = exit_observation_estimate(panel, variant=cov_variant)
-        t = ex.estimate / ex.se
-        out["exit"] = float(stats.t.sf(t, ex.df)) <= alpha
+        out["exit"] = t_p_value(ex.estimate / ex.se, ex.df, "greater") <= alpha
     return out
 
 

@@ -3,34 +3,35 @@
 The weighting scheme at the heart of the package maximizes the slope of
 the aggregate test statistic in the direction of the expected effect
 profile: with covariance S and control test-in proportions p, the slope of
-weights w is (w'p) / sqrt(w'Sw), and the maximizer over the nonnegative
-simplex is proportional to the positive part of S^{-1} p. When clipping is
-active that closed form is only a candidate; it is verified against the
-first-order conditions and, on failure, replaced by a projected-gradient
-solve with a deterministic start.
+weights w is (w'p) / sqrt(w'Sw). The slope is scale invariant, and its
+maximizer over nonnegative weights is the direction of
+argmin_{v >= 0} v'Sv / 2 - p'v. With S = LL' that is the nonnegative least
+squares problem min ||L'v - L^{-1}p|| over v >= 0, solved exactly by the
+Lawson-Hanson active-set method. When nothing clips, v = S^{-1} p.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .errors import DegenerateDataError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError
 
 PD_GATE = 1e-12
 RIDGE_FACTOR = 1e-8
-KKT_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-12
 SCHEMES = ("pwrd", "flat", "exit", "custom")
 ALTERNATIVES = ("two-sided", "greater", "less")
 
 
 def _vector(x, attr: str) -> np.ndarray:
-    arr = getattr(x, attr) if hasattr(x, attr) else x
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(getattr(x, attr) if hasattr(x, attr) else x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InputError(f"{attr} must be a nonempty vector, got shape {arr.shape}")
+    return arr
 
 
 def _matrix(x) -> np.ndarray:
@@ -38,37 +39,38 @@ def _matrix(x) -> np.ndarray:
     S = np.asarray(arr, dtype=np.float64)
     if S.ndim == 1:
         S = np.diag(S)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise InputError(f"covariance must be a square matrix, got shape {S.shape}")
     return S
 
 
 @dataclass(frozen=True, eq=False)
-class WeightProvenance:
-    """Inputs a weight vector was computed from."""
-
-    p0: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class AggregationWeights:
-    """Nonnegative weights summing to one over the included groups."""
+    """Nonnegative weights summing to one over the included groups.
+
+    ``clipped_groups`` lists the groups ``pwrd_weights`` gave exactly zero
+    weight; it is empty for other schemes.
+    """
 
     omega: np.ndarray
     scheme: str
     clipped_groups: tuple[int, ...] = ()
-    fallback: bool = False
-    provenance: WeightProvenance | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise InputError(f"scheme must be one of {SCHEMES}")
         w = self.omega
         if w.ndim != 1 or len(w) == 0:
-            raise ValueError("omega must be a nonempty vector")
+            raise InputError("omega must be a nonempty vector")
         if w.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to 1")
+            raise InputError("weights must be nonnegative")
+        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+            raise InputError("weights must sum to 1")
+
+    @property
+    def fallback(self) -> bool:
+        """Always False: kept so readers of the ``fallback`` JSON key keep working."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -85,12 +87,12 @@ class AggregatedTest:
 
     def __post_init__(self) -> None:
         if self.se <= 0:
-            raise ValueError("se must be positive")
+            raise InputError("se must be positive")
         if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError("p_value out of range")
+            raise InputError("p_value out of range")
         recomputed = (self.estimate - self.null_value) / self.se
         if abs(recomputed - self.t_stat) > 1e-12 * max(1.0, abs(self.t_stat)):
-            raise ValueError("t_stat inconsistent with estimate, null_value, se")
+            raise InputError("t_stat inconsistent with estimate, null_value, se")
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,149 +104,6 @@ class AggregatedTest:
             "p": self.p_value,
             "alternative": self.alternative,
         }
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    """Test slopes by weighting scheme, with pairwise efficiency ratios."""
-
-    slopes: dict[str, float]
-
-    def relative_efficiency(self, numerator: str, denominator: str) -> float:
-        return (self.slopes[numerator] / self.slopes[denominator]) ** 2
-
-    def to_json_dict(self) -> dict:
-        return {"slopes": dict(self.slopes)}
-
-
-# ----------------------------------------------------------------------
-# slope geometry
-
-def _slope_log(w: np.ndarray, S: np.ndarray, p: np.ndarray) -> float:
-    num = w @ p
-    if num <= 0:
-        return -np.inf
-    return float(np.log(num) - 0.5 * np.log(w @ S @ w))
-
-
-def _slope_grad(w: np.ndarray, S: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p / (w @ p) - (S @ w) / (w @ S @ w)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _kkt_satisfied(w: np.ndarray, S: np.ndarray, p: np.ndarray, tol: float = KKT_TOL) -> bool:
-    grad = _slope_grad(w, S, p)
-    active = w > 0
-    if not active.any():
-        return False
-    ga = grad[active]
-    if ga.max() - ga.min() > tol:
-        return False
-    if (~active).any() and grad[~active].max() > ga.max() + tol:
-        return False
-    return True
-
-
-def _face_solve(S: np.ndarray, p: np.ndarray, active: np.ndarray) -> np.ndarray | None:
-    idx = np.flatnonzero(active)
-    if len(idx) == 0:
-        return None
-    try:
-        w_a = np.linalg.solve(S[np.ix_(idx, idx)], p[idx])
-    except np.linalg.LinAlgError:
-        return None
-    total = w_a.sum()
-    if total <= 0:
-        return None
-    w = np.zeros(len(p))
-    w[idx] = w_a / total
-    return w
-
-
-def _active_set_polish(S: np.ndarray, p: np.ndarray, start_active: np.ndarray) -> np.ndarray | None:
-    """Exact solve on the face suggested by a solver, NNLS style.
-
-    Drops coordinates that come out nonpositive, adds the worst
-    first-order violator, and repeats. The underlying problem is a convex
-    program, so the loop terminates at the constrained optimum.
-    """
-    G = len(p)
-    active = start_active.copy()
-    if not active.any():
-        active = p > 0
-    best = None
-    for _ in range(2 * G + 4):
-        w = _face_solve(S, p, active)
-        if w is None:
-            return best
-        inner = w[active]
-        if inner.min() < 0:
-            drop = np.flatnonzero(active)[np.argmin(inner)]
-            active[drop] = False
-            if not active.any():
-                return best
-            continue
-        best = w
-        grad = _slope_grad(w, S, p)
-        common = grad[active].max()
-        outside = ~active
-        if not outside.any():
-            return w
-        viol = grad[outside] - common
-        if viol.max() <= KKT_TOL / 4:
-            return w
-        add = np.flatnonzero(outside)[np.argmax(viol)]
-        active[add] = True
-    return best
-
-
-def _projected_gradient(S: np.ndarray, p: np.ndarray, max_iter: int = 400) -> np.ndarray:
-    """Projected-gradient ascent of the log slope, started from flat weights."""
-    G = len(p)
-    w = np.full(G, 1.0 / G)
-    f = _slope_log(w, S, p)
-    if not np.isfinite(f):
-        w = (p > 0).astype(np.float64)
-        w /= w.sum()
-        f = _slope_log(w, S, p)
-    step = 1.0
-    for _ in range(max_iter):
-        grad = _slope_grad(w, S, p)
-        t = step
-        accepted = False
-        for _ in range(60):
-            cand = _project_simplex(w + t * grad)
-            fc = _slope_log(cand, S, p)
-            if fc > f + 1e-16:
-                w, f = cand, fc
-                step = min(t * 2.0, 1e6)
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    return w
-
-
-def _fallback_solve(S: np.ndarray, p: np.ndarray) -> np.ndarray:
-    w_pg = _projected_gradient(S, p)
-    polished = _active_set_polish(S, p, w_pg > 1e-10)
-    if polished is None:
-        return w_pg
-    # Prefer the exact face solve: it is scale and permutation equivariant
-    # up to linear-algebra roundoff, which a gradient iterate is not. The
-    # iterate wins only when it is better by a clear margin.
-    if _slope_log(w_pg, S, p) > _slope_log(polished, S, p) + 1e-10:
-        return w_pg
-    return polished
 
 
 def _gate_matrix(S: np.ndarray, ridge: bool) -> np.ndarray:
@@ -273,59 +132,54 @@ def _gate_matrix(S: np.ndarray, ridge: bool) -> np.ndarray:
 def pwrd_weights(sigma, p0, ridge: bool = False) -> AggregationWeights:
     """Slope-maximizing nonnegative weights for the group effect vector.
 
-    The closed-form candidate is the positive part of sigma^{-1} p0,
-    renormalized. When no clipping occurs the candidate is stationary and
-    returned directly. When clipping occurs it is verified against the
-    first-order conditions; if verification fails, a projected-gradient
-    solve (flat start, fixed iteration budget, exact face polish) supplies
-    the answer and the result is flagged as a fallback.
+    One exact solve: with sigma = LL' (after the positive-definiteness
+    gate and optional ridge), v = NNLS(L', L^{-1} p0) minimizes
+    v'sigma v / 2 - p0'v over v >= 0, and v / sum(v) maximizes the slope
+    (w'p0) / sqrt(w'sigma w) over nonnegative weights summing to one. When
+    nothing clips, v = sigma^{-1} p0. ``clipped_groups`` lists the groups
+    the optimum gives exactly zero weight.
     """
     S = _gate_matrix(_matrix(sigma), ridge)
     p = _vector(p0, "p_hat")
     G = S.shape[0]
     if len(p) != G:
-        raise ValueError(f"p0 has length {len(p)}, covariance is {G}x{G}")
-    if p.min() < 0:
-        raise ValueError("test-in proportions must be nonnegative")
+        raise InputError(f"p0 has length {len(p)}, covariance is {G}x{G}")
+    if not (np.isfinite(p) & (p >= 0)).all():
+        raise InputError("test-in proportions must be finite and nonnegative")
     if p.max() <= 0:
         raise DegenerateDataError("no test-in signal: p0 is zero in every group")
 
-    provenance = WeightProvenance(p0=p.copy(), sigma=S.copy())
-    raw = np.linalg.solve(S, p)
-    clipped = tuple(int(i) for i in np.flatnonzero(raw < 0))
-    positive = np.maximum(raw, 0.0)
-    total = positive.sum()
+    # Deferred: about 0.3 s of import that the flat, mixed and exit paths never need.
+    from scipy.optimize import nnls
 
-    if total <= 0:
-        warnings.warn("clipped solution degenerate; use fallback solver", RuntimeWarning)
-        omega = _fallback_solve(S, p)
-        return AggregationWeights(
-            omega=omega, scheme="pwrd", clipped_groups=clipped, fallback=True,
-            provenance=provenance,
-        )
-
-    omega = positive / total
-    if not clipped:
-        return AggregationWeights(omega=omega, scheme="pwrd", provenance=provenance)
-
-    if _kkt_satisfied(omega, S, p):
-        return AggregationWeights(
-            omega=omega, scheme="pwrd", clipped_groups=clipped, provenance=provenance
-        )
-
-    fallback = _fallback_solve(S, p)
-    return AggregationWeights(
-        omega=fallback, scheme="pwrd", clipped_groups=clipped, fallback=True,
-        provenance=provenance,
-    )
+    L = np.linalg.cholesky(S)
+    try:
+        v, _ = nnls(L.T, np.linalg.solve(L, p))
+    except RuntimeError as exc:
+        raise NumericalError(f"weight solver failed: {exc}") from exc
+    clipped = tuple(int(i) for i in np.flatnonzero(v == 0))
+    return AggregationWeights(omega=v / v.sum(), scheme="pwrd", clipped_groups=clipped)
 
 
 def flat_weights(effects) -> AggregationWeights:
     """Group-size proportional weights n_g / N."""
     n = _vector(effects, "n")
     if n.min() <= 0:
-        raise ValueError("group sizes must be positive")
+        raise InputError("group sizes must be positive")
     return AggregationWeights(omega=n / n.sum(), scheme="flat")
+
+
+def t_p_value(t: float, df: float, alternative: str) -> float:
+    """P-value of statistic ``t`` against a t reference on ``df`` degrees of
+    freedom, or the standard normal when ``df`` is infinite."""
+    cdf = special.ndtr if np.isinf(df) else functools.partial(special.stdtr, df)
+    if alternative == "greater":
+        return float(cdf(-t))
+    if alternative == "less":
+        return float(cdf(t))
+    if alternative == "two-sided":
+        return float(2.0 * cdf(-abs(t)))
+    raise InputError(f"unknown alternative '{alternative}'; expected one of {ALTERNATIVES}")
 
 
 def aggregate_test(
@@ -342,16 +196,14 @@ def aggregate_test(
     t reference on the covariance's degrees of freedom (normal when df is
     infinite). ``delta0`` defaults to the zero vector.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}")
     d = _vector(effects, "estimates")
     S = _matrix(cov)
     w = _vector(weights, "omega")
     if not (len(d) == S.shape[0] == len(w)):
-        raise ValueError("effects, covariance, and weights must have matching lengths")
+        raise InputError("effects, covariance, and weights must have matching lengths")
     if hasattr(effects, "group_ordinals") and hasattr(cov, "group_ordinals"):
         if effects.group_ordinals() != cov.group_ordinals():
-            raise ValueError("effects and covariance cover different groups")
+            raise InputError("effects and covariance cover different groups")
 
     if delta0 is None:
         null_value = 0.0
@@ -360,7 +212,7 @@ def aggregate_test(
         if d0.shape == ():
             d0 = np.full(len(d), float(d0))
         if len(d0) != len(d):
-            raise ValueError("delta0 length mismatch")
+            raise InputError("delta0 length mismatch")
         null_value = float(w @ d0)
 
     if df is None:
@@ -375,13 +227,7 @@ def aggregate_test(
     estimate = float(w @ d)
     t = (estimate - null_value) / se
 
-    dist = stats.norm if np.isinf(df) else stats.t(df)
-    if alternative == "greater":
-        p = float(dist.sf(t))
-    elif alternative == "less":
-        p = float(dist.cdf(t))
-    else:
-        p = float(2.0 * dist.sf(abs(t)))
+    p = t_p_value(t, df, alternative)
     return AggregatedTest(
         estimate=estimate,
         null_value=null_value,
@@ -448,27 +294,19 @@ def aggregate_external(
     reduce to p0_g / se_g^2, renormalized. The reference distribution is
     normal unless a finite ``df`` is given.
     """
-    d = np.asarray(delta_hat, dtype=np.float64)
+    d = _vector(delta_hat, "delta_hat")
     if (cov is None) == (se is None):
-        raise ValueError("supply exactly one of cov or se")
+        raise InputError("supply exactly one of cov or se")
     if se is not None:
-        s = np.asarray(se, dtype=np.float64)
-        if s.min() <= 0:
-            raise ValueError("standard errors must be positive")
+        s = _vector(se, "se")
+        if not (np.isfinite(s) & (s > 0)).all():
+            raise InputError("standard errors must be finite and positive")
         S = np.diag(s**2)
     else:
         S = _matrix(cov)
     if len(d) != S.shape[0]:
-        raise ValueError("delta_hat and covariance have mismatched lengths")
+        raise InputError("delta_hat and covariance have mismatched lengths")
 
     w = pwrd_weights(S, p0, ridge=ridge)
-    fake_df = float(df)
-
-    class _Plain:
-        estimates = d
-        sigma_hat = S
-        df = fake_df
-
-    test = aggregate_test(_Plain, _Plain, w, delta0=delta0, alternative=alternative, df=fake_df)
-    slope = test_slope(w, p0, S)
-    return ExternalAggregate(weights=w, test=test, slope=slope)
+    test = aggregate_test(d, S, w, delta0=delta0, alternative=alternative, df=float(df))
+    return ExternalAggregate(weights=w, test=test, slope=test_slope(w, p0, S))

@@ -204,6 +204,24 @@ def test_missing_summary_key_exits_2(tmp_path, capsys):
     assert "p0" in err
 
 
+@pytest.mark.parametrize(
+    "summary",
+    [
+        {"delta_hat": [0.1, 0.2], "se": [0.1, 0.1], "p0": [0.5, -0.1]},
+        {"delta_hat": [0.1, 0.2, 0.3], "se": [0.1, 0.1], "p0": [0.5, 0.5]},
+        {"delta_hat": [0.1, 0.2], "se": [0.1, float("nan")], "p0": [0.5, 0.5]},
+    ],
+    ids=["negative-p0", "mismatched-lengths", "nan-se"],
+)
+def test_malformed_summary_exits_2(tmp_path, capsys, summary):
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps(summary))
+    code, _, err = run(["weights", spath], capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_degenerate_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "one_arm.csv"
     path.write_text(

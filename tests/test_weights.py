@@ -1,13 +1,20 @@
 """Closed-form cases, optimality against independent oracles, and the
 aggregate test's reference-distribution arithmetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import pwrd
 from pwrd import (
     DegenerateDataError,
+    InputError,
     NumericalError,
     aggregate_external,
     aggregate_test,
@@ -17,9 +24,14 @@ from pwrd import (
 )
 from pwrd import test_slope as slope_of
 
-from pwrd.weights import AggregationWeights
+from pwrd.weights import AggregationWeights, t_p_value
 
-from oracles import best_slope_by_enumeration, random_problem, slope
+from oracles import (
+    best_slope_by_enumeration,
+    best_slope_by_projected_gradient,
+    random_problem,
+    slope,
+)
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +122,45 @@ def test_nonfinite_covariance_refused():
         pwrd_weights(sigma, np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pwrd_weights(np.eye(3), np.array([0.5, 0.5])),
+        lambda: pwrd_weights(np.eye(2), np.array([0.5, -0.1])),
+        lambda: pwrd_weights(np.eye(2), np.array([0.5, np.nan])),
+        lambda: pwrd_weights(np.ones((2, 3)), np.array([0.5, 0.5])),
+        lambda: aggregate_external([0.1], p0=[0.5]),
+        lambda: aggregate_external([0.1, 0.2, 0.3], p0=[0.5, 0.5], se=[0.1, 0.1]),
+        lambda: aggregate_external([0.1, 0.2], p0=[0.5, 0.5], se=[0.1, np.nan]),
+        lambda: aggregate_external([0.1, 0.2], p0=[0.5, 0.5], se=[0.1, np.inf]),
+        lambda: aggregate_external([0.1, 0.2], p0=[0.5, 0.5], se=[0.1, 0.1], delta0=[0.0] * 3),
+        lambda: aggregate_external([0.1], p0=[0.5], se=[0.1], alternative="both"),
+        lambda: AggregationWeights(omega=np.array([np.nan, 0.5]), scheme="custom"),
+        lambda: aggregate_external([], p0=[], se=[]),
+        lambda: aggregate_external(0.1, p0=0.5, se=0.1),
+    ],
+    ids=[
+        "length", "negative-p0", "nan-p0", "nonsquare-cov", "neither-cov-nor-se",
+        "delta-length", "nan-se", "inf-se", "delta0-length", "alternative", "nan-omega",
+        "empty", "scalars",
+    ],
+)
+def test_weights_input_checks_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_solver_failure_is_a_numerical_error(monkeypatch):
+    import scipy.optimize
+
+    def stuck(A, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", stuck)
+    with pytest.raises(NumericalError, match="weight solver"):
+        pwrd_weights(np.eye(2), np.array([0.5, 0.5]))
+
+
 def test_weights_object_validates_itself():
     with pytest.raises(ValueError, match="sum to 1"):
         AggregationWeights(omega=np.array([0.5, 0.6]), scheme="flat")
@@ -179,6 +230,48 @@ def test_beats_flat_and_single_group_weightings(seed, G):
         e = np.zeros(G)
         e[g] = 1.0
         assert achieved >= slope(e, sigma, p0) - 1e-10
+
+
+def _clipping_problems(count: int = 10, G: int = 16) -> list:
+    """Problems on which inv(Sigma) p0 has a negative entry, so the
+    unconstrained maximizer is infeasible and some weight is forced to zero."""
+    rng = np.random.default_rng(20260822)
+    out = []
+    while len(out) < count:
+        sigma, p0 = random_problem(rng, G)
+        if np.linalg.solve(sigma, p0).min() < 0:
+            out.append((sigma, p0))
+    return out
+
+
+CLIPPING = _clipping_problems()
+
+
+def test_clipping_slope_matches_projected_gradient_oracle():
+    for sigma, p0 in CLIPPING:
+        achieved = slope_of(pwrd_weights(sigma, p0), p0, sigma)
+        s_best, _ = best_slope_by_projected_gradient(sigma, p0)
+        assert achieved == pytest.approx(s_best, rel=1e-9)
+
+
+def test_clipping_first_order_conditions():
+    # The slope is scale invariant, so at a maximizer
+    # r = p0 - (w'p0 / w'Sw) S w is zero on the support and <= 0 off it.
+    for sigma, p0 in CLIPPING:
+        w = pwrd_weights(sigma, p0).omega
+        Sw = sigma @ w
+        r = (p0 - (w @ p0) / (w @ Sw) * Sw) / np.abs(p0).max()
+        support = w > 0
+        assert (~support).any()
+        assert np.abs(r[support]).max() <= 1e-12
+        assert r[~support].max() <= 1e-12
+
+
+def test_clipped_groups_are_the_zero_weight_groups():
+    for sigma, p0 in CLIPPING:
+        w = pwrd_weights(sigma, p0)
+        assert w.clipped_groups == tuple(np.flatnonzero(w.omega == 0))
+        assert w.fallback is False
 
 
 def test_repeated_calls_are_bit_identical():
@@ -255,6 +348,26 @@ def test_scalar_delta0_broadcasts():
     b = aggregate_test(g, g, w, delta0=np.array([0.05, 0.05]))
     assert a.t_stat == b.t_stat
     assert a.null_value == pytest.approx(0.05, abs=1e-15)
+
+
+@pytest.mark.parametrize("df", [1.0, 3.0, 17.5, 50.0, np.inf])
+def test_t_p_value_is_bit_equal_to_scipy_stats(df):
+    dist = stats.norm if np.isinf(df) else stats.t(df)
+    ts = np.concatenate([np.linspace(-8.0, 8.0, 81), np.random.default_rng(5).normal(0, 3, 200)])
+    for t in ts:
+        assert t_p_value(t, df, "greater") == float(dist.sf(t))
+        assert t_p_value(t, df, "less") == float(dist.cdf(t))
+        assert t_p_value(t, df, "two-sided") == float(2.0 * dist.sf(abs(t)))
+
+
+def test_import_does_not_load_scipy_stats():
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    code = "import sys, pwrd; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_nonpositive_df_refused():
