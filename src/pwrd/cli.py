@@ -249,19 +249,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _summary_array(data: dict, key: str) -> np.ndarray | None:
+    if data.get(key) is None:
+        return None
+    try:
+        return np.asarray(data[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"summary field '{key}' is not a numeric array") from exc
+
+
 def cmd_weights(args) -> int:
     with open(args.summary) as fh:
         data = json.load(fh)
     for key in ("delta_hat", "p0"):
         if key not in data:
             raise InputError(f"summary file is missing '{key}'")
-    cov = data.get("cov")
-    se = data.get("se")
     result = aggregate_external(
-        delta_hat=np.asarray(data["delta_hat"], dtype=np.float64),
-        p0=np.asarray(data["p0"], dtype=np.float64),
-        cov=np.asarray(cov, dtype=np.float64) if cov is not None else None,
-        se=np.asarray(se, dtype=np.float64) if se is not None else None,
+        delta_hat=_summary_array(data, "delta_hat"),
+        p0=_summary_array(data, "p0"),
+        cov=_summary_array(data, "cov"),
+        se=_summary_array(data, "se"),
         delta0=args.delta0,
         alternative=args.alternative,
         df=args.df if args.df is not None else float("inf"),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .effects import GroupEffects
-from .errors import DegenerateDataError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import GroupInfo, PanelDataset
 
 EIG_FLOOR = 1e-12
@@ -44,9 +44,9 @@ class CovarianceEstimate:
     def __post_init__(self) -> None:
         S = self.sigma_hat
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("sigma_hat must be square")
+            raise InputError("sigma_hat must be square")
         if len(self.groups) != S.shape[0]:
-            raise ValueError("groups and sigma_hat must align")
+            raise InputError("groups and sigma_hat must align")
         scale = max(np.abs(S).max(), 1.0)
         if np.abs(S - S.T).max() > 1e-10 * scale:
             raise NumericalError("covariance matrix is not symmetric")
@@ -119,9 +119,9 @@ def cluster_covariance(
     exact when the two arms have comparable cluster compositions.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise InputError(f"variant must be one of {VARIANTS}")
     if center not in CENTERS:
-        raise ValueError(f"center must be one of {CENTERS}")
+        raise InputError(f"center must be one of {CENTERS}")
 
     G = effects.n_groups
     _, _, _, _, n_cell, m, R, active = _cell_layout(panel, effects)
@@ -175,11 +175,11 @@ def satterthwaite_df(
     downstream test must refuse to run.
     """
     if variant != "cr2":
-        raise ValueError("Satterthwaite degrees of freedom require the cr2 variant")
+        raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
     omega = np.asarray(omega, dtype=np.float64)
     G = effects.n_groups
     if len(omega) != G:
-        raise ValueError("omega length must match the number of included groups")
+        raise InputError("omega length must match the number of included groups")
 
     _, _, _, _, n_cell, m, _, active = _cell_layout(panel, effects)
     n_clusters = len(active)
@@ -216,7 +216,7 @@ def pooled_difference_variance(
     Same sandwich as ``cluster_covariance`` with a single group.
     """
     if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
+        raise InputError(f"variant must be one of {VARIANTS}")
     values = np.asarray(values, dtype=np.float64)
     z = np.asarray(z, dtype=np.int64)
     _, cl = np.unique(np.asarray(cluster), return_inverse=True)

@@ -5,7 +5,9 @@ covariates, with a cluster-level random intercept. Variance components
 come from method-of-moments mean squares (within-cluster versus
 between-cluster), floored at zero, and the coefficient fit is generalized
 least squares via the standard quasi-demeaning transform. Both a
-model-based and a cluster-robust standard error are reported.
+model-based and a cluster-robust standard error are reported. The CR2
+adjustment (Bell & McCaffrey) is computed for all clusters at once: their
+Gram blocks are stacked and go through one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import PanelDataset
 from .weights import t_p_value
 
@@ -31,13 +33,13 @@ class VarianceComponents:
 
     def __post_init__(self) -> None:
         if self.sigma2_eps < 0 or self.sigma2_mu < 0:
-            raise ValueError("variance components must be nonnegative")
+            raise InputError("variance components must be nonnegative")
         if not 0.0 <= self.icc < 1.0:
-            raise ValueError("icc must lie in [0, 1)")
+            raise InputError("icc must lie in [0, 1)")
         total = self.sigma2_eps + self.sigma2_mu
         implied = self.sigma2_mu / total if total > 0 else 0.0
         if abs(implied - self.icc) > 1e-12:
-            raise ValueError("icc inconsistent with variance components")
+            raise InputError("icc inconsistent with variance components")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,44 +75,42 @@ class MixedModelFit:
         return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
 
 
-def _cluster_splits(cluster: np.ndarray, n_clusters: int) -> list[np.ndarray]:
-    order = np.argsort(cluster, kind="stable")
-    counts = np.bincount(cluster, minlength=n_clusters)
-    return np.split(order, np.cumsum(counts)[:-1])
-
-
 def _cr_meat(
     Xt: np.ndarray,
     resid: np.ndarray,
-    splits: list[np.ndarray],
+    cl: np.ndarray,
+    n_clusters: int,
     XtX: np.ndarray,
     variant: str,
 ) -> np.ndarray:
     p = Xt.shape[1]
+    # per-cluster score sums, one row per cluster
+    B = np.column_stack(
+        [np.bincount(cl, weights=Xt[:, j] * resid, minlength=n_clusters) for j in range(p)]
+    )
     if variant == "cr2":
         eva, evec = np.linalg.eigh(XtX)
         if eva.min() <= 0:
             raise NumericalError("singular design in cluster adjustment")
         Khalf = (evec / np.sqrt(eva)) @ evec.T
-    M = np.zeros((p, p))
-    for idx in splits:
-        if len(idx) == 0:
-            continue
-        Xc = Xt[idx]
-        b = Xc.T @ resid[idx]
-        if variant == "cr2":
-            Gc = Xc.T @ Xc
-            W = Khalf @ Gc @ Khalf
-            d, Q = np.linalg.eigh(W)
-            d = np.clip(d, 0.0, None)
-            coef = np.where(
-                d > 1e-12,
-                (1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR)) - 1.0) / np.where(d > 1e-12, d, 1.0),
-                0.5,
-            )
-            b = b + Gc @ Khalf @ ((Q * coef) @ (Q.T @ (Khalf @ b)))
-        M += np.outer(b, b)
-    return M
+        # per-cluster Gram blocks Xc'Xc, stacked, from their distinct entries
+        G = np.empty((n_clusters, p, p))
+        for j in range(p):
+            for k in range(j, p):
+                G[:, j, k] = G[:, k, j] = np.bincount(
+                    cl, weights=Xt[:, j] * Xt[:, k], minlength=n_clusters
+                )
+        d, Q = np.linalg.eigh(Khalf @ G @ Khalf)
+        d = np.clip(d, 0.0, None)
+        coef = np.where(
+            d > 1e-12,
+            (1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR)) - 1.0) / np.where(d > 1e-12, d, 1.0),
+            0.5,
+        )
+        # b_c + Gc Khalf Q diag(coef) Q' Khalf b_c = Xc'(I - H_cc)^(-1/2) e_c, per cluster
+        t = coef * (np.swapaxes(Q, 1, 2) @ (B @ Khalf.T)[:, :, None])[:, :, 0]
+        B = B + (G @ (Khalf @ (Q @ t[:, :, None])))[:, :, 0]
+    return B.T @ B
 
 
 def fit_random_intercept(
@@ -127,7 +127,7 @@ def fit_random_intercept(
     with a warning recorded on the fit.
     """
     if variant not in ("cr0", "cr2"):
-        raise ValueError("variant must be 'cr0' or 'cr2'")
+        raise InputError("variant must be 'cr0' or 'cr2'")
     y = panel.outcome
     n = panel.n_obs
     cl = panel.cluster
@@ -147,20 +147,18 @@ def fit_random_intercept(
         raise NumericalError("rank-deficient design matrix")
     resid = y - X @ beta_ols
 
-    m = np.bincount(cl, minlength=C).astype(np.float64)
+    counts = np.bincount(cl, minlength=C)
+    m = counts.astype(np.float64)
     if (m == 0).any():
         raise DegenerateDataError("a cluster has no observations")
 
     # cluster-constant columns count toward the between degrees of freedom
-    q = 0
-    for j in range(p):
-        col = X[:, j]
-        mx = np.full(C, -np.inf)
-        mn = np.full(C, np.inf)
-        np.maximum.at(mx, cl, col)
-        np.minimum.at(mn, cl, col)
-        if np.allclose(mx, mn):
-            q += 1
+    Xs = np.take(X, np.argsort(cl, kind="stable"), axis=0)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    mx = np.maximum.reduceat(Xs, starts, axis=0)
+    mn = np.minimum.reduceat(Xs, starts, axis=0)
+    # per column, the same test as np.allclose(mx[:, j], mn[:, j])
+    q = int(np.isclose(mx, mn).all(axis=0).sum())
 
     rbar = np.bincount(cl, weights=resid, minlength=C) / m
     ssw = float(((resid - rbar[cl]) ** 2).sum())
@@ -187,12 +185,11 @@ def fit_random_intercept(
         lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu))
     else:
         lam = np.zeros(C)
+    lam_row = lam[cl]
     ybar = np.bincount(cl, weights=y, minlength=C) / m
-    yt = y - lam[cl] * ybar[cl]
-    Xt = np.empty_like(X)
-    for j in range(p):
-        xbar = np.bincount(cl, weights=X[:, j], minlength=C) / m
-        Xt[:, j] = X[:, j] - lam[cl] * xbar[cl]
+    yt = y - lam_row * ybar[cl]
+    xbar = np.column_stack([np.bincount(cl, weights=X[:, j], minlength=C) for j in range(p)])
+    Xt = X - lam_row[:, None] * np.take(xbar / m[:, None], cl, axis=0)
 
     XtX = Xt.T @ Xt
     try:
@@ -204,15 +201,14 @@ def fit_random_intercept(
     s2 = float(fit_resid @ fit_resid) / max(n - p, 1)
     se_model = float(np.sqrt(s2 * K[1, 1]))
 
-    splits = _cluster_splits(cl, C)
-    M = _cr_meat(Xt, fit_resid, splits, XtX, variant)
+    M = _cr_meat(Xt, fit_resid, cl, C, XtX, variant)
     V = K @ M @ K
     se_cr = float(np.sqrt(V[1, 1]))
 
     # implied per-group weights of the treated side of the contrast
     v = Xt @ K[:, 1]
     vbar = np.bincount(cl, weights=v, minlength=C) / m
-    a = v - lam[cl] * vbar[cl]
+    a = v - lam_row * vbar[cl]
     gw = np.bincount(
         panel.group_ids,
         weights=a * (panel.treatment == 1),

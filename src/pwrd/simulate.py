@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .covariance import cluster_covariance, satterthwaite_df
+from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
 from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_estimate
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
@@ -745,6 +745,9 @@ def estimate_power(
         raise InputError("alpha must lie in (0, 1)")
     if n_reps < 1:
         raise InputError("n_reps must be positive")
+    # checked up front: inside a replicate the error would only exclude it
+    if cov_variant not in VARIANTS:
+        raise InputError(f"cov_variant must be one of {VARIANTS}")
     levels = (
         tuple(float(v) for v in effect_levels)
         if effect_levels is not None

@@ -295,6 +295,8 @@ def aggregate_external(
     normal unless a finite ``df`` is given.
     """
     d = _vector(delta_hat, "delta_hat")
+    if not np.isfinite(d).all():
+        raise InputError("delta_hat must be finite")
     if (cov is None) == (se is None):
         raise InputError("supply exactly one of cov or se")
     if se is not None:

@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "best_slope_by_enumeration",
     "best_slope_by_projected_gradient",
+    "random_intercept_robust_se",
     "slope",
     "random_problem",
 ]
@@ -111,3 +112,45 @@ def random_problem(rng: np.random.Generator, G: int) -> tuple[np.ndarray, np.nda
     scale = rng.uniform(0.01, 10.0)
     p0 = rng.uniform(0.05, 1.0, size=G)
     return sigma * scale, p0
+
+
+def random_intercept_robust_se(
+    X: np.ndarray,
+    y: np.ndarray,
+    cluster: np.ndarray,
+    sigma2_eps: float,
+    sigma2_mu: float,
+    variant: str,
+    coef: int = 1,
+    eig_floor: float = 1e-12,
+) -> float:
+    """Cluster-robust standard error of one GLS coefficient, by definition.
+
+    Each cluster block is whitened by the inverse square root of its
+    covariance sigma2_eps * I + sigma2_mu * J, taken from a dense
+    eigendecomposition. On the whitened data X~, with K = (X~'X~)^-1 and
+    OLS residuals e~, the sandwich is K M K with M = sum_c u_c u_c' and
+    u_c = X~_c' A_c e~_c. CR0 takes A_c = I; CR2 takes A_c = (I - H_cc)^-1/2
+    with H_cc = X~_c K X~_c', its eigenvalues floored at ``eig_floor``.
+    """
+    blocks = []
+    for c in np.unique(cluster):
+        rows = np.flatnonzero(cluster == c)
+        k = len(rows)
+        lam, vec = np.linalg.eigh(sigma2_eps * np.eye(k) + sigma2_mu * np.ones((k, k)))
+        whiten = (vec / np.sqrt(lam)) @ vec.T
+        blocks.append((whiten @ X[rows], whiten @ y[rows]))
+    Xw = np.vstack([b[0] for b in blocks])
+    yw = np.concatenate([b[1] for b in blocks])
+    K = np.linalg.inv(Xw.T @ Xw)
+    beta = K @ (Xw.T @ yw)
+    M = np.zeros_like(K)
+    for Xc, yc in blocks:
+        e = yc - Xc @ beta
+        if variant == "cr2":
+            lam, vec = np.linalg.eigh(np.eye(len(e)) - Xc @ K @ Xc.T)
+            e = (vec / np.sqrt(np.maximum(lam, eig_floor))) @ vec.T @ e
+        u = Xc.T @ e
+        M += np.outer(u, u)
+    V = K @ M @ K
+    return float(np.sqrt(V[coef, coef]))

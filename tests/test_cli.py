@@ -222,6 +222,25 @@ def test_malformed_summary_exits_2(tmp_path, capsys, summary):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "summary, field",
+    [
+        ({"delta_hat": ["a", 1], "se": [0.1, 0.1], "p0": [0.5, 0.5]}, "delta_hat"),
+        ({"delta_hat": [0.1, 0.2], "cov": [[1, 0], [0]], "p0": [0.5, 0.5]}, "cov"),
+        ({"delta_hat": [float("nan"), 2], "se": [0.1, 0.1], "p0": [0.5, 0.5]}, "delta_hat"),
+    ],
+    ids=["non-numeric-delta", "ragged-cov", "nan-delta"],
+)
+def test_bad_summary_field_exits_2_naming_it(tmp_path, capsys, summary, field):
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps(summary))
+    code, _, err = run(["weights", spath], capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error:")
+    assert len(err.strip().splitlines()) == 1
+    assert field in err
+
+
 def test_degenerate_panel_exits_3(tmp_path, capsys):
     path = tmp_path / "one_arm.csv"
     path.write_text(

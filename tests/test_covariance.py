@@ -6,6 +6,7 @@ import pytest
 
 from pwrd import (
     DegenerateDataError,
+    InputError,
     NumericalError,
     cluster_covariance,
     estimate_effects_diffmeans,
@@ -163,10 +164,12 @@ def test_variance_estimate_validates_itself():
 def test_unknown_variant_and_center_rejected():
     p = six_unit_panel()
     eff = estimate_effects_diffmeans(p)
-    with pytest.raises(ValueError, match="variant"):
+    with pytest.raises(InputError, match="variant"):
         cluster_covariance(p, eff, variant="cr3")
-    with pytest.raises(ValueError, match="center"):
+    with pytest.raises(InputError, match="center"):
         cluster_covariance(p, eff, center="sideways")
+    with pytest.raises(InputError, match="variant"):
+        pooled_difference_variance(p.outcome, p.cluster, p.treatment, variant="cr3")
 
 
 def test_too_few_clusters_refused():
@@ -205,9 +208,9 @@ def test_empty_arm_cell_is_a_singular_bread():
 def test_satterthwaite_requires_cr2():
     p = six_unit_panel()
     eff = estimate_effects_diffmeans(p)
-    with pytest.raises(ValueError, match="cr2"):
+    with pytest.raises(InputError, match="cr2"):
         satterthwaite_df(p, eff, np.array([1.0]), variant="cr0")
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(InputError, match="length"):
         satterthwaite_df(p, eff, np.array([0.5, 0.5]))
 
 

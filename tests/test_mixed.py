@@ -4,26 +4,37 @@ a direct blockwise solve, and the fallback behavior."""
 import numpy as np
 import pytest
 
-from pwrd import DegenerateDataError, NumericalError, fit_random_intercept
+from pwrd import DegenerateDataError, InputError, NumericalError, fit_random_intercept
 from pwrd.mixed import VarianceComponents
 from pwrd.panel import PanelDataset
 
+from oracles import random_intercept_robust_se
 
-def intercept_panel(C=40, m=8, tau=0.0, sigma2_eps=4.0, sigma2_mu=1.0, seed=0, grades=False):
+
+def intercept_panel(
+    C=40, m=8, tau=0.0, sigma2_eps=4.0, sigma2_mu=1.0, seed=0, grades=False, cohorts=False
+):
+    """Random-intercept panel; ``m`` is one cluster size or one per cluster.
+
+    ``grades`` cycles grade and year within each cluster; ``cohorts`` makes
+    the cohort column a cluster-level covariate (1 or 2, by cluster parity).
+    """
     rng = np.random.default_rng(seed)
-    n = C * m
-    cluster = np.repeat(np.arange(C), m)
+    sizes = np.broadcast_to(m, C)
+    n = int(sizes.sum())
+    cluster = np.repeat(np.arange(C), sizes)
+    pos = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     z = (rng.permutation(C) < C // 2).astype(int)
     treatment = z[cluster]
     mu = rng.normal(scale=np.sqrt(sigma2_mu), size=C)
     y = mu[cluster] + rng.normal(scale=np.sqrt(sigma2_eps), size=n) + tau * treatment
-    grade = np.tile(np.arange(m) % 3 + 3, C) if grades else np.full(n, 3)
-    year = np.tile(np.arange(m) % 3 + 1, C) if grades else np.ones(n, dtype=int)
+    grade = pos % 3 + 3 if grades else np.full(n, 3)
+    year = pos % 3 + 1 if grades else np.ones(n, dtype=int)
     return PanelDataset(
         unit=np.arange(n),
         cluster=cluster,
         treatment=treatment,
-        cohort=np.ones(n, dtype=int),
+        cohort=cluster % 2 + 1 if cohorts else np.ones(n, dtype=int),
         grade=grade,
         year=year,
         outcome=y,
@@ -107,7 +118,7 @@ def test_implied_treated_weights_sum_to_one():
 
 def test_input_validation():
     p = intercept_panel(C=20, m=3, seed=1)
-    with pytest.raises(ValueError, match="variant"):
+    with pytest.raises(InputError, match="variant"):
         fit_random_intercept(p, covariates=(), variant="cr9")
     # constant grade column is collinear with the intercept
     with pytest.raises(NumericalError, match="rank-deficient"):
@@ -117,9 +128,71 @@ def test_input_validation():
 
 
 def test_components_dataclass_validates():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(InputError, match="nonnegative"):
         VarianceComponents(sigma2_eps=-1.0, sigma2_mu=0.0, icc=0.0)
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(InputError, match="icc must lie"):
+        VarianceComponents(sigma2_eps=1.0, sigma2_mu=0.0, icc=1.0)
+    with pytest.raises(InputError, match="inconsistent"):
         VarianceComponents(sigma2_eps=3.0, sigma2_mu=1.0, icc=0.5)
     ok = VarianceComponents(sigma2_eps=3.0, sigma2_mu=1.0, icc=0.25)
     assert ok.icc == 0.25
+
+
+def design_matrix(p, covariates):
+    return np.column_stack(
+        [np.ones(p.n_obs), p.treatment.astype(float)] + [p.column(c) for c in covariates]
+    )
+
+
+UNBALANCED = np.array([1, 2, 3, 5, 8, 13, 4, 6, 2, 9, 7, 3, 11, 5, 1, 6])
+
+
+@pytest.mark.parametrize("variant", ["cr0", "cr2"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        dict(panel=dict(C=16, m=UNBALANCED, tau=1.0, seed=21, grades=True), covariates=("grade",)),
+        dict(
+            panel=dict(C=16, m=UNBALANCED, seed=22, grades=True, cohorts=True),
+            covariates=("grade", "cohort"),
+        ),
+        dict(panel=dict(C=30, m=1, seed=2), covariates=()),
+    ],
+    ids=["unbalanced", "cluster-constant-covariate", "singleton-ols"],
+)
+def test_robust_se_matches_definitional_sandwich(variant, case):
+    p = intercept_panel(**case["panel"])
+    fit = fit_random_intercept(p, covariates=case["covariates"], variant=variant)
+    ref = random_intercept_robust_se(
+        design_matrix(p, case["covariates"]),
+        p.outcome,
+        p.cluster,
+        fit.components.sigma2_eps,
+        fit.components.sigma2_mu,
+        variant,
+    )
+    assert fit.se_cluster_robust == pytest.approx(ref, rel=1e-10)
+    if p.n_obs == p.n_clusters:
+        assert fit.components.sigma2_mu == 0.0
+        assert any("fell back" in w for w in fit.warnings)
+    else:
+        assert fit.components.sigma2_mu > 0
+
+
+def test_cluster_constant_covariate_counts_toward_between_df():
+    # intercept, treatment and cohort are constant within clusters; grade is not
+    p = intercept_panel(C=16, m=UNBALANCED, seed=22, grades=True, cohorts=True)
+    covariates = ("grade", "cohort")
+    fit = fit_random_intercept(p, covariates=covariates)
+    X = design_matrix(p, covariates)
+    resid = p.outcome - X @ np.linalg.lstsq(X, p.outcome, rcond=None)[0]
+    n, C, m = p.n_obs, p.n_clusters, UNBALANCED.astype(float)
+    rbar = np.array([resid[p.cluster == c].mean() for c in range(C)])
+    ssw = sum(((resid[p.cluster == c] - rbar[c]) ** 2).sum() for c in range(C))
+    s2e = ssw / (n - C)
+    q = 3
+    n0 = (n - (m**2).sum() / n) / (C - q)
+    s2mu = ((m * rbar**2).sum() / (C - q) - s2e) / n0
+    assert s2mu > 0
+    assert fit.components.sigma2_eps == pytest.approx(s2e, rel=1e-12)
+    assert fit.components.sigma2_mu == pytest.approx(s2mu, rel=1e-10)

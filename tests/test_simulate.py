@@ -67,11 +67,14 @@ def test_flags_persist_within_units():
 
 def test_worker_count_does_not_change_results():
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
-    serial = estimate_power(sc, methods=("pwrd", "flat"), n_reps=24, workers=1)
-    parallel = estimate_power(sc, methods=("pwrd", "flat"), n_reps=24, workers=3)
+    methods = ("pwrd", "flat", "mixed", "exit")
+    serial = estimate_power(sc, methods=methods, n_reps=24, workers=1)
+    parallel = estimate_power(sc, methods=methods, n_reps=24, workers=3)
+    assert [c.method for c in serial.cells] == list(methods)
     for cell_s, cell_p in zip(serial.cells, parallel.cells):
         assert cell_s.rejection_rate == cell_p.rejection_rate
         assert cell_s.method == cell_p.method
+        assert cell_s.n_excluded == cell_p.n_excluded
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +309,8 @@ def test_power_input_validation():
         estimate_power(sc, methods=("flat",), n_reps=4, alpha=1.5)
     with pytest.raises(InputError, match="n_reps"):
         estimate_power(sc, methods=("flat",), n_reps=0)
+    with pytest.raises(InputError, match="cov_variant"):
+        estimate_power(sc, methods=("mixed",), n_reps=4, cov_variant="cr9")
 
 
 def test_negative_effect_sweep_requires_spillover_regime():

@@ -138,11 +138,13 @@ def test_nonfinite_covariance_refused():
         lambda: AggregationWeights(omega=np.array([np.nan, 0.5]), scheme="custom"),
         lambda: aggregate_external([], p0=[], se=[]),
         lambda: aggregate_external(0.1, p0=0.5, se=0.1),
+        lambda: aggregate_external([np.nan, 0.2], p0=[0.5, 0.5], se=[0.1, 0.1]),
+        lambda: aggregate_external([0.1, np.inf], p0=[0.5, 0.5], cov=np.eye(2)),
     ],
     ids=[
         "length", "negative-p0", "nan-p0", "nonsquare-cov", "neither-cov-nor-se",
         "delta-length", "nan-se", "inf-se", "delta0-length", "alternative", "nan-omega",
-        "empty", "scalars",
+        "empty", "scalars", "nan-delta", "inf-delta",
     ],
 )
 def test_weights_input_checks_raise_input_error(call):
