@@ -262,7 +262,7 @@ def cmd_weights(args) -> int:
     with open(args.summary) as fh:
         data = json.load(fh)
     for key in ("delta_hat", "p0"):
-        if key not in data:
+        if data.get(key) is None:
             raise InputError(f"summary file is missing '{key}'")
     result = aggregate_external(
         delta_hat=_summary_array(data, "delta_hat"),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDataError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import GroupInfo, PanelDataset
 
 
@@ -33,7 +33,7 @@ class GroupEffects:
 
     def __post_init__(self) -> None:
         if len(self.estimates) != len(self.groups) or len(self.n) != len(self.groups):
-            raise ValueError("estimates, groups, and n must align")
+            raise InputError("estimates, groups, and n must align")
 
     @property
     def n_groups(self) -> int:
@@ -53,9 +53,9 @@ class TestInProportions:
 
     def __post_init__(self) -> None:
         if len(self.p_hat) != len(self.groups) or len(self.n_control) != len(self.groups):
-            raise ValueError("p_hat, n_control, and groups must align")
+            raise InputError("p_hat, n_control, and groups must align")
         if len(self.p_hat) and (self.p_hat.min() < 0 or self.p_hat.max() > 1):
-            raise ValueError("proportions must lie in [0, 1]")
+            raise InputError("proportions must lie in [0, 1]")
 
     def group_ordinals(self) -> tuple[int, ...]:
         return tuple(gi.g for gi in self.groups)
@@ -232,7 +232,7 @@ def exit_observation_estimate(
             raise NumericalError("rank-deficient control design matrix in exit subset")
         values = y - X @ beta
     else:
-        raise ValueError(f"unknown method '{method}'")
+        raise InputError(f"unknown method '{method}'")
 
     estimate = float(values[z == 1].mean() - values[z == 0].mean())
     var, n_clusters = pooled_difference_variance(values, cl, z, variant=variant)

@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,21 +41,6 @@ LOGICAL_COLUMNS = (
 REQUIRED_COLUMNS = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome")
 
 _MAX_REPORTED_ROWS = 8
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One unit-year record."""
-
-    unit_id: str
-    cluster_id: str
-    treatment: int
-    cohort: int
-    grade: int
-    follow_up_year: int
-    outcome: float
-    tested_in: int | None = None
-    block_id: str | None = None
 
 
 @dataclass(frozen=True)
@@ -464,22 +449,6 @@ class PanelDataset:
         mask[order] = last_sorted
         return mask
 
-    def observations(self) -> Iterator[Observation]:
-        for i in range(self.n_obs):
-            yield Observation(
-                unit_id=str(self.unit_labels[self.unit[i]]) if self.unit_labels is not None else str(self.unit[i]),
-                cluster_id=self.cluster_label(int(self.cluster[i])),
-                treatment=int(self.treatment[i]),
-                cohort=int(self.cohort[i]),
-                grade=int(self.grade[i]),
-                follow_up_year=int(self.year[i]),
-                outcome=float(self.outcome[i]),
-                tested_in=None if self.tested_in is None else int(self.tested_in[i]),
-                block_id=None
-                if self.block is None
-                else (str(self.block_labels[self.block[i]]) if self.block_labels is not None else str(self.block[i])),
-            )
-
     # ------------------------------------------------------------------
 
     def to_csv(self, destination: str | os.PathLike | io.TextIOBase) -> None:
@@ -531,11 +500,6 @@ class PanelDataset:
         finally:
             if own:
                 fh.close()
-
-
-def derive_groups(panel: PanelDataset) -> tuple[GroupInfo, ...]:
-    """Group catalog of a panel, ordered by (cohort, entry grade, year)."""
-    return panel.catalog
 
 
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})

@@ -394,24 +394,62 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / np.sqrt(np.pi)
 
 
-def _survival_by_year(
-    scenario: Scenario, track: _Track, thresholds: dict[int, float]
-) -> np.ndarray:
-    """P(not yet tested in by each year) for one track, averaged over clusters."""
+def _flagged_shares(
+    scenario: Scenario, thresholds: dict[int, float], grades: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flagged share of each (track, year) and its gradient in the cutoffs of ``grades``.
+
+    Given the cluster intercept the years are independent, so a unit
+    survives to year j unflagged with the product of its normal tails up
+    to j, averaged over the intercept by Gauss-Hermite quadrature. The
+    share's derivative in the cutoff met in year i <= j is the normal
+    density at that cutoff times the survival product of the other years.
+    Shapes are (tracks, years) and (tracks, years, grades), zero past a
+    track's last year.
+    """
+    tracks = _tracks(scenario)
+    T = max(tr.n_years for tr in tracks)
+    grade = np.asarray([[tr.entry_grade] for tr in tracks]) + np.arange(T)
+    present = np.arange(T) < np.asarray([[tr.n_years] for tr in tracks])
     x, wnorm = _gh_rule(_GH_NODES)
     mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
     sd = np.sqrt(scenario.sigma2_eps)
-    surv = np.ones(len(x))
-    out = np.empty(track.n_years)
-    for j in range(track.n_years):
-        g = track.entry_grade + j
-        cut = thresholds.get(g)
-        if cut is None:
-            raise InputError(f"no threshold for grade {g}")
-        zscore = (cut - scenario.beta0 - scenario.beta1 * g - mu) / sd
-        surv = surv * special.ndtr(-zscore)
-        out[j] = float(wnorm @ surv)
-    return out
+    # a cutoff of -inf past a track's last year leaves its survival unchanged
+    cut = np.full(grade.shape, -np.inf)
+    try:
+        cut[present] = [thresholds[g] for g in grade[present].tolist()]
+    except KeyError as exc:
+        raise InputError(f"no threshold for grade {exc.args[0]}") from None
+    zscore = ((cut - scenario.beta0 - scenario.beta1 * grade)[..., None] - mu) / sd
+    tail = special.ndtr(-zscore)
+
+    def average(surv: np.ndarray) -> np.ndarray:
+        # one 1-d dot per row: a matrix-vector product sums in another order,
+        # and the last bisection steps would turn that last bit into new cutoffs
+        return np.asarray([wnorm @ row for row in surv])
+
+    flagged = np.zeros(grade.shape)
+    flagged[present] = 1.0 - average(np.cumprod(tail, axis=1)[present])
+    grad = np.zeros(grade.shape + (len(grades),))
+    for c, g in enumerate(grades):
+        hit = (grade == g) & present
+        after = (np.cumsum(hit, axis=1) > 0) & present
+        factors = tail.copy()
+        factors[hit] = np.exp(-0.5 * zscore[hit] ** 2) / (np.sqrt(2.0 * np.pi) * sd)
+        grad[after, c] = average(np.cumprod(factors, axis=1)[after])
+    return flagged, grad
+
+
+def _profile(
+    scenario: Scenario, thresholds: dict[int, float], grades: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Test-in share by participation year, pooled over tracks, and its Jacobian."""
+    flagged, grad = _flagged_shares(scenario, thresholds, grades)
+    tracks = _tracks(scenario)
+    units = np.asarray([[tr.units_per_cluster] for tr in tracks], dtype=np.float64)
+    den = (units * (np.arange(flagged.shape[1]) < [[tr.n_years] for tr in tracks])).sum(axis=0)
+    prof = (units * flagged).sum(axis=0) / den
+    return prof, (units[..., None] * grad).sum(axis=0) / den[:, None]
 
 
 def expected_group_testin(
@@ -419,14 +457,13 @@ def expected_group_testin(
 ) -> np.ndarray:
     """Exact control test-in proportion per catalog group."""
     thr = thresholds if thresholds is not None else scenario.threshold_map
-    frame = _frame(scenario.n_clusters, _tracks(scenario))
-    by_track = {
-        (tr.cohort, tr.entry_grade): 1.0 - _survival_by_year(scenario, tr, thr)
-        for tr in _tracks(scenario)
-    }
+    tracks = _tracks(scenario)
+    flagged, _ = _flagged_shares(scenario, thr)
+    row = {(tr.cohort, tr.entry_grade): t for t, tr in enumerate(tracks)}
+    frame = _frame(scenario.n_clusters, tracks)
     out = np.empty(len(frame.catalog))
     for gi in frame.catalog:
-        out[gi.g] = by_track[(gi.cohort, gi.entry_grade)][gi.follow_up_year - 1]
+        out[gi.g] = flagged[row[(gi.cohort, gi.entry_grade)], gi.follow_up_year - 1]
     return out
 
 
@@ -435,144 +472,105 @@ def expected_testin_profile(
 ) -> dict[int, float]:
     """Exact test-in proportion by participation year, pooled over tracks."""
     thr = thresholds if thresholds is not None else scenario.threshold_map
-    tracks = _tracks(scenario)
-    flagged = {tr: 1.0 - _survival_by_year(scenario, tr, thr) for tr in tracks}
-    out = {}
-    for k in range(1, max(tr.n_years for tr in tracks) + 1):
-        num = den = 0.0
-        for tr in tracks:
-            if tr.n_years >= k:
-                num += tr.units_per_cluster * flagged[tr][k - 1]
-                den += tr.units_per_cluster
-        out[k] = num / den
-    return out
+    prof, _ = _profile(scenario, thr)
+    return dict(enumerate(prof, start=1))
 
 
 def calibrate_thresholds(
     scenario: Scenario,
     targets: dict[int, float] | None = None,
-    rounds: int = 30,
     tol: float = 0.02,
 ) -> dict[int, float]:
     """Per-grade cutoffs hitting a test-in profile by participation year.
 
-    Cycles over participation years, bisecting the cutoff for the grade a
-    first-year-entry unit would occupy at that participation year (grade
-    k - 1 for year k). When every track enters at the same grade this is
-    triangular and converges to machine precision. Staggered entry grades
-    couple the equations and an exact joint root need not exist; in that
-    case the bisection result is refined by least squares and a direct
-    search on the worst deviation, and the best attainable profile is
-    accepted as long as its worst deviation stays within ``tol``. The
-    profile is computed exactly by quadrature, so no simulation noise
-    enters the calibration.
+    One pass over the participation years bisects the cutoff for the
+    grade a first-year-entry unit occupies in year k (grade k - 1). When
+    every track enters at the same grade the system is triangular and this
+    pass solves it to machine precision. Staggered entry grades couple the
+    equations and an exact joint root need not exist; then, starting from
+    the bisection point, SLSQP solves the epigraph problem
+    min t subject to -t <= profile_k - target_k <= t with the analytic
+    Jacobian of the profile, and the minimax point is accepted as long as
+    its worst deviation stays within ``tol``. The profile is computed
+    exactly by quadrature, so no simulation noise enters the calibration.
     """
     targets = dict(targets) if targets is not None else dict(DEFAULT_TESTIN_TARGETS)
     # the profile is invariant to cluster count, effect, and seed
-    key = replace(
-        scenario, n_clusters=4, thresholds=(), effect=EffectSpec("null"), seed=0
-    )
-    return dict(_calibrate_cached(key, tuple(sorted(targets.items())), rounds, tol))
+    key = replace(scenario, n_clusters=4, thresholds=(), effect=EffectSpec("null"), seed=0)
+    return dict(_calibrate_cached(key, tuple(sorted(targets.items())), tol))
 
 
 @functools.lru_cache(maxsize=64)
 def _calibrate_cached(
-    scenario: Scenario, target_items: tuple[tuple[int, float], ...], rounds: int, tol: float
+    scenario: Scenario, target_items: tuple[tuple[int, float], ...], tol: float
 ) -> tuple[tuple[int, float], ...]:
-    thr = _calibrate_impl(scenario, dict(target_items), rounds, tol)
+    thr = _calibrate_impl(scenario, dict(target_items), tol)
     return tuple(sorted(thr.items()))
 
 
-def _calibrate_impl(
-    scenario: Scenario, targets: dict[int, float], rounds: int, tol: float
-) -> dict[int, float]:
+def _calibrate_impl(scenario: Scenario, targets: dict[int, float], tol: float) -> dict[int, float]:
     tracks = _tracks(scenario)
     grades = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
     for k in targets:
         if (k - 1) not in grades:
-            raise InputError(
-                f"cannot calibrate year {k}: no track occupies grade {k - 1}"
-            )
+            raise InputError(f"cannot calibrate year {k}: no track occupies grade {k - 1}")
         if not 0.0 < targets[k] < 1.0:
             raise InputError("targets must lie strictly between 0 and 1")
 
     total_sd = np.sqrt(scenario.sigma2_eps + scenario.sigma2_mu)
     years = sorted(targets)
-    knobs = [k - 1 for k in years]
-    thr = {
-        g: scenario.beta0 + scenario.beta1 * g - 0.3 * total_sd for g in grades
-    }
+    thr = {g: scenario.beta0 + scenario.beta1 * g - 0.3 * total_sd for g in grades}
+    for k in years:
+        g = k - 1
+        lo = scenario.beta0 + scenario.beta1 * g - 12.0 * total_sd
+        hi = scenario.beta0 + scenario.beta1 * g + 12.0 * total_sd
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            thr[g] = mid
+            if expected_testin_profile(scenario, thr)[k] < targets[k]:
+                lo = mid
+            else:
+                hi = mid
+        thr[g] = 0.5 * (lo + hi)
 
-    def residuals(thr_map: dict[int, float]) -> np.ndarray:
-        prof = expected_testin_profile(scenario, thr_map)
-        return np.asarray([prof[k] - targets[k] for k in years])
+    rows = np.asarray(years) - 1
+    knobs = tuple(k - 1 for k in years)
+    goal = np.asarray([targets[k] for k in years])
 
-    best = dict(thr)
-    best_err = float(np.abs(residuals(thr)).max())
-    for _ in range(rounds):
-        for k in years:
-            g = k - 1
-            lo = scenario.beta0 + scenario.beta1 * g - 12.0 * total_sd
-            hi = scenario.beta0 + scenario.beta1 * g + 12.0 * total_sd
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                thr[g] = mid
-                if expected_testin_profile(scenario, thr)[k] < targets[k]:
-                    lo = mid
-                else:
-                    hi = mid
-            thr[g] = 0.5 * (lo + hi)
-        err = float(np.abs(residuals(thr)).max())
-        if err >= best_err - 1e-12:
-            break
-        best, best_err = dict(thr), err
-    if best_err < 1e-8:
-        return best
+    @functools.lru_cache(maxsize=1)
+    def residuals(x: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+        prof, jac = _profile(scenario, {**thr, **dict(zip(knobs, x))}, knobs)
+        return prof[rows] - goal, jac[rows]
 
-    from scipy import optimize
+    r, _ = residuals(tuple(thr[g] for g in knobs))
+    if np.abs(r).max() >= 1e-8:
+        from scipy import optimize
 
-    def from_vec(x: np.ndarray) -> dict[int, float]:
-        out = dict(best)
-        for g, v in zip(knobs, x):
-            out[g] = float(v)
-        return out
+        # epigraph form over v = (x, t): minimize t subject to |r_k(x)| <= t
+        ones = np.ones((len(years), 1))
 
-    starts = [np.asarray([best[g] for g in knobs], dtype=np.float64)]
-    for shift in (-0.75, -0.3, 0.1):
-        starts.append(
-            np.asarray(
-                [scenario.beta0 + scenario.beta1 * g + shift * total_sd for g in knobs]
-            )
+        def band(v: np.ndarray) -> np.ndarray:
+            dev = residuals(tuple(v[:-1].tolist()))[0]
+            return np.concatenate([v[-1] - dev, v[-1] + dev])
+
+        def band_jac(v: np.ndarray) -> np.ndarray:
+            jac = residuals(tuple(v[:-1].tolist()))[1]
+            return np.block([[-jac, ones], [jac, ones]])
+
+        res = optimize.minimize(
+            lambda v: v[-1],
+            np.append([thr[g] for g in knobs], np.abs(r).max()),
+            jac=lambda v: np.eye(len(v))[-1],
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": band, "jac": band_jac}],
+            options={"ftol": 1e-14, "maxiter": 500},
         )
-    def minimax(x: np.ndarray) -> float:
-        return float(np.abs(residuals(from_vec(x))).max())
-
-    for x0 in starts:
-        ls = optimize.least_squares(
-            lambda x: residuals(from_vec(x)), x0, method="lm", xtol=1e-13, ftol=1e-13
-        )
-        for x1 in (x0, ls.x):
-            # restarted direct search: a fresh simplex escapes the
-            # degenerate collapse Nelder-Mead is prone to on minimax objectives
-            for _ in range(4):
-                nm = optimize.minimize(
-                    x0=x1,
-                    fun=minimax,
-                    method="Nelder-Mead",
-                    options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-                )
-                if nm.fun >= minimax(x1) - 1e-12:
-                    x1 = nm.x
-                    break
-                x1 = nm.x
-            cand = from_vec(x1)
-            err = float(np.abs(residuals(cand)).max())
-            if err < best_err:
-                best, best_err = cand, err
-
-    if best_err <= tol:
-        return best
-    achieved = {k: expected_testin_profile(scenario, best)[k] for k in years}
+        r, _ = residuals(tuple(res.x[:-1].tolist()))
+        thr.update(zip(knobs, res.x[:-1].tolist()))
+    if np.abs(r).max() <= tol:
+        return thr
+    prof = expected_testin_profile(scenario, thr)
+    achieved = {k: float(prof[k]) for k in years}
     raise NumericalError(
         f"threshold calibration did not converge: achieved {achieved}, wanted {targets}"
     )

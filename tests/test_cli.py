@@ -228,8 +228,10 @@ def test_malformed_summary_exits_2(tmp_path, capsys, summary):
         ({"delta_hat": ["a", 1], "se": [0.1, 0.1], "p0": [0.5, 0.5]}, "delta_hat"),
         ({"delta_hat": [0.1, 0.2], "cov": [[1, 0], [0]], "p0": [0.5, 0.5]}, "cov"),
         ({"delta_hat": [float("nan"), 2], "se": [0.1, 0.1], "p0": [0.5, 0.5]}, "delta_hat"),
+        ({"delta_hat": [0.1, 0.2], "se": [0.1, 0.1], "p0": None}, "missing 'p0'"),
+        ({"delta_hat": None, "se": [0.1, 0.1], "p0": [0.5, 0.5]}, "missing 'delta_hat'"),
     ],
-    ids=["non-numeric-delta", "ragged-cov", "nan-delta"],
+    ids=["non-numeric-delta", "ragged-cov", "nan-delta", "null-p0", "null-delta"],
 )
 def test_bad_summary_field_exits_2_naming_it(tmp_path, capsys, summary, field):
     spath = tmp_path / "summary.json"

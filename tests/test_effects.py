@@ -5,12 +5,14 @@ import pytest
 
 from pwrd import (
     DegenerateDataError,
+    InputError,
     NumericalError,
     estimate_effects_diffmeans,
     estimate_effects_peters_belson,
     estimate_p0,
     exit_observation_estimate,
 )
+from pwrd import effects
 from pwrd.effects import effects_to_json_dict
 from pwrd.panel import PanelDataset
 
@@ -172,6 +174,20 @@ def test_exit_estimate_requires_both_arms():
 def test_exit_estimate_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         exit_observation_estimate(tiny_panel(), method="bayes")
+
+
+def test_effects_input_checks_raise_input_error():
+    groups = tiny_panel().catalog
+    G = len(groups)
+    with pytest.raises(InputError, match="unknown method"):
+        exit_observation_estimate(tiny_panel(), method="bayes")
+    with pytest.raises(InputError, match="must align"):
+        effects.GroupEffects(np.zeros(G + 1), groups, np.ones(G), "difference-in-means")
+    with pytest.raises(InputError, match="must align"):
+        effects.TestInProportions(np.zeros(G), np.ones(G + 1), groups)
+    with pytest.raises(InputError, match=r"\[0, 1\]"):
+        effects.TestInProportions(np.full(G, 1.5), np.ones(G), groups)
+    assert issubclass(InputError, ValueError)
 
 
 def test_json_summary_carries_groups_and_exclusions():

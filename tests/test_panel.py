@@ -205,18 +205,23 @@ def _observation_set(panel):
         # label-less panels print bare codes; the writer zero-pads them
         return label if label.startswith(prefix) else f"{prefix}{int(label):0{width}d}"
 
+    units = panel.unit_labels[panel.unit] if panel.unit_labels is not None else panel.unit
+    flags = panel.tested_in if panel.tested_in is not None else [None] * panel.n_obs
     return {
         (
-            canon(o.unit_id, "u", 7),
-            canon(o.cluster_id, "c", 4),
-            o.treatment,
-            o.cohort,
-            o.grade,
-            o.follow_up_year,
-            o.outcome,
-            o.tested_in,
+            canon(str(u), "u", 7),
+            canon(panel.cluster_label(int(c)), "c", 4),
+            int(z),
+            int(cohort),
+            int(grade),
+            int(year),
+            float(y),
+            None if f is None else int(f),
         )
-        for o in panel.observations()
+        for u, c, z, cohort, grade, year, y, f in zip(
+            units, panel.cluster, panel.treatment, panel.cohort,
+            panel.grade, panel.year, panel.outcome, flags,
+        )
     }
 
 

@@ -1,17 +1,28 @@
 """Simulation engine: reproducibility, effect injection arithmetic,
 calibration exactness, and the power-study bookkeeping."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import special
 
+import pwrd
 from pwrd import (
     DegenerateDataError,
     EffectSpec,
     InputError,
+    NumericalError,
     PanelDataset,
     analyze_replicate,
     apply_effect,
+    calibrate_thresholds,
     estimate_power,
+    expected_group_testin,
     expected_testin_profile,
     generate_panel,
     negative_effect_sweep,
@@ -19,7 +30,13 @@ from pwrd import (
     spillover_scenario,
     theoretical_covariance,
 )
-from pwrd.simulate import SPILLOVER_TESTIN_TARGETS, Scenario, default_scenario
+from pwrd.simulate import (
+    DEFAULT_TESTIN_TARGETS,
+    SPILLOVER_TESTIN_TARGETS,
+    Scenario,
+    _profile,
+    default_scenario,
+)
 
 from test_panel import tiny_panel
 
@@ -212,6 +229,102 @@ def test_spillover_preset_profile():
     for k, target in SPILLOVER_TESTIN_TARGETS.items():
         assert profile[k] == pytest.approx(target, abs=1e-9)
     assert sc.effect.regime == "effect2"
+
+
+# the minimax point of the default design: all four deviations active, signs (-, -, +, +)
+DEFAULT_MINIMAX_THRESHOLDS = {0: 99.40915215, 1: 105.64308820, 2: 103.69355898, 3: 113.20002481}
+DEFAULT_MINIMAX_DEVIATION = 0.0126077974
+
+
+def _group_testin_by_loop(sc):
+    """Flagged share per (cohort, entry grade, year), one year at a time."""
+    x, w = np.polynomial.hermite.hermgauss(96)
+    w = w / np.sqrt(np.pi)
+    mu = np.sqrt(2.0 * sc.sigma2_mu) * x
+    thr = sc.threshold_map
+    out = {}
+    for cs in sc.cohorts:
+        for eg in cs.entry_grades:
+            surv = np.ones(len(x))
+            n_years = min(sc.exit_grade - eg + 1, sc.n_years - cs.entry_year + 1)
+            for j in range(n_years):
+                g = eg + j
+                z = (thr[g] - sc.beta0 - sc.beta1 * g - mu) / np.sqrt(sc.sigma2_eps)
+                surv = surv * special.ndtr(-z)
+                out[(cs.cohort, eg, j + 1)] = 1.0 - float(w @ surv)
+    return out
+
+
+@pytest.mark.parametrize("factory", [single_track_scenario, default_scenario])
+def test_group_testin_keeps_the_loop_arithmetic(factory):
+    # bit for bit: the bisection's last steps turn a last-bit change into new cutoffs
+    sc = factory()
+    ref = _group_testin_by_loop(sc)
+    catalog = generate_panel(sc, 0).catalog
+    got = expected_group_testin(sc)
+    assert len(ref) == len(catalog)
+    for gi in catalog:
+        assert got[gi.g] == ref[(gi.cohort, gi.entry_grade, gi.follow_up_year)]
+
+
+def test_profile_jacobian_matches_central_differences():
+    sc = default_scenario()
+    thr = sc.threshold_map
+    grades = tuple(sorted(thr))
+    _, jac = _profile(sc, thr, grades)
+    h = 1e-4
+    for c, g in enumerate(grades):
+        up, _ = _profile(sc, {**thr, g: thr[g] + h})
+        down, _ = _profile(sc, {**thr, g: thr[g] - h})
+        np.testing.assert_allclose(jac[:, c], (up - down) / (2 * h), rtol=1e-6)
+
+
+def test_default_calibration_reaches_the_minimax_point():
+    sc = default_scenario()
+    thr = sc.threshold_map
+    for g, ref in DEFAULT_MINIMAX_THRESHOLDS.items():
+        assert thr[g] == pytest.approx(ref, abs=1e-6)
+    profile = expected_testin_profile(sc)
+    devs = [profile[k] - t for k, t in DEFAULT_TESTIN_TARGETS.items()]
+    assert max(abs(d) for d in devs) == pytest.approx(DEFAULT_MINIMAX_DEVIATION, abs=1e-9)
+    assert np.sign(devs).tolist() == [-1, -1, 1, 1]
+
+
+def test_calibration_ignores_track_order():
+    forward = default_scenario()
+    backward = replace(
+        forward,
+        cohorts=tuple(
+            replace(cs, entry_grades=cs.entry_grades[::-1]) for cs in reversed(forward.cohorts)
+        ),
+    )
+    a = calibrate_thresholds(forward)
+    b = calibrate_thresholds(backward)
+    assert a.keys() == b.keys()
+    for g in a:
+        assert b[g] == pytest.approx(a[g], abs=1e-8)
+
+
+def test_unreachable_profile_is_refused():
+    # at icc 0.05 the best attainable worst deviation is about 0.022 > tol 0.02
+    with pytest.raises(NumericalError, match="did not converge"):
+        default_scenario(icc=0.05)
+
+
+def test_single_track_simulate_skips_the_minimax_solver(tmp_path):
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    out = tmp_path / "panel.csv"
+    code = (
+        "import sys; from pwrd.cli import main; "
+        f"main(['simulate', '--preset', 'single-track', '--out', {str(out)!r}]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert out.exists()
 
 
 def test_with_icc_preserves_total_variance():
