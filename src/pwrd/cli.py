@@ -200,7 +200,7 @@ def cmd_analyze(args) -> int:
         effects = estimate_effects_peters_belson(panel, covariates=covs)
     else:
         effects = estimate_effects_diffmeans(panel)
-    cov = cluster_covariance(panel, effects, variant=args.cov_variant, center=args.center)
+    cov = cluster_covariance(panel, effects, variant=args.cov_variant)
     p0 = estimate_p0(panel)
     if p0.group_ordinals() != effects.group_ordinals():
         raise InputError("test-in proportions and effects cover different groups")
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--alternative", default="greater", choices=["greater", "less", "two-sided"]
     )
     p.add_argument("--cov-variant", default="cr2", choices=["cr0", "cr2"])
-    p.add_argument("--center", default="both-arms", choices=["both-arms", "control-only"])
     p.add_argument(
         "--df-rule", default="clusters-2", choices=["clusters-2", "satterthwaite"]
     )

@@ -1,10 +1,15 @@
 """Cluster-robust covariance for the vector of per-group effect estimates.
 
 The estimate vector solves stacked estimating equations, one mean per
-(group, arm) cell. The sandwich covariance takes the bread from the cell
-counts and the meat from per-cluster sums of score contributions. Because
-treatment is constant within a cluster, each cluster touches only one arm,
-and the covariance of the contrast vector is the sum of the two arm blocks.
+(arm, group) cell, so the sandwich needs no row finer than the panel's
+cell table (``PanelDataset.cells``): per (cluster, group) row counts m and
+outcome sums s, with each cluster's arm. The bread comes from the arm
+totals of m, and a cluster's score in a cell is its residual sum
+s - m * mean. Because treatment is constant within a cluster, each cluster
+touches only one arm, and the covariance of the contrast vector is the sum
+of the two arm blocks. One sandwich serves every contrast: the group
+effects read the included groups' columns of the panel's table, and the
+exit contrast a one-group table built on the exit rows.
 
 Two variants are provided. CR0 uses the raw residual sums. CR2 rescales
 each cluster's residuals by the symmetric inverse square root of the
@@ -12,7 +17,7 @@ cluster's (I - H) leverage block before summing. For cell-mean estimating
 equations the leverage block is block diagonal by cell with equicorrelated
 blocks, so that inverse square root acts on a cell's residual sum as the
 scalar (1 - m/n)^(-1/2), where m is the cluster's row count in the cell and
-n the cell total. Eigenvalues of I - H below the floor are clipped.
+n the arm total. Eigenvalues of I - H below the floor are clipped.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ import numpy as np
 
 from .effects import GroupEffects
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import GroupInfo, PanelDataset
+from .panel import GroupInfo, PanelDataset, arm_totals
 
 EIG_FLOOR = 1e-12
 VARIANTS = ("cr0", "cr2")
-CENTERS = ("both-arms", "control-only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +43,6 @@ class CovarianceEstimate:
     n_clusters: int
     df: float
     groups: tuple[GroupInfo, ...]
-    center: str = "both-arms"
-
     def __post_init__(self) -> None:
         S = self.sigma_hat
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -64,99 +66,65 @@ class CovarianceEstimate:
 
 def _cr2_scales(m: np.ndarray, n_cell: np.ndarray) -> np.ndarray:
     """Residual-sum scaling implementing (I - H_c)^(-1/2) per cluster cell."""
-    with np.errstate(divide="ignore"):
-        lam = 1.0 - m / n_cell
-    lam = np.maximum(lam, EIG_FLOOR)
-    scales = 1.0 / np.sqrt(lam)
-    scales[m == 0] = 1.0
-    return scales
+    return 1.0 / np.sqrt(np.maximum(1.0 - m / n_cell, EIG_FLOOR))
 
 
-def _cell_layout(panel: PanelDataset, effects: GroupEffects):
-    """Compact per-row cell ids over the included groups.
+def _arm_counts(m: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm cell counts, shape (2, K), and the mask of clusters with rows.
 
-    Returns (g, z, cl, y, n_cell, m, R, active_clusters) where cells are
-    numbered z * G + g over the G included groups, m holds per
-    (cluster, cell) counts, and R per (cluster, cell) residual sums.
+    Refuses fewer than two clusters, then any empty (arm, column) cell,
+    numbered arm * K + column, since its mean has no bread.
     """
-    idx = np.asarray(effects.group_ordinals(), dtype=np.int64)
-    G = len(idx)
-    compact = np.full(panel.n_groups, -1, dtype=np.int64)
-    compact[idx] = np.arange(G)
-    gg = compact[panel.group_ids]
-    keep = gg >= 0
-    g = gg[keep]
-    z = panel.treatment[keep].astype(np.int64)
-    cl = panel.cluster[keep]
-    y = panel.outcome[keep]
-
-    cell = z * G + g
-    n_cell = np.bincount(cell, minlength=2 * G).astype(np.float64)
-    if (n_cell == 0).any():
-        empty = [int(c) for c in np.flatnonzero(n_cell == 0)]
+    active = m.sum(axis=1) > 0
+    n_clusters = int(active.sum())
+    if n_clusters < 2:
+        raise DegenerateDataError(f"need at least 2 clusters, found {n_clusters}")
+    n = arm_totals(m, z)
+    if (n == 0).any():
+        empty = np.flatnonzero(n == 0).tolist()
         raise NumericalError(f"singular bread: empty (arm, group) cells {empty}")
-    mean_cell = np.bincount(cell, weights=y, minlength=2 * G) / n_cell
-    resid = y - mean_cell[cell]
+    return n, active
 
-    C = panel.n_clusters
-    key = cl * (2 * G) + cell
-    m = np.bincount(key, minlength=C * 2 * G).reshape(C, 2 * G).astype(np.float64)
-    R = np.bincount(key, weights=resid, minlength=C * 2 * G).reshape(C, 2 * G)
-    active = np.flatnonzero(m.sum(axis=1) > 0)
-    return g, z, cl, y, n_cell, m, R, active
+
+def _sandwich(
+    m: np.ndarray, s: np.ndarray, z: np.ndarray, variant: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Treated-minus-control contrast of cell means and its cluster sandwich.
+
+    ``m`` and ``s`` are (C, K) cell counts and sums and ``z`` the arm of
+    each cluster. Returns the K contrasts, their K x K covariance and the
+    number of clusters with rows.
+    """
+    if variant not in VARIANTS:
+        raise InputError(f"variant must be one of {VARIANTS}")
+    n, active = _arm_counts(m, z)
+    mean = arm_totals(s, z) / n
+    n_z = n[z]
+    R = s - m * mean[z]
+    if variant == "cr2":
+        R = R * _cr2_scales(m, n_z)
+    sign = np.where(z == 1, 1.0, -1.0)
+    U = (sign[:, None] * R / n_z)[active]
+    # Canonical row order makes the accumulated sum independent of cluster labels.
+    Us = U[np.lexsort(U.T[::-1])]
+    return mean[1] - mean[0], Us.T @ Us, len(U)
 
 
 def cluster_covariance(
     panel: PanelDataset,
     effects: GroupEffects,
     variant: str = "cr2",
-    center: str = "both-arms",
 ) -> CovarianceEstimate:
-    """Sandwich covariance of the group effect vector, clustered by cluster.
-
-    ``center='control-only'`` is a sensitivity variant that builds the meat
-    from control clusters alone and scales it up for the treated arm; it is
-    exact when the two arms have comparable cluster compositions.
-    """
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {VARIANTS}")
-    if center not in CENTERS:
-        raise InputError(f"center must be one of {CENTERS}")
-
-    G = effects.n_groups
-    _, _, _, _, n_cell, m, R, active = _cell_layout(panel, effects)
-    n_clusters = len(active)
-    if n_clusters < 2:
-        raise DegenerateDataError(f"need at least 2 clusters, found {n_clusters}")
-
-    if variant == "cr2":
-        R = R * _cr2_scales(m, n_cell[None, :])
-
-    # Each cluster has rows in exactly one arm, so exactly one of the two
-    # halves below is nonzero for any cluster.
-    U = R[:, G:] / n_cell[None, G:] - R[:, :G] / n_cell[None, :G]
-    U = U[active]
-
-    z_active = panel.z_by_cluster[active]
-    c1 = int((z_active == 1).sum())
-    c0 = n_clusters - c1
-    if center == "control-only":
-        if c0 < 1 or c1 < 1:
-            raise DegenerateDataError("control-only centering needs clusters in both arms")
-        U = U[z_active == 0] * np.sqrt(1.0 + c0 / c1)
-
-    # Canonical row order makes the accumulated sum independent of cluster labels.
-    order = np.lexsort(U.T[::-1]) if len(U) else np.arange(0)
-    Us = U[order]
-    V = Us.T @ Us
-
+    """Sandwich covariance of the group effect vector, clustered by cluster."""
+    cells = panel.cells
+    idx = np.asarray(effects.group_ordinals(), dtype=np.int64)
+    _, V, n_clusters = _sandwich(cells.m[:, idx], cells.s[:, idx], cells.z, variant)
     return CovarianceEstimate(
         sigma_hat=V,
         variant=variant,
         n_clusters=n_clusters,
         df=float(n_clusters - 2),
         groups=effects.groups,
-        center=center,
     )
 
 
@@ -181,23 +149,22 @@ def satterthwaite_df(
     if len(omega) != G:
         raise InputError("omega length must match the number of included groups")
 
-    _, _, _, _, n_cell, m, _, active = _cell_layout(panel, effects)
-    n_clusters = len(active)
-    if n_clusters < 2:
-        raise DegenerateDataError(f"need at least 2 clusters, found {n_clusters}")
-    fallback = float(n_clusters - 2)
+    cells = panel.cells
+    idx = np.asarray(effects.group_ordinals(), dtype=np.int64)
+    m, z = cells.m[:, idx], cells.z
+    n, active = _arm_counts(m, z)
+    fallback = float(active.sum() - 2)
 
-    scales = _cr2_scales(m, n_cell[None, :])
-    sign = np.concatenate([-np.ones(G), np.ones(G)])
-    w2 = np.concatenate([omega, omega])
-    phi = sign[None, :] * w2[None, :] / n_cell[None, :] * scales
-    phi[m == 0] = 0.0
-    phi = phi[active]
-    ma = m[active]
+    n_z = n[z]
+    sign = np.where(z == 1, 1.0, -1.0)
+    phi = (sign[:, None] * omega[None, :] / n_z * _cr2_scales(m, n_z))[active]
+    m, n_z, z = m[active], n_z[active], z[active]
 
-    a = (ma * phi**2).sum(axis=1)
-    F = ma * phi / np.sqrt(n_cell)[None, :]
-    Om = np.diag(a) - F @ F.T
+    # Om = V'(I - H)V for the per-cluster coefficient vectors V; the cell
+    # projector H couples only clusters of the same arm.
+    a = (m * phi**2).sum(axis=1)
+    F = m * phi / np.sqrt(n_z)
+    Om = np.diag(a) - np.where(z[:, None] == z[None, :], F @ F.T, 0.0)
     tr = float(np.trace(Om))
     denom = float((Om**2).sum())
     if denom <= 0 or not np.isfinite(denom) or not np.isfinite(tr):
@@ -206,32 +173,3 @@ def satterthwaite_df(
     if not np.isfinite(df):
         return fallback
     return float(df)
-
-
-def pooled_difference_variance(
-    values: np.ndarray, cluster: np.ndarray, z: np.ndarray, variant: str = "cr2"
-) -> tuple[float, int]:
-    """Cluster-robust variance of a pooled two-arm mean difference.
-
-    Same sandwich as ``cluster_covariance`` with a single group.
-    """
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {VARIANTS}")
-    values = np.asarray(values, dtype=np.float64)
-    z = np.asarray(z, dtype=np.int64)
-    _, cl = np.unique(np.asarray(cluster), return_inverse=True)
-    C = int(cl.max()) + 1
-    if C < 2:
-        raise DegenerateDataError(f"need at least 2 clusters, found {C}")
-
-    n_arm = np.bincount(z, minlength=2).astype(np.float64)
-    mean_arm = np.bincount(z, weights=values, minlength=2) / n_arm
-    resid = values - mean_arm[z]
-    key = cl * 2 + z
-    m = np.bincount(key, minlength=2 * C).reshape(C, 2).astype(np.float64)
-    R = np.bincount(key, weights=resid, minlength=2 * C).reshape(C, 2)
-    if variant == "cr2":
-        R = R * _cr2_scales(m, n_arm[None, :])
-    u = R[:, 1] / n_arm[1] - R[:, 0] / n_arm[0]
-    var = float(np.sort(u**2).sum())
-    return var, C

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import GroupInfo, PanelDataset
+from .panel import GroupInfo, PanelDataset, arm_totals, cell_table
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,17 @@ def included_groups(panel: PanelDataset) -> tuple[tuple[GroupInfo, ...], tuple[E
     return tuple(kept), tuple(out)
 
 
-def _arm_cell_sums(panel: PanelDataset, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and counts of ``values`` per (arm, group) cell, shape (2, G)."""
-    G = panel.n_groups
-    key = panel.treatment.astype(np.int64) * G + panel.group_ids
-    sums = np.bincount(key, weights=values, minlength=2 * G).reshape(2, G)
-    counts = np.bincount(key, minlength=2 * G).reshape(2, G)
-    return sums, counts
-
-
 def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
     """Treated-minus-control mean outcome within each group."""
     kept, excluded = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")
-    sums, counts = _arm_cell_sums(panel, panel.outcome)
+    cells = panel.cells
     idx = np.asarray([gi.g for gi in kept])
-    delta = sums[1, idx] / counts[1, idx] - sums[0, idx] / counts[0, idx]
-    n = counts[0, idx] + counts[1, idx]
+    sums = arm_totals(cells.s[:, idx], cells.z)
+    counts = arm_totals(cells.m[:, idx], cells.z)
+    delta = sums[1] / counts[1] - sums[0] / counts[0]
+    n = counts[0] + counts[1]
     return GroupEffects(
         estimates=delta,
         groups=kept,
@@ -165,16 +158,13 @@ def estimate_p0(panel: PanelDataset) -> TestInProportions:
     kept, _ = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")
-    G = panel.n_groups
-    ctrl = panel.treatment == 0
-    flagged = np.bincount(
-        panel.group_ids[ctrl], weights=panel.tested_in[ctrl].astype(np.float64), minlength=G
-    )
-    denom = np.bincount(panel.group_ids[ctrl], minlength=G)
+    cells = panel.cells
     idx = np.asarray([gi.g for gi in kept])
+    flagged = arm_totals(cells.f[:, idx], cells.z)[0]
+    denom = arm_totals(cells.m[:, idx], cells.z)[0]
     return TestInProportions(
-        p_hat=flagged[idx] / denom[idx],
-        n_control=denom[idx].astype(np.int64),
+        p_hat=flagged / denom,
+        n_control=denom.astype(np.int64),
         groups=kept,
     )
 
@@ -202,21 +192,21 @@ def exit_observation_estimate(
 ) -> ExitEstimate:
     """Effect on the exit-observation subset, one row per unit.
 
-    The contrast pools all exit rows into a single comparison, with a
-    cluster-robust variance. For the regression-adjusted method the
+    The contrast pools all exit rows into a single comparison, with the
+    same cluster sandwich as the group contrasts, on a one-group cell
+    table built from the exit rows. For the regression-adjusted method the
     contrast is taken on prediction residuals from a control-only fit,
     which leaves the point estimate exact and the variance a first-order
     approximation (the uncertainty of the fitted coefficients enters only
     through the residualization).
     """
-    from .covariance import pooled_difference_variance
+    from .covariance import _sandwich
 
     mask = panel.exit_mask(exit_grade)
     if not mask.any():
         raise DegenerateDataError("exit rule selects no observations")
     y = panel.outcome[mask]
     z = panel.treatment[mask]
-    cl = panel.cluster[mask]
     n1 = int((z == 1).sum())
     n0 = int((z == 0).sum())
     if n1 == 0 or n0 == 0:
@@ -234,13 +224,14 @@ def exit_observation_estimate(
     else:
         raise InputError(f"unknown method '{method}'")
 
-    estimate = float(values[z == 1].mean() - values[z == 0].mean())
-    var, n_clusters = pooled_difference_variance(values, cl, z, variant=variant)
-    df = float(n_clusters - 2)
+    cells = cell_table(
+        panel.cluster[mask], np.zeros(len(y), dtype=np.int64), values, None, panel.z_by_cluster, 1
+    )
+    delta, V, n_clusters = _sandwich(cells.m, cells.s, cells.z, variant)
     return ExitEstimate(
-        estimate=estimate,
-        se=float(np.sqrt(var)),
-        df=df,
+        estimate=float(delta[0]),
+        se=float(np.sqrt(V[0, 0])),
+        df=float(n_clusters - 2),
         n=n1 + n0,
         n_treated=n1,
         n_control=n0,

@@ -8,7 +8,9 @@ groups: units that entered in the same cohort at the same grade, observed in
 the same follow-up year. Downstream estimation operates on these groups.
 
 Panels are immutable once constructed. Derived views (``with_outcome``)
-share column arrays with their parent rather than copying.
+share column arrays with their parent rather than copying. Each panel
+builds its (cluster, group) cell table (``cells``) on first use: the row
+counts, outcome sums and flag counts that every group estimator reads.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -130,12 +133,47 @@ class IngestReport:
     derived_tested_in: bool = False
 
 
-def _as_int_array(values: Sequence, name: str) -> np.ndarray:
-    arr = np.asarray(values)
-    out = arr.astype(np.int64)
-    if not np.array_equal(out, arr.astype(np.float64)):
-        raise InputError(f"column '{name}' contains non-integer values")
-    return out
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """Per (cluster, group) sums over a panel's rows, shape (C, G) each.
+
+    ``m`` counts rows, ``s`` sums the values (the outcome, in a panel's own
+    table) and ``f`` counts flagged rows, or is None without flags. ``z``
+    is each cluster's arm; treatment is constant within a cluster, so each
+    (cluster, group) cell lies in exactly one (arm, group) cell.
+    """
+
+    m: np.ndarray
+    s: np.ndarray
+    f: np.ndarray | None
+    z: np.ndarray
+
+
+def cell_table(
+    cluster: np.ndarray,
+    group: np.ndarray,
+    values: np.ndarray,
+    flags: np.ndarray | None,
+    z_by_cluster: np.ndarray,
+    n_groups: int,
+) -> CellTable:
+    """Sum rows into their (cluster, group) cells in one pass per column."""
+    shape = (len(z_by_cluster), n_groups)
+    key = cluster * n_groups + group
+    size = shape[0] * shape[1]
+    m = np.bincount(key, minlength=size).reshape(shape).astype(np.float64)
+    s = np.bincount(key, weights=values, minlength=size).reshape(shape)
+    f = None if flags is None else np.bincount(key, weights=flags, minlength=size).reshape(shape)
+    return CellTable(m=m, s=s, f=f, z=z_by_cluster)
+
+
+def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Column totals of a (C, K) cell array per arm, shape (2, K).
+
+    Each arm's columns are sorted before summing, so the totals are
+    bit-for-bit the same however the clusters are numbered.
+    """
+    return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
 
 
 def _segment_offsets(sorted_keys: np.ndarray) -> np.ndarray:
@@ -417,6 +455,13 @@ class PanelDataset:
             return str(self.cluster_labels[code])
         return str(code)
 
+    @cached_property
+    def cells(self) -> CellTable:
+        """The panel's (cluster, group) cell table, built on first use."""
+        return cell_table(
+            self.cluster, self.group_ids, self.outcome, self.tested_in, self.z_by_cluster, self.n_groups
+        )
+
     def with_outcome(self, outcome: np.ndarray) -> "PanelDataset":
         """Copy of this panel with a replaced outcome column.
 
@@ -427,6 +472,7 @@ class PanelDataset:
             raise InputError("replacement outcome has wrong shape")
         new = object.__new__(PanelDataset)
         new.__dict__.update(self.__dict__)
+        new.__dict__.pop("cells", None)  # the cached table sums the old outcome
         new.outcome = outcome
         new.meta = dict(self.meta)
         return new
@@ -440,14 +486,11 @@ class PanelDataset:
         """
         if exit_grade is not None:
             return self.grade == exit_grade
-        order = np.lexsort((self.year, self.unit))
-        last_sorted = np.zeros(self.n_obs, dtype=bool)
-        if self.n_obs:
-            last_sorted[-1] = True
-            last_sorted[:-1] = self.unit[order][1:] != self.unit[order][:-1]
-        mask = np.zeros(self.n_obs, dtype=bool)
-        mask[order] = last_sorted
-        return mask
+        if not self.n_obs:
+            return np.zeros(0, dtype=bool)
+        last_year = np.zeros(int(self.unit.max()) + 1, dtype=np.int64)
+        np.maximum.at(last_year, self.unit, self.year)
+        return self.year == last_year[self.unit]
 
     # ------------------------------------------------------------------
 

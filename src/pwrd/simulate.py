@@ -201,7 +201,7 @@ class _Frame:
         self.n_clusters = n_clusters
         self.tracks = tracks
         unit_parts, cluster_parts, cohort_parts = [], [], []
-        grade_parts, year_parts, exit_parts = [], [], []
+        grade_parts, year_parts = [], []
         self.track_slices: list[tuple[int, int, int]] = []
         next_unit = 0
         pos = 0
@@ -217,7 +217,6 @@ class _Frame:
             years = np.tile(np.arange(1, T + 1), n_units)
             year_parts.append(years)
             grade_parts.append(tr.entry_grade + years - 1)
-            exit_parts.append(years == T)
             self.track_slices.append((pos, n_units, T))
             pos += n_units * T
 
@@ -226,7 +225,6 @@ class _Frame:
         self.cohort = np.concatenate(cohort_parts)
         self.grade = np.concatenate(grade_parts)
         self.year = np.concatenate(year_parts)
-        self.exit = np.concatenate(exit_parts)
         self.n_obs = len(self.unit)
         self.n_units = next_unit
         self.block_by_cluster = np.arange(n_clusters) // 2

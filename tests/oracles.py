@@ -13,6 +13,7 @@ import numpy as np
 __all__ = [
     "best_slope_by_enumeration",
     "best_slope_by_projected_gradient",
+    "cell_mean_sandwich",
     "random_intercept_robust_se",
     "slope",
     "random_problem",
@@ -154,3 +155,57 @@ def random_intercept_robust_se(
         M += np.outer(u, u)
     V = K @ M @ K
     return float(np.sqrt(V[coef, coef]))
+
+
+def cell_mean_sandwich(
+    y: np.ndarray,
+    cluster: np.ndarray,
+    z: np.ndarray,
+    group: np.ndarray,
+    variant: str,
+    omega: np.ndarray | None = None,
+    eig_floor: float = 1e-12,
+) -> tuple[np.ndarray, float | None]:
+    """Cluster sandwich of the treated-minus-control group means, by definition.
+
+    Rows carry group ids 0..G-1 and fall into (arm, group) cells
+    k = z * G + group. With the n x 2G cell-indicator design X,
+    K = (X'X)^-1 (``LinAlgError`` when a cell is empty), per-row residuals
+    e = y - X K X'y and the hat matrix H = X K X', each cluster scores
+    u_c = X_c' A_c e_c; CR0 takes A_c = I, CR2 A_c = (I - H_cc)^-1/2 from a
+    dense eigendecomposition floored at ``eig_floor``. The covariance of
+    L beta, L = [-I, I], is L K (sum_c u_c u_c') K L'.
+
+    With ``omega`` given, also returns the Satterthwaite degrees of freedom
+    of omega' L beta: the variance estimate is y'Q'Qy with the rows
+    q_c = omega' L K X_c' A_c (I - H)_c, so under iid unit-variance errors
+    its mean is tr(QQ') and its variance 2 ||QQ'||_F^2.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.int64)
+    group = np.asarray(group, dtype=np.int64)
+    n = len(y)
+    G = int(group.max()) + 1
+    X = np.zeros((n, 2 * G))
+    X[np.arange(n), z * G + group] = 1.0
+    K = np.linalg.inv(X.T @ X)
+    e = y - X @ (K @ (X.T @ y))
+    I_H = np.eye(n) - X @ K @ X.T
+    L = np.hstack([-np.eye(G), np.eye(G)])
+    M = np.zeros((2 * G, 2 * G))
+    Q = []
+    for c in np.unique(cluster):
+        rows = np.flatnonzero(cluster == c)
+        A = np.eye(len(rows))
+        if variant == "cr2":
+            lam, vec = np.linalg.eigh(I_H[np.ix_(rows, rows)])
+            A = (vec / np.sqrt(np.maximum(lam, eig_floor))) @ vec.T
+        u = X[rows].T @ A @ e[rows]
+        M += np.outer(u, u)
+        if omega is not None:
+            Q.append(omega @ L @ K @ X[rows].T @ A @ I_H[rows])
+    sigma = L @ K @ M @ K @ L.T
+    if omega is None:
+        return sigma, None
+    QQ = np.asarray(Q) @ np.asarray(Q).T
+    return sigma, float(np.trace(QQ) ** 2 / (QQ**2).sum())

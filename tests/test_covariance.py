@@ -6,16 +6,24 @@ import pytest
 
 from pwrd import (
     DegenerateDataError,
+    EffectSpec,
     InputError,
     NumericalError,
+    apply_effect,
     cluster_covariance,
     estimate_effects_diffmeans,
+    estimate_effects_peters_belson,
+    estimate_p0,
+    exit_observation_estimate,
+    generate_panel,
     satterthwaite_df,
+    single_track_scenario,
 )
-from pwrd.covariance import CovarianceEstimate, pooled_difference_variance
+from pwrd.covariance import CovarianceEstimate
 from pwrd.effects import GroupEffects
 from pwrd.panel import PanelDataset
 
+from oracles import cell_mean_sandwich
 from test_panel import tiny_panel
 
 
@@ -62,23 +70,22 @@ def test_cr2_never_shrinks_the_diagonal():
 
 
 def test_pooled_variance_agrees_with_single_group_covariance():
+    # every unit has one row, so the exit contrast pools the one group
     p = six_unit_panel()
     eff = estimate_effects_diffmeans(p)
     for variant in ("cr0", "cr2"):
         cov = cluster_covariance(p, eff, variant=variant)
-        var, C = pooled_difference_variance(p.outcome, p.cluster, p.treatment, variant=variant)
-        assert var == pytest.approx(cov.sigma_hat[0, 0], rel=1e-14)
-        assert C == 4
+        ex = exit_observation_estimate(p, variant=variant)
+        assert ex.se**2 == pytest.approx(cov.sigma_hat[0, 0], rel=1e-14)
+        assert ex.estimate == eff.estimates[0]
+        assert ex.n_clusters == 4 and ex.df == 2.0
+    assert exit_observation_estimate(p, variant="cr0").se ** 2 == pytest.approx(16.0 / 9.0, rel=1e-14)
 
 
-def test_cluster_relabeling_is_exactly_invariant():
-    rng = np.random.default_rng(5)
-    p = tiny_panel(outcome=rng.normal(size=8))
-    eff = estimate_effects_diffmeans(p)
-    base = cluster_covariance(p, eff).sigma_hat
-    relabeled = PanelDataset(
+def _relabel(p, codes):
+    return PanelDataset(
         unit=p.unit,
-        cluster=1 - p.cluster,
+        cluster=codes[p.cluster],
         treatment=p.treatment,
         cohort=p.cohort,
         grade=p.grade,
@@ -86,8 +93,23 @@ def test_cluster_relabeling_is_exactly_invariant():
         outcome=p.outcome,
         tested_in=p.tested_in,
     )
-    again = cluster_covariance(relabeled, estimate_effects_diffmeans(relabeled)).sigma_hat
-    assert np.array_equal(base, again)
+
+
+def test_cluster_relabeling_is_exactly_invariant():
+    rng = np.random.default_rng(5)
+    tiny = tiny_panel(outcome=rng.normal(size=8))
+    # ten clusters per arm, so arm totals add many cells in some order
+    sc = single_track_scenario(EffectSpec("effect1", tau=5.5), n_clusters=20)
+    sim = apply_effect(generate_panel(sc, 3), sc.effect, 3)
+    for p in (tiny, sim):
+        q = _relabel(p, rng.permutation(p.n_clusters))
+        eff_p, eff_q = estimate_effects_diffmeans(p), estimate_effects_diffmeans(q)
+        assert np.array_equal(eff_p.estimates, eff_q.estimates)
+        assert np.array_equal(estimate_p0(p).p_hat, estimate_p0(q).p_hat)
+        assert np.array_equal(
+            cluster_covariance(p, eff_p).sigma_hat, cluster_covariance(q, eff_q).sigma_hat
+        )
+        assert exit_observation_estimate(p).se == exit_observation_estimate(q).se
 
 
 def test_row_order_does_not_matter_beyond_roundoff():
@@ -107,17 +129,6 @@ def test_row_order_does_not_matter_beyond_roundoff():
     a = cluster_covariance(p, estimate_effects_diffmeans(p)).sigma_hat
     b = cluster_covariance(q, estimate_effects_diffmeans(q)).sigma_hat
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_control_only_center_matches_symmetric_case():
-    # arms are mirror images here, so the control-side meat scaled up for
-    # the treated arm reproduces the both-arms answer
-    p = six_unit_panel()
-    eff = estimate_effects_diffmeans(p)
-    both = cluster_covariance(p, eff, variant="cr0")
-    ctrl = cluster_covariance(p, eff, variant="cr0", center="control-only")
-    assert ctrl.center == "control-only"
-    assert ctrl.sigma_hat[0, 0] == pytest.approx(both.sigma_hat[0, 0], rel=1e-14)
 
 
 def test_iid_singleton_clusters_recover_textbook_variance():
@@ -161,15 +172,13 @@ def test_variance_estimate_validates_itself():
         )
 
 
-def test_unknown_variant_and_center_rejected():
+def test_unknown_variant_rejected():
     p = six_unit_panel()
     eff = estimate_effects_diffmeans(p)
     with pytest.raises(InputError, match="variant"):
         cluster_covariance(p, eff, variant="cr3")
-    with pytest.raises(InputError, match="center"):
-        cluster_covariance(p, eff, center="sideways")
     with pytest.raises(InputError, match="variant"):
-        pooled_difference_variance(p.outcome, p.cluster, p.treatment, variant="cr3")
+        exit_observation_estimate(p, variant="cr3")
 
 
 def test_too_few_clusters_refused():
@@ -184,10 +193,20 @@ def test_too_few_clusters_refused():
     )
     # one cluster per arm: residual sums vanish identically and df = 0,
     # which is why downstream testing refuses df <= 0
-    var, C = pooled_difference_variance(p.outcome, p.cluster, p.treatment)
-    assert C == 2 and var == 0.0
+    ex = exit_observation_estimate(p)
+    assert ex.n_clusters == 2 and ex.df == 0.0 and ex.se == 0.0
+    one = PanelDataset(
+        unit=np.arange(2),
+        cluster=np.zeros(2, dtype=int),
+        treatment=np.ones(2, dtype=int),
+        cohort=np.ones(2, dtype=int),
+        grade=np.full(2, 3),
+        year=np.ones(2, dtype=int),
+        outcome=np.arange(2, dtype=float),
+    )
+    eff = GroupEffects(np.zeros(1), one.catalog, np.array([2]), "difference-in-means")
     with pytest.raises(DegenerateDataError, match="at least 2"):
-        pooled_difference_variance(p.outcome[:2], p.cluster[:2], p.treatment[:2])
+        cluster_covariance(one, eff)
 
 
 def test_empty_arm_cell_is_a_singular_bread():
@@ -200,6 +219,10 @@ def test_empty_arm_cell_is_a_singular_bread():
     )
     with pytest.raises(NumericalError, match="singular bread"):
         cluster_covariance(p, eff)
+    with pytest.raises(NumericalError, match="singular bread"):
+        satterthwaite_df(p, eff, np.full(4, 0.25))
+    with pytest.raises(np.linalg.LinAlgError):
+        cell_mean_sandwich(p.outcome, p.cluster, p.treatment, p.group_ids, "cr2")
 
 
 # ----------------------------------------------------------------------
@@ -236,3 +259,74 @@ def test_satterthwaite_is_positive_and_grows_with_clusters():
         assert 0 < df < 4 * C
         dfs.append(df)
     assert dfs[0] < dfs[1] < dfs[2]
+
+
+# ----------------------------------------------------------------------
+# the cell table against the row-level definition
+
+def unbalanced_panel(seed=0):
+    """Ten clusters of uneven size over four groups, one group single-armed.
+
+    Unit u of cluster c enters at grade 3 or 4 and stays one to three
+    years, so cluster-by-group counts vary; the grade-6 entrants sit in
+    treated clusters only.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    unit = 0
+    for c in range(10):
+        for _ in range(2 + c % 4):
+            eg = 3 + int(rng.integers(0, 2))
+            for yr in range(1, 1 + int(rng.integers(1, 4))):
+                rows.append((unit, c, c % 2, eg + yr - 1, yr))
+            unit += 1
+        if c % 2:
+            rows.append((unit, c, 1, 6, 1))
+            unit += 1
+    u, cl, z, grade, year = (np.array(col) for col in zip(*rows))
+    n = len(u)
+    return PanelDataset(
+        unit=u,
+        cluster=cl,
+        treatment=z,
+        cohort=np.ones(n, dtype=int),
+        grade=grade,
+        year=year,
+        outcome=50.0 + 3.0 * rng.normal(size=10)[cl] + 10.0 * rng.normal(size=n),
+        tested_in=(year > 1).astype(int),
+        covariates={"x": rng.normal(size=n)},
+    )
+
+
+def _against_oracle(p, eff):
+    idx = np.asarray(eff.group_ordinals())
+    keep = np.isin(p.group_ids, idx)
+    compact = np.searchsorted(idx, p.group_ids[keep])
+    omega = np.linspace(1.0, 2.0, eff.n_groups)
+    omega /= omega.sum()
+    for variant in ("cr0", "cr2"):
+        sigma, df = cell_mean_sandwich(
+            p.outcome[keep], p.cluster[keep], p.treatment[keep], compact, variant, omega
+        )
+        cov = cluster_covariance(p, eff, variant=variant)
+        np.testing.assert_allclose(cov.sigma_hat, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
+        assert cov.n_clusters == len(np.unique(p.cluster[keep]))
+        if variant == "cr2":
+            assert satterthwaite_df(p, eff, omega) == pytest.approx(df, rel=1e-12)
+
+
+def test_sandwich_matches_row_definition_on_unbalanced_clusters():
+    p = unbalanced_panel()
+    eff = estimate_effects_diffmeans(p)
+    assert len(eff.excluded) == 1
+    assert len({gi.n for gi in eff.groups}) > 1
+    _against_oracle(p, eff)
+
+
+def test_sandwich_matches_row_definition_for_peters_belson_exclusions():
+    # the covariate fit needs two control rows; the year-3 groups may lack them
+    p = unbalanced_panel(seed=1)
+    eff = estimate_effects_peters_belson(p, covariates=("x",))
+    reasons = [rec.reason for rec in eff.excluded]
+    assert any("control rows" in r for r in reasons) and any("no control" in r for r in reasons)
+    _against_oracle(p, eff)

@@ -160,6 +160,13 @@ def test_exit_mask_defaults_to_last_year():
     mask = p.exit_mask()
     assert mask.sum() == p.n_units
     np.testing.assert_array_equal(p.year[mask], [2, 2, 2, 2])
+    # shuffled rows, and units followed for different spans
+    q = tiny_panel(
+        unit=np.array([1, 0, 0, 1, 3, 2, 2, 2]),
+        year=np.array([2, 1, 3, 1, 1, 2, 1, 3]),
+        tested_in=np.zeros(8, dtype=int),
+    )
+    np.testing.assert_array_equal(q.exit_mask(), [1, 0, 1, 0, 1, 0, 0, 1])
 
 
 def test_exit_mask_at_a_grade():

@@ -124,6 +124,31 @@ def test_effect1_zero_tau_is_identity():
     assert apply_effect(p, EffectSpec(regime="effect1", tau=0.0)) is p
 
 
+def test_effect_level_does_not_read_a_stale_cell_table():
+    sc = small_scenario(effect=EffectSpec(regime="effect1", tau=5.5))
+    base = generate_panel(sc, 0)
+    # level 0 hands back the base panel, so this caches the base's table
+    zero = apply_effect(base, sc.effect.with_level(0.0), 0)
+    assert zero is base
+    pwrd.cluster_covariance(base, pwrd.estimate_effects_diffmeans(base))
+    hot = apply_effect(base, sc.effect.with_level(5.5), 0)
+    fresh = PanelDataset(
+        unit=hot.unit,
+        cluster=hot.cluster,
+        treatment=hot.treatment,
+        cohort=hot.cohort,
+        grade=hot.grade,
+        year=hot.year,
+        outcome=hot.outcome.copy(),
+        tested_in=hot.tested_in,
+    )
+    eh, ef = pwrd.estimate_effects_diffmeans(hot), pwrd.estimate_effects_diffmeans(fresh)
+    assert np.array_equal(eh.estimates, ef.estimates)
+    assert np.array_equal(
+        pwrd.cluster_covariance(hot, eh).sigma_hat, pwrd.cluster_covariance(fresh, ef).sigma_hat
+    )
+
+
 def test_effect2_without_spill_matches_effect1():
     p = flagged_panel()
     a = apply_effect(p, EffectSpec(regime="effect1", tau=5.0))
