@@ -34,7 +34,7 @@ from .effects import (
 )
 from .errors import InputError, PwrdError
 from .mixed import fit_random_intercept
-from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel
+from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
 from .simulate import (
     EffectSpec,
     default_scenario,
@@ -49,7 +49,6 @@ from .weights import (
     aggregate_test,
     flat_weights,
     pwrd_weights,
-    t_p_value,
     test_slope,
 )
 
@@ -184,13 +183,13 @@ def cmd_analyze(args) -> int:
         ex = exit_observation_estimate(
             panel, method=method, covariates=covs, variant=args.cov_variant
         )
-        t = ex.estimate / ex.se
+        p_value = ex.p_value(args.alternative)
         payload["exit"] = {
             "estimate": ex.estimate,
             "se": ex.se,
             "df": ex.df,
-            "t_stat": t,
-            "p_value": t_p_value(t, ex.df, args.alternative),
+            "t_stat": ex.estimate / ex.se,
+            "p_value": p_value,
             "n": ex.n,
         }
         _emit(payload, args.out)
@@ -201,9 +200,8 @@ def cmd_analyze(args) -> int:
     else:
         effects = estimate_effects_diffmeans(panel)
     cov = cluster_covariance(panel, effects, variant=args.cov_variant)
-    p0 = estimate_p0(panel)
-    if p0.group_ordinals() != effects.group_ordinals():
-        raise InputError("test-in proportions and effects cover different groups")
+    # Peters-Belson drops groups with too few control rows for its fit
+    p0 = estimate_p0(panel).on_groups(effects.groups)
 
     if args.estimator == "flat":
         w = flat_weights(effects)
@@ -259,8 +257,7 @@ def _summary_array(data: dict, key: str) -> np.ndarray | None:
 
 
 def cmd_weights(args) -> int:
-    with open(args.summary) as fh:
-        data = json.load(fh)
+    data = load_json_object(args.summary, "summary")
     for key in ("delta_hat", "p0"):
         if data.get(key) is None:
             raise InputError(f"summary file is missing '{key}'")

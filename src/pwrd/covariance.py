@@ -1,15 +1,17 @@
 """Cluster-robust covariance for the vector of per-group effect estimates.
 
 The estimate vector solves stacked estimating equations, one mean per
-(arm, group) cell, so the sandwich needs no row finer than the panel's
-cell table (``PanelDataset.cells``): per (cluster, group) row counts m and
-outcome sums s, with each cluster's arm. The bread comes from the arm
-totals of m, and a cluster's score in a cell is its residual sum
-s - m * mean. Because treatment is constant within a cluster, each cluster
-touches only one arm, and the covariance of the contrast vector is the sum
-of the two arm blocks. One sandwich serves every contrast: the group
-effects read the included groups' columns of the panel's table, and the
-exit contrast a one-group table built on the exit rows.
+(arm, group) cell, so the sandwich needs no row finer than the cell table
+the effects carry (``GroupEffects.cells``): per (cluster, group) row counts
+m and value sums s, with each cluster's arm. For difference in means the
+values are the outcome; for the regression-adjusted estimator they are the
+control-fit residuals, so the variance belongs to the contrast actually
+taken. The bread comes from the arm totals of m, and a cluster's score in
+a cell is its residual sum s - m * mean. Because treatment is constant
+within a cluster, each cluster touches only one arm, and the covariance of
+the contrast vector is the sum of the two arm blocks. One sandwich serves
+every contrast: the group effects' table, and the exit contrast's
+one-group table built on the exit rows.
 
 Two variants are provided. CR0 uses the raw residual sums. CR2 rescales
 each cluster's residuals by the symmetric inverse square root of the
@@ -23,12 +25,15 @@ n the arm total. Eigenvalues of I - H below the floor are clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .effects import GroupEffects
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import GroupInfo, PanelDataset, arm_totals
+from .panel import CellTable, GroupInfo, PanelDataset, arm_totals
+
+if TYPE_CHECKING:
+    from .effects import GroupEffects
 
 EIG_FLOOR = 1e-12
 VARIANTS = ("cr0", "cr2")
@@ -69,36 +74,34 @@ def _cr2_scales(m: np.ndarray, n_cell: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(1.0 - m / n_cell, EIG_FLOOR))
 
 
-def _arm_counts(m: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm cell counts, shape (2, K), and the mask of clusters with rows.
+def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-arm counts and means of a (C, K) table, (2, K) each, and the mask
+    of clusters with rows. The table's contrast is means[1] - means[0].
 
     Refuses fewer than two clusters, then any empty (arm, column) cell,
     numbered arm * K + column, since its mean has no bread.
     """
-    active = m.sum(axis=1) > 0
+    active = cells.m.sum(axis=1) > 0
     n_clusters = int(active.sum())
     if n_clusters < 2:
         raise DegenerateDataError(f"need at least 2 clusters, found {n_clusters}")
-    n = arm_totals(m, z)
+    n = arm_totals(cells.m, cells.z)
     if (n == 0).any():
         empty = np.flatnonzero(n == 0).tolist()
         raise NumericalError(f"singular bread: empty (arm, group) cells {empty}")
-    return n, active
+    return n, arm_totals(cells.s, cells.z) / n, active
 
 
-def _sandwich(
-    m: np.ndarray, s: np.ndarray, z: np.ndarray, variant: str
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _sandwich(cells: CellTable, variant: str) -> tuple[np.ndarray, np.ndarray, int]:
     """Treated-minus-control contrast of cell means and its cluster sandwich.
 
-    ``m`` and ``s`` are (C, K) cell counts and sums and ``z`` the arm of
-    each cluster. Returns the K contrasts, their K x K covariance and the
-    number of clusters with rows.
+    Returns the K contrasts of the (C, K) table, their K x K covariance and
+    the number of clusters with rows.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
-    n, active = _arm_counts(m, z)
-    mean = arm_totals(s, z) / n
+    n, mean, active = _arm_means(cells)
+    m, s, z = cells.m, cells.s, cells.z
     n_z = n[z]
     R = s - m * mean[z]
     if variant == "cr2":
@@ -115,10 +118,12 @@ def cluster_covariance(
     effects: GroupEffects,
     variant: str = "cr2",
 ) -> CovarianceEstimate:
-    """Sandwich covariance of the group effect vector, clustered by cluster."""
-    cells = panel.cells
-    idx = np.asarray(effects.group_ordinals(), dtype=np.int64)
-    _, V, n_clusters = _sandwich(cells.m[:, idx], cells.s[:, idx], cells.z, variant)
+    """Sandwich covariance of the group effect vector, clustered by cluster.
+
+    Reads only the cell table the effects carry, so the variance is that of
+    the contrast the estimator took.
+    """
+    _, V, n_clusters = _sandwich(effects.cells, variant)
     return CovarianceEstimate(
         sigma_hat=V,
         variant=variant,
@@ -149,10 +154,8 @@ def satterthwaite_df(
     if len(omega) != G:
         raise InputError("omega length must match the number of included groups")
 
-    cells = panel.cells
-    idx = np.asarray(effects.group_ordinals(), dtype=np.int64)
-    m, z = cells.m[:, idx], cells.z
-    n, active = _arm_counts(m, z)
+    n, _, active = _arm_means(effects.cells)
+    m, z = effects.cells.m, effects.cells.z
     fallback = float(active.sum() - 2)
 
     n_z = n[z]

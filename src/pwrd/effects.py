@@ -3,16 +3,24 @@
 Estimators here produce one number per cohort-year group. Groups with an
 empty arm cannot support a contrast; they are excluded from the estimate
 vector and reported, never silently dropped.
+
+Every estimate is the arm-mean contrast of a (cluster, group) cell table
+that the effects carry (``GroupEffects.cells``): of the outcome, or of
+control-fit residuals for the regression-adjusted estimator. The cluster
+sandwich reads the same table, so the variance is that of the contrast.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .covariance import _arm_means, _sandwich
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import GroupInfo, PanelDataset, arm_totals, cell_table
+from .panel import CellTable, GroupInfo, PanelDataset, arm_totals, cell_table
+from .weights import t_p_value
 
 
 @dataclass(frozen=True)
@@ -23,17 +31,20 @@ class ExclusionRecord:
 
 @dataclass(frozen=True, eq=False)
 class GroupEffects:
-    """Vector of per-group effect estimates over the included groups."""
+    """Vector of per-group effect estimates over the included groups, and
+    ``cells``, the (C, G) table whose arm-mean contrast they are."""
 
     estimates: np.ndarray
     groups: tuple[GroupInfo, ...]
     n: np.ndarray
     method: str
+    cells: CellTable
     excluded: tuple[ExclusionRecord, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.estimates) != len(self.groups) or len(self.n) != len(self.groups):
-            raise InputError("estimates, groups, and n must align")
+        G = len(self.groups)
+        if len(self.estimates) != G or len(self.n) != G or self.cells.m.shape[1] != G:
+            raise InputError("estimates, groups, n, and cells must align")
 
     @property
     def n_groups(self) -> int:
@@ -60,6 +71,12 @@ class TestInProportions:
     def group_ordinals(self) -> tuple[int, ...]:
         return tuple(gi.g for gi in self.groups)
 
+    def on_groups(self, groups: tuple[GroupInfo, ...]) -> TestInProportions:
+        """The proportions of ``groups``, a subset of these in the same order,
+        such as the groups an effect estimator kept."""
+        keep = np.isin(self.group_ordinals(), [gi.g for gi in groups])
+        return TestInProportions(self.p_hat[keep], self.n_control[keep], groups)
+
 
 def included_groups(panel: PanelDataset) -> tuple[tuple[GroupInfo, ...], tuple[ExclusionRecord, ...]]:
     """Split the catalog into estimable groups and degenerate ones."""
@@ -74,6 +91,18 @@ def included_groups(panel: PanelDataset) -> tuple[tuple[GroupInfo, ...], tuple[E
     return tuple(kept), tuple(out)
 
 
+def _contrast(
+    cells: CellTable,
+    groups: tuple[GroupInfo, ...],
+    method: str,
+    excluded: tuple[ExclusionRecord, ...],
+) -> GroupEffects:
+    """Group effects as the arm-mean contrast of a table, carrying the table."""
+    n, mean, _ = _arm_means(cells)
+    n = (n[0] + n[1]).astype(np.int64)
+    return GroupEffects(mean[1] - mean[0], groups, n, method, cells, excluded)
+
+
 def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
     """Treated-minus-control mean outcome within each group."""
     kept, excluded = included_groups(panel)
@@ -81,17 +110,39 @@ def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
         raise DegenerateDataError("no group has observations in both arms")
     cells = panel.cells
     idx = np.asarray([gi.g for gi in kept])
-    sums = arm_totals(cells.s[:, idx], cells.z)
-    counts = arm_totals(cells.m[:, idx], cells.z)
-    delta = sums[1] / counts[1] - sums[0] / counts[0]
-    n = counts[0] + counts[1]
-    return GroupEffects(
-        estimates=delta,
-        groups=kept,
-        n=n.astype(np.int64),
-        method="difference-in-means",
-        excluded=excluded,
-    )
+    table = CellTable(m=cells.m[:, idx], s=cells.s[:, idx], f=None, z=cells.z)
+    return _contrast(table, kept, "difference-in-means", excluded)
+
+
+def _design(panel: PanelDataset, covariates: tuple[str, ...]) -> np.ndarray:
+    """Intercept plus the named covariate columns, one row per panel row."""
+    return np.column_stack([np.ones(panel.n_obs)] + [panel.column(c) for c in covariates])
+
+
+def _control_residuals(
+    y: np.ndarray,
+    X: np.ndarray,
+    z: np.ndarray,
+    group: np.ndarray,
+    n_groups: int,
+    describe: Callable[[int], str],
+) -> np.ndarray:
+    """``y`` less its least squares fit on the control rows of its own group.
+
+    ``group`` numbers the rows' groups 0..n_groups-1, and each group is fit
+    once. A rank-deficient control design raises, naming the group through
+    ``describe``.
+    """
+    order = np.argsort(group, kind="stable")
+    bounds = np.cumsum(np.bincount(group, minlength=n_groups))[:-1]
+    resid = np.empty(len(y))
+    for k, rows in enumerate(np.split(order, bounds)):
+        ctrl = rows[z[rows] == 0]
+        beta, _, rank, _ = np.linalg.lstsq(X[ctrl], y[ctrl], rcond=None)
+        if rank < X.shape[1]:
+            raise NumericalError(f"rank-deficient control design matrix in {describe(k)}")
+        resid[rows] = y[rows] - X[rows] @ beta
+    return resid
 
 
 def estimate_effects_peters_belson(
@@ -101,49 +152,35 @@ def estimate_effects_peters_belson(
 
     Within each group, a least squares fit of outcome on the covariates is
     computed from control observations only, and the group effect is the
-    mean prediction residual among treated observations. With no
-    covariates this reduces to the difference in means.
+    contrast of mean prediction residuals, treated minus control (the
+    control mean is zero up to rounding). Groups with fewer control rows
+    than coefficients are excluded. With no covariates this reduces to the
+    difference in means.
     """
     kept, excluded = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")
-    cols = [panel.column(c) for c in covariates]
-    X = np.column_stack([np.ones(panel.n_obs)] + cols) if cols else np.ones((panel.n_obs, 1))
+    X = _design(panel, covariates)
     p = X.shape[1]
-
-    estimates = []
-    ns = []
-    final_kept = []
-    more_excluded = list(excluded)
-    for gi in kept:
-        rows = panel.group_ids == gi.g
-        ctrl = rows & (panel.treatment == 0)
-        trt = rows & (panel.treatment == 1)
-        if int(ctrl.sum()) < p:
-            more_excluded.append(
-                ExclusionRecord(gi, f"only {int(ctrl.sum())} control rows for {p} coefficients")
-            )
-            continue
-        Xc = X[ctrl]
-        beta, _, rank, _ = np.linalg.lstsq(Xc, panel.outcome[ctrl], rcond=None)
-        if rank < p:
-            raise NumericalError(
-                f"rank-deficient control design matrix in group g={gi.g} "
-                f"(cohort {gi.cohort}, entry grade {gi.entry_grade}, year {gi.follow_up_year})"
-            )
-        resid = panel.outcome[trt] - X[trt] @ beta
-        estimates.append(float(resid.mean()))
-        ns.append(int(rows.sum()))
-        final_kept.append(gi)
-    if not final_kept:
-        raise DegenerateDataError("no group retains enough control rows for the regression")
-    return GroupEffects(
-        estimates=np.asarray(estimates),
-        groups=tuple(final_kept),
-        n=np.asarray(ns, dtype=np.int64),
-        method="peters-belson",
-        excluded=tuple(more_excluded),
+    fit = tuple(gi for gi in kept if gi.n_control >= p)
+    thin = tuple(
+        ExclusionRecord(gi, f"only {gi.n_control} control rows for {p} coefficients")
+        for gi in kept
+        if gi.n_control < p
     )
+    if not fit:
+        raise DegenerateDataError("no group retains enough control rows for the regression")
+
+    column = np.full(panel.n_groups, -1, dtype=np.int64)
+    column[[gi.g for gi in fit]] = np.arange(len(fit))
+    k = column[panel.group_ids]
+    rows = k >= 0
+    k = k[rows]
+    name = "group g={0.g} (cohort {0.cohort}, entry grade {0.entry_grade}, year {0.follow_up_year})"
+    y, z = panel.outcome[rows], panel.treatment[rows]
+    resid = _control_residuals(y, X[rows], z, k, len(fit), lambda j: name.format(fit[j]))
+    table = cell_table(panel.cluster[rows], k, resid, None, panel.z_by_cluster, len(fit))
+    return _contrast(table, fit, "peters-belson", excluded + thin)
 
 
 def estimate_p0(panel: PanelDataset) -> TestInProportions:
@@ -182,6 +219,13 @@ class ExitEstimate:
     n_clusters: int
     method: str
 
+    def p_value(self, alternative: str = "greater") -> float:
+        """t test of the estimate; refuses df <= 0 (``t_p_value``) before a
+        zero standard error."""
+        if self.se <= 0 < self.df:
+            raise NumericalError("exit estimate has a zero standard error")
+        return t_p_value(self.estimate / self.se if self.se > 0 else 0.0, self.df, alternative)
+
 
 def exit_observation_estimate(
     panel: PanelDataset,
@@ -200,8 +244,6 @@ def exit_observation_estimate(
     approximation (the uncertainty of the fitted coefficients enters only
     through the residualization).
     """
-    from .covariance import _sandwich
-
     mask = panel.exit_mask(exit_grade)
     if not mask.any():
         raise DegenerateDataError("exit rule selects no observations")
@@ -212,22 +254,17 @@ def exit_observation_estimate(
     if n1 == 0 or n0 == 0:
         raise DegenerateDataError("exit subset lacks one arm entirely")
 
+    one = np.zeros(len(y), dtype=np.int64)
     if method == "difference-in-means":
         values = y
     elif method == "peters-belson":
-        cols = [panel.column(c)[mask] for c in covariates]
-        X = np.column_stack([np.ones(len(y))] + cols) if cols else np.ones((len(y), 1))
-        beta, _, rank, _ = np.linalg.lstsq(X[z == 0], y[z == 0], rcond=None)
-        if rank < X.shape[1]:
-            raise NumericalError("rank-deficient control design matrix in exit subset")
-        values = y - X @ beta
+        X = _design(panel, covariates)[mask]
+        values = _control_residuals(y, X, z, one, 1, lambda _: "exit subset")
     else:
         raise InputError(f"unknown method '{method}'")
 
-    cells = cell_table(
-        panel.cluster[mask], np.zeros(len(y), dtype=np.int64), values, None, panel.z_by_cluster, 1
-    )
-    delta, V, n_clusters = _sandwich(cells.m, cells.s, cells.z, variant)
+    cells = cell_table(panel.cluster[mask], one, values, None, panel.z_by_cluster, 1)
+    delta, V, n_clusters = _sandwich(cells, variant)
     return ExitEstimate(
         estimate=float(delta[0]),
         se=float(np.sqrt(V[0, 0])),

@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -76,6 +76,26 @@ class ThresholdRule:
     cutoffs: Mapping[int, float]
 
 
+def load_json_object(source: str | os.PathLike | io.TextIOBase, what: str) -> dict:
+    """A JSON object from a path or text stream; a file that cannot be read
+    or holds anything else is an ``InputError`` naming it."""
+    path = isinstance(source, (str, os.PathLike))
+    name = os.fspath(source) if path else "input"
+    try:
+        if path:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        else:
+            raw = json.load(source)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {name}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InputError(f"{what} {name} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise InputError(f"{what} {name} must be a JSON object, not {type(raw).__name__}")
+    return raw
+
+
 @dataclass(frozen=True)
 class PanelSchema:
     """Mapping from logical column names to physical column names.
@@ -100,11 +120,7 @@ class PanelSchema:
 
     @classmethod
     def from_json(cls, source: str | os.PathLike | io.TextIOBase) -> "PanelSchema":
-        if isinstance(source, (str, os.PathLike)):
-            with open(source, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        else:
-            raw = json.load(source)
+        raw = load_json_object(source, "schema")
         rule = None
         if "tested_in_rule" in raw and raw["tested_in_rule"] is not None:
             spec = raw["tested_in_rule"]
@@ -176,34 +192,27 @@ def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
 
 
-def _segment_offsets(sorted_keys: np.ndarray) -> np.ndarray:
-    """Index of each row's segment start, for rows sorted by key."""
-    if len(sorted_keys) == 0:
-        return np.zeros(0, dtype=np.int64)
-    new_seg = np.empty(len(sorted_keys), dtype=bool)
-    new_seg[0] = True
-    new_seg[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.flatnonzero(new_seg)
-    seg_id = np.cumsum(new_seg) - 1
-    return starts[seg_id]
-
-
 def persist_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.ndarray:
     """Carry a 0/1 flag forward in time within each unit.
 
     Once a unit's raw flag is 1 in some year, the returned flag is 1 for
     that year and every later year of the same unit.
     """
-    raw = np.asarray(raw).astype(np.int8)
     order = np.lexsort((year, unit))
-    f = raw[order]
-    csum = np.cumsum(f)
-    start = _segment_offsets(unit[order])
-    seen = csum - np.where(start > 0, csum[start - 1], 0)
-    out_sorted = (seen > 0).astype(np.int8)
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
+    start = np.searchsorted(unit[order], unit[order])  # first sorted row of each unit
+    # 2 * start + flag increases from unit to unit, so its running maximum
+    # is 2 * start plus the largest flag seen so far within the unit
+    out = np.empty(len(order), dtype=np.int8)
+    out[order] = np.maximum.accumulate(2 * start + (np.asarray(raw)[order] != 0)) - 2 * start
     return out
+
+
+def _fail_rows(rows: np.ndarray, mask: np.ndarray, what: str) -> NoReturn:
+    """Raise InputError naming the first rows where ``mask`` holds."""
+    bad = rows[mask][:_MAX_REPORTED_ROWS].tolist()
+    more = int(mask.sum()) - len(bad)
+    suffix = f" (+{more} more)" if more > 0 else ""
+    raise InputError(f"{what}: rows {bad}{suffix}")
 
 
 def _validate_arrays(
@@ -218,79 +227,36 @@ def _validate_arrays(
     row_numbers: np.ndarray | None = None,
 ) -> None:
     """Raise InputError naming offending rows when an invariant fails."""
-    n = len(unit)
-    rows = row_numbers if row_numbers is not None else np.arange(n)
-
-    def _fail(mask: np.ndarray, what: str) -> None:
-        bad = rows[mask][:_MAX_REPORTED_ROWS].tolist()
-        more = int(mask.sum()) - len(bad)
-        suffix = f" (+{more} more)" if more > 0 else ""
-        raise InputError(f"{what}: rows {bad}{suffix}")
-
-    bad = ~np.isin(treatment, (0, 1))
-    if bad.any():
-        _fail(bad, "non-binary treatment")
-    bad = year < 1
-    if bad.any():
-        _fail(bad, "follow_up_year below 1")
-    bad = ~np.isfinite(outcome)
-    if bad.any():
-        _fail(bad, "non-finite outcome")
-    if tested_in is not None:
-        bad = ~np.isin(tested_in, (0, 1))
-        if bad.any():
-            _fail(bad, "non-binary tested_in flag")
-
-    # duplicate (unit, year) pairs
+    rows = row_numbers if row_numbers is not None else np.arange(len(unit))
     order = np.lexsort((year, unit))
-    dup_sorted = np.zeros(n, dtype=bool)
-    if n > 1:
-        dup_sorted[1:] = (unit[order][1:] == unit[order][:-1]) & (
-            year[order][1:] == year[order][:-1]
-        )
-    if dup_sorted.any():
-        dup = np.zeros(n, dtype=bool)
-        dup[order] = dup_sorted
-        _fail(dup, "duplicate (unit, follow_up_year) pair")
-
-    # treatment constant within cluster
-    for name, col in (("treatment", treatment),) + (
-        (("block", block),) if block is not None else ()
-    ):
-        first = {}
-        bad_mask = np.zeros(n, dtype=bool)
-        for i, (c, v) in enumerate(zip(cluster.tolist(), col.tolist())):
-            if c in first:
-                if first[c] != v:
-                    bad_mask[i] = True
-            else:
-                first[c] = v
-        if bad_mask.any():
-            _fail(bad_mask, f"{name} varies within a cluster")
-
-    # cluster membership fixed per unit
-    first_cl: dict = {}
-    bad_mask = np.zeros(n, dtype=bool)
-    for i, (u, c) in enumerate(zip(unit.tolist(), cluster.tolist())):
-        if u in first_cl:
-            if first_cl[u] != c:
-                bad_mask[i] = True
-        else:
-            first_cl[u] = c
-    if bad_mask.any():
-        _fail(bad_mask, "unit appears in more than one cluster")
-
-    # tested_in monotone non-decreasing within unit
+    dup = np.zeros(len(unit), dtype=bool)
+    dup[order[1:]] = (unit[order][1:] == unit[order][:-1]) & (year[order][1:] == year[order][:-1])
+    checks = [
+        (~np.isin(treatment, (0, 1)), "non-binary treatment"),
+        (year < 1, "follow_up_year below 1"),
+        (~np.isfinite(outcome), "non-finite outcome"),
+    ]
     if tested_in is not None:
-        f = tested_in[order]
-        csum = np.cumsum(f)
-        start = _segment_offsets(unit[order])
-        seen = csum - np.where(start > 0, csum[start - 1], 0)
-        viol_sorted = (seen > 0) & (f == 0)
-        if viol_sorted.any():
-            viol = np.zeros(n, dtype=bool)
-            viol[order] = viol_sorted
-            _fail(viol, "tested_in flag drops back to 0 within a unit")
+        checks.append((~np.isin(tested_in, (0, 1)), "non-binary tested_in flag"))
+    checks += [
+        (dup, "duplicate (unit, follow_up_year) pair"),
+        (_differs_from_first(cluster, treatment), "treatment varies within a cluster"),
+    ]
+    if block is not None:
+        checks.append((_differs_from_first(cluster, block), "block varies within a cluster"))
+    checks.append((_differs_from_first(unit, cluster), "unit appears in more than one cluster"))
+    if tested_in is not None:
+        drops = persist_flags(tested_in, unit, year) != tested_in
+        checks.append((drops, "tested_in flag drops back to 0 within a unit"))
+    for bad, what in checks:  # the first failing check names its rows
+        if bad.any():
+            _fail_rows(rows, bad, what)
+
+
+def _differs_from_first(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Rows whose value differs from the value at the first row of their key."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return value != value[first][inverse]
 
 
 class PanelDataset:
@@ -495,54 +461,38 @@ class PanelDataset:
     # ------------------------------------------------------------------
 
     def to_csv(self, destination: str | os.PathLike | io.TextIOBase) -> None:
-        """Write the panel using canonical logical column names."""
+        """Write the panel using canonical logical column names, one whole
+        column at a time; floats print as their repr."""
+        columns = [
+            ("unit", _label_text(self.unit, self.unit_labels, "u", 7)),
+            ("cluster", _label_text(self.cluster, self.cluster_labels, "c", 4)),
+        ]
+        if self.block is not None:
+            columns.append(("block", _label_text(self.block, self.block_labels, "b", 4)))
+        columns += [
+            (name, getattr(self, name).tolist())
+            for name in ("treatment", "cohort", "grade", "year", "outcome")
+        ]
+        if self.tested_in is not None:
+            columns.append(("tested_in", self.tested_in.tolist()))
+        columns += [(name, col.tolist()) for name, col in self.covariates.items()]
+
         own = isinstance(destination, (str, os.PathLike))
         fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
         try:
-            cols = ["unit", "cluster", "treatment", "cohort", "grade", "year", "outcome"]
-            if self.block is not None:
-                cols.insert(2, "block")
-            if self.tested_in is not None:
-                cols.append("tested_in")
-            cols.extend(self.covariates)
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(cols)
-            unit_lab = (
-                self.unit_labels[self.unit]
-                if self.unit_labels is not None
-                else np.char.add("u", np.char.zfill(self.unit.astype(str), 7))
-            )
-            clus_lab = (
-                self.cluster_labels[self.cluster]
-                if self.cluster_labels is not None
-                else np.char.add("c", np.char.zfill(self.cluster.astype(str), 4))
-            )
-            if self.block is not None:
-                blk_lab = (
-                    self.block_labels[self.block]
-                    if self.block_labels is not None
-                    else np.char.add("b", np.char.zfill(self.block.astype(str), 4))
-                )
-            for i in range(self.n_obs):
-                row = [
-                    unit_lab[i],
-                    clus_lab[i],
-                    int(self.treatment[i]),
-                    int(self.cohort[i]),
-                    int(self.grade[i]),
-                    int(self.year[i]),
-                    repr(float(self.outcome[i])),
-                ]
-                if self.block is not None:
-                    row.insert(2, blk_lab[i])
-                if self.tested_in is not None:
-                    row.append(int(self.tested_in[i]))
-                for name in self.covariates:
-                    row.append(repr(float(self.covariates[name][i])))
-                writer.writerow(row)
+            writer.writerow([name for name, _ in columns])
+            writer.writerows(zip(*(col for _, col in columns)))
         finally:
             if own:
                 fh.close()
+
+
+def _label_text(codes: np.ndarray, labels: np.ndarray | None, prefix: str, width: int) -> list:
+    """Each code's label, or the code zero-padded behind ``prefix``."""
+    if labels is not None:
+        return labels[codes].tolist()
+    return np.char.add(prefix, np.char.zfill(codes.astype(str), width)).tolist()
 
 
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})
@@ -560,17 +510,39 @@ def ingest_panel(
     provides a threshold rule, flags are derived from the designated score
     column with persistence across years.
     """
-    own = False
-    rows: Iterable[Mapping[str, str]]
     if isinstance(source, (str, os.PathLike)):
-        fh = open(source, "r", newline="", encoding="utf-8")
-        own = True
-        rows = csv.DictReader(fh)
-    elif isinstance(source, io.TextIOBase):
-        rows = csv.DictReader(source)
-    else:
-        rows = source
+        name = os.fspath(source)
+        try:
+            fh = open(source, "r", newline="", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot read panel {name}: {exc.strerror}") from exc
+        with fh:
+            return _ingest_records(_csv_records(csv.DictReader(fh), name), schema)
+    if isinstance(source, io.TextIOBase):
+        return _ingest_records(_csv_records(csv.DictReader(source), "input"), schema)
+    return _ingest_records(source, schema)
 
+
+def _csv_records(reader: csv.DictReader, name: str) -> Iterator[dict]:
+    """The reader's records, with undecodable or unparsable text as InputError."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise InputError(f"panel {name} is not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise InputError(f"panel {name}, line {reader.line_num}: {exc}") from exc
+
+
+def _int64_column(values: list[int], column: str, row_numbers: np.ndarray) -> np.ndarray:
+    """Parsed integers as int64, naming the rows whose values do not fit."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        beyond = np.asarray([not -(2**63) <= v < 2**63 for v in values])
+        _fail_rows(row_numbers, beyond, f"column '{column}' beyond the 64-bit integer range")
+
+
+def _ingest_records(rows: Iterable[Mapping[str, str]], schema: PanelSchema) -> PanelDataset:
     col = dict(schema.columns)
     rule = schema.tested_in_rule
 
@@ -588,11 +560,14 @@ def ingest_panel(
     if has_flag and rule is not None:
         raise InputError("schema maps a tested_in column and also provides a threshold rule")
 
-    raw: dict[str, list] = {k: [] for k in ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome")}
+    # (logical column, parser) in the order a row's fields are checked
+    fields = [("unit", str), ("cluster", str)]
+    fields += [(k, int) for k in ("treatment", "cohort", "grade", "year")]
     if has_block:
-        raw["block"] = []
+        fields.append(("block", str))
     if has_flag:
-        raw["tested_in"] = []
+        fields.append(("tested_in", int))
+    raw: dict[str, list] = {k: [] for k, _ in fields + [("outcome", float)]}
     cov_raw: dict[str, list] = {c: [] for c in schema.covariates}
     score_raw: list[float] = []
     kept_row_numbers: list[int] = []
@@ -605,68 +580,52 @@ def ingest_panel(
             raise InputError(f"row {rownum}: missing column '{physical}'")
         return record[physical]
 
-    try:
-        for rownum, record in enumerate(rows, start=2):  # row 1 is the header
-            n_read += 1
-            try:
-                out_text = _need(record, col["outcome"], rownum).strip()
-                if out_text == "":
-                    dropped.append((rownum, "missing outcome"))
-                    continue
-                raw["outcome"].append(float(out_text))
-                raw["unit"].append(_need(record, col["unit"], rownum).strip())
-                raw["cluster"].append(_need(record, col["cluster"], rownum).strip())
-                raw["treatment"].append(int(_need(record, col["treatment"], rownum).strip()))
-                raw["cohort"].append(int(_need(record, col["cohort"], rownum).strip()))
-                raw["grade"].append(int(_need(record, col["grade"], rownum).strip()))
-                raw["year"].append(int(_need(record, col["year"], rownum).strip()))
-                if has_block:
-                    raw["block"].append(_need(record, col["block"], rownum).strip())
-                if has_flag:
-                    raw["tested_in"].append(int(_need(record, col["tested_in"], rownum).strip()))
-                for c in schema.covariates:
-                    cov_raw[c].append(float(_need(record, c, rownum)))
-                if rule is not None:
-                    score_raw.append(float(_need(record, rule.score_column, rownum)))
-                kept_row_numbers.append(rownum)
-            except InputError:
-                raise
-            except (ValueError, TypeError) as exc:
-                errors.append(f"row {rownum}: {exc}")
-                if len(errors) >= _MAX_REPORTED_ROWS:
-                    break
-    finally:
-        if own:
-            fh.close()
+    for rownum, record in enumerate(rows, start=2):  # row 1 is the header
+        n_read += 1
+        try:
+            out_text = _need(record, col["outcome"], rownum).strip()
+            if out_text == "":
+                dropped.append((rownum, "missing outcome"))
+                continue
+            raw["outcome"].append(float(out_text))
+            for k, parse in fields:
+                raw[k].append(parse(_need(record, col[k], rownum).strip()))
+            for c in schema.covariates:
+                cov_raw[c].append(float(_need(record, c, rownum)))
+            if rule is not None:
+                score_raw.append(float(_need(record, rule.score_column, rownum)))
+            kept_row_numbers.append(rownum)
+        except InputError:
+            raise
+        except (ValueError, TypeError) as exc:
+            errors.append(f"row {rownum}: {exc}")
+            if len(errors) >= _MAX_REPORTED_ROWS:
+                break
 
     if errors:
         raise InputError("could not parse input: " + "; ".join(errors))
     if not raw["unit"]:
         raise InputError("no usable rows in input")
 
+    row_numbers = np.asarray(kept_row_numbers)
     unit_labels, unit = np.unique(np.asarray(raw["unit"]), return_inverse=True)
     cluster_labels, cluster = np.unique(np.asarray(raw["cluster"]), return_inverse=True)
-    treatment = np.asarray(raw["treatment"], dtype=np.int64)
-    cohort = np.asarray(raw["cohort"], dtype=np.int64)
-    grade = np.asarray(raw["grade"], dtype=np.int64)
-    year = np.asarray(raw["year"], dtype=np.int64)
+    ints = {k: _int64_column(raw[k], col[k], row_numbers) for k, parse in fields if parse is int}
+    treatment, cohort, grade, year = (ints[k] for k in ("treatment", "cohort", "grade", "year"))
     outcome = np.asarray(raw["outcome"], dtype=np.float64)
     block = block_labels = None
     if has_block:
         block_labels, block = np.unique(np.asarray(raw["block"]), return_inverse=True)
 
-    tested_in = None
-    derived = False
-    if has_flag:
-        tested_in = np.asarray(raw["tested_in"], dtype=np.int64)
-    elif rule is not None:
+    tested_in = ints.get("tested_in")
+    derived = tested_in is None and rule is not None
+    if derived:
         missing = sorted(set(grade.tolist()) - set(rule.cutoffs))
         if missing:
             raise InputError(f"threshold rule lacks cutoffs for grades {missing}")
         cut = np.asarray([rule.cutoffs[g] for g in grade.tolist()])
         below = np.asarray(score_raw) < cut
         tested_in = persist_flags(below, unit, year)
-        derived = True
 
     _validate_arrays(
         unit=unit,
@@ -676,7 +635,7 @@ def ingest_panel(
         outcome=outcome,
         tested_in=tested_in,
         block=block,
-        row_numbers=np.asarray(kept_row_numbers),
+        row_numbers=row_numbers,
     )
 
     panel = PanelDataset(

@@ -36,7 +36,7 @@ from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_e
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
 from .panel import PanelDataset
-from .weights import aggregate_test, flat_weights, pwrd_weights, t_p_value
+from .weights import aggregate_test, flat_weights, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # Every year at or below one half flagged: with full negative spillover the
@@ -609,33 +609,24 @@ def analyze_replicate(
     if need_shared:
         effects = estimate_effects_diffmeans(panel)
         cov = cluster_covariance(panel, effects, variant=cov_variant)
-    if "pwrd" in methods:
-        p0 = estimate_p0(panel)
-        if p0.group_ordinals() != effects.group_ordinals():
-            raise DegenerateDataError("test-in proportions cover different groups than effects")
-        w = pwrd_weights(cov, p0)
+    for method in ("pwrd", "flat"):
+        if method not in methods:
+            continue
+        # both come from included_groups, so p0 and the effects align
+        w = pwrd_weights(cov, estimate_p0(panel)) if method == "pwrd" else flat_weights(effects)
         df = (
             satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
             if df_rule == "satterthwaite"
             else None
         )
         test = aggregate_test(effects, cov, w, alternative="greater", df=df)
-        out["pwrd"] = test.p_value <= alpha
-    if "flat" in methods:
-        w = flat_weights(effects)
-        df = (
-            satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
-            if df_rule == "satterthwaite"
-            else None
-        )
-        test = aggregate_test(effects, cov, w, alternative="greater", df=df)
-        out["flat"] = test.p_value <= alpha
+        out[method] = test.p_value <= alpha
     if "mixed" in methods:
         fit = fit_random_intercept(panel, covariates=("grade",), variant=cov_variant)
         out["mixed"] = fit.p_value("greater") <= alpha
     if "exit" in methods:
         ex = exit_observation_estimate(panel, variant=cov_variant)
-        out["exit"] = t_p_value(ex.estimate / ex.se, ex.df, "greater") <= alpha
+        out["exit"] = ex.p_value("greater") <= alpha
     return out
 
 

@@ -171,7 +171,10 @@ def flat_weights(effects) -> AggregationWeights:
 
 def t_p_value(t: float, df: float, alternative: str) -> float:
     """P-value of statistic ``t`` against a t reference on ``df`` degrees of
-    freedom, or the standard normal when ``df`` is infinite."""
+    freedom, or the standard normal when ``df`` is infinite. Refuses
+    ``df <= 0``."""
+    if not df > 0:
+        raise DegenerateDataError(f"refusing to test with df = {df}")
     cdf = special.ndtr if np.isinf(df) else functools.partial(special.stdtr, df)
     if alternative == "greater":
         return float(cdf(-t))
@@ -217,8 +220,6 @@ def aggregate_test(
 
     if df is None:
         df = float(getattr(cov, "df", np.inf))
-    if not df > 0:
-        raise DegenerateDataError(f"refusing to test with df = {df}")
 
     var = float(w @ S @ w)
     if var <= 0:
@@ -303,7 +304,8 @@ def aggregate_external(
         s = _vector(se, "se")
         if not (np.isfinite(s) & (s > 0)).all():
             raise InputError("standard errors must be finite and positive")
-        S = np.diag(s**2)
+        with np.errstate(over="ignore"):  # an overflowed variance fails the covariance gate
+            S = np.diag(s**2)
     else:
         S = _matrix(cov)
     if len(d) != S.shape[0]:

@@ -14,6 +14,8 @@ __all__ = [
     "best_slope_by_enumeration",
     "best_slope_by_projected_gradient",
     "cell_mean_sandwich",
+    "differs_from_first_seen",
+    "persisted_flags",
     "random_intercept_robust_se",
     "slope",
     "random_problem",
@@ -209,3 +211,25 @@ def cell_mean_sandwich(
         return sigma, None
     QQ = np.asarray(Q) @ np.asarray(Q).T
     return sigma, float(np.trace(QQ) ** 2 / (QQ**2).sum())
+
+
+def differs_from_first_seen(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Rows whose value differs from the first value seen for their key,
+    walking the rows in order."""
+    first: dict = {}
+    out = np.zeros(len(key), dtype=bool)
+    for i, (k, v) in enumerate(zip(key.tolist(), value.tolist())):
+        out[i] = first.setdefault(k, v) != v
+    return out
+
+
+def persisted_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.ndarray:
+    """1 from a unit's first flagged year on, by a walk over each unit's years."""
+    out = np.zeros(len(raw), dtype=np.int8)
+    for u in np.unique(unit):
+        rows = np.flatnonzero(unit == u)
+        seen = False
+        for i in rows[np.argsort(year[rows], kind="stable")]:
+            seen = seen or bool(raw[i])
+            out[i] = seen
+    return out

@@ -3,6 +3,7 @@ and error exit codes."""
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,70 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "pwrd: error:" in err
 
 
+PANEL_HEADER = "unit,cluster,treatment,cohort,grade,year,outcome\n"
+
+
+def _unreadable_input(tmp_path, case):
+    """argv for one malformed input, and the text the error must name."""
+    panel = tmp_path / "panel.csv"
+    panel.write_text(PANEL_HEADER + "u1,c1,1,1,3,1,1.0\nu2,c2,0,1,3,99999999999999999999,2.0\n")
+    if case == "int64-overflow":
+        return ["analyze", panel], "rows [3]"
+    if case == "not-utf8":
+        panel.write_bytes(PANEL_HEADER.encode() + b"u1,c\xe9,1,1,3,1,1.0\n")
+        return ["analyze", panel], "panel.csv"
+    if case == "missing-panel":
+        return ["analyze", tmp_path / "absent.csv"], "absent.csv"
+    doc = tmp_path / "doc.json"
+    doc.write_text({"array-summary": "[0.1, 0.2]"}.get(case, '{"columns": {'))
+    if case == "bad-schema-json":
+        return ["analyze", panel, "--schema", doc], "doc.json"
+    return ["weights", doc], "doc.json"
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "int64-overflow", "not-utf8", "missing-panel",
+        "bad-schema-json", "bad-summary-json", "array-summary",
+    ],
+)
+def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
+    argv, named = _unreadable_input(tmp_path, case)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error:")
+    assert len(err.strip().splitlines()) == 1
+    assert named in err
+
+
+def test_peters_belson_cli_takes_p0_on_its_groups(tmp_path, capsys):
+    # Peters-Belson drops groups with too few control rows for the
+    # covariate fit; p0 must follow it rather than refuse the panel
+    from test_covariance import unbalanced_panel
+
+    from pwrd import estimate_effects_peters_belson, estimate_p0
+
+    p = unbalanced_panel(seed=1)
+    path = tmp_path / "panel.csv"
+    p.to_csv(path)
+    schema = tmp_path / "schema.json"
+    columns = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
+    schema.write_text(json.dumps({"columns": {c: c for c in columns}, "covariates": ["x"]}))
+    code, out, _ = run(
+        ["analyze", path, "--schema", schema, "--method", "peters-belson",
+         "--covariates", "x", "--json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    eff = estimate_effects_peters_belson(p, covariates=("x",))
+    assert any("control rows" in rec.reason for rec in eff.excluded)
+    p0 = dict(zip(estimate_p0(p).group_ordinals(), estimate_p0(p).p_hat))
+    assert [g["g"] for g in doc["effects"]["groups"]] == list(eff.group_ordinals())
+    assert [g["p0_hat"] for g in doc["effects"]["groups"]] == [p0[g] for g in eff.group_ordinals()]
+
+
 def test_missing_summary_key_exits_2(tmp_path, capsys):
     spath = tmp_path / "summary.json"
     spath.write_text(json.dumps({"delta_hat": [0.1]}))
@@ -252,6 +317,25 @@ def test_degenerate_panel_exits_3(tmp_path, capsys):
     )
     code, _, err = run(["analyze", path], capsys)
     assert code == 3
+
+
+def test_two_cluster_exit_analysis_exits_3(tmp_path, capsys):
+    # one cluster per arm leaves df = 0 and a zero standard error
+    path = tmp_path / "two.csv"
+    path.write_text(PANEL_HEADER + "u1,c1,1,1,3,1,1.0\nu2,c2,0,1,3,1,2.0\nu3,c1,1,1,3,1,4.0\n")
+    code, _, err = run(["analyze", path, "--estimator", "exit"], capsys)
+    assert code == 3
+    assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
+
+
+def test_overflowing_standard_error_is_one_line(capsys, tmp_path):
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps({"delta_hat": [0.0], "p0": [0.5], "se": [1e200]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(["weights", spath], capsys)
+    assert code == 4
+    assert "non-finite" in err and len(err.strip().splitlines()) == 1
 
 
 def test_singular_covariance_exits_4(tmp_path, capsys):

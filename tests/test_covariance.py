@@ -204,7 +204,7 @@ def test_too_few_clusters_refused():
         year=np.ones(2, dtype=int),
         outcome=np.arange(2, dtype=float),
     )
-    eff = GroupEffects(np.zeros(1), one.catalog, np.array([2]), "difference-in-means")
+    eff = GroupEffects(np.zeros(1), one.catalog, np.array([2]), "difference-in-means", one.cells)
     with pytest.raises(DegenerateDataError, match="at least 2"):
         cluster_covariance(one, eff)
 
@@ -216,6 +216,7 @@ def test_empty_arm_cell_is_a_singular_bread():
         groups=p.catalog,
         n=np.array([gi.n for gi in p.catalog]),
         method="difference-in-means",
+        cells=p.cells,
     )
     with pytest.raises(NumericalError, match="singular bread"):
         cluster_covariance(p, eff)
@@ -298,7 +299,10 @@ def unbalanced_panel(seed=0):
     )
 
 
-def _against_oracle(p, eff):
+def _against_oracle(p, eff, values=None):
+    """Check Σ̂ and the df against the row-level definition on ``values``,
+    by default the outcome."""
+    values = p.outcome if values is None else values
     idx = np.asarray(eff.group_ordinals())
     keep = np.isin(p.group_ids, idx)
     compact = np.searchsorted(idx, p.group_ids[keep])
@@ -306,7 +310,7 @@ def _against_oracle(p, eff):
     omega /= omega.sum()
     for variant in ("cr0", "cr2"):
         sigma, df = cell_mean_sandwich(
-            p.outcome[keep], p.cluster[keep], p.treatment[keep], compact, variant, omega
+            values[keep], p.cluster[keep], p.treatment[keep], compact, variant, omega
         )
         cov = cluster_covariance(p, eff, variant=variant)
         np.testing.assert_allclose(cov.sigma_hat, sigma, rtol=1e-12, atol=1e-12 * np.abs(sigma).max())
@@ -329,4 +333,16 @@ def test_sandwich_matches_row_definition_for_peters_belson_exclusions():
     eff = estimate_effects_peters_belson(p, covariates=("x",))
     reasons = [rec.reason for rec in eff.excluded]
     assert any("control rows" in r for r in reasons) and any("no control" in r for r in reasons)
-    _against_oracle(p, eff)
+    # the contrast is taken on residuals of each group's control-only fit,
+    # so the sandwich must be too
+    resid = np.full(p.n_obs, np.nan)
+    X = np.column_stack([np.ones(p.n_obs), p.covariates["x"]])
+    for g in eff.group_ordinals():
+        rows = p.group_ids == g
+        ctrl = rows & (p.treatment == 0)
+        beta = np.linalg.lstsq(X[ctrl], p.outcome[ctrl], rcond=None)[0]
+        resid[rows] = p.outcome[rows] - X[rows] @ beta
+        assert eff.estimates[eff.group_ordinals().index(g)] == pytest.approx(
+            resid[rows & (p.treatment == 1)].mean(), rel=1e-12
+        )
+    _against_oracle(p, eff, resid)

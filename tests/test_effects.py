@@ -15,6 +15,7 @@ from pwrd import (
 from pwrd import effects
 from pwrd.effects import effects_to_json_dict
 from pwrd.panel import PanelDataset
+from pwrd.weights import t_p_value
 
 from test_panel import tiny_panel
 
@@ -121,6 +122,27 @@ def test_peters_belson_excludes_thin_control_groups():
     assert all(gi.entry_grade != 7 for gi in eff.groups)
 
 
+def test_p0_follows_the_groups_an_estimator_kept():
+    p = one_group_panel(
+        unit=np.arange(10),
+        cluster=np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 1]),
+        treatment=np.array([1, 1, 1, 1, 0, 0, 0, 0, 1, 0]),
+        cohort=np.ones(10, dtype=int),
+        grade=np.array([3, 3, 3, 3, 3, 3, 3, 3, 7, 7]),
+        year=np.ones(10, dtype=int),
+        outcome=np.arange(10, dtype=float),
+        tested_in=np.array([0, 0, 0, 0, 1, 1, 0, 0, 0, 1]),
+        covariates={"score": np.array([0.1, 0.5, 0.9, 0.2, 0.8, 0.3, 0.6, 0.4, 0.7, 0.5])},
+    )
+    eff = estimate_effects_peters_belson(p, covariates=("score",))
+    full = estimate_p0(p)
+    assert len(full.groups) == 2 and len(eff.groups) == 1
+    p0 = full.on_groups(eff.groups)
+    assert p0.group_ordinals() == eff.group_ordinals()
+    np.testing.assert_array_equal(p0.p_hat, [0.5])
+    np.testing.assert_array_equal(p0.n_control, [4])
+
+
 def test_peters_belson_rank_deficiency_raises():
     p = one_group_panel(covariates={"flat": np.ones(8)})
     with pytest.raises(NumericalError, match="rank-deficient"):
@@ -171,6 +193,19 @@ def test_exit_estimate_requires_both_arms():
         exit_observation_estimate(p)
 
 
+def test_exit_test_refuses_zero_df_and_zero_se():
+    # tiny_panel has one cluster per arm: df = 0 and the sandwich vanishes
+    ex = exit_observation_estimate(tiny_panel())
+    assert ex.df == 0.0 and ex.se == 0.0
+    with pytest.raises(DegenerateDataError, match="df = 0"):
+        ex.p_value()
+    flat = effects.ExitEstimate(1.0, 0.0, 5.0, 8, 4, 4, 7, "difference-in-means")
+    with pytest.raises(NumericalError, match="zero standard error"):
+        flat.p_value()
+    ok = effects.ExitEstimate(1.0, 0.5, 5.0, 8, 4, 4, 7, "difference-in-means")
+    assert ok.p_value("less") == t_p_value(2.0, 5.0, "less")
+
+
 def test_exit_estimate_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         exit_observation_estimate(tiny_panel(), method="bayes")
@@ -181,8 +216,11 @@ def test_effects_input_checks_raise_input_error():
     G = len(groups)
     with pytest.raises(InputError, match="unknown method"):
         exit_observation_estimate(tiny_panel(), method="bayes")
+    cells = tiny_panel().cells
     with pytest.raises(InputError, match="must align"):
-        effects.GroupEffects(np.zeros(G + 1), groups, np.ones(G), "difference-in-means")
+        effects.GroupEffects(np.zeros(G + 1), groups, np.ones(G), "difference-in-means", cells)
+    with pytest.raises(InputError, match="must align"):
+        effects.GroupEffects(np.zeros(G - 1), groups[1:], np.ones(G - 1), "diff", cells)
     with pytest.raises(InputError, match="must align"):
         effects.TestInProportions(np.zeros(G), np.ones(G + 1), groups)
     with pytest.raises(InputError, match=r"\[0, 1\]"):

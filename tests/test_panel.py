@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from pwrd import InputError, PanelDataset, PanelSchema, ThresholdRule, ingest_panel
-from pwrd.panel import IDENTITY_SCHEMA, persist_flags
+from pwrd.panel import IDENTITY_SCHEMA, _differs_from_first, persist_flags
+
+from oracles import differs_from_first_seen, persisted_flags
 
 
 def tiny_panel(**overrides):
@@ -127,6 +129,48 @@ def test_rejects_flag_that_turns_off():
         tiny_panel(tested_in=np.array([1, 0, 0, 0, 0, 0, 0, 0]))
 
 
+def test_consistency_checks_name_rows_of_shuffled_input():
+    # tiny_panel's rows in the order 5 2 7 0 3 6 1 4: a row is at fault when
+    # it differs from the first row of its cluster (or unit) in file order,
+    # and a flag drops back in (unit, year) time, not in row order
+    perm = np.array([5, 2, 7, 0, 3, 6, 1, 4])
+    base = tiny_panel()
+    names = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
+    cols = {k: getattr(base, k)[perm].copy() for k in names}
+
+    def shuffled(**overrides):
+        return PanelDataset(**{**cols, **overrides})
+
+    z = cols["treatment"].copy()
+    z[1] = 0  # the first row of cluster 0 now disagrees with the other three
+    with pytest.raises(InputError, match=r"treatment varies within a cluster: rows \[3, 4, 6\]"):
+        shuffled(treatment=z)
+    block = cols["cluster"].copy()
+    block[4] = 1
+    with pytest.raises(InputError, match=r"block varies within a cluster: rows \[4\]"):
+        shuffled(block=block)
+    cluster = cols["cluster"].copy()
+    cluster[5] = 0  # unit 3, first seen in cluster 1 at row 2
+    with pytest.raises(InputError, match=r"more than one cluster: rows \[5\]"):
+        shuffled(cluster=cluster, treatment=np.zeros(8, dtype=int))
+    flags = cols["tested_in"].copy()
+    flags[0], flags[7] = 0, 1  # unit 2: year 2 (row 0) drops below year 1 (row 7)
+    with pytest.raises(InputError, match=r"drops back to 0 within a unit: rows \[0\]"):
+        shuffled(tested_in=flags)
+
+
+def test_vectorized_checks_match_row_walks():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(0, 30))
+        key, value = rng.integers(0, 5, n), rng.integers(0, 3, n)
+        expected = differs_from_first_seen(key, value)
+        np.testing.assert_array_equal(_differs_from_first(key, value), expected)
+        unit, year, raw = rng.integers(0, 4, n), rng.permutation(n), rng.integers(0, 2, n)
+        expected = persisted_flags(raw, unit, year)
+        np.testing.assert_array_equal(persist_flags(raw, unit, year), expected)
+
+
 def test_error_names_offending_rows():
     with pytest.raises(InputError, match=r"rows \[1\]"):
         tiny_panel(outcome=np.array([1.0, np.inf, 3, 4, 5, 6, 7, 8]))
@@ -243,6 +287,47 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(np.sort(q.covariates["score"]), np.sort(p.covariates["score"]))
     keys = [(gi.cohort, gi.entry_grade, gi.follow_up_year, gi.n) for gi in q.catalog]
     assert keys == [(gi.cohort, gi.entry_grade, gi.follow_up_year, gi.n) for gi in p.catalog]
+
+
+def _golden_panel(labels):
+    extra = {}
+    if labels:
+        extra = dict(
+            unit_labels=np.array(["alice", "bob"]),
+            cluster_labels=np.array(["s,1", "s2"]),
+            block_labels=np.array(["north"]),
+        )
+    return PanelDataset(
+        unit=np.array([0, 0, 1, 1]),
+        cluster=np.array([0, 0, 1, 1]),
+        block=np.zeros(4, dtype=int),
+        treatment=np.array([1, 1, 0, 0]),
+        cohort=np.full(4, 2019),
+        grade=np.array([3, 4, 3, 4]),
+        year=np.array([1, 2, 1, 2]),
+        outcome=np.array([1.5, -2.25, 1e16, 0.1]),
+        tested_in=np.array([0, 1, 0, 0]),
+        covariates={"x": np.array([-0.0, 1 / 3, 1e-300, 5e-324])},
+        **extra,
+    )
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["codes", "labels"])
+def test_to_csv_text_is_pinned(labels):
+    # floats print as repr: signed zero, 17 digits, tiny and subnormal values
+    header = "unit,cluster,block,treatment,cohort,grade,year,outcome,tested_in,x\n"
+    u, c, b = ("alice", "bob"), ('"s,1"', "s2"), "north"
+    if not labels:
+        u, c, b = ("u0000000", "u0000001"), ("c0000", "c0001"), "b0000"
+    expected = header + (
+        f"{u[0]},{c[0]},{b},1,2019,3,1,1.5,0,-0.0\n"
+        f"{u[0]},{c[0]},{b},1,2019,4,2,-2.25,1,0.3333333333333333\n"
+        f"{u[1]},{c[1]},{b},0,2019,3,1,1e+16,0,1e-300\n"
+        f"{u[1]},{c[1]},{b},0,2019,4,2,0.1,0,5e-324\n"
+    )
+    buf = io.StringIO()
+    _golden_panel(labels).to_csv(buf)
+    assert buf.getvalue() == expected
 
 
 def test_ingest_renamed_columns():
