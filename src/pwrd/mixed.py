@@ -8,6 +8,15 @@ least squares via the standard quasi-demeaning transform. Both a
 model-based and a cluster-robust standard error are reported. The CR2
 adjustment (Bell & McCaffrey) is computed for all clusters at once: their
 Gram blocks are stacked and go through one batched eigendecomposition.
+
+The fit reads records, not rows: groups of rows that share a cluster and
+a design row, each given by its row count, outcome sum and within-record
+sum of squared deviations. Every quantity of the fit is an exact function
+of these ("You Only Compress Once", Wong et al. 2021), since the
+within-record part of any residual sums to zero. When every covariate is
+a group attribute (grade, cohort, follow-up year), the records are the
+nonempty cells of the panel's cell table; when any other covariate is
+named, they are the rows themselves.
 """
 
 from __future__ import annotations
@@ -73,31 +82,59 @@ class MixedModelFit:
         return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
 
 
+def _records(
+    panel: PanelDataset, covariates: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fit's records, ordered by cluster: cluster, group, row count,
+    outcome sum, within-record sum of squares and design row."""
+    per_group = [panel.group_attribute(c) for c in covariates]
+    if all(v is not None for v in per_group):
+        cells = panel.cells
+        flat = np.flatnonzero(cells.m)  # row-major, so ordered by cluster
+        cl, grp = np.divmod(flat, cells.m.shape[1])
+        X = np.empty((len(flat), 2 + len(per_group)))
+        X[:, 0] = 1.0
+        X[:, 1] = cells.z[cl]
+        for j, v in enumerate(per_group, start=2):
+            X[:, j] = v[grp]
+        m, s, ss = (a.ravel()[flat] for a in (cells.m, cells.s, cells.ss))
+        return cl, grp, m, s, ss, X
+    n = panel.n_obs
+    order = np.argsort(panel.cluster, kind="stable")
+    X = np.column_stack(
+        [np.ones(n), panel.treatment.astype(np.float64)] + [panel.column(c) for c in covariates]
+    )
+    cl, grp, y = panel.cluster[order], panel.group_ids[order], panel.outcome[order]
+    return cl, grp, np.ones(n), y, np.zeros(n), X[order]
+
+
 def _cr_meat(
     Xt: np.ndarray,
-    resid: np.ndarray,
-    cl: np.ndarray,
-    n_clusters: int,
+    w: np.ndarray,
+    u: np.ndarray,
+    starts: np.ndarray,
     XtX: np.ndarray,
     variant: str,
 ) -> np.ndarray:
+    """Sum of b_c b_c' over clusters, from records weighted by ``w``.
+
+    b_c = Xt_c' e_c for CR0, and Xt_c'(I - H_cc)^(-1/2) e_c for CR2. A
+    record's rows share its design row, so their residuals enter only
+    through their sum ``w * u``.
+    """
     p = Xt.shape[1]
+    wXt = w[:, None] * Xt
     # per-cluster score sums, one row per cluster
-    B = np.column_stack(
-        [np.bincount(cl, weights=Xt[:, j] * resid, minlength=n_clusters) for j in range(p)]
-    )
+    B = np.add.reduceat(wXt * u[:, None], starts, axis=0)
     if variant == "cr2":
         eva, evec = np.linalg.eigh(XtX)
         if eva.min() <= 0:
             raise NumericalError("singular design in cluster adjustment")
         Khalf = (evec / np.sqrt(eva)) @ evec.T
         # per-cluster Gram blocks Xc'Xc, stacked, from their distinct entries
-        G = np.empty((n_clusters, p, p))
-        for j in range(p):
-            for k in range(j, p):
-                G[:, j, k] = G[:, k, j] = np.bincount(
-                    cl, weights=Xt[:, j] * Xt[:, k], minlength=n_clusters
-                )
+        j, k = np.array([(a, b) for a in range(p) for b in range(a, p)]).T
+        G = np.empty((len(starts), p, p))
+        G[:, j, k] = G[:, k, j] = np.add.reduceat(wXt[:, j] * Xt[:, k], starts, axis=0)
         d, Q = np.linalg.eigh(Khalf @ G @ Khalf)
         d = np.clip(d, 0.0, None)
         coef = np.where(
@@ -122,49 +159,50 @@ def fit_random_intercept(
     floored at zero; a zero cluster component collapses the fit to
     ordinary least squares. Panels with one observation per cluster cannot
     separate the components and also fall back to ordinary least squares,
-    with a warning recorded on the fit.
+    with a warning recorded on the fit. A panel with no within-cluster
+    residual variation is refused as degenerate.
     """
     if variant not in ("cr0", "cr2"):
         raise InputError("variant must be 'cr0' or 'cr2'")
-    y = panel.outcome
     n = panel.n_obs
-    cl = panel.cluster
     C = panel.n_clusters
     if C < 2:
         raise DegenerateDataError(f"need at least 2 clusters, found {C}")
     names = ["intercept", "treatment", *covariates]
-    X = np.column_stack(
-        [np.ones(n), panel.treatment.astype(np.float64)]
-        + [panel.column(c) for c in covariates]
-    )
+    cl, grp, w, s, ss, X = _records(panel, covariates)
     p = X.shape[1]
     warnings_: list[str] = []
 
-    beta_ols, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    # record means; a record's rows differ from its mean by the same
+    # deviations in every fit below, which contribute sum(ss) to each
+    # residual sum of squares and nothing to any cross product
+    ybar = s / w
+    sw = np.sqrt(w)
+    beta_ols, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * ybar, rcond=None)
     if rank < p:
         raise NumericalError("rank-deficient design matrix")
-    resid = y - X @ beta_ols
+    e = ybar - X @ beta_ols
+    ss_within = float(ss.sum())
 
     counts = np.bincount(cl, minlength=C)
-    m = counts.astype(np.float64)
-    if (m == 0).any():
+    if (counts == 0).any():
         raise DegenerateDataError("a cluster has no observations")
+    starts = np.cumsum(counts) - counts
+    m = np.add.reduceat(w, starts)
 
     # cluster-constant columns count toward the between degrees of freedom
-    Xs = np.take(X, np.argsort(cl, kind="stable"), axis=0)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    mx = np.maximum.reduceat(Xs, starts, axis=0)
-    mn = np.minimum.reduceat(Xs, starts, axis=0)
-    # per column, the same test as np.allclose(mx[:, j], mn[:, j])
-    q = int(np.isclose(mx, mn).all(axis=0).sum())
+    mx = np.maximum.reduceat(X, starts, axis=0)
+    mn = np.minimum.reduceat(X, starts, axis=0)
+    # per column, the test of np.allclose(mx[:, j], mn[:, j]) on finite values
+    q = int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
 
-    rbar = np.bincount(cl, weights=resid, minlength=C) / m
-    ssw = float(((resid - rbar[cl]) ** 2).sum())
+    rbar = np.add.reduceat(w * e, starts) / m
+    ssw = ss_within + float((w * (e - rbar[cl]) ** 2).sum())
     ssb = float((m * rbar**2).sum())
 
     if n == C or C <= q:
         warnings_.append("cannot separate variance components; fell back to ordinary least squares")
-        sigma2_eps = float((resid**2).sum() / max(n - p, 1))
+        sigma2_eps = (ss_within + float((w * e**2).sum())) / max(n - p, 1)
         sigma2_mu = 0.0
     else:
         sigma2_eps = ssw / (n - C)
@@ -176,42 +214,41 @@ def fit_random_intercept(
 
     total = sigma2_eps + sigma2_mu
     icc = sigma2_mu / total if total > 0 else 0.0
+    if icc >= 1.0:
+        raise DegenerateDataError(
+            "zero within-cluster residual variance: the outcome does not vary"
+            " within clusters beyond the covariates"
+        )
     components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
 
-    # quasi-demeaning GLS transform
+    # quasi-demeaning GLS transform, on record means
     if sigma2_mu > 0:
         lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu))
     else:
         lam = np.zeros(C)
-    lam_row = lam[cl]
-    ybar = np.bincount(cl, weights=y, minlength=C) / m
-    yt = y - lam_row * ybar[cl]
-    xbar = np.column_stack([np.bincount(cl, weights=X[:, j], minlength=C) for j in range(p)])
-    Xt = X - lam_row[:, None] * np.take(xbar / m[:, None], cl, axis=0)
+    lam_r = lam[cl]
+    yt = ybar - lam_r * (np.add.reduceat(s, starts) / m)[cl]
+    xbar = np.add.reduceat(w[:, None] * X, starts, axis=0) / m[:, None]
+    Xt = X - lam_r[:, None] * xbar[cl]
 
-    XtX = Xt.T @ Xt
+    XtX = Xt.T @ (w[:, None] * Xt)
     try:
         K = np.linalg.inv(XtX)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("singular transformed design") from exc
-    beta = K @ (Xt.T @ yt)
-    fit_resid = yt - Xt @ beta
-    s2 = float(fit_resid @ fit_resid) / max(n - p, 1)
+    beta = K @ (Xt.T @ (w * yt))
+    u = yt - Xt @ beta
+    s2 = (ss_within + float(w @ u**2)) / max(n - p, 1)
     se_model = float(np.sqrt(s2 * K[1, 1]))
 
-    M = _cr_meat(Xt, fit_resid, cl, C, XtX, variant)
+    M = _cr_meat(Xt, w, u, starts, XtX, variant)
     V = K @ M @ K
     se_cr = float(np.sqrt(V[1, 1]))
 
     # implied per-group weights of the treated side of the contrast
     v = Xt @ K[:, 1]
-    vbar = np.bincount(cl, weights=v, minlength=C) / m
-    a = v - lam_row * vbar[cl]
-    gw = np.bincount(
-        panel.group_ids,
-        weights=a * (panel.treatment == 1),
-        minlength=panel.n_groups,
-    )
+    a = v - lam_r * (np.add.reduceat(w * v, starts) / m)[cl]
+    gw = np.bincount(grp, weights=w * a * X[:, 1], minlength=panel.n_groups)
 
     return MixedModelFit(
         tau_hat=float(beta[1]),

@@ -10,7 +10,8 @@ the same follow-up year. Downstream estimation operates on these groups.
 Panels are immutable once constructed. Derived views (``with_outcome``)
 share column arrays with their parent rather than copying. Each panel
 builds its (cluster, group) cell table (``cells``) on first use: the row
-counts, outcome sums and flag counts that every group estimator reads.
+counts, outcome sums, within-cell sums of squares and flag counts that
+every group estimator and the random-intercept fit read.
 """
 
 from __future__ import annotations
@@ -129,10 +130,13 @@ class PanelSchema:
                 rule = ThresholdRule(score_column=spec["score_column"], cutoffs=cutoffs)
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"malformed tested_in_rule in schema: {exc}") from exc
+        covariates = raw.get("covariates", [])
+        if not isinstance(covariates, list) or not all(isinstance(c, str) for c in covariates):
+            raise InputError("schema field 'covariates' must be a list of column names")
         try:
             return cls(
                 columns=dict(raw["columns"]),
-                covariates=tuple(raw.get("covariates", ())),
+                covariates=tuple(covariates),
                 tested_in_rule=rule,
             )
         except (KeyError, TypeError) as exc:
@@ -154,13 +158,15 @@ class CellTable:
     """Per (cluster, group) sums over a panel's rows, shape (C, G) each.
 
     ``m`` counts rows, ``s`` sums the values (the outcome, in a panel's own
-    table) and ``f`` counts flagged rows, or is None without flags. ``z``
+    table), ``ss`` sums their squared deviations from the cell mean (zero in
+    an empty cell) and ``f`` counts flagged rows, or is None without flags. ``z``
     is each cluster's arm; treatment is constant within a cluster, so each
     (cluster, group) cell lies in exactly one (arm, group) cell.
     """
 
     m: np.ndarray
     s: np.ndarray
+    ss: np.ndarray
     f: np.ndarray | None
     z: np.ndarray
 
@@ -177,10 +183,15 @@ def cell_table(
     shape = (len(z_by_cluster), n_groups)
     key = cluster * n_groups + group
     size = shape[0] * shape[1]
-    m = np.bincount(key, minlength=size).reshape(shape).astype(np.float64)
-    s = np.bincount(key, weights=values, minlength=size).reshape(shape)
+    m = np.bincount(key, minlength=size).astype(np.float64)
+    s = np.bincount(key, weights=values, minlength=size)
+    # deviations from the cell mean, not the cancelling sum(y^2) - s^2/m
+    mean = s / np.maximum(m, 1.0)
+    ss = np.bincount(key, weights=(values - mean[key]) ** 2, minlength=size)
     f = None if flags is None else np.bincount(key, weights=flags, minlength=size).reshape(shape)
-    return CellTable(m=m, s=s, f=f, z=z_by_cluster)
+    return CellTable(
+        m=m.reshape(shape), s=s.reshape(shape), ss=ss.reshape(shape), f=f, z=z_by_cluster
+    )
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -415,6 +426,18 @@ class PanelDataset:
         if name in self.covariates:
             return self.covariates[name]
         raise InputError(f"unknown covariate column '{name}'")
+
+    def group_attribute(self, name: str) -> np.ndarray | None:
+        """Per-group values of a column the catalog fixes for each group
+        (grade, cohort, follow_up_year), shape (G,); None for any other."""
+        value = {
+            "grade": lambda gi: gi.entry_grade + gi.follow_up_year - 1,
+            "cohort": lambda gi: gi.cohort,
+            "follow_up_year": lambda gi: gi.follow_up_year,
+        }.get(name)
+        if value is None:
+            return None
+        return np.fromiter(map(value, self.catalog), dtype=np.float64, count=self.n_groups)
 
     def cluster_label(self, code: int) -> str:
         if self.cluster_labels is not None:

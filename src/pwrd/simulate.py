@@ -251,8 +251,10 @@ def _frame(n_clusters: int, tracks: tuple[_Track, ...]) -> _Frame:
     return _Frame(n_clusters, tracks)
 
 
-def _threshold_row(scenario: Scenario, frame: _Frame) -> np.ndarray:
-    thr = scenario.threshold_map
+@functools.lru_cache(maxsize=32)
+def _threshold_row(frame: _Frame, thresholds: tuple[tuple[int, float], ...]) -> np.ndarray:
+    """Each row's cutoff, read-only: it is shared by every replicate."""
+    thr = dict(thresholds)
     grades = sorted(set(frame.grade.tolist()))
     missing = [g for g in grades if g not in thr]
     if missing:
@@ -261,7 +263,9 @@ def _threshold_row(scenario: Scenario, frame: _Frame) -> np.ndarray:
     for g, v in thr.items():
         if 0 <= g <= max(grades):
             vec[g] = v
-    return vec[frame.grade]
+    row = vec[frame.grade]
+    row.flags.writeable = False
+    return row
 
 
 def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset:
@@ -290,7 +294,7 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
     )
     y = scenario.beta0 + scenario.beta1 * frame.grade + mu[frame.cluster] + eps
 
-    below = y < _threshold_row(scenario, frame)
+    below = y < _threshold_row(frame, scenario.thresholds)
     flags = np.empty(frame.n_obs, dtype=np.int8)
     for start, n_units, T in frame.track_slices:
         blk = below[start : start + n_units * T].reshape(n_units, T)

@@ -215,6 +215,10 @@ def _unreadable_input(tmp_path, case):
     doc.write_text({"array-summary": "[0.1, 0.2]"}.get(case, '{"columns": {'))
     if case == "bad-schema-json":
         return ["analyze", panel, "--schema", doc], "doc.json"
+    if case == "string-covariates":
+        columns = {c: c for c in PANEL_HEADER.strip().split(",")}
+        doc.write_text(json.dumps({"columns": columns, "covariates": "score"}))
+        return ["analyze", panel, "--schema", doc], "'covariates' must be a list"
     return ["weights", doc], "doc.json"
 
 
@@ -222,7 +226,7 @@ def _unreadable_input(tmp_path, case):
     "case",
     [
         "int64-overflow", "not-utf8", "missing-panel",
-        "bad-schema-json", "bad-summary-json", "array-summary",
+        "bad-schema-json", "bad-summary-json", "array-summary", "string-covariates",
     ],
 )
 def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
@@ -325,6 +329,21 @@ def test_two_cluster_exit_analysis_exits_3(tmp_path, capsys):
     path.write_text(PANEL_HEADER + "u1,c1,1,1,3,1,1.0\nu2,c2,0,1,3,1,2.0\nu3,c1,1,1,3,1,4.0\n")
     code, _, err = run(["analyze", path, "--estimator", "exit"], capsys)
     assert code == 3
+    assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
+
+
+def test_mixed_without_within_cluster_variation_exits_3(tmp_path, capsys):
+    # six clusters of two units, the outcome constant within each cluster
+    rows = [
+        f"u{2 * c + k},c{c},{c % 2},1,{3 + k},{1 + k},{10.0 + 1.7 * c}\n"
+        for c in range(6)
+        for k in range(2)
+    ]
+    path = tmp_path / "flat.csv"
+    path.write_text(PANEL_HEADER + "".join(rows))
+    code, _, err = run(["analyze", path, "--estimator", "mixed"], capsys)
+    assert code == 3
+    assert "zero within-cluster residual variance" in err
     assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
 
 

@@ -1,5 +1,6 @@
 """Random-intercept comparator: component recovery, GLS arithmetic against
-a direct blockwise solve, and the fallback behavior."""
+a direct blockwise solve, the fallback behavior, and agreement between the
+cell-keyed and row-keyed records."""
 
 import numpy as np
 import pytest
@@ -7,17 +8,27 @@ import pytest
 from pwrd import DegenerateDataError, InputError, NumericalError, fit_random_intercept
 from pwrd.mixed import VarianceComponents
 from pwrd.panel import PanelDataset
+from pwrd.simulate import EffectSpec, apply_effect, default_scenario, generate_panel
 
 from oracles import random_intercept_robust_se
 
 
 def intercept_panel(
-    C=40, m=8, tau=0.0, sigma2_eps=4.0, sigma2_mu=1.0, seed=0, grades=False, cohorts=False
+    C=40,
+    m=8,
+    tau=0.0,
+    sigma2_eps=4.0,
+    sigma2_mu=1.0,
+    seed=0,
+    grades=False,
+    cohorts=False,
+    pretest=False,
 ):
     """Random-intercept panel; ``m`` is one cluster size or one per cluster.
 
     ``grades`` cycles grade and year within each cluster; ``cohorts`` makes
-    the cohort column a cluster-level covariate (1 or 2, by cluster parity).
+    the cohort column a cluster-level covariate (1 or 2, by cluster parity);
+    ``pretest`` adds a per-row covariate that the outcome loads on.
     """
     rng = np.random.default_rng(seed)
     sizes = np.broadcast_to(m, C)
@@ -30,6 +41,10 @@ def intercept_panel(
     y = mu[cluster] + rng.normal(scale=np.sqrt(sigma2_eps), size=n) + tau * treatment
     grade = pos % 3 + 3 if grades else np.full(n, 3)
     year = pos % 3 + 1 if grades else np.ones(n, dtype=int)
+    covariates = {}
+    if pretest:
+        covariates["pretest"] = rng.normal(size=n)
+        y = y + 0.5 * covariates["pretest"]
     return PanelDataset(
         unit=np.arange(n),
         cluster=cluster,
@@ -38,6 +53,7 @@ def intercept_panel(
         grade=grade,
         year=year,
         outcome=y,
+        covariates=covariates,
         validate=False,
     )
 
@@ -125,6 +141,10 @@ def test_input_validation():
         fit_random_intercept(p, covariates=("grade",))
     with pytest.raises(DegenerateDataError, match="at least 2"):
         fit_random_intercept(intercept_panel(C=1, m=8), covariates=())
+    # an outcome constant within clusters leaves sigma2_eps zero and icc 1
+    flat = intercept_panel(C=6, m=2, sigma2_eps=0.0, seed=4, grades=True)
+    with pytest.raises(DegenerateDataError, match="zero within-cluster residual variance"):
+        fit_random_intercept(flat, covariates=("grade",))
 
 
 def test_components_dataclass_validates():
@@ -157,8 +177,12 @@ UNBALANCED = np.array([1, 2, 3, 5, 8, 13, 4, 6, 2, 9, 7, 3, 11, 5, 1, 6])
             covariates=("grade", "cohort"),
         ),
         dict(panel=dict(C=30, m=1, seed=2), covariates=()),
+        dict(
+            panel=dict(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True, pretest=True),
+            covariates=("grade", "pretest"),
+        ),
     ],
-    ids=["unbalanced", "cluster-constant-covariate", "singleton-ols"],
+    ids=["unbalanced", "cluster-constant-covariate", "singleton-ols", "row-covariate"],
 )
 def test_robust_se_matches_definitional_sandwich(variant, case):
     p = intercept_panel(**case["panel"])
@@ -196,3 +220,37 @@ def test_cluster_constant_covariate_counts_toward_between_df():
     assert s2mu > 0
     assert fit.components.sigma2_eps == pytest.approx(s2e, rel=1e-12)
     assert fit.components.sigma2_mu == pytest.approx(s2mu, rel=1e-10)
+
+
+@pytest.mark.parametrize("variant", ["cr0", "cr2"])
+@pytest.mark.parametrize("covariates", [("grade",), ("cohort", "follow_up_year")])
+def test_cell_and_row_records_agree(variant, covariates):
+    # group attributes make the fit read the cell table; the same columns
+    # named as schema covariates make it read the rows
+    sc = default_scenario(EffectSpec("effect1", tau=5.5), n_clusters=12)
+    p = apply_effect(generate_panel(sc, 3), sc.effect, 3)
+    copies = tuple(f"{c}_copy" for c in covariates)
+    copy = PanelDataset(
+        unit=p.unit,
+        cluster=p.cluster,
+        treatment=p.treatment,
+        cohort=p.cohort,
+        grade=p.grade,
+        year=p.year,
+        outcome=p.outcome,
+        covariates={k: p.column(c) for k, c in zip(copies, covariates)},
+        validate=False,
+    )
+    cells = fit_random_intercept(p, covariates=covariates, variant=variant)
+    rows = fit_random_intercept(copy, covariates=copies, variant=variant)
+    assert rows.tau_hat == pytest.approx(cells.tau_hat, rel=1e-10)
+    assert rows.se_model == pytest.approx(cells.se_model, rel=1e-10)
+    assert rows.se_cluster_robust == pytest.approx(cells.se_cluster_robust, rel=1e-10)
+    assert rows.components.sigma2_eps == pytest.approx(cells.components.sigma2_eps, rel=1e-10)
+    assert rows.components.sigma2_mu == pytest.approx(cells.components.sigma2_mu, rel=1e-10)
+    assert list(rows.coefficients.values()) == pytest.approx(
+        list(cells.coefficients.values()), rel=1e-10
+    )
+    np.testing.assert_allclose(
+        rows.implied_group_weights, cells.implied_group_weights, rtol=1e-10, atol=0
+    )

@@ -234,6 +234,26 @@ def test_with_outcome_shares_everything_else():
         p.with_outcome(np.zeros(3))
 
 
+def test_cell_table_sums_match_row_walk():
+    # cells of one, three and four rows, and empty cells
+    rng = np.random.default_rng(5)
+    p = tiny_panel(
+        unit=np.arange(8),
+        grade=np.array([3, 3, 3, 5, 4, 4, 4, 4]),
+        year=np.ones(8, dtype=int),
+        outcome=100 + rng.normal(size=8),
+    )
+    assert (p.cells.m == 0).any() and p.cells.m.max() == 4
+    cells = p.cells
+    for c in range(p.n_clusters):
+        for g in range(p.n_groups):
+            y = p.outcome[(p.cluster == c) & (p.group_ids == g)]
+            assert cells.m[c, g] == len(y)
+            assert cells.s[c, g] == pytest.approx(y.sum(), rel=1e-14, abs=1e-12)
+            ss = ((y - y.mean()) ** 2).sum() if len(y) else 0.0
+            assert cells.ss[c, g] == pytest.approx(ss, rel=1e-12, abs=1e-12)
+
+
 def test_column_lookup():
     p = tiny_panel(covariates={"score": np.linspace(0, 1, 8)})
     np.testing.assert_array_equal(p.column("grade"), p.grade.astype(float))

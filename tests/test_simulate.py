@@ -142,6 +142,7 @@ def test_effect_level_does_not_read_a_stale_cell_table():
         outcome=hot.outcome.copy(),
         tested_in=hot.tested_in,
     )
+    assert np.array_equal(hot.cells.ss, fresh.cells.ss)
     eh, ef = pwrd.estimate_effects_diffmeans(hot), pwrd.estimate_effects_diffmeans(fresh)
     assert np.array_equal(eh.estimates, ef.estimates)
     assert np.array_equal(
