@@ -85,7 +85,7 @@ def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_clusters = int(active.sum())
     if n_clusters < 2:
         raise DegenerateDataError(f"need at least 2 clusters, found {n_clusters}")
-    n = arm_totals(cells.m, cells.z)
+    n = cells.n
     if (n == 0).any():
         empty = np.flatnonzero(n == 0).tolist()
         raise NumericalError(f"singular bread: empty (arm, group) cells {empty}")

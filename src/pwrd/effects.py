@@ -79,12 +79,13 @@ class TestInProportions:
 
 
 def included_groups(panel: PanelDataset) -> tuple[tuple[GroupInfo, ...], tuple[ExclusionRecord, ...]]:
-    """Split the catalog into estimable groups and degenerate ones."""
+    """Split the catalog into estimable groups and those with an empty arm,
+    by the panel's (arm, group) row counts."""
     kept = []
     out = []
-    for gi in panel.catalog:
-        if gi.degenerate:
-            arm = "treated" if gi.n_treated == 0 else "control"
+    for gi, (n0, n1) in zip(panel.catalog, panel.cells.n.T.tolist()):
+        if n1 == 0 or n0 == 0:
+            arm = "treated" if n1 == 0 else "control"
             out.append(ExclusionRecord(gi, f"no {arm} observations"))
         else:
             kept.append(gi)
@@ -162,11 +163,12 @@ def estimate_effects_peters_belson(
         raise DegenerateDataError("no group has observations in both arms")
     X = _design(panel, covariates)
     p = X.shape[1]
-    fit = tuple(gi for gi in kept if gi.n_control >= p)
+    n_control = panel.cells.n[0].astype(np.int64)
+    fit = tuple(gi for gi in kept if n_control[gi.g] >= p)
     thin = tuple(
-        ExclusionRecord(gi, f"only {gi.n_control} control rows for {p} coefficients")
+        ExclusionRecord(gi, f"only {n_control[gi.g]} control rows for {p} coefficients")
         for gi in kept
-        if gi.n_control < p
+        if n_control[gi.g] < p
     )
     if not fit:
         raise DegenerateDataError("no group retains enough control rows for the regression")
@@ -198,7 +200,7 @@ def estimate_p0(panel: PanelDataset) -> TestInProportions:
     cells = panel.cells
     idx = np.asarray([gi.g for gi in kept])
     flagged = arm_totals(cells.f[:, idx], cells.z)[0]
-    denom = arm_totals(cells.m[:, idx], cells.z)[0]
+    denom = cells.n[0, idx]
     return TestInProportions(
         p_hat=flagged / denom,
         n_control=denom.astype(np.int64),

@@ -7,17 +7,22 @@ record per year of follow-up. Records are partitioned into cohort-year
 groups: units that entered in the same cohort at the same grade, observed in
 the same follow-up year. Downstream estimation operates on these groups.
 
+The group catalog is a static layout (``group_layout``): each group's key
+and row count, which the design fixes. Panels that share a design, such
+as the replicates of one simulated scenario, share one catalog object.
+Everything the assignment decides lives in the (cluster, group) cell
+table (``cells``), built on first use: the row counts, outcome sums,
+within-cell sums of squares and flag counts that every group estimator
+and the random-intercept fit read, and the per-(arm, group) row counts
+(``CellTable.n``) that decide which groups are estimable.
+
 Panels are immutable once constructed. Derived views (``with_outcome``)
-share column arrays with their parent rather than copying. Each panel
-builds its (cluster, group) cell table (``cells``) on first use: the row
-counts, outcome sums, within-cell sums of squares and flag counts that
-every group estimator and the random-intercept fit read.
+share column arrays with their parent rather than copying.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -49,20 +54,14 @@ _MAX_REPORTED_ROWS = 8
 
 @dataclass(frozen=True)
 class GroupInfo:
-    """Catalog entry for one cohort-year group."""
+    """Catalog entry for one cohort-year group: its key and its row count,
+    both fixed by the design, not by the assignment."""
 
     g: int
     cohort: int
     entry_grade: int
     follow_up_year: int
     n: int
-    n_treated: int
-    n_control: int
-
-    @property
-    def degenerate(self) -> bool:
-        """True when one arm contributes no observations."""
-        return self.n_treated == 0 or self.n_control == 0
 
 
 @dataclass(frozen=True)
@@ -170,6 +169,11 @@ class CellTable:
     f: np.ndarray | None
     z: np.ndarray
 
+    @cached_property
+    def n(self) -> np.ndarray:
+        """Row counts per (arm, column), shape (2, K): the arm totals of ``m``."""
+        return arm_totals(self.m, self.z)
+
 
 def cell_table(
     cluster: np.ndarray,
@@ -201,6 +205,26 @@ def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     bit-for-bit the same however the clusters are numbered.
     """
     return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
+
+
+def group_layout(
+    cohort: np.ndarray, grade: np.ndarray, year: np.ndarray
+) -> tuple[tuple[GroupInfo, ...], np.ndarray]:
+    """The group catalog of these rows and each row's group ordinal.
+
+    One group per observed (cohort, entry grade, follow-up year), where
+    entry grade = grade - (follow_up_year - 1), in lexicographic key order.
+    """
+    entry = grade - (year - 1)
+    group = np.zeros(len(cohort), dtype=np.int64)
+    for col in (cohort, entry, year):
+        values, rank = np.unique(col, return_inverse=True)
+        # mixing ranks keeps key order; re-ranking keeps the codes below n^2
+        _, first, group = np.unique(group * len(values) + rank, return_index=True, return_inverse=True)
+    keys = zip(cohort[first].tolist(), entry[first].tolist(), year[first].tolist())
+    counts = np.bincount(group, minlength=len(first)).tolist()
+    catalog = tuple(GroupInfo(g, *key, k) for g, (key, k) in enumerate(zip(keys, counts)))
+    return catalog, group.astype(np.int64, copy=False)
 
 
 def persist_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.ndarray:
@@ -275,10 +299,10 @@ class PanelDataset:
 
     Rows are indexed 0..n-1. Units and clusters are held as contiguous
     integer codes; original labels, when known, live in ``unit_labels`` and
-    ``cluster_labels`` (arrays indexed by code). The group catalog is
-    derived at construction: one entry per observed (cohort, entry grade,
-    follow-up year) combination, ordered by that key, where
-    entry grade = grade - (follow_up_year - 1).
+    ``cluster_labels`` (arrays indexed by code). The group catalog and
+    each row's group ordinal come from ``group_layout`` at construction,
+    or are taken as given from ``_layout`` when the caller already holds
+    the layout of the same design.
     """
 
     def __init__(
@@ -299,8 +323,7 @@ class PanelDataset:
         block_labels: np.ndarray | None = None,
         meta: Mapping | None = None,
         validate: bool = True,
-        _catalog: tuple[GroupInfo, ...] | None = None,
-        _group_ids: np.ndarray | None = None,
+        _layout: tuple[tuple[GroupInfo, ...], np.ndarray] | None = None,
     ) -> None:
         self.unit = np.asarray(unit, dtype=np.int64)
         self.cluster = np.asarray(cluster, dtype=np.int64)
@@ -352,48 +375,9 @@ class PanelDataset:
         if n:
             self.z_by_cluster[self.cluster] = self.treatment
 
-        if _catalog is not None and _group_ids is not None:
-            # group identity is static across replicates; arm counts are not
-            self.group_ids = _group_ids
-            counts = np.bincount(_group_ids, minlength=len(_catalog))
-            n_treated = np.bincount(
-                _group_ids, weights=self.treatment, minlength=len(_catalog)
-            ).astype(np.int64)
-            self.catalog = tuple(
-                dataclasses.replace(
-                    gi,
-                    n=int(counts[gi.g]),
-                    n_treated=int(n_treated[gi.g]),
-                    n_control=int(counts[gi.g] - n_treated[gi.g]),
-                )
-                for gi in _catalog
-            )
-        else:
-            self.catalog, self.group_ids = self._build_catalog()
-
-    # ------------------------------------------------------------------
-
-    def _build_catalog(self) -> tuple[tuple[GroupInfo, ...], np.ndarray]:
-        entry_grade = self.grade - (self.year - 1)
-        keys = np.stack([self.cohort, entry_grade, self.year], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        inverse = inverse.astype(np.int64)
-        n_groups = len(uniq)
-        counts = np.bincount(inverse, minlength=n_groups)
-        n_treated = np.bincount(inverse, weights=self.treatment, minlength=n_groups).astype(np.int64)
-        catalog = tuple(
-            GroupInfo(
-                g=int(g),
-                cohort=int(uniq[g, 0]),
-                entry_grade=int(uniq[g, 1]),
-                follow_up_year=int(uniq[g, 2]),
-                n=int(counts[g]),
-                n_treated=int(n_treated[g]),
-                n_control=int(counts[g] - n_treated[g]),
-            )
-            for g in range(n_groups)
-        )
-        return catalog, inverse
+        if _layout is None:
+            _layout = group_layout(self.cohort, self.grade, self.year)
+        self.catalog, self.group_ids = _layout
 
     # ------------------------------------------------------------------
 

@@ -35,7 +35,7 @@ from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
 from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_estimate
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
-from .panel import PanelDataset
+from .panel import PanelDataset, group_layout
 from .weights import aggregate_test, flat_weights, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
@@ -230,20 +230,8 @@ class _Frame:
         self.block_by_cluster = np.arange(n_clusters) // 2
         self.n_blocks = int(self.block_by_cluster.max()) + 1
         self.block = self.block_by_cluster[self.cluster]
-
-        probe = PanelDataset(
-            unit=self.unit,
-            cluster=self.cluster,
-            treatment=np.zeros(self.n_obs, dtype=np.int8),
-            cohort=self.cohort,
-            grade=self.grade,
-            year=self.year,
-            outcome=np.zeros(self.n_obs),
-            block=self.block,
-            validate=False,
-        )
-        self.catalog = probe.catalog
-        self.group_ids = probe.group_ids
+        self.layout = group_layout(self.cohort, self.grade, self.year)
+        self.catalog = self.layout[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -278,13 +266,10 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
     C = scenario.n_clusters
 
     coins = _rng(scenario.seed, replicate_index, _STAGE_ASSIGN).integers(0, 2, frame.n_blocks)
-    z_cluster = np.zeros(C, dtype=np.int8)
-    for b in range(frame.n_blocks):
-        members = np.flatnonzero(frame.block_by_cluster == b)
-        if len(members) == 2:
-            z_cluster[members[coins[b]]] = 1
-        else:
-            z_cluster[members[0]] = coins[b]
+    # block b pairs clusters 2b and 2b + 1, and its coin picks the treated one
+    z_cluster = (np.arange(C) % 2 == coins[frame.block_by_cluster]).astype(np.int8)
+    if C % 2:
+        z_cluster[-1] = coins[-1]  # a singleton block's coin is its arm
 
     mu = _rng(scenario.seed, replicate_index, _STAGE_CLUSTER).normal(
         0.0, np.sqrt(scenario.sigma2_mu), C
@@ -312,8 +297,7 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
         block=frame.block,
         meta={"seed": scenario.seed, "replicate": replicate_index},
         validate=False,
-        _catalog=frame.catalog,
-        _group_ids=frame.group_ids,
+        _layout=frame.layout,
     )
 
 
@@ -691,14 +675,14 @@ def _run_chunk(
     alpha: float,
     cov_variant: str,
     df_rule: str,
-):
-    hits = {
-        (lv, m): np.zeros(len(reps), dtype=bool) for lv in levels for m in methods
-    }
+) -> tuple[np.ndarray, list[tuple[int, float, str]]]:
+    """Rejections per (replicate, level, method), 1 or 0, or -1 where the
+    replicate failed at that level; and the failures."""
+    hits = np.full((len(reps), len(levels), len(methods)), -1, dtype=np.int8)
     excluded: list[tuple[int, float, str]] = []
     for i, rep in enumerate(reps):
         base = generate_panel(scenario, rep)
-        for lv in levels:
+        for j, lv in enumerate(levels):
             spec = scenario.effect.with_level(lv)
             try:
                 panel = apply_effect(base, spec, rep)
@@ -706,9 +690,8 @@ def _run_chunk(
             except PwrdError as exc:
                 excluded.append((rep, lv, f"{type(exc).__name__}: {exc}"))
                 continue
-            for m in methods:
-                hits[(lv, m)][i] = res[m]
-    return reps, hits, excluded
+            hits[i, j] = [res[m] for m in methods]
+    return hits, excluded
 
 
 def estimate_power(
@@ -762,26 +745,15 @@ def estimate_power(
             ]
             chunks = [f.result() for f in futures]
 
-    hits = {(lv, m): np.zeros(n_reps, dtype=bool) for lv in levels for m in methods}
-    used = {(lv, m): np.zeros(n_reps, dtype=bool) for lv in levels for m in methods}
-    failures: list[tuple[int, float, str]] = []
-    for reps, chunk_hits, excluded in chunks:
-        idx = np.asarray(reps)
-        bad_by_level: dict[float, set[int]] = {}
-        for rep, lv, msg in excluded:
-            bad_by_level.setdefault(lv, set()).add(rep)
-            failures.append((rep, lv, msg))
-        for (lv, m), arr in chunk_hits.items():
-            hits[(lv, m)][idx] = arr
-            ok = np.asarray([r not in bad_by_level.get(lv, ()) for r in reps])
-            used[(lv, m)][idx] = ok
-
-    failures.sort()
+    # chunks cover the replicates in order, so rows are replicates
+    hits = np.concatenate([chunk_hits for chunk_hits, _ in chunks])
+    failures = sorted(f for _, excluded in chunks for f in excluded)
     cells = []
-    for lv in levels:
-        for m in methods:
-            mask = used[(lv, m)]
-            n_used = int(mask.sum())
+    for j, lv in enumerate(levels):
+        for k, m in enumerate(methods):
+            col = hits[:, j, k]
+            used = col >= 0
+            n_used = int(used.sum())
             n_excl = n_reps - n_used
             if n_excl > max_exclusion_fraction * n_reps:
                 raise DegenerateDataError(
@@ -790,7 +762,7 @@ def estimate_power(
                 )
             if n_used == 0:
                 raise DegenerateDataError("no usable replicates")
-            rate = float(hits[(lv, m)][mask].mean())
+            rate = float(col[used].mean())
             cells.append(
                 PowerCell(
                     method=m,

@@ -12,6 +12,7 @@ import numpy as np
 
 __all__ = [
     "best_slope_by_enumeration",
+    "blocked_assignment",
     "best_slope_by_projected_gradient",
     "cell_mean_sandwich",
     "differs_from_first_seen",
@@ -233,3 +234,17 @@ def persisted_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.n
             seen = seen or bool(raw[i])
             out[i] = seen
     return out
+
+
+def blocked_assignment(coins: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Each cluster's arm, coin by coin: block b holds clusters 2b and 2b + 1,
+    its coin names the treated member, and a trailing singleton block's
+    coin is its cluster's arm."""
+    z = np.zeros(n_clusters, dtype=np.int8)
+    for b, coin in enumerate(coins):
+        members = [c for c in (2 * b, 2 * b + 1) if c < n_clusters]
+        if len(members) == 2:
+            z[members[coin]] = 1
+        else:
+            z[members[0]] = coin
+    return z

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pwrd import InputError, PanelDataset, PanelSchema, ThresholdRule, ingest_panel
-from pwrd.panel import IDENTITY_SCHEMA, _differs_from_first, persist_flags
+from pwrd.effects import included_groups
+from pwrd.panel import IDENTITY_SCHEMA, _differs_from_first, group_layout, persist_flags
 
 from oracles import differs_from_first_seen, persisted_flags
 
@@ -37,9 +38,10 @@ def test_groups_keyed_by_cohort_entry_grade_and_year():
     keys = [(gi.cohort, gi.entry_grade, gi.follow_up_year) for gi in p.catalog]
     assert keys == [(1, 3, 1), (1, 3, 2), (1, 4, 1), (1, 4, 2)]
     assert p.n_groups == 4
-    for gi in p.catalog:
-        assert (gi.n, gi.n_treated, gi.n_control) == (2, 1, 1)
-        assert not gi.degenerate
+    assert [gi.n for gi in p.catalog] == [2, 2, 2, 2]
+    # one control and one treated row per group, by (arm, group)
+    np.testing.assert_array_equal(p.cells.n, np.ones((2, 4)))
+    assert included_groups(p) == (p.catalog, ())
 
 
 def test_entry_grade_subtracts_elapsed_years():
@@ -58,9 +60,30 @@ def test_group_ids_align_with_catalog():
         assert set(entry.tolist()) == {gi.entry_grade}
 
 
+def test_group_layout_matches_row_key_unique():
+    rng = np.random.default_rng(11)
+    spread = np.array([-(2**40), -7, -1, 0, 3, 2**33, 2**40])
+    for n in (1, 40, 3000):
+        cohort, grade, year = (rng.choice(spread, n) for _ in range(3))
+        catalog, group_ids = group_layout(cohort, grade, year)
+        keys = np.stack([cohort, grade - (year - 1), year], axis=1)
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        got = [(gi.g, gi.cohort, gi.entry_grade, gi.follow_up_year, gi.n) for gi in catalog]
+        counts = np.bincount(inverse.ravel())
+        assert got == [(g, *uniq[g].tolist(), counts[g]) for g in range(len(uniq))]
+        np.testing.assert_array_equal(group_ids, inverse.ravel())
+        assert group_ids.dtype == np.int64
+
+
 def test_single_arm_group_is_degenerate():
-    p = tiny_panel(treatment=np.ones(8, dtype=int), validate=False)
-    assert all(gi.degenerate for gi in p.catalog)
+    for arm, empty in ((1, "control"), (0, "treated")):
+        p = tiny_panel(treatment=np.full(8, arm), validate=False)
+        np.testing.assert_array_equal(p.cells.n[arm], [2, 2, 2, 2])
+        np.testing.assert_array_equal(p.cells.n[1 - arm], [0, 0, 0, 0])
+        kept, excluded = included_groups(p)
+        assert kept == ()
+        assert [rec.group for rec in excluded] == list(p.catalog)
+        assert {rec.reason for rec in excluded} == {f"no {empty} observations"}
 
 
 def test_group_index_maps_keys_to_ordinals():
@@ -71,8 +94,18 @@ def test_group_index_maps_keys_to_ordinals():
 
 
 def test_cached_catalog_refreshes_arm_counts():
-    # replicate reuse: same grouping, fresh treatment assignment
-    p = tiny_panel()
+    # replicate reuse: same layout, fresh treatment assignment; the extra
+    # grade-7 entrant sits in the treated cluster only
+    p = tiny_panel(
+        unit=np.array([0, 0, 1, 1, 2, 2, 3, 3, 4]),
+        cluster=np.array([0, 0, 0, 0, 1, 1, 1, 1, 0]),
+        treatment=np.array([1, 1, 1, 1, 0, 0, 0, 0, 1]),
+        cohort=np.ones(9, dtype=int),
+        grade=np.array([3, 4, 4, 5, 3, 4, 4, 5, 7]),
+        year=np.array([1, 2, 1, 2, 1, 2, 1, 2, 1]),
+        outcome=np.arange(9, dtype=float),
+        tested_in=None,
+    )
     flipped = PanelDataset(
         unit=p.unit,
         cluster=p.cluster,
@@ -82,13 +115,15 @@ def test_cached_catalog_refreshes_arm_counts():
         year=p.year,
         outcome=p.outcome,
         validate=False,
-        _catalog=p.catalog,
-        _group_ids=p.group_ids,
+        _layout=(p.catalog, p.group_ids),
     )
-    for before, after in zip(p.catalog, flipped.catalog):
-        assert after.n_treated == before.n_control
-        assert after.n_control == before.n_treated
-        assert after.n == before.n
+    assert flipped.catalog is p.catalog
+    np.testing.assert_array_equal(p.cells.n, [[1, 1, 1, 1, 0], [1, 1, 1, 1, 1]])
+    np.testing.assert_array_equal(flipped.cells.n, p.cells.n[::-1])
+    assert [gi.n for gi in flipped.catalog] == [2, 2, 2, 2, 1]
+    # the empty arm of the grade-7 group follows the assignment
+    assert [rec.reason for rec in included_groups(p)[1]] == ["no control observations"]
+    assert [rec.reason for rec in included_groups(flipped)[1]] == ["no treated observations"]
 
 
 # ----------------------------------------------------------------------

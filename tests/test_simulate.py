@@ -31,13 +31,16 @@ from pwrd import (
     theoretical_covariance,
 )
 from pwrd.simulate import (
+    _STAGE_ASSIGN,
     DEFAULT_TESTIN_TARGETS,
     SPILLOVER_TESTIN_TARGETS,
     Scenario,
     _profile,
+    _rng,
     default_scenario,
 )
 
+from oracles import blocked_assignment
 from test_panel import tiny_panel
 
 
@@ -67,11 +70,25 @@ def test_replicates_differ_across_indices():
 
 
 def test_assignment_is_blocked_in_pairs():
+    with pytest.warns(RuntimeWarning, match="odd cluster"):
+        odd = small_scenario(n_clusters=9)
+    for sc in (small_scenario(), odd):
+        n_blocks = (sc.n_clusters + 1) // 2
+        for rep in range(8):
+            z = generate_panel(sc, rep).z_by_cluster
+            coins = _rng(sc.seed, rep, _STAGE_ASSIGN).integers(0, 2, n_blocks)
+            np.testing.assert_array_equal(z, blocked_assignment(coins, sc.n_clusters))
+            # consecutive clusters are paired; exactly one of each pair is treated
+            assert all(z[2 * b] + z[2 * b + 1] == 1 for b in range(sc.n_clusters // 2))
+    # the singleton block's arm follows its coin, both ways
+    assert {generate_panel(odd, rep).z_by_cluster[-1] for rep in range(8)} == {0, 1}
+
+
+def test_replicates_share_the_static_catalog():
     sc = small_scenario()
-    p = generate_panel(sc, 0)
-    z = p.z_by_cluster
-    # consecutive clusters are paired; exactly one of each pair is treated
-    assert all(z[2 * b] + z[2 * b + 1] == 1 for b in range(len(z) // 2))
+    a, b = generate_panel(sc, 0), generate_panel(sc, 1)
+    assert a.catalog is b.catalog
+    assert a.group_ids is b.group_ids
 
 
 def test_flags_persist_within_units():
