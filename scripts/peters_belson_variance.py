@@ -68,7 +68,7 @@ def one_replicate(panel: PanelDataset) -> dict[str, tuple[bool, float]]:
     p0 = estimate_p0(panel).on_groups(eff.groups)
     idx = np.asarray(eff.group_ordinals())
     c = panel.cells
-    outcome_table = CellTable(m=c.m[:, idx], s=c.s[:, idx], ss=c.ss[:, idx], f=None, z=c.z)
+    outcome_table = CellTable(m=c.m[:, idx], s=c.s[:, idx], f=None, z=c.z)
     out = {}
     for name, cells in (("residual", eff.cells), ("outcome", outcome_table)):
         cov = cluster_covariance(panel, dataclasses.replace(eff, cells=cells))

@@ -169,6 +169,7 @@ def cmd_analyze(args) -> int:
             "n_read": report.n_read,
             "n_kept": report.n_kept,
             "n_dropped": len(report.dropped_rows),
+            "dropped_rows": [[row, reason] for row, reason in report.dropped_rows],
             "derived_tested_in": report.derived_tested_in,
         }
 

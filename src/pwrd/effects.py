@@ -111,7 +111,7 @@ def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
         raise DegenerateDataError("no group has observations in both arms")
     cells = panel.cells
     idx = np.asarray([gi.g for gi in kept])
-    table = CellTable(m=cells.m[:, idx], s=cells.s[:, idx], ss=cells.ss[:, idx], f=None, z=cells.z)
+    table = CellTable(m=cells.m[:, idx], s=cells.s[:, idx], f=None, z=cells.z)
     return _contrast(table, kept, "difference-in-means", excluded)
 
 

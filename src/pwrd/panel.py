@@ -11,10 +11,11 @@ The group catalog is a static layout (``group_layout``): each group's key
 and row count, which the design fixes. Panels that share a design, such
 as the replicates of one simulated scenario, share one catalog object.
 Everything the assignment decides lives in the (cluster, group) cell
-table (``cells``), built on first use: the row counts, outcome sums,
-within-cell sums of squares and flag counts that every group estimator
-and the random-intercept fit read, and the per-(arm, group) row counts
-(``CellTable.n``) that decide which groups are estimable.
+table (``cells``), built on first use: the row counts, outcome sums and
+flag counts that every group estimator reads, the within-cell sums of
+squares that the random-intercept fit reads (computed on first read), and
+the per-(arm, group) row counts (``CellTable.n``) that decide which
+groups are estimable.
 
 Panels are immutable once constructed. Derived views (``with_outcome``)
 share column arrays with their parent rather than copying.
@@ -117,6 +118,9 @@ class PanelSchema:
         missing = [c for c in REQUIRED_COLUMNS if c not in self.columns]
         if missing:
             raise InputError(f"schema missing required logical columns: {missing}")
+        score = [self.tested_in_rule.score_column] if self.tested_in_rule is not None else []
+        if not all(isinstance(name, str) for name in [*self.columns.values(), *score]):
+            raise InputError("schema column names must be strings")
 
     @classmethod
     def from_json(cls, source: str | os.PathLike | io.TextIOBase) -> "PanelSchema":
@@ -157,22 +161,34 @@ class CellTable:
     """Per (cluster, group) sums over a panel's rows, shape (C, G) each.
 
     ``m`` counts rows, ``s`` sums the values (the outcome, in a panel's own
-    table), ``ss`` sums their squared deviations from the cell mean (zero in
-    an empty cell) and ``f`` counts flagged rows, or is None without flags. ``z``
+    table) and ``f`` counts flagged rows, or is None without flags. ``z``
     is each cluster's arm; treatment is constant within a cluster, so each
-    (cluster, group) cell lies in exactly one (arm, group) cell.
+    (cluster, group) cell lies in exactly one (arm, group) cell. ``rows``
+    holds the summed rows' cluster codes, group columns and values, from
+    which ``ss`` is computed on first read.
     """
 
     m: np.ndarray
     s: np.ndarray
-    ss: np.ndarray
     f: np.ndarray | None
     z: np.ndarray
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def n(self) -> np.ndarray:
         """Row counts per (arm, column), shape (2, K): the arm totals of ``m``."""
         return arm_totals(self.m, self.z)
+
+    @cached_property
+    def ss(self) -> np.ndarray:
+        """Per-cell sums of squared deviations from the cell mean (zero in an
+        empty cell); only a table built by ``cell_table`` has them."""
+        cluster, group, values = self.rows
+        key = cluster * self.m.shape[1] + group
+        # deviations from the cell mean, not the cancelling sum(y^2) - s^2/m
+        mean = (self.s / np.maximum(self.m, 1.0)).ravel()
+        ss = np.bincount(key, weights=(values - mean[key]) ** 2, minlength=self.m.size)
+        return ss.reshape(self.m.shape)
 
 
 def cell_table(
@@ -187,15 +203,10 @@ def cell_table(
     shape = (len(z_by_cluster), n_groups)
     key = cluster * n_groups + group
     size = shape[0] * shape[1]
-    m = np.bincount(key, minlength=size).astype(np.float64)
-    s = np.bincount(key, weights=values, minlength=size)
-    # deviations from the cell mean, not the cancelling sum(y^2) - s^2/m
-    mean = s / np.maximum(m, 1.0)
-    ss = np.bincount(key, weights=(values - mean[key]) ** 2, minlength=size)
+    m = np.bincount(key, minlength=size).astype(np.float64).reshape(shape)
+    s = np.bincount(key, weights=values, minlength=size).reshape(shape)
     f = None if flags is None else np.bincount(key, weights=flags, minlength=size).reshape(shape)
-    return CellTable(
-        m=m.reshape(shape), s=s.reshape(shape), ss=ss.reshape(shape), f=f, z=z_by_cluster
-    )
+    return CellTable(m=m, s=s, f=f, z=z_by_cluster, rows=(cluster, group, values))
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -505,13 +516,17 @@ def _label_text(codes: np.ndarray, labels: np.ndarray | None, prefix: str, width
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})
 
 
+_CHUNK_ROWS = 4096  # rows converted per step; it bounds the text held at once
+
+
 def ingest_panel(
     source: str | os.PathLike | io.TextIOBase | Iterable[Mapping[str, str]],
     schema: PanelSchema = IDENTITY_SCHEMA,
 ) -> PanelDataset:
     """Read a delimited or record-stream source into a PanelDataset.
 
-    Rows that fail type coercion raise ``InputError`` naming the row. Rows
+    Rows are read in chunks and converted a whole column at a time. Rows
+    that fail type coercion raise ``InputError`` naming the row. Rows
     with a missing outcome are dropped and recorded in the panel's
     ``ingest_report``. When the schema maps no ``tested_in`` column but
     provides a threshold rule, flags are derived from the designated score
@@ -524,23 +539,82 @@ def ingest_panel(
         except OSError as exc:
             raise InputError(f"cannot read panel {name}: {exc.strerror}") from exc
         with fh:
-            return _ingest_records(_csv_records(csv.DictReader(fh), name), schema)
+            return _ingest_chunks(_csv_chunks(fh, name), schema)
     if isinstance(source, io.TextIOBase):
-        return _ingest_records(_csv_records(csv.DictReader(source), "input"), schema)
-    return _ingest_records(source, schema)
+        return _ingest_chunks(_csv_chunks(source, "input"), schema)
+    return _ingest_chunks(_record_chunks(source, schema), schema)
 
 
-def _csv_records(reader: csv.DictReader, name: str) -> Iterator[dict]:
-    """The reader's records, with undecodable or unparsable text as InputError."""
+def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator[list | None]:
+    """The header row (None for empty text), then the nonblank rows in
+    chunks. Undecodable or unparsable text is an InputError, raised after
+    the rows before it and naming the line ``csv.DictReader`` names."""
+    reader, chunk, line, blank, error = csv.reader(fh), [], 0, False, None
     try:
-        yield from reader
+        header = next(reader, None)
+        line = reader.line_num
+        yield header
+        for row in reader:
+            line = reader.line_num if row or not blank else line
+            blank = not row
+            if row:
+                chunk.append(row)
+            if len(chunk) == _CHUNK_ROWS:
+                yield chunk
+                chunk = []
     except UnicodeDecodeError as exc:
-        raise InputError(f"panel {name} is not UTF-8 text: {exc.reason}") from exc
+        error = InputError(f"panel {name} is not UTF-8 text: {exc.reason}")
     except csv.Error as exc:
-        raise InputError(f"panel {name}, line {reader.line_num}: {exc}") from exc
+        error = InputError(f"panel {name}, line {line}: {exc}")
+    yield from [chunk] if chunk else []
+    if error is not None:
+        raise error
 
 
-def _int64_column(values: list[int], column: str, row_numbers: np.ndarray) -> np.ndarray:
+def _record_chunks(
+    records: Iterable[Mapping[str, str]], schema: PanelSchema
+) -> Iterator[list | None]:
+    """Records as ``_csv_chunks`` gives text: the header is the first
+    record's keys plus any column the schema requires, and a record
+    without a value for a column is a short row."""
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        yield None
+        return
+    rule = schema.tested_in_rule
+    required = [schema.columns[k] for k in REQUIRED_COLUMNS] + list(schema.covariates)
+    required += [rule.score_column] if rule is not None else []
+    header = list(dict.fromkeys([*first, *required]))
+    yield header
+    records = itertools.chain([first], records)
+    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
+        yield [[record.get(name) for name in header] for record in chunk]
+
+
+def _labels(texts) -> np.ndarray:
+    return np.array(list(map(str.strip, texts)), dtype=str)
+
+
+def _integers(texts) -> np.ndarray:
+    values = list(map(int, map(str.strip, texts)))
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # exact for now; _int64_column names the rows once all parse
+        return np.array(values, dtype=object)
+
+
+def _floats(texts) -> np.ndarray:
+    return np.fromiter(map(float, texts), dtype=np.float64)
+
+
+_FIELD_CONVERTERS = dict(  # in the order a row's fields are checked
+    outcome=_floats, unit=_labels, cluster=_labels, treatment=_integers,
+    cohort=_integers, grade=_integers, year=_integers, block=_labels, tested_in=_integers,
+)
+
+
+def _int64_column(values: np.ndarray, column: str, row_numbers: np.ndarray) -> np.ndarray:
     """Parsed integers as int64, naming the rows whose values do not fit."""
     try:
         return np.asarray(values, dtype=np.int64)
@@ -549,80 +623,98 @@ def _int64_column(values: list[int], column: str, row_numbers: np.ndarray) -> np
         _fail_rows(row_numbers, beyond, f"column '{column}' beyond the 64-bit integer range")
 
 
-def _ingest_records(rows: Iterable[Mapping[str, str]], schema: PanelSchema) -> PanelDataset:
+def _convert(convert, column, physical: str, row: int):
+    """``convert(column)``, where a missing value is an InputError naming ``row``."""
+    try:
+        return convert(column)
+    except TypeError:
+        if None in column:
+            raise InputError(f"row {row}: missing column '{physical}'") from None
+        raise
+
+
+def _convert_chunk(fields: list, columns: list, start: int) -> tuple:
+    """One chunk's kept row numbers, dropped rows and converted columns.
+
+    Fields convert in the order a row's are checked, so on a one-row chunk
+    the first failure is the row's own: a missing value raises InputError
+    naming the row, a value that does not parse ValueError or TypeError.
+    """
+    kept = np.arange(start, start + len(columns[0]))
+    outcome = _convert(lambda texts: list(map(str.strip, texts)), columns[0], fields[0][1], start)
+    dropped = []
+    if "" in outcome:  # rows with a missing outcome are dropped by a mask
+        keep = np.array([text != "" for text in outcome])
+        dropped = [(row, "missing outcome") for row in kept[~keep].tolist()]
+        kept, outcome = kept[keep], list(itertools.compress(outcome, keep))
+        columns = [list(itertools.compress(column, keep)) for column in columns]
+    values = [_convert(f, c, p, start) for (_, p, f), c in zip(fields[1:], columns[1:])]
+    return kept, dropped, [_floats(outcome), *values]
+
+
+def _ingest_chunks(chunks: Iterator[list | None], schema: PanelSchema) -> PanelDataset:
     col = dict(schema.columns)
     rule = schema.tested_in_rule
+    header, rows = next(chunks), next(chunks, None)
 
     # Optional logical columns are used only when the source actually has
     # them, so the identity schema works on sources with or without flags.
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        rows = itertools.chain([first], rows)
+    if rows is not None:
+        chunks = itertools.chain([rows], chunks)
         for optional in ("block", "tested_in"):
-            if optional in col and col[optional] not in first:
+            if optional in col and col[optional] not in header:
                 del col[optional]
-    has_block = "block" in col
-    has_flag = "tested_in" in col
-    if has_flag and rule is not None:
+    if "tested_in" in col and rule is not None:
         raise InputError("schema maps a tested_in column and also provides a threshold rule")
 
-    # (logical column, parser) in the order a row's fields are checked
-    fields = [("unit", str), ("cluster", str)]
-    fields += [(k, int) for k in ("treatment", "cohort", "grade", "year")]
-    if has_block:
-        fields.append(("block", str))
-    if has_flag:
-        fields.append(("tested_in", int))
-    raw: dict[str, list] = {k: [] for k, _ in fields + [("outcome", float)]}
-    cov_raw: dict[str, list] = {c: [] for c in schema.covariates}
-    score_raw: list[float] = []
-    kept_row_numbers: list[int] = []
+    # (logical name, physical column, converter) in the order a row's
+    # fields are checked; the outcome comes first, as it decides whether a
+    # row is kept
+    fields = [(k, col[k], convert) for k, convert in _FIELD_CONVERTERS.items() if k in col]
+    fields += [(None, c, _floats) for c in schema.covariates]
+    fields += [("score", rule.score_column, _floats)] if rule is not None else []
+    index = {name: i for i, name in enumerate(header or ())}  # a repeated name: the last wins
+    parts: list[list[np.ndarray]] = [[] for _ in range(len(fields) + 1)]  # row numbers, fields
     dropped: list[tuple[int, str]] = []
     errors: list[str] = []
     n_read = 0
-
-    def _need(record: Mapping[str, str], physical: str, rownum: int) -> str:
-        if physical not in record or record[physical] is None:
-            raise InputError(f"row {rownum}: missing column '{physical}'")
-        return record[physical]
-
-    for rownum, record in enumerate(rows, start=2):  # row 1 is the header
-        n_read += 1
+    for rows in chunks:
+        start, n_read = n_read + 2, n_read + len(rows)  # row 1 is the header
+        if min(map(len, rows)) < len(header):  # a short row lacks its last columns
+            rows = [row + [None] * (len(header) - len(row)) for row in rows]
+        table, absent = list(zip(*rows)), (None,) * len(rows)
+        columns = [table[index[p]] if p in index else absent for _, p, _ in fields]
         try:
-            out_text = _need(record, col["outcome"], rownum).strip()
-            if out_text == "":
-                dropped.append((rownum, "missing outcome"))
-                continue
-            raw["outcome"].append(float(out_text))
-            for k, parse in fields:
-                raw[k].append(parse(_need(record, col[k], rownum).strip()))
-            for c in schema.covariates:
-                cov_raw[c].append(float(_need(record, c, rownum)))
-            if rule is not None:
-                score_raw.append(float(_need(record, rule.score_column, rownum)))
-            kept_row_numbers.append(rownum)
-        except InputError:
-            raise
-        except (ValueError, TypeError) as exc:
-            errors.append(f"row {rownum}: {exc}")
-            if len(errors) >= _MAX_REPORTED_ROWS:
-                break
+            kept, chunk_dropped, values = _convert_chunk(fields, columns, start)
+        except (ValueError, TypeError):  # walk the chunk's rows to name the failures
+            for i in range(len(rows)):
+                try:
+                    _convert_chunk(fields, [column[i : i + 1] for column in columns], start + i)
+                except InputError:
+                    raise
+                except (ValueError, TypeError) as exc:
+                    errors.append(f"row {start + i}: {exc}")
+                    if len(errors) == _MAX_REPORTED_ROWS:
+                        raise InputError("could not parse input: " + "; ".join(errors)) from None
+            continue
+        dropped += chunk_dropped
+        for part, column in zip(parts, [kept, *values]):
+            part.append(column)
 
     if errors:
         raise InputError("could not parse input: " + "; ".join(errors))
-    if not raw["unit"]:
+    if not sum(map(len, parts[0])):
         raise InputError("no usable rows in input")
-
-    row_numbers = np.asarray(kept_row_numbers)
-    unit_labels, unit = np.unique(np.asarray(raw["unit"]), return_inverse=True)
-    cluster_labels, cluster = np.unique(np.asarray(raw["cluster"]), return_inverse=True)
-    ints = {k: _int64_column(raw[k], col[k], row_numbers) for k, parse in fields if parse is int}
+    row_numbers, *values = (np.concatenate(part) for part in parts)
+    raw = {k: v for (k, _, _), v in zip(fields, values) if k is not None}
+    unit_labels, unit = np.unique(raw["unit"], return_inverse=True)
+    cluster_labels, cluster = np.unique(raw["cluster"], return_inverse=True)
+    ints = {k: _int64_column(raw[k], p, row_numbers) for k, p, f in fields if f is _integers}
     treatment, cohort, grade, year = (ints[k] for k in ("treatment", "cohort", "grade", "year"))
-    outcome = np.asarray(raw["outcome"], dtype=np.float64)
+    outcome = raw["outcome"]
     block = block_labels = None
-    if has_block:
-        block_labels, block = np.unique(np.asarray(raw["block"]), return_inverse=True)
+    if "block" in raw:
+        block_labels, block = np.unique(raw["block"], return_inverse=True)
 
     tested_in = ints.get("tested_in")
     derived = tested_in is None and rule is not None
@@ -631,40 +723,19 @@ def _ingest_records(rows: Iterable[Mapping[str, str]], schema: PanelSchema) -> P
         if missing:
             raise InputError(f"threshold rule lacks cutoffs for grades {missing}")
         cut = np.asarray([rule.cutoffs[g] for g in grade.tolist()])
-        below = np.asarray(score_raw) < cut
-        tested_in = persist_flags(below, unit, year)
+        tested_in = persist_flags(raw["score"] < cut, unit, year)
 
     _validate_arrays(
-        unit=unit,
-        cluster=cluster,
-        treatment=treatment,
-        year=year,
-        outcome=outcome,
-        tested_in=tested_in,
-        block=block,
-        row_numbers=row_numbers,
+        unit=unit, cluster=cluster, treatment=treatment, year=year, outcome=outcome,
+        tested_in=tested_in, block=block, row_numbers=row_numbers,
     )
-
     panel = PanelDataset(
-        unit=unit,
-        cluster=cluster,
-        treatment=treatment,
-        cohort=cohort,
-        grade=grade,
-        year=year,
-        outcome=outcome,
-        tested_in=tested_in,
-        block=block,
-        covariates={c: np.asarray(v) for c, v in cov_raw.items()},
-        unit_labels=unit_labels,
-        cluster_labels=cluster_labels,
-        block_labels=block_labels,
+        unit=unit, cluster=cluster, treatment=treatment, cohort=cohort, grade=grade, year=year,
+        outcome=outcome, tested_in=tested_in, block=block,
+        covariates={p: v for (k, p, _), v in zip(fields, values) if k is None},
+        unit_labels=unit_labels, cluster_labels=cluster_labels, block_labels=block_labels,
         validate=False,
     )
-    panel.ingest_report = IngestReport(
-        n_read=n_read,
-        n_kept=panel.n_obs,
-        dropped_rows=tuple(dropped),
-        derived_tested_in=derived,
-    )
+    panel.ingest_report = IngestReport(n_read, panel.n_obs, tuple(dropped), derived)
     return panel
+

@@ -6,6 +6,8 @@ library's internals, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -16,6 +18,7 @@ __all__ = [
     "best_slope_by_projected_gradient",
     "cell_mean_sandwich",
     "differs_from_first_seen",
+    "ingest_rows",
     "persisted_flags",
     "random_intercept_robust_se",
     "slope",
@@ -248,3 +251,135 @@ def blocked_assignment(coins: np.ndarray, n_clusters: int) -> np.ndarray:
         else:
             z[members[0]] = coin
     return z
+
+
+def ingest_rows(source, schema=None):
+    """Reference ingest of a text stream or a record stream: walk the
+    records one at a time, as ``csv.DictReader`` yields them, parsing each
+    field.
+
+    The per-row rules are the contract ``pwrd.ingest_panel`` keeps: the
+    outcome is read first and a blank one drops the row; then unit,
+    cluster, treatment, cohort, grade, year, block and tested_in (when the
+    first record has them), the covariates and the score column, each
+    stripped except the last two. A missing column stops at once; a value
+    that does not parse is collected, and collection stops at the eighth.
+    Type checks after parsing reuse the library's array validation.
+    """
+    from pwrd.errors import InputError
+    from pwrd.panel import (
+        _MAX_REPORTED_ROWS,
+        IDENTITY_SCHEMA,
+        IngestReport,
+        PanelDataset,
+        _int64_column,
+        _validate_arrays,
+        persist_flags,
+    )
+
+    schema = IDENTITY_SCHEMA if schema is None else schema
+    if isinstance(source, io.TextIOBase):
+        reader = csv.DictReader(source)
+
+        def records():
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise InputError(f"panel input, line {reader.line_num}: {exc}") from exc
+
+        source = records()
+    col = dict(schema.columns)
+    rule = schema.tested_in_rule
+
+    rows = iter(source)
+    first = next(rows, None)
+    if first is not None:
+        rows = itertools.chain([first], rows)
+        for optional in ("block", "tested_in"):
+            if optional in col and col[optional] not in first:
+                del col[optional]
+    has_block = "block" in col
+    has_flag = "tested_in" in col
+    if has_flag and rule is not None:
+        raise InputError("schema maps a tested_in column and also provides a threshold rule")
+
+    fields = [("unit", str), ("cluster", str)]
+    fields += [(k, int) for k in ("treatment", "cohort", "grade", "year")]
+    if has_block:
+        fields.append(("block", str))
+    if has_flag:
+        fields.append(("tested_in", int))
+    raw = {k: [] for k, _ in fields + [("outcome", float)]}
+    cov_raw = {c: [] for c in schema.covariates}
+    score_raw = []
+    kept_row_numbers = []
+    dropped = []
+    errors = []
+    n_read = 0
+
+    def need(record, physical, rownum):
+        if physical not in record or record[physical] is None:
+            raise InputError(f"row {rownum}: missing column '{physical}'")
+        return record[physical]
+
+    for rownum, record in enumerate(rows, start=2):  # row 1 is the header
+        n_read += 1
+        try:
+            out_text = need(record, col["outcome"], rownum).strip()
+            if out_text == "":
+                dropped.append((rownum, "missing outcome"))
+                continue
+            raw["outcome"].append(float(out_text))
+            for k, parse in fields:
+                raw[k].append(parse(need(record, col[k], rownum).strip()))
+            for c in schema.covariates:
+                cov_raw[c].append(float(need(record, c, rownum)))
+            if rule is not None:
+                score_raw.append(float(need(record, rule.score_column, rownum)))
+            kept_row_numbers.append(rownum)
+        except InputError:
+            raise
+        except (ValueError, TypeError) as exc:
+            errors.append(f"row {rownum}: {exc}")
+            if len(errors) >= _MAX_REPORTED_ROWS:
+                break
+
+    if errors:
+        raise InputError("could not parse input: " + "; ".join(errors))
+    if not raw["unit"]:
+        raise InputError("no usable rows in input")
+
+    row_numbers = np.asarray(kept_row_numbers)
+    unit_labels, unit = np.unique(np.asarray(raw["unit"]), return_inverse=True)
+    cluster_labels, cluster = np.unique(np.asarray(raw["cluster"]), return_inverse=True)
+    ints = {k: _int64_column(raw[k], col[k], row_numbers) for k, parse in fields if parse is int}
+    treatment, cohort, grade, year = (ints[k] for k in ("treatment", "cohort", "grade", "year"))
+    outcome = np.asarray(raw["outcome"], dtype=np.float64)
+    block = block_labels = None
+    if has_block:
+        block_labels, block = np.unique(np.asarray(raw["block"]), return_inverse=True)
+
+    tested_in = ints.get("tested_in")
+    derived = tested_in is None and rule is not None
+    if derived:
+        missing = sorted(set(grade.tolist()) - set(rule.cutoffs))
+        if missing:
+            raise InputError(f"threshold rule lacks cutoffs for grades {missing}")
+        cut = np.asarray([rule.cutoffs[g] for g in grade.tolist()])
+        tested_in = persist_flags(np.asarray(score_raw) < cut, unit, year)
+
+    _validate_arrays(
+        unit=unit, cluster=cluster, treatment=treatment, year=year, outcome=outcome,
+        tested_in=tested_in, block=block, row_numbers=row_numbers,
+    )
+    panel = PanelDataset(
+        unit=unit, cluster=cluster, treatment=treatment, cohort=cohort, grade=grade,
+        year=year, outcome=outcome, tested_in=tested_in, block=block,
+        covariates={c: np.asarray(v) for c, v in cov_raw.items()},
+        unit_labels=unit_labels, cluster_labels=cluster_labels, block_labels=block_labels,
+        validate=False,
+    )
+    panel.ingest_report = IngestReport(
+        n_read=n_read, n_kept=panel.n_obs, dropped_rows=tuple(dropped), derived_tested_in=derived,
+    )
+    return panel

@@ -81,6 +81,24 @@ def test_analyze_json_payload(small_csv, tmp_path, capsys):
     assert doc["manifest"]["inputs"][str(small_csv)] == digest
 
 
+def test_analyze_json_lists_dropped_rows(small_csv, tmp_path, capsys):
+    lines = small_csv.read_text().splitlines()
+    blank = (3, 10)  # row numbers: the header is row 1 and the file has no blank lines
+    for i in blank:
+        fields = lines[i - 1].split(",")
+        fields[lines[0].split(",").index("outcome")] = " "
+        lines[i - 1] = ",".join(fields)
+    path = tmp_path / "dropped.csv"
+    path.write_text("\n".join(lines) + "\n")
+    dest = tmp_path / "analysis.json"
+    code, _, _ = run(["analyze", path, "--json", "--out", dest], capsys)
+    assert code == 0
+    ingest = json.loads(dest.read_text())["ingest"]
+    assert ingest["n_read"] == len(lines) - 1 and ingest["n_kept"] == len(lines) - 3
+    assert ingest["n_dropped"] == 2
+    assert ingest["dropped_rows"] == [[3, "missing outcome"], [10, "missing outcome"]]
+
+
 @pytest.mark.parametrize("estimator", ["flat", "mixed", "exit"])
 def test_analyze_other_estimators(small_csv, tmp_path, capsys, estimator):
     dest = tmp_path / f"{estimator}.json"

@@ -495,6 +495,11 @@ def test_schema_validation():
         PanelSchema(columns={"unit": "u", "santa": "x"})
     with pytest.raises(InputError, match="missing required"):
         PanelSchema(columns={"unit": "u"})
+    names = {c: c for c in ("unit", "cluster", "treatment", "cohort", "grade", "year")}
+    with pytest.raises(InputError, match="must be strings"):
+        PanelSchema(columns={**names, "outcome": ["y"]})
+    with pytest.raises(InputError, match="must be strings"):
+        PanelSchema(columns={**names, "outcome": "y"}, tested_in_rule=ThresholdRule(3, {3: 1.0}))
 
 
 def test_schema_from_json(tmp_path):
