@@ -16,6 +16,7 @@ traced back to exactly what produced it. Exit codes: 2 for bad input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -71,13 +72,25 @@ def _manifest(command: str, config: dict, inputs: list[str]) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into an InputError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(payload: dict, path: str) -> None:
+    with _writing(path), open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(payload, out)
     else:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _weights_table(omega, groups) -> str:
@@ -90,6 +103,11 @@ def _weights_table(omega, groups) -> str:
     return "\n".join(lines)
 
 
+def _given(value: int | None, default: int) -> int:
+    """A flag's value, or the preset's default when the flag is absent (0 is a value)."""
+    return default if value is None else value
+
+
 def _scenario_from_args(args) -> tuple:
     effect = EffectSpec(
         regime=args.effect,
@@ -99,17 +117,17 @@ def _scenario_from_args(args) -> tuple:
     )
     common = dict(effect=effect, seed=args.seed, icc=args.icc)
     if args.preset == "default":
-        sc = default_scenario(n_clusters=args.clusters or 52, **common)
+        sc = default_scenario(n_clusters=_given(args.clusters, 52), **common)
     elif args.preset == "single-track":
         sc = single_track_scenario(
-            n_clusters=args.clusters or 20,
-            units_per_cluster=args.units or 25,
+            n_clusters=_given(args.clusters, 20),
+            units_per_cluster=_given(args.units, 25),
             **common,
         )
     elif args.preset == "spillover":
         sc = spillover_scenario(
-            n_clusters=args.clusters or 52,
-            units_per_cluster=args.units or 25,
+            n_clusters=_given(args.clusters, 52),
+            units_per_cluster=_given(args.units, 25),
             **common,
         )
     else:
@@ -295,11 +313,11 @@ def cmd_simulate(args) -> int:
     panel = generate_panel(sc, args.replicate)
     panel = apply_effect(panel, sc.effect, args.replicate)
     out = args.out or "panel.csv"
-    panel.to_csv(out)
+    with _writing(out):
+        panel.to_csv(out)
     manifest = _manifest("simulate", config, [])
     manifest["output"] = {"path": out, "sha256": _sha256(out), "n_rows": panel.n_obs}
-    with open(out + ".manifest.json", "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest, out + ".manifest.json")
     print(f"wrote {panel.n_obs} rows to {out}")
     return 0
 

@@ -11,7 +11,10 @@ a cell is its residual sum s - m * mean. Because treatment is constant
 within a cluster, each cluster touches only one arm, and the covariance of
 the contrast vector is the sum of the two arm blocks. One sandwich serves
 every contrast: the group effects' table, and the exit contrast's
-one-group table built on the exit rows.
+one-group table built on the exit rows. What a table's counts fix (the
+arm totals, the clusters with rows and the CR2 scale factors) is computed
+once per counts tier and shared by every table that differs only in its
+sums (``CellTable.counts``).
 
 Two variants are provided. CR0 uses the raw residual sums. CR2 rescales
 each cluster's residuals by the symmetric inverse square root of the
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import CellTable, GroupInfo, PanelDataset, arm_totals
+from .panel import CellTable, GroupInfo, PanelDataset
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
@@ -74,9 +77,9 @@ def _cr2_scales(m: np.ndarray, n_cell: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(1.0 - m / n_cell, EIG_FLOOR))
 
 
-def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-arm counts and means of a (C, K) table, (2, K) each, and the mask
-    of clusters with rows. The table's contrast is means[1] - means[0].
+def _active_clusters(cells: CellTable) -> np.ndarray:
+    """The mask of clusters with rows, after the checks that the table's
+    counts support a contrast.
 
     Refuses fewer than two clusters, then any empty (arm, column) cell,
     numbered arm * K + column, since its mean has no bread.
@@ -89,7 +92,21 @@ def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if (n == 0).any():
         empty = np.flatnonzero(n == 0).tolist()
         raise NumericalError(f"singular bread: empty (arm, group) cells {empty}")
-    return n, arm_totals(cells.s, cells.z) / n, active
+    return active
+
+
+def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-arm counts and means of a (C, K) table, (2, K) each, and the mask
+    of clusters with rows. The table's contrast is means[1] - means[0]."""
+    active = cells.counts.get("active", lambda: _active_clusters(cells))
+    return cells.n, cells.means, active
+
+
+def _cluster_terms(cells: CellTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's arm total per column, (C, K), and its sign in the
+    contrast, (C, 1)."""
+    z = cells.z
+    return cells.n[z], np.where(z == 1, 1.0, -1.0)[:, None]
 
 
 def _sandwich(cells: CellTable, variant: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -102,12 +119,11 @@ def _sandwich(cells: CellTable, variant: str) -> tuple[np.ndarray, np.ndarray, i
         raise InputError(f"variant must be one of {VARIANTS}")
     n, mean, active = _arm_means(cells)
     m, s, z = cells.m, cells.s, cells.z
-    n_z = n[z]
+    n_z, sign = cells.counts.get("cluster terms", lambda: _cluster_terms(cells))
     R = s - m * mean[z]
     if variant == "cr2":
-        R = R * _cr2_scales(m, n_z)
-    sign = np.where(z == 1, 1.0, -1.0)
-    U = (sign[:, None] * R / n_z)[active]
+        R = R * cells.counts.get("cr2 scales", lambda: _cr2_scales(m, n_z))
+    U = (sign * R / n_z)[active]
     # Canonical row order makes the accumulated sum independent of cluster labels.
     Us = U[np.lexsort(U.T[::-1])]
     return mean[1] - mean[0], Us.T @ Us, len(U)
@@ -154,13 +170,14 @@ def satterthwaite_df(
     if len(omega) != G:
         raise InputError("omega length must match the number of included groups")
 
-    n, _, active = _arm_means(effects.cells)
-    m, z = effects.cells.m, effects.cells.z
+    cells = effects.cells
+    active = cells.counts.get("active", lambda: _active_clusters(cells))
+    m, z = cells.m, cells.z
     fallback = float(active.sum() - 2)
 
-    n_z = n[z]
-    sign = np.where(z == 1, 1.0, -1.0)
-    phi = (sign[:, None] * omega[None, :] / n_z * _cr2_scales(m, n_z))[active]
+    n_z, sign = cells.counts.get("cluster terms", lambda: _cluster_terms(cells))
+    scales = cells.counts.get("cr2 scales", lambda: _cr2_scales(m, n_z))
+    phi = (sign * omega[None, :] / n_z * scales)[active]
     m, n_z, z = m[active], n_z[active], z[active]
 
     # Om = V'(I - H)V for the per-cluster coefficient vectors V; the cell

@@ -8,6 +8,10 @@ Every estimate is the arm-mean contrast of a (cluster, group) cell table
 that the effects carry (``GroupEffects.cells``): of the outcome, or of
 control-fit residuals for the regression-adjusted estimator. The cluster
 sandwich reads the same table, so the variance is that of the contrast.
+
+What the assignment fixes is computed once per assignment and shared by
+every outcome on it (see ``panel``): the kept groups, their count table,
+p0, and the exit rows' table of counts.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .covariance import _arm_means, _sandwich
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import CellTable, GroupInfo, PanelDataset, arm_totals, cell_table
+from .panel import CellTable, GroupInfo, PanelDataset, arm_counts, cell_table
 from .weights import t_p_value
 
 
@@ -81,9 +85,15 @@ class TestInProportions:
 def included_groups(panel: PanelDataset) -> tuple[tuple[GroupInfo, ...], tuple[ExclusionRecord, ...]]:
     """Split the catalog into estimable groups and those with an empty arm,
     by the panel's (arm, group) row counts."""
+    return panel.assignment_tier.get("included groups", lambda: _split_catalog(panel))
+
+
+def _split_catalog(
+    panel: PanelDataset,
+) -> tuple[tuple[GroupInfo, ...], tuple[ExclusionRecord, ...]]:
     kept = []
     out = []
-    for gi, (n0, n1) in zip(panel.catalog, panel.cells.n.T.tolist()):
+    for gi, (n0, n1) in zip(panel.catalog, panel.cell_counts.n.T.tolist()):
         if n1 == 0 or n0 == 0:
             arm = "treated" if n1 == 0 else "control"
             out.append(ExclusionRecord(gi, f"no {arm} observations"))
@@ -100,8 +110,16 @@ def _contrast(
 ) -> GroupEffects:
     """Group effects as the arm-mean contrast of a table, carrying the table."""
     n, mean, _ = _arm_means(cells)
-    n = (n[0] + n[1]).astype(np.int64)
+    n = cells.counts.get("group n", lambda: (n[0] + n[1]).astype(np.int64))
     return GroupEffects(mean[1] - mean[0], groups, n, method, cells, excluded)
+
+
+def _kept_counts(panel: PanelDataset) -> tuple[np.ndarray, CellTable]:
+    """The kept groups' columns of the cell table and their row counts."""
+    kept, _ = included_groups(panel)
+    idx = np.asarray([gi.g for gi in kept])
+    counts = panel.cell_counts
+    return idx, CellTable(counts.m[:, idx], None, None, counts.z)
 
 
 def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
@@ -109,9 +127,8 @@ def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
     kept, excluded = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")
-    cells = panel.cells
-    idx = np.asarray([gi.g for gi in kept])
-    table = CellTable(m=cells.m[:, idx], s=cells.s[:, idx], f=None, z=cells.z)
+    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
+    table = counts.with_sums(panel.cells.s[:, idx])
     return _contrast(table, kept, "difference-in-means", excluded)
 
 
@@ -163,7 +180,7 @@ def estimate_effects_peters_belson(
         raise DegenerateDataError("no group has observations in both arms")
     X = _design(panel, covariates)
     p = X.shape[1]
-    n_control = panel.cells.n[0].astype(np.int64)
+    n_control = panel.cell_counts.n[0].astype(np.int64)
     fit = tuple(gi for gi in kept if n_control[gi.g] >= p)
     thin = tuple(
         ExclusionRecord(gi, f"only {n_control[gi.g]} control rows for {p} coefficients")
@@ -181,7 +198,7 @@ def estimate_effects_peters_belson(
     name = "group g={0.g} (cohort {0.cohort}, entry grade {0.entry_grade}, year {0.follow_up_year})"
     y, z = panel.outcome[rows], panel.treatment[rows]
     resid = _control_residuals(y, X[rows], z, k, len(fit), lambda j: name.format(fit[j]))
-    table = cell_table(panel.cluster[rows], k, resid, None, panel.z_by_cluster, len(fit))
+    table = cell_table(panel.cluster[rows], k, resid, panel.z_by_cluster, len(fit))
     return _contrast(table, fit, "peters-belson", excluded + thin)
 
 
@@ -197,15 +214,16 @@ def estimate_p0(panel: PanelDataset) -> TestInProportions:
     kept, _ = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")
-    cells = panel.cells
-    idx = np.asarray([gi.g for gi in kept])
-    flagged = arm_totals(cells.f[:, idx], cells.z)[0]
-    denom = cells.n[0, idx]
-    return TestInProportions(
-        p_hat=flagged / denom,
-        n_control=denom.astype(np.int64),
-        groups=kept,
-    )
+    return panel.assignment_tier.get("p0", lambda: _control_testin(panel, kept))
+
+
+def _control_testin(panel: PanelDataset, kept: tuple[GroupInfo, ...]) -> TestInProportions:
+    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
+    flagged = arm_counts(panel.cell_counts.f[:, idx], counts.z)[0]
+    denom = counts.n[0]
+    p_hat, n_control = flagged / denom, denom.astype(np.int64)
+    p_hat.flags.writeable = n_control.flags.writeable = False
+    return TestInProportions(p_hat=p_hat, n_control=n_control, groups=kept)
 
 
 @dataclass(frozen=True)
@@ -246,27 +264,26 @@ def exit_observation_estimate(
     approximation (the uncertainty of the fitted coefficients enters only
     through the residualization).
     """
-    mask = panel.exit_mask(exit_grade)
-    if not mask.any():
-        raise DegenerateDataError("exit rule selects no observations")
-    y = panel.outcome[mask]
-    z = panel.treatment[mask]
-    n1 = int((z == 1).sum())
-    n0 = int((z == 0).sum())
-    if n1 == 0 or n0 == 0:
-        raise DegenerateDataError("exit subset lacks one arm entirely")
+    rows, cluster, m = panel.design_tier.get(
+        ("exit rows", exit_grade), lambda: _exit_rows(panel, exit_grade)
+    )
+    n0, n1, counts = panel.assignment_tier.get(
+        ("exit counts", exit_grade), lambda: _exit_counts(panel, m)
+    )
 
-    one = np.zeros(len(y), dtype=np.int64)
+    y = panel.outcome[rows]
     if method == "difference-in-means":
         values = y
     elif method == "peters-belson":
-        X = _design(panel, covariates)[mask]
+        X = _design(panel, covariates)[rows]
+        z = panel.treatment[rows]
+        one = np.zeros(len(y), dtype=np.int64)
         values = _control_residuals(y, X, z, one, 1, lambda _: "exit subset")
     else:
         raise InputError(f"unknown method '{method}'")
 
-    cells = cell_table(panel.cluster[mask], one, values, None, panel.z_by_cluster, 1)
-    delta, V, n_clusters = _sandwich(cells, variant)
+    s = np.bincount(cluster, weights=values, minlength=m.size).reshape(m.shape)
+    delta, V, n_clusters = _sandwich(counts.with_sums(s), variant)
     return ExitEstimate(
         estimate=float(delta[0]),
         se=float(np.sqrt(V[0, 0])),
@@ -277,6 +294,27 @@ def exit_observation_estimate(
         n_clusters=n_clusters,
         method=method,
     )
+
+
+def _exit_rows(
+    panel: PanelDataset, exit_grade: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exit rows, their clusters and the rows per cluster, shape (C, 1)."""
+    rows = np.flatnonzero(panel.exit_mask(exit_grade))
+    if not len(rows):
+        raise DegenerateDataError("exit rule selects no observations")
+    cluster = panel.cluster[rows]
+    m = np.bincount(cluster, minlength=panel.n_clusters).astype(np.float64).reshape(-1, 1)
+    return rows, cluster, m
+
+
+def _exit_counts(panel: PanelDataset, m: np.ndarray) -> tuple[int, int, CellTable]:
+    """Control and treated exit rows, and the exit rows' table of counts."""
+    counts = CellTable(m, None, None, panel.z_by_cluster)
+    n0, n1 = (int(n) for n in counts.n[:, 0])
+    if n1 == 0 or n0 == 0:
+        raise DegenerateDataError("exit subset lacks one arm entirely")
+    return n0, n1, counts
 
 
 def effects_to_json_dict(effects: GroupEffects, p0: TestInProportions | None = None) -> dict:

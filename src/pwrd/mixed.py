@@ -16,12 +16,15 @@ of these ("You Only Compress Once", Wong et al. 2021), since the
 within-record part of any residual sums to zero. When every covariate is
 a group attribute (grade, cohort, follow-up year), the records are the
 nonempty cells of the panel's cell table; when any other covariate is
-named, they are the rows themselves.
+named, they are the rows themselves. The cell records' layout is computed
+once per design and their design matrix once per assignment (see
+``panel``), so a fit on a new outcome reads only its sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,30 +85,103 @@ class MixedModelFit:
         return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
 
 
-def _records(
-    panel: PanelDataset, covariates: tuple[str, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The fit's records, ordered by cluster: cluster, group, row count,
-    outcome sum, within-record sum of squares and design row."""
+@dataclass(frozen=True, eq=False)
+class _Records:
+    """The fit's records, ordered by cluster, and what they fix before the
+    outcome: cluster, group, row count and design row of each record, and
+    the records and rows per cluster.
+
+    A record's outcome sums come from cell ``cell`` of the panel's cell
+    table or, when records are rows, from row ``order``.
+    """
+
+    cell: np.ndarray | None
+    order: np.ndarray | None
+    cl: np.ndarray
+    grp: np.ndarray
+    w: np.ndarray
+    X: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    m: np.ndarray
+
+    def sums(self, panel: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Each record's outcome sum and within-record sum of squares."""
+        if self.cell is None:
+            return panel.outcome[self.order], np.zeros(len(self.order))
+        cells = panel.cells
+        return cells.s.ravel()[self.cell], cells.ss.ravel()[self.cell]
+
+    @cached_property
+    def sw(self) -> np.ndarray:
+        return np.sqrt(self.w)
+
+    @cached_property
+    def swX(self) -> np.ndarray:
+        return self.sw[:, None] * self.X
+
+    @cached_property
+    def q(self) -> int:
+        """Design columns constant within every cluster; read once no
+        cluster is empty."""
+        mx = np.maximum.reduceat(self.X, self.starts, axis=0)
+        mn = np.minimum.reduceat(self.X, self.starts, axis=0)
+        # per column, the test of np.allclose(mx[:, j], mn[:, j]) on finite values
+        return int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
+
+    @cached_property
+    def xbar(self) -> np.ndarray:
+        """Each record's cluster mean design row; read once no cluster is empty."""
+        sums = np.add.reduceat(self.w[:, None] * self.X, self.starts, axis=0)
+        return (sums / self.m[:, None])[self.cl]
+
+
+def _cluster_layout(cl: np.ndarray, w: np.ndarray, n_clusters: int) -> tuple[np.ndarray, ...]:
+    """Records and rows per cluster, and each cluster's first record."""
+    counts = np.bincount(cl, minlength=n_clusters)
+    # row counts are integers, so this sum is exact in any order
+    return counts, np.cumsum(counts) - counts, np.bincount(cl, weights=w, minlength=n_clusters)
+
+
+def _cell_layout(panel: PanelDataset) -> tuple[np.ndarray, ...]:
+    """The nonempty cells in row-major order, so ordered by cluster: their
+    index, cluster, group and row count, then ``_cluster_layout``."""
+    m = panel.cell_counts.m
+    cell = np.flatnonzero(m)
+    cl, grp = np.divmod(cell, m.shape[1])
+    w = m.ravel()[cell]
+    return (cell, cl, grp, w, *_cluster_layout(cl, w, panel.n_clusters))
+
+
+def _cell_records(panel: PanelDataset, per_group: list[np.ndarray]) -> _Records:
+    cell, cl, grp, w, counts, starts, m = panel.design_tier.get(
+        "mixed cells", lambda: _cell_layout(panel)
+    )
+    X = np.empty((len(cell), 2 + len(per_group)))
+    X[:, 0] = 1.0
+    X[:, 1] = panel.z_by_cluster[cl]
+    for j, v in enumerate(per_group, start=2):
+        X[:, j] = v[grp]
+    X.flags.writeable = False
+    return _Records(cell, None, cl, grp, w, X, counts, starts, m)
+
+
+def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
+    """The fit's records: the nonempty cells when every covariate is a
+    group attribute, computed once per assignment; otherwise the rows."""
     per_group = [panel.group_attribute(c) for c in covariates]
     if all(v is not None for v in per_group):
-        cells = panel.cells
-        flat = np.flatnonzero(cells.m)  # row-major, so ordered by cluster
-        cl, grp = np.divmod(flat, cells.m.shape[1])
-        X = np.empty((len(flat), 2 + len(per_group)))
-        X[:, 0] = 1.0
-        X[:, 1] = cells.z[cl]
-        for j, v in enumerate(per_group, start=2):
-            X[:, j] = v[grp]
-        m, s, ss = (a.ravel()[flat] for a in (cells.m, cells.s, cells.ss))
-        return cl, grp, m, s, ss, X
+        return panel.assignment_tier.get(
+            ("mixed records", covariates), lambda: _cell_records(panel, per_group)
+        )
     n = panel.n_obs
     order = np.argsort(panel.cluster, kind="stable")
     X = np.column_stack(
         [np.ones(n), panel.treatment.astype(np.float64)] + [panel.column(c) for c in covariates]
     )
-    cl, grp, y = panel.cluster[order], panel.group_ids[order], panel.outcome[order]
-    return cl, grp, np.ones(n), y, np.zeros(n), X[order]
+    cl, w = panel.cluster[order], np.ones(n)
+    layout = _cluster_layout(cl, w, panel.n_clusters)
+    return _Records(None, order, cl, panel.group_ids[order], w, X[order], *layout)
 
 
 def _cr_meat(
@@ -169,7 +245,9 @@ def fit_random_intercept(
     if C < 2:
         raise DegenerateDataError(f"need at least 2 clusters, found {C}")
     names = ["intercept", "treatment", *covariates]
-    cl, grp, w, s, ss, X = _records(panel, covariates)
+    rec = _records(panel, covariates)
+    cl, w, X, starts, m = rec.cl, rec.w, rec.X, rec.starts, rec.m
+    s, ss = rec.sums(panel)
     p = X.shape[1]
     warnings_: list[str] = []
 
@@ -177,24 +255,17 @@ def fit_random_intercept(
     # deviations in every fit below, which contribute sum(ss) to each
     # residual sum of squares and nothing to any cross product
     ybar = s / w
-    sw = np.sqrt(w)
-    beta_ols, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * ybar, rcond=None)
+    beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
     if rank < p:
         raise NumericalError("rank-deficient design matrix")
     e = ybar - X @ beta_ols
     ss_within = float(ss.sum())
 
-    counts = np.bincount(cl, minlength=C)
-    if (counts == 0).any():
+    if (rec.counts == 0).any():
         raise DegenerateDataError("a cluster has no observations")
-    starts = np.cumsum(counts) - counts
-    m = np.add.reduceat(w, starts)
 
     # cluster-constant columns count toward the between degrees of freedom
-    mx = np.maximum.reduceat(X, starts, axis=0)
-    mn = np.minimum.reduceat(X, starts, axis=0)
-    # per column, the test of np.allclose(mx[:, j], mn[:, j]) on finite values
-    q = int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
+    q = rec.q
 
     rbar = np.add.reduceat(w * e, starts) / m
     ssw = ss_within + float((w * (e - rbar[cl]) ** 2).sum())
@@ -228,8 +299,7 @@ def fit_random_intercept(
         lam = np.zeros(C)
     lam_r = lam[cl]
     yt = ybar - lam_r * (np.add.reduceat(s, starts) / m)[cl]
-    xbar = np.add.reduceat(w[:, None] * X, starts, axis=0) / m[:, None]
-    Xt = X - lam_r[:, None] * xbar[cl]
+    Xt = X - lam_r[:, None] * rec.xbar
 
     XtX = Xt.T @ (w[:, None] * Xt)
     try:
@@ -248,7 +318,7 @@ def fit_random_intercept(
     # implied per-group weights of the treated side of the contrast
     v = Xt @ K[:, 1]
     a = v - lam_r * (np.add.reduceat(w * v, starts) / m)[cl]
-    gw = np.bincount(grp, weights=w * a * X[:, 1], minlength=panel.n_groups)
+    gw = np.bincount(rec.grp, weights=w * a * X[:, 1], minlength=panel.n_groups)
 
     return MixedModelFit(
         tau_hat=float(beta[1]),

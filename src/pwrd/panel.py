@@ -10,12 +10,27 @@ the same follow-up year. Downstream estimation operates on these groups.
 The group catalog is a static layout (``group_layout``): each group's key
 and row count, which the design fixes. Panels that share a design, such
 as the replicates of one simulated scenario, share one catalog object.
-Everything the assignment decides lives in the (cluster, group) cell
-table (``cells``), built on first use: the row counts, outcome sums and
-flag counts that every group estimator reads, the within-cell sums of
-squares that the random-intercept fit reads (computed on first read), and
-the per-(arm, group) row counts (``CellTable.n``) that decide which
-groups are estimable.
+
+Everything else a panel's estimators read is computed once, on first use,
+at the tier that fixes it:
+
+* the design tier (``design_tier``), keyed on the rows' units, clusters,
+  grades, years and groups: the (cluster, group) cell key and row counts
+  ``m``, each unit's exit row and its cluster, and the random-intercept
+  fit's record layout. The replicates of one simulated scenario share it;
+  any other panel builds its own, so a panel that shares only the catalog
+  (relabeled clusters, say) never reads another layout's counts.
+* the assignment tier (``assignment_tier``), keyed on the design plus the
+  arms and the test-in flags: the cell table's counts without its sums
+  (``cell_counts``) with their per-(arm, group) totals (``CellTable.n``),
+  the kept groups, p0, the CR2 scale factors, the exit table's counts, and
+  the fit's design matrix and between-cluster columns. Panels that differ
+  only in their outcome (``with_outcome``) share it.
+* the outcome tier, the panel itself: the outcome sums of the cell table
+  (``cells``) and its within-cell sums of squares, computed on first read.
+
+Integer counts are exact in any summation order, so they are summed
+without the sort that keeps outcome sums invariant to cluster relabeling.
 
 Panels are immutable once constructed. Derived views (``with_outcome``)
 share column arrays with their parent rather than copying.
@@ -30,7 +45,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, TypeVar
 
 import numpy as np
 
@@ -51,6 +66,35 @@ LOGICAL_COLUMNS = (
 REQUIRED_COLUMNS = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome")
 
 _MAX_REPORTED_ROWS = 8
+
+_T = TypeVar("_T")
+
+
+class Tier:
+    """Values fixed by one tier of a panel (its design or its assignment)
+    or by a cell table's counts, each computed once, on first use, and
+    shared by everything that tier serves.
+
+    ``get(name, build)`` returns the value stored under ``name``, storing
+    ``build()`` there first if there is none. A build that raises stores
+    nothing. Shared arrays are made read-only.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: dict = {}
+
+    def get(self, name, build: Callable[[], _T]) -> _T:
+        try:
+            return self.values[name]
+        except KeyError:
+            value = build()
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self.values[name] = value
+            return value
 
 
 @dataclass(frozen=True)
@@ -137,13 +181,14 @@ class PanelSchema:
         if not isinstance(covariates, list) or not all(isinstance(c, str) for c in covariates):
             raise InputError("schema field 'covariates' must be a list of column names")
         try:
-            return cls(
-                columns=dict(raw["columns"]),
-                covariates=tuple(covariates),
-                tested_in_rule=rule,
-            )
-        except (KeyError, TypeError) as exc:
+            columns = dict(raw["columns"])
+        except KeyError as exc:
             raise InputError(f"malformed schema: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # not a mapping, nor a list of pairs
+            raise InputError(
+                f"schema field 'columns' must map logical to physical column names: {exc}"
+            ) from exc
+        return cls(columns=columns, covariates=tuple(covariates), tested_in_rule=rule)
 
 
 @dataclass(frozen=True)
@@ -164,27 +209,43 @@ class CellTable:
     table) and ``f`` counts flagged rows, or is None without flags. ``z``
     is each cluster's arm; treatment is constant within a cluster, so each
     (cluster, group) cell lies in exactly one (arm, group) cell. ``rows``
-    holds the summed rows' cluster codes, group columns and values, from
-    which ``ss`` is computed on first read.
+    holds the summed rows' cell keys and values, from which ``ss`` is
+    computed on first read.
+
+    A table of counts only, as an assignment tier holds, has ``s`` None;
+    ``with_sums`` gives it sums. ``counts`` holds what ``m`` and ``z`` fix,
+    such as ``n``, and is shared by every table made from it.
     """
 
     m: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None
     f: np.ndarray | None
     z: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    rows: tuple[np.ndarray, np.ndarray] | None = None
+    counts: Tier = field(default_factory=Tier, repr=False)
 
-    @cached_property
+    def with_sums(
+        self, s: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> CellTable:
+        """This table's counts with the sums ``s`` and the ``rows`` summed."""
+        return CellTable(self.m, s, self.f, self.z, rows, self.counts)
+
+    @property
     def n(self) -> np.ndarray:
         """Row counts per (arm, column), shape (2, K): the arm totals of ``m``."""
-        return arm_totals(self.m, self.z)
+        return self.counts.get("n", lambda: arm_counts(self.m, self.z))
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Per (arm, column) means of the values, shape (2, K); read only
+        once every (arm, column) cell has rows."""
+        return arm_totals(self.s, self.z) / self.n
 
     @cached_property
     def ss(self) -> np.ndarray:
         """Per-cell sums of squared deviations from the cell mean (zero in an
-        empty cell); only a table built by ``cell_table`` has them."""
-        cluster, group, values = self.rows
-        key = cluster * self.m.shape[1] + group
+        empty cell); only a table with ``rows`` has them."""
+        key, values = self.rows
         # deviations from the cell mean, not the cancelling sum(y^2) - s^2/m
         mean = (self.s / np.maximum(self.m, 1.0)).ravel()
         ss = np.bincount(key, weights=(values - mean[key]) ** 2, minlength=self.m.size)
@@ -195,18 +256,16 @@ def cell_table(
     cluster: np.ndarray,
     group: np.ndarray,
     values: np.ndarray,
-    flags: np.ndarray | None,
     z_by_cluster: np.ndarray,
     n_groups: int,
 ) -> CellTable:
-    """Sum rows into their (cluster, group) cells in one pass per column."""
+    """Sum rows into their (cluster, group) cells, without flags."""
     shape = (len(z_by_cluster), n_groups)
     key = cluster * n_groups + group
     size = shape[0] * shape[1]
     m = np.bincount(key, minlength=size).astype(np.float64).reshape(shape)
     s = np.bincount(key, weights=values, minlength=size).reshape(shape)
-    f = None if flags is None else np.bincount(key, weights=flags, minlength=size).reshape(shape)
-    return CellTable(m=m, s=s, f=f, z=z_by_cluster, rows=(cluster, group, values))
+    return CellTable(m=m, s=s, f=None, z=z_by_cluster, rows=(key, values))
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -216,6 +275,13 @@ def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     bit-for-bit the same however the clusters are numbered.
     """
     return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
+
+
+def arm_counts(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``arm_totals`` of a (C, K) array of integer counts, as one product
+    with the arm indicators: integers below 2**53 add exactly in any order,
+    so no sort is needed."""
+    return np.array([z == 0, z == 1], dtype=np.float64) @ x
 
 
 def group_layout(
@@ -313,7 +379,9 @@ class PanelDataset:
     ``cluster_labels`` (arrays indexed by code). The group catalog and
     each row's group ordinal come from ``group_layout`` at construction,
     or are taken as given from ``_layout`` when the caller already holds
-    the layout of the same design.
+    the layout of the same design. ``_design`` is the design tier of a
+    panel with the same units, clusters, grades, years and groups; a
+    panel given none starts its own.
     """
 
     def __init__(
@@ -335,6 +403,7 @@ class PanelDataset:
         meta: Mapping | None = None,
         validate: bool = True,
         _layout: tuple[tuple[GroupInfo, ...], np.ndarray] | None = None,
+        _design: Tier | None = None,
     ) -> None:
         self.unit = np.asarray(unit, dtype=np.int64)
         self.cluster = np.asarray(cluster, dtype=np.int64)
@@ -389,6 +458,8 @@ class PanelDataset:
         if _layout is None:
             _layout = group_layout(self.cohort, self.grade, self.year)
         self.catalog, self.group_ids = _layout
+        self.design_tier = _design if _design is not None else Tier()
+        self.assignment_tier = Tier()
 
     # ------------------------------------------------------------------
 
@@ -432,7 +503,10 @@ class PanelDataset:
         }.get(name)
         if value is None:
             return None
-        return np.fromiter(map(value, self.catalog), dtype=np.float64, count=self.n_groups)
+        return self.design_tier.get(
+            ("group attribute", name),
+            lambda: np.fromiter(map(value, self.catalog), dtype=np.float64, count=self.n_groups),
+        )
 
     def cluster_label(self, code: int) -> str:
         if self.cluster_labels is not None:
@@ -441,15 +515,38 @@ class PanelDataset:
 
     @cached_property
     def cells(self) -> CellTable:
-        """The panel's (cluster, group) cell table, built on first use."""
-        return cell_table(
-            self.cluster, self.group_ids, self.outcome, self.tested_in, self.z_by_cluster, self.n_groups
-        )
+        """The panel's (cluster, group) cell table, built on first use: the
+        outcome sums of ``cell_counts``."""
+        key, m = self.design_tier.get("cell layout", self._cell_layout)
+        s = np.bincount(key, weights=self.outcome, minlength=m.size).reshape(m.shape)
+        return self.cell_counts.with_sums(s, rows=(key, self.outcome))
+
+    @property
+    def cell_counts(self) -> CellTable:
+        """The row and flag counts of ``cells``, without sums, from the
+        assignment tier."""
+        return self.assignment_tier.get("cell counts", self._count_table)
+
+    def _cell_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (cluster, group) cell key and the rows per cell, (C, G)."""
+        shape = (self.n_clusters, self.n_groups)
+        key = self.cluster * self.n_groups + self.group_ids
+        m = np.bincount(key, minlength=shape[0] * shape[1]).astype(np.float64).reshape(shape)
+        return key, m
+
+    def _count_table(self) -> CellTable:
+        key, m = self.design_tier.get("cell layout", self._cell_layout)
+        f = None
+        if self.tested_in is not None:
+            f = np.bincount(key, weights=self.tested_in, minlength=m.size).reshape(m.shape)
+            f.flags.writeable = False
+        return CellTable(m, None, f, self.z_by_cluster)
 
     def with_outcome(self, outcome: np.ndarray) -> "PanelDataset":
         """Copy of this panel with a replaced outcome column.
 
-        All other columns and the catalog are shared, not copied.
+        All other columns, the catalog and the design and assignment tiers
+        are shared, not copied.
         """
         outcome = np.asarray(outcome, dtype=np.float64)
         if outcome.shape != self.outcome.shape:

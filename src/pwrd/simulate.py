@@ -19,6 +19,11 @@ Treatment effects are injected after flagging, on the untreated outcome:
 
 Replicate streams are keyed by (seed, replicate, stage) so results do not
 depend on evaluation order or worker count.
+
+Each quantity of a replicate is computed once, at the tier that fixes it
+(see ``panel``): every replicate of a scenario shape shares its frame's
+layout and design tier, the effect levels of one replicate share its
+assignment tier, and each level computes only what its outcome changes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
 from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_estimate
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
-from .panel import PanelDataset, group_layout
+from .panel import PanelDataset, Tier, group_layout
 from .weights import aggregate_test, flat_weights, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
@@ -145,6 +150,8 @@ class Scenario:
                 "odd cluster count: the last cluster forms a singleton block",
                 RuntimeWarning,
             )
+        if not (np.isfinite(self.sigma2_eps) and np.isfinite(self.sigma2_mu)):
+            raise InputError("variance components must be finite")
         if self.sigma2_eps <= 0 or self.sigma2_mu < 0:
             raise InputError("variance components must be positive noise, nonnegative cluster")
         if not self.cohorts:
@@ -180,11 +187,18 @@ class _Track:
 
 
 def _tracks(scenario: Scenario) -> tuple[_Track, ...]:
+    return _cohort_tracks(scenario.cohorts, scenario.exit_grade, scenario.n_years)
+
+
+@functools.lru_cache(maxsize=64)
+def _cohort_tracks(
+    cohorts: tuple[CohortSpec, ...], exit_grade: int, n_years: int
+) -> tuple[_Track, ...]:
     out = []
-    for cs in scenario.cohorts:
+    for cs in cohorts:
         for eg in cs.entry_grades:
-            span_grade = scenario.exit_grade - eg + 1
-            span_study = scenario.n_years - cs.entry_year + 1
+            span_grade = exit_grade - eg + 1
+            span_study = n_years - cs.entry_year + 1
             T = min(span_grade, span_study)
             if T < 1:
                 continue
@@ -195,7 +209,8 @@ def _tracks(scenario: Scenario) -> tuple[_Track, ...]:
 
 
 class _Frame:
-    """Static row layout shared by every replicate of a scenario shape."""
+    """Static row layout shared by every replicate of a scenario shape,
+    with the design tier of its panels."""
 
     def __init__(self, n_clusters: int, tracks: tuple[_Track, ...]):
         self.n_clusters = n_clusters
@@ -232,6 +247,7 @@ class _Frame:
         self.block = self.block_by_cluster[self.cluster]
         self.layout = group_layout(self.cohort, self.grade, self.year)
         self.catalog = self.layout[0]
+        self.design_tier = Tier()
 
 
 @functools.lru_cache(maxsize=32)
@@ -279,11 +295,11 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
     )
     y = scenario.beta0 + scenario.beta1 * frame.grade + mu[frame.cluster] + eps
 
-    below = y < _threshold_row(frame, scenario.thresholds)
-    flags = np.empty(frame.n_obs, dtype=np.int8)
+    flags = (y < _threshold_row(frame, scenario.thresholds)).view(np.int8)
     for start, n_units, T in frame.track_slices:
-        blk = below[start : start + n_units * T].reshape(n_units, T)
-        flags[start : start + n_units * T] = np.maximum.accumulate(blk, axis=1).reshape(-1)
+        years = flags[start : start + n_units * T].reshape(n_units, T)  # a view, one row per unit
+        for t in range(1, T):  # a flag persists into later years
+            years[:, t] |= years[:, t - 1]
 
     return PanelDataset(
         unit=frame.unit,
@@ -298,6 +314,7 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
         meta={"seed": scenario.seed, "replicate": replicate_index},
         validate=False,
         _layout=frame.layout,
+        _design=frame.design_tier,
     )
 
 
@@ -313,6 +330,14 @@ def _flag_previous_year(panel: PanelDataset) -> np.ndarray:
     return out
 
 
+def _treated_rows(panel: PanelDataset, defer_onset: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Treated rows whose flag is set (the year before, with deferred
+    onset) and the other treated rows: what the assignment fixes."""
+    z = panel.treatment.astype(bool)
+    flagged = (_flag_previous_year(panel) if defer_onset else panel.tested_in).astype(bool)
+    return np.flatnonzero(z & flagged), np.flatnonzero(z & ~flagged)
+
+
 def apply_effect(
     panel: PanelDataset,
     spec: EffectSpec,
@@ -326,23 +351,20 @@ def apply_effect(
     """
     if spec.regime == "null":
         return panel
-    z = panel.treatment.astype(bool)
 
     if spec.regime in ("effect1", "effect2"):
         if panel.tested_in is None:
             raise DegenerateDataError("flag-driven effects need test-in flags")
         if spec.tau == 0 and (spec.regime == "effect1" or spec.spill_fraction == 0):
             return panel
-        flagged = panel.tested_in.astype(bool)
-        if spec.defer_onset:
-            flagged = _flag_previous_year(panel).astype(bool)
+        flagged, unflagged = panel.assignment_tier.get(
+            ("treated rows", spec.defer_onset), lambda: _treated_rows(panel, spec.defer_onset)
+        )
         y = panel.outcome.copy()
-        y[z & flagged] += spec.tau
+        y[flagged] += spec.tau
         if spec.regime == "effect2" and spec.spill_fraction > 0:
-            y[z & ~flagged] -= spec.spill_fraction * spec.tau
-            imposed = spec.tau * int((z & flagged).sum()) - spec.spill_fraction * spec.tau * int(
-                (z & ~flagged).sum()
-            )
+            y[unflagged] -= spec.spill_fraction * spec.tau
+            imposed = spec.tau * len(flagged) - spec.spill_fraction * spec.tau * len(unflagged)
             if imposed <= 0:
                 warnings.warn(
                     "aggregate imposed effect is not positive; proceeding", RuntimeWarning
@@ -360,6 +382,7 @@ def apply_effect(
         raise InputError("effect3 needs a seed and replicate index")
     spread = EFFECT3_DISPERSION * spec.effect_mean
     sd = spread if spec.dispersion_is_sd else np.sqrt(spread)
+    z = panel.treatment.astype(bool)
     draws = _rng(int(seed), int(replicate_index), _STAGE_EFFECT).normal(
         spec.effect_mean, sd, int(z.sum())
     )
@@ -601,7 +624,10 @@ def analyze_replicate(
         if method not in methods:
             continue
         # both come from included_groups, so p0 and the effects align
-        w = pwrd_weights(cov, estimate_p0(panel)) if method == "pwrd" else flat_weights(effects)
+        if method == "pwrd":
+            w = pwrd_weights(cov, estimate_p0(panel))
+        else:  # the group sizes, so the assignment, fix the flat weights
+            w = panel.assignment_tier.get("flat weights", lambda: flat_weights(effects))
         df = (
             satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
             if df_rule == "satterthwaite"
@@ -680,10 +706,10 @@ def _run_chunk(
     replicate failed at that level; and the failures."""
     hits = np.full((len(reps), len(levels), len(methods)), -1, dtype=np.int8)
     excluded: list[tuple[int, float, str]] = []
+    specs = [scenario.effect.with_level(lv) for lv in levels]
     for i, rep in enumerate(reps):
         base = generate_panel(scenario, rep)
-        for j, lv in enumerate(levels):
-            spec = scenario.effect.with_level(lv)
+        for j, (lv, spec) in enumerate(zip(levels, specs)):
             try:
                 panel = apply_effect(base, spec, rep)
                 res = analyze_replicate(panel, methods, alpha, cov_variant, df_rule)

@@ -237,6 +237,10 @@ def _unreadable_input(tmp_path, case):
         columns = {c: c for c in PANEL_HEADER.strip().split(",")}
         doc.write_text(json.dumps({"columns": columns, "covariates": "score"}))
         return ["analyze", panel, "--schema", doc], "'covariates' must be a list"
+    if case in ("nested-list-columns", "string-columns"):
+        columns = [["unit"]] if case == "nested-list-columns" else "unit"
+        doc.write_text(json.dumps({"columns": columns}))
+        return ["analyze", panel, "--schema", doc], "'columns'"
     return ["weights", doc], "doc.json"
 
 
@@ -245,6 +249,7 @@ def _unreadable_input(tmp_path, case):
     [
         "int64-overflow", "not-utf8", "missing-panel",
         "bad-schema-json", "bad-summary-json", "array-summary", "string-covariates",
+        "nested-list-columns", "string-columns",
     ],
 )
 def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
@@ -254,6 +259,60 @@ def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
     assert err.startswith("pwrd: error:")
     assert len(err.strip().splitlines()) == 1
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--preset", "single-track", "--clusters", 0), "need at least 4 clusters"),
+        (("--preset", "default", "--clusters", 0), "need at least 4 clusters"),
+        (("--preset", "spillover", "--clusters", 0), "need at least 4 clusters"),
+        (("--preset", "single-track", "--units", 0), "units_per_grade must be at least 1"),
+        (("--preset", "spillover", "--units", 0), "units_per_grade must be at least 1"),
+    ],
+)
+def test_zero_clusters_or_units_are_refused_not_defaulted(tmp_path, capsys, flags, named):
+    out = tmp_path / "x.csv"
+    code, _, err = run(["simulate", *flags, "--out", out], capsys)
+    assert code == 2
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("icc", ["nan", "inf"])
+def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
+    code, _, err = run(["simulate", "--icc", icc, "--out", tmp_path / "x.csv"], capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["simulate", "simulate-manifest", "analyze", "weights", "power"]
+)
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, small_csv, command):
+    missing = tmp_path / "absent" / "out.json"
+    if command.startswith("simulate"):
+        argv = ["simulate", "--preset", "single-track", "--clusters", 8, "--units", 4]
+        if command == "simulate-manifest":
+            # the CSV can be written but not its manifest beside it
+            (tmp_path / "x.csv.manifest.json").mkdir()
+            missing = tmp_path / "x.csv"
+    elif command == "analyze":
+        argv = ["analyze", small_csv, "--json"]
+    elif command == "weights":
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"delta_hat": [0.1, 0.2], "p0": [0.3, 0.4], "se": [1, 1]}))
+        argv = ["weights", summary]
+    else:
+        argv = ["power", "--preset", "single-track", "--clusters", 8, "--units", 4,
+                "--reps", 2, "--methods", "flat"]
+    code, _, err = run([*argv, "--out", missing], capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error: cannot write")
+    assert len(err.strip().splitlines()) == 1
+    named = missing if command != "simulate-manifest" else f"{missing}.manifest.json"
+    assert str(named) in err
 
 
 def test_peters_belson_cli_takes_p0_on_its_groups(tmp_path, capsys):

@@ -7,9 +7,26 @@ import json
 import numpy as np
 import pytest
 
-from pwrd import InputError, PanelDataset, PanelSchema, ThresholdRule, ingest_panel
+from pwrd import (
+    EffectSpec,
+    InputError,
+    PanelDataset,
+    PanelSchema,
+    ThresholdRule,
+    apply_effect,
+    cluster_covariance,
+    estimate_effects_diffmeans,
+    estimate_p0,
+    exit_observation_estimate,
+    fit_random_intercept,
+    generate_panel,
+    ingest_panel,
+    pwrd_weights,
+    satterthwaite_df,
+    single_track_scenario,
+)
 from pwrd.effects import included_groups
-from pwrd.panel import IDENTITY_SCHEMA, _differs_from_first, group_layout, persist_flags
+from pwrd.panel import IDENTITY_SCHEMA, Tier, _differs_from_first, group_layout, persist_flags
 
 from oracles import differs_from_first_seen, persisted_flags
 
@@ -124,6 +141,112 @@ def test_cached_catalog_refreshes_arm_counts():
     # the empty arm of the grade-7 group follows the assignment
     assert [rec.reason for rec in included_groups(p)[1]] == ["no control observations"]
     assert [rec.reason for rec in included_groups(flipped)[1]] == ["no treated observations"]
+
+
+# ----------------------------------------------------------------------
+# tiers: what the design, the assignment and the outcome fix
+
+COLUMNS = ("unit", "cluster", "treatment", "cohort", "grade", "year", "tested_in", "block")
+
+
+def fresh_copy(panel, **overrides):
+    """The panel's columns in a new, validated panel that shares nothing."""
+    cols = {k: getattr(panel, k).copy() for k in COLUMNS}
+    return PanelDataset(**{**cols, "outcome": panel.outcome.copy(), **overrides})
+
+
+def same(a, b) -> bool:
+    """Equal value by value, arrays bit for bit and of one dtype."""
+    if isinstance(a, Tier):
+        return isinstance(b, Tier) and same(a.values, b.values)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if hasattr(a, "__dict__"):  # results, catalog entries, record layouts
+        return type(a) is type(b) and same(vars(a), vars(b))
+    return a == b
+
+
+def exercise(panel) -> dict:
+    """Every estimate the Monte Carlo loop and the CLI take of a panel, so
+    each tier holds all it caches."""
+    out = {}
+    effects, p0 = estimate_effects_diffmeans(panel), estimate_p0(panel)
+    out["effects"], out["p0"] = (effects.estimates, effects.n), (p0.p_hat, p0.n_control)
+    for variant in ("cr0", "cr2"):
+        cov = cluster_covariance(panel, effects, variant=variant)
+        w = pwrd_weights(cov, p0)
+        fit = fit_random_intercept(panel, ("grade",), variant=variant)
+        ex = exit_observation_estimate(panel, variant=variant)
+        out[variant] = (
+            cov.sigma_hat, w.omega, fit.tau_hat, fit.se_model, fit.se_cluster_robust,
+            fit.implied_group_weights, ex.estimate, ex.se, ex.n_treated, ex.n_control,
+        )
+    out["df"] = satterthwaite_df(panel, effects, w.omega)
+    out["effect1"] = apply_effect(panel, EffectSpec("effect1", tau=2.0)).outcome
+    return out
+
+
+def assert_tiers_match(panel, fresh):
+    """Every estimate and every cached tier quantity of ``panel`` equals
+    that of ``fresh``, a panel of the same columns built from nothing."""
+    assert same(exercise(panel), exercise(fresh))
+    for tier in ("design_tier", "assignment_tier"):
+        # a shared design tier may also hold what other panels of it asked for
+        mine, theirs = getattr(panel, tier).values, getattr(fresh, tier).values
+        assert set(theirs) <= set(mine)
+        for name in theirs:
+            assert same(mine[name], theirs[name]), (tier, name)
+    for name in ("m", "s", "f", "z", "n", "means", "ss"):
+        assert same(getattr(panel.cells, name), getattr(fresh.cells, name)), name
+
+
+def test_flipped_assignment_builds_its_own_assignment_tier():
+    p = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1)
+    exercise(p)
+    flipped = PanelDataset(
+        **{k: getattr(p, k) for k in COLUMNS if k != "treatment"},
+        treatment=1 - p.treatment,
+        outcome=p.outcome,
+        validate=False,
+        _layout=(p.catalog, p.group_ids),
+        _design=p.design_tier,
+    )
+    assert flipped.design_tier is p.design_tier
+    assert flipped.assignment_tier is not p.assignment_tier
+    np.testing.assert_array_equal(flipped.cells.n, p.cells.n[::-1])
+    assert_tiers_match(flipped, fresh_copy(flipped))
+
+
+def test_relabeled_clusters_build_their_own_design_tier():
+    # a panel built from its columns, so its design tier is its own
+    p = fresh_copy(generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1))
+    exercise(p)
+    perm = np.array([5, 2, 7, 0, 3, 6, 1, 4])
+    relabeled = PanelDataset(
+        **{k: getattr(p, k) for k in COLUMNS if k != "cluster"},
+        cluster=perm[p.cluster],
+        outcome=p.outcome,
+        validate=False,
+        _layout=(p.catalog, p.group_ids),
+    )
+    assert relabeled.catalog is p.catalog
+    assert relabeled.design_tier is not p.design_tier
+    np.testing.assert_array_equal(relabeled.cells.m[perm], p.cells.m)
+    assert_tiers_match(relabeled, fresh_copy(relabeled))
+
+
+def test_with_outcome_shares_the_tiers_but_not_the_sums():
+    p = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1)
+    exercise(p)
+    q = p.with_outcome(p.outcome + np.arange(p.n_obs))
+    assert q.design_tier is p.design_tier and q.assignment_tier is p.assignment_tier
+    assert q.cells.counts is p.cells.counts and q.cells.m is p.cells.m
+    assert not np.array_equal(q.cells.s, p.cells.s)
+    assert_tiers_match(q, fresh_copy(q))
 
 
 # ----------------------------------------------------------------------

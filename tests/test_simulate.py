@@ -41,7 +41,7 @@ from pwrd.simulate import (
 )
 
 from oracles import blocked_assignment
-from test_panel import tiny_panel
+from test_panel import assert_tiers_match, fresh_copy, tiny_panel
 
 
 def small_scenario(**kw):
@@ -165,6 +165,35 @@ def test_effect_level_does_not_read_a_stale_cell_table():
     assert np.array_equal(
         pwrd.cluster_covariance(hot, eh).sigma_hat, pwrd.cluster_covariance(fresh, ef).sigma_hat
     )
+
+
+def test_effect_levels_share_the_tiers_a_fresh_panel_builds():
+    # the first level of a replicate builds its assignment tier and the
+    # later ones reuse it; every replicate shares the frame's design tier
+    sc = small_scenario(effect=EffectSpec(regime="effect1", tau=5.5))
+    for rep in (2, 3):
+        base = generate_panel(sc, rep)
+        assert base.design_tier is generate_panel(sc, 0).design_tier
+        for level in (5.5, 0.0, 5.5):
+            panel = apply_effect(base, sc.effect.with_level(level), rep)
+            assert panel.assignment_tier is base.assignment_tier
+            assert panel.design_tier is base.design_tier
+            assert_tiers_match(panel, fresh_copy(panel))
+
+
+def test_estimate_power_keeps_its_recorded_cells():
+    # the cells of this run before the replicate quantities were tiered
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    res = estimate_power(
+        sc, methods=("pwrd", "flat", "mixed", "exit"), effect_levels=(0.0, 5.5), n_reps=40
+    )
+    got = [(c.method, c.effect_level, c.rejection_rate, c.n_reps, c.n_excluded) for c in res.cells]
+    rejections = [
+        ("pwrd", 0.0, 4), ("flat", 0.0, 2), ("mixed", 0.0, 2), ("exit", 0.0, 2),
+        ("pwrd", 5.5, 30), ("flat", 5.5, 22), ("mixed", 5.5, 22), ("exit", 5.5, 20),
+    ]
+    assert got == [(m, level, k / 40, 40, 0) for m, level, k in rejections]
+    assert res.failures == ()
 
 
 def test_effect2_without_spill_matches_effect1():
