@@ -37,6 +37,7 @@ from .errors import InputError, PwrdError
 from .mixed import fit_random_intercept
 from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
 from .simulate import (
+    DF_RULES,
     EffectSpec,
     default_scenario,
     estimate_power,
@@ -117,7 +118,11 @@ def _scenario_from_args(args) -> tuple:
     )
     common = dict(effect=effect, seed=args.seed, icc=args.icc)
     if args.preset == "default":
-        sc = default_scenario(n_clusters=_given(args.clusters, 52), **common)
+        sc = default_scenario(
+            n_clusters=_given(args.clusters, 52),
+            units_per_grade=_given(args.units, 12),
+            **common,
+        )
     elif args.preset == "single-track":
         sc = single_track_scenario(
             n_clusters=_given(args.clusters, 20),
@@ -397,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cov-variant", default="cr2", choices=["cr0", "cr2"])
     p.add_argument(
-        "--df-rule", default="clusters-2", choices=["clusters-2", "satterthwaite"]
+        "--df-rule", default="clusters-2", choices=DF_RULES
     )
     p.add_argument("--ridge", action="store_true")
     p.add_argument("--delta0", type=float, default=None)
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", default=None, help="comma separated effect levels")
     p.add_argument("--cov-variant", default="cr2", choices=["cr0", "cr2"])
     p.add_argument(
-        "--df-rule", default="clusters-2", choices=["clusters-2", "satterthwaite"]
+        "--df-rule", default="clusters-2", choices=DF_RULES
     )
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)

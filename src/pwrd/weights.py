@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateDataError, InputError, NumericalError
 
@@ -175,6 +174,9 @@ def t_p_value(t: float, df: float, alternative: str) -> float:
     ``df <= 0``."""
     if not df > 0:
         raise DegenerateDataError(f"refusing to test with df = {df}")
+    # Deferred: about 0.3 s of import that `import pwrd` and `pwrd simulate` never need.
+    from scipy import special
+
     cdf = special.ndtr if np.isinf(df) else functools.partial(special.stdtr, df)
     if alternative == "greater":
         return float(cdf(-t))

@@ -269,6 +269,7 @@ def test_unreadable_input_exits_2_naming_it(tmp_path, capsys, case):
         (("--preset", "spillover", "--clusters", 0), "need at least 4 clusters"),
         (("--preset", "single-track", "--units", 0), "units_per_grade must be at least 1"),
         (("--preset", "spillover", "--units", 0), "units_per_grade must be at least 1"),
+        (("--preset", "default", "--units", 0), "units_per_grade must be at least 1"),
     ],
 )
 def test_zero_clusters_or_units_are_refused_not_defaulted(tmp_path, capsys, flags, named):
@@ -277,6 +278,14 @@ def test_zero_clusters_or_units_are_refused_not_defaulted(tmp_path, capsys, flag
     assert code == 2
     assert named in err
     assert not out.exists()
+
+
+def test_units_sets_the_default_preset_size(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code, *_ = run(["simulate", "--units", 3, "--out", out], capsys)
+    assert code == 0
+    # 52 clusters x 3 units per grade x 16 (cohort, entry grade, year) groups
+    assert ingest_panel(out).n_obs == 2496
 
 
 @pytest.mark.parametrize("icc", ["nan", "inf"])

@@ -1,6 +1,7 @@
 """Simulation engine: reproducibility, effect injection arithmetic,
 calibration exactness, and the power-study bookkeeping."""
 
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from pwrd.simulate import (
     DEFAULT_TESTIN_TARGETS,
     SPILLOVER_TESTIN_TARGETS,
     Scenario,
+    _normal_tail,
     _profile,
     _rng,
     default_scenario,
@@ -309,7 +311,8 @@ DEFAULT_MINIMAX_DEVIATION = 0.0126077974
 
 
 def _group_testin_by_loop(sc):
-    """Flagged share per (cohort, entry grade, year), one year at a time."""
+    """Flagged share per (cohort, entry grade, year), one year at a time,
+    with each node's normal tail from a scalar ``math.erfc``."""
     x, w = np.polynomial.hermite.hermgauss(96)
     w = w / np.sqrt(np.pi)
     mu = np.sqrt(2.0 * sc.sigma2_mu) * x
@@ -322,7 +325,10 @@ def _group_testin_by_loop(sc):
             for j in range(n_years):
                 g = eg + j
                 z = (thr[g] - sc.beta0 - sc.beta1 * g - mu) / np.sqrt(sc.sigma2_eps)
-                surv = surv * special.ndtr(-z)
+                tail = np.empty(len(z))
+                for i in range(len(z)):
+                    tail[i] = 0.5 * math.erfc(float(z[i]) * math.sqrt(0.5))
+                surv = surv * tail
                 out[(cs.cohort, eg, j + 1)] = 1.0 - float(w @ surv)
     return out
 
@@ -337,6 +343,17 @@ def test_group_testin_keeps_the_loop_arithmetic(factory):
     assert len(ref) == len(catalog)
     for gi in catalog:
         assert got[gi.g] == ref[(gi.cohort, gi.entry_grade, gi.follow_up_year)]
+
+
+def test_normal_tail_matches_scipy_ndtr():
+    z = np.concatenate(
+        [np.linspace(-30.0, 30.0, 6001), np.random.default_rng(11).uniform(-30.0, 30.0, 3999)]
+    ).reshape(2, -1, 5)
+    got = _normal_tail(z)
+    want = special.ndtr(-z)
+    assert got.shape == z.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert _normal_tail(np.asarray([-np.inf, np.inf])).tolist() == [1.0, 0.0]
 
 
 def test_profile_jacobian_matches_central_differences():
@@ -383,19 +400,21 @@ def test_unreachable_profile_is_refused():
         default_scenario(icc=0.05)
 
 
-def test_single_track_simulate_skips_the_minimax_solver(tmp_path):
+@pytest.mark.parametrize("preset", ["single-track", "spillover"])
+def test_single_track_simulate_skips_the_minimax_solver(tmp_path, preset):
+    # bisection alone calibrates these presets, and nothing they run tests
     src_dir = Path(pwrd.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src_dir))
     out = tmp_path / "panel.csv"
     code = (
         "import sys; from pwrd.cli import main; "
-        f"main(['simulate', '--preset', 'single-track', '--out', {str(out)!r}]); "
-        "print('scipy.optimize' in sys.modules)"
+        f"main(['simulate', '--preset', {preset!r}, '--out', {str(out)!r}]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert out.exists()
 
 
@@ -496,6 +515,27 @@ def test_power_input_validation():
         estimate_power(sc, methods=("flat",), n_reps=0)
     with pytest.raises(InputError, match="cov_variant"):
         estimate_power(sc, methods=("mixed",), n_reps=4, cov_variant="cr9")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_df_rule_is_refused_before_any_replicate(monkeypatch, workers):
+    import pwrd.simulate as sim
+
+    def never(*args, **kwargs):
+        raise AssertionError("a replicate or a worker started")
+
+    monkeypatch.setattr(sim, "_run_chunk", never)
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+    with pytest.raises(InputError, match="df_rule"):
+        sim.estimate_power(
+            small_scenario(), methods=("flat",), n_reps=4, df_rule="no-such-rule", workers=workers
+        )
+
+
+def test_analyze_replicate_refuses_an_unknown_df_rule():
+    panel = generate_panel(small_scenario(), 0)
+    with pytest.raises(InputError, match="df_rule"):
+        analyze_replicate(panel, ("pwrd",), df_rule="no-such-rule")
 
 
 def test_negative_effect_sweep_requires_spillover_regime():

@@ -365,11 +365,14 @@ def test_t_p_value_is_bit_equal_to_scipy_stats(df):
 def test_import_does_not_load_scipy_stats():
     src_dir = Path(pwrd.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src_dir))
-    code = "import sys, pwrd; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, pwrd; print('scipy.stats' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]"]
 
 
 def test_nonpositive_df_refused():
