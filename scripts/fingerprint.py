@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""One sha256 per estimator over seeded replicates, and one for `pwrd analyze`.
+
+Two commits whose results agree bit for bit print the same lines, so a
+plain ``diff`` of two runs shows whether a change moved any result:
+
+    PYTHONPATH=src python scripts/fingerprint.py --reps 200 > after.txt
+    diff before.txt after.txt
+
+The replicates are ``default_scenario(EffectSpec("effect1", tau=5.5))``
+at effect levels 0 and 5.5, each analyzed under CR0 and CR2. Each line
+hashes, over every replicate, level and variant:
+
+  pwrd    the diff-in-means effects, their sandwich, p0, the pwrd weights
+          and the test's p-values under both df rules
+  flat    the flat weights and the test's p-values under both df rules
+  mixed   every field of the random-intercept fit, for each covariate set
+          in MIXED_COVARIATES
+  exit    every field of the exit estimate and its p-value
+
+A computation that raises hashes the error's type and message instead.
+The ``analyze`` line hashes the ``--json`` payload of each variant in
+ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
+writes to a temporary directory.
+"""
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+
+from pwrd import (
+    EffectSpec,
+    PwrdError,
+    aggregate_test,
+    apply_effect,
+    cluster_covariance,
+    default_scenario,
+    estimate_effects_diffmeans,
+    estimate_p0,
+    exit_observation_estimate,
+    fit_random_intercept,
+    flat_weights,
+    generate_panel,
+    pwrd_weights,
+    satterthwaite_df,
+)
+from pwrd.cli import main as cli_main
+
+LEVELS = (0.0, 5.5)
+VARIANTS = ("cr0", "cr2")
+MIXED_COVARIATES = (("grade",), ("grade", "cohort"), (), ("follow_up_year",))
+ANALYZE_FLAGS = (
+    (),
+    ("--df-rule", "satterthwaite"),
+    ("--estimator", "flat"),
+    ("--estimator", "mixed"),
+    ("--estimator", "exit"),
+    ("--estimator", "exit", "--method", "peters-belson", "--covariates", "grade"),
+    ("--cov-variant", "cr0", "--estimator", "mixed", "--covariates", "grade,cohort"),
+)
+
+
+def feed(h, value) -> None:
+    """Add a result to the hash: arrays by dtype, shape and bytes, dataclasses
+    field by field, containers item by item, anything else by its repr
+    (exact for floats)."""
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.dtype}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            feed(h, f.name)
+            feed(h, getattr(value, f.name))
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            feed(h, k)
+            feed(h, v)
+    elif isinstance(value, (tuple, list)):
+        h.update(b"[")
+        for v in value:
+            feed(h, v)
+        h.update(b"]")
+    else:
+        h.update(repr(value).encode())
+    h.update(b";")
+
+
+def guarded(h, compute) -> None:
+    """Feed ``compute()``, or the package error it raises."""
+    try:
+        value = compute()
+    except PwrdError as exc:
+        value = f"{type(exc).__name__}: {exc}"
+    feed(h, value)
+
+
+def p_values(panel, effects, cov, w, variant):
+    df = satterthwaite_df(panel, effects, w.omega, variant=variant)
+    return [aggregate_test(effects, cov, w, df=d).p_value for d in (None, df)]
+
+
+def group_line(h_pwrd, h_flat, panel, variant) -> None:
+    def pwrd():
+        effects = estimate_effects_diffmeans(panel)
+        cov = cluster_covariance(panel, effects, variant=variant)
+        p0 = estimate_p0(panel)
+        w = pwrd_weights(cov, p0)
+        p = p_values(panel, effects, cov, w, variant)
+        return effects.estimates, cov.sigma_hat, p0.p_hat, w.omega, p
+
+    def flat():
+        effects = estimate_effects_diffmeans(panel)
+        cov = cluster_covariance(panel, effects, variant=variant)
+        w = flat_weights(effects)
+        return w.omega, p_values(panel, effects, cov, w, variant)
+
+    guarded(h_pwrd, pwrd)
+    guarded(h_flat, flat)
+
+
+def mixed_fit(panel, covariates, variant):
+    fit = fit_random_intercept(panel, covariates=covariates, variant=variant)
+    return fit, fit.p_value("greater")
+
+
+def exit_fit(panel, variant):
+    ex = exit_observation_estimate(panel, variant=variant)
+    return ex, ex.p_value("greater")
+
+
+def analyze_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "panel.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", path])
+        for flags in ANALYZE_FLAGS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(["analyze", path, "--json", *flags])
+            payload = json.loads(out.getvalue()) if code == 0 else {"exit": code}
+            payload.pop("manifest", None)
+            feed(h, list(flags))
+            h.update(json.dumps(payload, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--reps", type=int, default=200, help="replicates per effect level")
+    args = ap.parse_args()
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    hashes = {name: hashlib.sha256() for name in ("pwrd", "flat", "mixed", "exit")}
+    for r in range(args.reps):
+        base = generate_panel(sc, r)
+        for level in LEVELS:
+            panel = apply_effect(base, sc.effect.with_level(level), r)
+            for variant in VARIANTS:
+                group_line(hashes["pwrd"], hashes["flat"], panel, variant)
+                for covariates in MIXED_COVARIATES:
+                    guarded(hashes["mixed"], lambda: mixed_fit(panel, covariates, variant))
+                guarded(hashes["exit"], lambda: exit_fit(panel, variant))
+    for name, h in hashes.items():
+        print(f"{name:<8} {h.hexdigest()}")
+    print(f"{'analyze':<8} {analyze_digest()}")
+
+
+if __name__ == "__main__":
+    main()

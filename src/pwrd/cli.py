@@ -169,15 +169,31 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--effect-mean", type=float, default=0.0)
 
 
+def _refuse_unread_flags(args, covs: tuple[str, ...]) -> None:
+    """Refuse an ``analyze`` flag given a value the chosen estimator never reads."""
+    aggregate = args.estimator in ("pwrd", "flat")
+    unread = {
+        "--method": args.estimator == "mixed" and args.method != "diffmeans",
+        "--covariates": bool(covs) and args.estimator != "mixed" and args.method == "diffmeans",
+        "--df-rule": not aggregate and args.df_rule != "clusters-2",
+        "--delta0": not aggregate and args.delta0 is not None,
+        "--ridge": args.estimator != "pwrd" and args.ridge,
+    }
+    for flag, refused in unread.items():
+        if refused:
+            method = f" with --method {args.method}" if flag == "--covariates" else ""
+            raise InputError(f"{flag} has no effect on the {args.estimator} estimator{method}")
+
+
 def cmd_analyze(args) -> int:
+    covs = tuple(args.covariates.split(",")) if args.covariates else ()
+    _refuse_unread_flags(args, covs)
     schema = PanelSchema.from_json(args.schema) if args.schema else IDENTITY_SCHEMA
     panel = ingest_panel(args.panel, schema=schema)
-    covs = tuple(args.covariates.split(",")) if args.covariates else ()
     config = {
         "estimator": args.estimator,
         "method": args.method,
         "covariates": list(covs),
-        "alpha": args.alpha,
         "alternative": args.alternative,
         "cov_variant": args.cov_variant,
         "df_rule": args.df_rule,
@@ -396,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="diffmeans", choices=["diffmeans", "peters-belson"]
     )
     p.add_argument("--covariates", default=None, help="comma separated column names")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument(
         "--alternative", default="greater", choices=["greater", "less", "two-sided"]
     )

@@ -9,15 +9,16 @@ model-based and a cluster-robust standard error are reported. The CR2
 adjustment (Bell & McCaffrey) is computed for all clusters at once: their
 Gram blocks are stacked and go through one batched eigendecomposition.
 
-The fit reads records, not rows: groups of rows that share a cluster and
-a design row, each given by its row count, outcome sum and within-record
-sum of squared deviations. Every quantity of the fit is an exact function
-of these ("You Only Compress Once", Wong et al. 2021), since the
+The fit reads records, not rows: the rows that share a cluster, a group
+and a design row, each given by its row count, outcome sum and the sum of
+squared deviations from its mean. Every quantity of the fit is an exact
+function of these ("You Only Compress Once", Wong et al. 2021), since the
 within-record part of any residual sums to zero. When every covariate is
-a group attribute (grade, cohort, follow-up year), the records are the
-nonempty cells of the panel's cell table; when any other covariate is
-named, they are the rows themselves. The cell records' layout is computed
-once per design and their design matrix once per assignment (see
+constant within each (cluster, group) cell, as grade, cohort and follow-up
+year are, the records are the nonempty cells of the panel's cell table;
+otherwise they are the distinct (cell, covariate values) rows. The record
+layout is computed once per design when the design fixes every covariate,
+else once per assignment, and the design matrix once per assignment (see
 ``panel``), so a fit on a new outcome reads only its sums.
 """
 
@@ -29,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import PanelDataset
+from .panel import DESIGN_COVARIATES, PanelDataset
 from .weights import t_p_value
 
 EIG_FLOOR = 1e-12
@@ -88,15 +89,12 @@ class MixedModelFit:
 @dataclass(frozen=True, eq=False)
 class _Records:
     """The fit's records, ordered by cluster, and what they fix before the
-    outcome: cluster, group, row count and design row of each record, and
-    the records and rows per cluster.
+    outcome: each row's record, the cell of each record when records are
+    cells (else None), the cluster, group, row count and design row of each
+    record, and the records and rows per cluster."""
 
-    A record's outcome sums come from cell ``cell`` of the panel's cell
-    table or, when records are rows, from row ``order``.
-    """
-
+    row: np.ndarray
     cell: np.ndarray | None
-    order: np.ndarray | None
     cl: np.ndarray
     grp: np.ndarray
     w: np.ndarray
@@ -105,12 +103,11 @@ class _Records:
     starts: np.ndarray
     m: np.ndarray
 
-    def sums(self, panel: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
-        """Each record's outcome sum and within-record sum of squares."""
-        if self.cell is None:
-            return panel.outcome[self.order], np.zeros(len(self.order))
-        cells = panel.cells
-        return cells.s.ravel()[self.cell], cells.ss.ravel()[self.cell]
+    def sums(self, panel: PanelDataset) -> np.ndarray:
+        """Each record's outcome sum."""
+        if self.cell is not None:
+            return panel.cells.s.ravel()[self.cell]
+        return np.bincount(self.row, weights=panel.outcome, minlength=len(self.w))
 
     @cached_property
     def sw(self) -> np.ndarray:
@@ -136,52 +133,43 @@ class _Records:
         return (sums / self.m[:, None])[self.cl]
 
 
-def _cluster_layout(cl: np.ndarray, w: np.ndarray, n_clusters: int) -> tuple[np.ndarray, ...]:
-    """Records and rows per cluster, and each cluster's first record."""
-    counts = np.bincount(cl, minlength=n_clusters)
+def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
+    """The records: rows grouped by (cluster, group, covariate values), in
+    that sort order. Each row's record, the records' cells when no cell
+    holds two records (else None), each record's cluster, group, row count
+    and covariate values, and the records and rows per cluster with each
+    cluster's first record."""
+    cols = [panel.cluster * panel.n_groups + panel.group_ids, *map(panel.column, covariates)]
+    order = np.lexsort(cols[::-1])
+    keyed = np.array([col[order] for col in cols], dtype=np.float64)
+    new = np.r_[True, (keyed[:, 1:] != keyed[:, :-1]).any(axis=0)]
+    row = np.empty(panel.n_obs, dtype=np.int64)
+    row[order] = np.cumsum(new) - 1
+    cell = keyed[0, new].astype(np.int64)
+    cl, grp = np.divmod(cell, panel.n_groups)
+    w = np.bincount(row).astype(np.float64)
+    counts = np.bincount(cl, minlength=panel.n_clusters)
     # row counts are integers, so this sum is exact in any order
-    return counts, np.cumsum(counts) - counts, np.bincount(cl, weights=w, minlength=n_clusters)
-
-
-def _cell_layout(panel: PanelDataset) -> tuple[np.ndarray, ...]:
-    """The nonempty cells in row-major order, so ordered by cluster: their
-    index, cluster, group and row count, then ``_cluster_layout``."""
-    m = panel.cell_counts.m
-    cell = np.flatnonzero(m)
-    cl, grp = np.divmod(cell, m.shape[1])
-    w = m.ravel()[cell]
-    return (cell, cl, grp, w, *_cluster_layout(cl, w, panel.n_clusters))
-
-
-def _cell_records(panel: PanelDataset, per_group: list[np.ndarray]) -> _Records:
-    cell, cl, grp, w, counts, starts, m = panel.design_tier.get(
-        "mixed cells", lambda: _cell_layout(panel)
-    )
-    X = np.empty((len(cell), 2 + len(per_group)))
-    X[:, 0] = 1.0
-    X[:, 1] = panel.z_by_cluster[cl]
-    for j, v in enumerate(per_group, start=2):
-        X[:, j] = v[grp]
-    X.flags.writeable = False
-    return _Records(cell, None, cl, grp, w, X, counts, starts, m)
+    m = np.bincount(cl, weights=w, minlength=panel.n_clusters)
+    cell = cell if (np.diff(cell) > 0).all() else None
+    return row, cell, cl, grp, w, keyed[1:, new].T, counts, np.cumsum(counts) - counts, m
 
 
 def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
-    """The fit's records: the nonempty cells when every covariate is a
-    group attribute, computed once per assignment; otherwise the rows."""
-    per_group = [panel.group_attribute(c) for c in covariates]
-    if all(v is not None for v in per_group):
-        return panel.assignment_tier.get(
-            ("mixed records", covariates), lambda: _cell_records(panel, per_group)
+    """The fit's records and design matrix, computed once per assignment;
+    their layout once per design when the design fixes every covariate."""
+
+    def build() -> _Records:
+        fixed = set(covariates) <= DESIGN_COVARIATES.keys()
+        tier = panel.design_tier if fixed else panel.assignment_tier
+        row, cell, cl, grp, w, cov, counts, starts, m = tier.get(
+            ("mixed layout", covariates), lambda: _layout(panel, covariates)
         )
-    n = panel.n_obs
-    order = np.argsort(panel.cluster, kind="stable")
-    X = np.column_stack(
-        [np.ones(n), panel.treatment.astype(np.float64)] + [panel.column(c) for c in covariates]
-    )
-    cl, w = panel.cluster[order], np.ones(n)
-    layout = _cluster_layout(cl, w, panel.n_clusters)
-    return _Records(None, order, cl, panel.group_ids[order], w, X[order], *layout)
+        X = np.column_stack([np.ones(len(w)), panel.z_by_cluster[cl], cov])
+        X.flags.writeable = False
+        return _Records(row, cell, cl, grp, w, X, counts, starts, m)
+
+    return panel.assignment_tier.get(("mixed records", covariates), build)
 
 
 def _cr_meat(
@@ -247,19 +235,20 @@ def fit_random_intercept(
     names = ["intercept", "treatment", *covariates]
     rec = _records(panel, covariates)
     cl, w, X, starts, m = rec.cl, rec.w, rec.X, rec.starts, rec.m
-    s, ss = rec.sums(panel)
+    s = rec.sums(panel)
     p = X.shape[1]
     warnings_: list[str] = []
 
     # record means; a record's rows differ from its mean by the same
-    # deviations in every fit below, which contribute sum(ss) to each
-    # residual sum of squares and nothing to any cross product
+    # deviations in every fit below, which contribute their sum of squares
+    # to each residual sum of squares and nothing to any cross product
     ybar = s / w
     beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
     if rank < p:
         raise NumericalError("rank-deficient design matrix")
     e = ybar - X @ beta_ols
-    ss_within = float(ss.sum())
+    dev2 = (panel.outcome - ybar[rec.row]) ** 2
+    ss_within = float(np.bincount(rec.row, weights=dev2, minlength=len(w)).sum())
 
     if (rec.counts == 0).any():
         raise DegenerateDataError("a cluster has no observations")

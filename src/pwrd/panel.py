@@ -17,17 +17,19 @@ at the tier that fixes it:
 * the design tier (``design_tier``), keyed on the rows' units, clusters,
   grades, years and groups: the (cluster, group) cell key and row counts
   ``m``, each unit's exit row and its cluster, and the random-intercept
-  fit's record layout. The replicates of one simulated scenario share it;
+  fit's record layout when its covariates are design columns
+  (``DESIGN_COVARIATES``). The replicates of one simulated scenario share it;
   any other panel builds its own, so a panel that shares only the catalog
   (relabeled clusters, say) never reads another layout's counts.
 * the assignment tier (``assignment_tier``), keyed on the design plus the
   arms and the test-in flags: the cell table's counts without its sums
   (``cell_counts``) with their per-(arm, group) totals (``CellTable.n``),
   the kept groups, p0, the CR2 scale factors, the exit table's counts, and
-  the fit's design matrix and between-cluster columns. Panels that differ
-  only in their outcome (``with_outcome``) share it.
+  the fit's design matrix, its between-cluster columns and, when a schema
+  covariate is named, its record layout. Panels that differ only in their
+  outcome (``with_outcome``) share it.
 * the outcome tier, the panel itself: the outcome sums of the cell table
-  (``cells``) and its within-cell sums of squares, computed on first read.
+  (``cells``), computed on first read.
 
 Integer counts are exact in any summation order, so they are summed
 without the sort that keeps outcome sums invariant to cluster relabeling.
@@ -64,6 +66,9 @@ LOGICAL_COLUMNS = (
     "tested_in",
 )
 REQUIRED_COLUMNS = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome")
+# Covariate names of the columns the design fixes, and the panel attribute
+# of each; any other covariate is a schema column.
+DESIGN_COVARIATES = {"grade": "grade", "cohort": "cohort", "follow_up_year": "year"}
 
 _MAX_REPORTED_ROWS = 8
 
@@ -208,9 +213,7 @@ class CellTable:
     ``m`` counts rows, ``s`` sums the values (the outcome, in a panel's own
     table) and ``f`` counts flagged rows, or is None without flags. ``z``
     is each cluster's arm; treatment is constant within a cluster, so each
-    (cluster, group) cell lies in exactly one (arm, group) cell. ``rows``
-    holds the summed rows' cell keys and values, from which ``ss`` is
-    computed on first read.
+    (cluster, group) cell lies in exactly one (arm, group) cell.
 
     A table of counts only, as an assignment tier holds, has ``s`` None;
     ``with_sums`` gives it sums. ``counts`` holds what ``m`` and ``z`` fix,
@@ -221,14 +224,11 @@ class CellTable:
     s: np.ndarray | None
     f: np.ndarray | None
     z: np.ndarray
-    rows: tuple[np.ndarray, np.ndarray] | None = None
     counts: Tier = field(default_factory=Tier, repr=False)
 
-    def with_sums(
-        self, s: np.ndarray, rows: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> CellTable:
-        """This table's counts with the sums ``s`` and the ``rows`` summed."""
-        return CellTable(self.m, s, self.f, self.z, rows, self.counts)
+    def with_sums(self, s: np.ndarray) -> CellTable:
+        """This table's counts with the sums ``s``."""
+        return CellTable(self.m, s, self.f, self.z, self.counts)
 
     @property
     def n(self) -> np.ndarray:
@@ -240,16 +240,6 @@ class CellTable:
         """Per (arm, column) means of the values, shape (2, K); read only
         once every (arm, column) cell has rows."""
         return arm_totals(self.s, self.z) / self.n
-
-    @cached_property
-    def ss(self) -> np.ndarray:
-        """Per-cell sums of squared deviations from the cell mean (zero in an
-        empty cell); only a table with ``rows`` has them."""
-        key, values = self.rows
-        # deviations from the cell mean, not the cancelling sum(y^2) - s^2/m
-        mean = (self.s / np.maximum(self.m, 1.0)).ravel()
-        ss = np.bincount(key, weights=(values - mean[key]) ** 2, minlength=self.m.size)
-        return ss.reshape(self.m.shape)
 
 
 def cell_table(
@@ -265,7 +255,7 @@ def cell_table(
     size = shape[0] * shape[1]
     m = np.bincount(key, minlength=size).astype(np.float64).reshape(shape)
     s = np.bincount(key, weights=values, minlength=size).reshape(shape)
-    return CellTable(m=m, s=s, f=None, z=z_by_cluster, rows=(key, values))
+    return CellTable(m=m, s=s, f=None, z=z_by_cluster)
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -481,32 +471,12 @@ class PanelDataset:
         return {(gi.cohort, gi.entry_grade, gi.follow_up_year): gi.g for gi in self.catalog}
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column by name, covering intrinsic fields and covariates."""
-        intrinsic = {
-            "grade": self.grade,
-            "cohort": self.cohort,
-            "follow_up_year": self.year,
-        }
-        if name in intrinsic:
-            return intrinsic[name].astype(np.float64)
+        """Numeric column by name, covering design columns and covariates."""
+        if name in DESIGN_COVARIATES:
+            return getattr(self, DESIGN_COVARIATES[name]).astype(np.float64)
         if name in self.covariates:
             return self.covariates[name]
         raise InputError(f"unknown covariate column '{name}'")
-
-    def group_attribute(self, name: str) -> np.ndarray | None:
-        """Per-group values of a column the catalog fixes for each group
-        (grade, cohort, follow_up_year), shape (G,); None for any other."""
-        value = {
-            "grade": lambda gi: gi.entry_grade + gi.follow_up_year - 1,
-            "cohort": lambda gi: gi.cohort,
-            "follow_up_year": lambda gi: gi.follow_up_year,
-        }.get(name)
-        if value is None:
-            return None
-        return self.design_tier.get(
-            ("group attribute", name),
-            lambda: np.fromiter(map(value, self.catalog), dtype=np.float64, count=self.n_groups),
-        )
 
     def cluster_label(self, code: int) -> str:
         if self.cluster_labels is not None:
@@ -519,7 +489,7 @@ class PanelDataset:
         outcome sums of ``cell_counts``."""
         key, m = self.design_tier.get("cell layout", self._cell_layout)
         s = np.bincount(key, weights=self.outcome, minlength=m.size).reshape(m.shape)
-        return self.cell_counts.with_sums(s, rows=(key, self.outcome))
+        return self.cell_counts.with_sums(s)
 
     @property
     def cell_counts(self) -> CellTable:

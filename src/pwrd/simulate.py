@@ -874,22 +874,11 @@ def icc_sweep(
             k: round(v, 10)
             for k, v in expected_testin_profile(scenario).items()
         }
-    cells: list[PowerCell] = []
-    failures: list[tuple[int, float, str]] = []
-    for icc in icc_grid:
-        sc = scenario.with_icc(icc)
-        sc = sc.with_thresholds(calibrate_thresholds(sc, targets))
-        res = estimate_power(
-            sc,
-            methods=methods,
-            n_reps=n_reps,
-            alpha=alpha,
-            cov_variant=cov_variant,
-            workers=workers,
-        )
-        cells.extend(res.cells)
-        failures.extend(res.failures)
-    return PowerResult(cells=tuple(cells), seed=scenario.seed, failures=tuple(failures))
+    scenarios = (
+        sc.with_thresholds(calibrate_thresholds(sc, targets))
+        for sc in map(scenario.with_icc, icc_grid)
+    )
+    return _sweep(scenario.seed, scenarios, methods, n_reps, alpha, cov_variant, workers)
 
 
 def negative_effect_sweep(
@@ -908,21 +897,25 @@ def negative_effect_sweep(
     """
     if scenario.effect.regime != "effect2":
         raise InputError("negative effect sweep requires an effect2 scenario")
+    scenarios = (
+        replace(scenario, effect=replace(scenario.effect, spill_fraction=float(sp)))
+        for sp in spill_grid
+    )
+    return _sweep(scenario.seed, scenarios, methods, n_reps, alpha, cov_variant, workers)
+
+
+def _sweep(seed: int, scenarios, methods, n_reps, alpha, cov_variant, workers) -> PowerResult:
+    """The cells and failures of ``estimate_power`` on each scenario in turn."""
     cells: list[PowerCell] = []
     failures: list[tuple[int, float, str]] = []
-    for sp in spill_grid:
-        sc = replace(scenario, effect=replace(scenario.effect, spill_fraction=float(sp)))
+    for sc in scenarios:
         res = estimate_power(
-            sc,
-            methods=methods,
-            n_reps=n_reps,
-            alpha=alpha,
-            cov_variant=cov_variant,
+            sc, methods=methods, n_reps=n_reps, alpha=alpha, cov_variant=cov_variant,
             workers=workers,
         )
         cells.extend(res.cells)
         failures.extend(res.failures)
-    return PowerResult(cells=tuple(cells), seed=scenario.seed, failures=tuple(failures))
+    return PowerResult(cells=tuple(cells), seed=seed, failures=tuple(failures))
 
 
 # ----------------------------------------------------------------------
@@ -949,17 +942,7 @@ def default_scenario(
         CohortSpec(cohort=3, entry_year=3, entry_grades=(0,), units_per_grade=units_per_grade),
         CohortSpec(cohort=4, entry_year=4, entry_grades=(0,), units_per_grade=units_per_grade),
     )
-    base = Scenario(
-        n_clusters=n_clusters,
-        cohorts=cohorts,
-        thresholds=(),
-        effect=effect if effect is not None else EffectSpec(regime="null"),
-        seed=seed,
-        sigma2_mu=icc * total_variance,
-        sigma2_eps=(1.0 - icc) * total_variance,
-    )
-    thr = calibrate_thresholds(base, targets)
-    return base.with_thresholds(thr)
+    return _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets)
 
 
 def single_track_scenario(
@@ -979,6 +962,12 @@ def single_track_scenario(
     cohorts = (
         CohortSpec(cohort=1, entry_year=1, entry_grades=(0,), units_per_grade=units_per_cluster),
     )
+    return _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets)
+
+
+def _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets) -> Scenario:
+    """A scenario of these cohorts (null effect by default), its thresholds
+    calibrated to ``targets``."""
     base = Scenario(
         n_clusters=n_clusters,
         cohorts=cohorts,
@@ -988,8 +977,7 @@ def single_track_scenario(
         sigma2_mu=icc * total_variance,
         sigma2_eps=(1.0 - icc) * total_variance,
     )
-    thr = calibrate_thresholds(base, targets)
-    return base.with_thresholds(thr)
+    return base.with_thresholds(calibrate_thresholds(base, targets))
 
 
 def spillover_scenario(

@@ -20,6 +20,7 @@ __all__ = [
     "differs_from_first_seen",
     "ingest_rows",
     "persisted_flags",
+    "random_intercept_by_rows",
     "random_intercept_robust_se",
     "slope",
     "random_problem",
@@ -161,6 +162,75 @@ def random_intercept_robust_se(
         M += np.outer(u, u)
     V = K @ M @ K
     return float(np.sqrt(V[coef, coef]))
+
+
+def random_intercept_by_rows(
+    X: np.ndarray,
+    y: np.ndarray,
+    cluster: np.ndarray,
+    group: np.ndarray,
+    n_groups: int,
+    variant: str,
+    eig_floor: float = 1e-12,
+) -> dict:
+    """Random-intercept fit on the rows themselves, one cluster block at a time.
+
+    Components by moments: with OLS residuals e, their cluster means r_c,
+    SSW = sum (e - r_c)^2, SSB = sum_c m_c r_c^2 and q design columns
+    constant within every cluster, sigma2_eps = SSW / (n - C) and sigma2_mu
+    = max(0, (SSB / (C - q) - sigma2_eps) / n0), n0 = (n - sum m_c^2 / n) /
+    (C - q). One row per cluster, or C <= q, falls back to OLS: sigma2_mu = 0
+    and sigma2_eps = e'e / (n - p). The GLS fit quasi-demeans each cluster by
+    lambda_c = 1 - sqrt(sigma2_eps / (sigma2_eps + m_c sigma2_mu)); the model
+    se scales K = (X~'X~)^-1 by the transformed residual variance, and the
+    cluster-robust se is K M K with M = sum_c u_c u_c', u_c = X~_c' A_c e~_c,
+    A_c = I for CR0 and (I - X~_c K X~_c')^-1/2 for CR2, floored at
+    ``eig_floor``. The implied group weights sum, by group, the treated rows'
+    entries of the treatment row of the GLS estimator.
+    """
+    n, p = X.shape
+    blocks = [np.flatnonzero(cluster == c) for c in np.unique(cluster)]
+    C = len(blocks)
+    m = np.array([len(b) for b in blocks], dtype=np.float64)
+    e = y - X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    rbar = np.array([e[b].mean() for b in blocks])
+    ssw = sum(((e[b] - r) ** 2).sum() for b, r in zip(blocks, rbar))
+    ssb = float((m * rbar**2).sum())
+    q = sum(all(np.allclose(X[b, j], X[b[0], j]) for b in blocks) for j in range(p))
+    if n == C or C <= q:
+        sigma2_eps, sigma2_mu = float(e @ e) / max(n - p, 1), 0.0
+    else:
+        sigma2_eps = ssw / (n - C)
+        n0 = (n - (m**2).sum() / n) / (C - q)
+        sigma2_mu = max((ssb / (C - q) - sigma2_eps) / n0, 0.0)
+    lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu))
+    Xt, yt = X.astype(np.float64), y.astype(np.float64)
+    for b, lc in zip(blocks, lam):
+        Xt[b] -= lc * X[b].mean(axis=0)
+        yt[b] -= lc * y[b].mean()
+    K = np.linalg.inv(Xt.T @ Xt)
+    beta = K @ (Xt.T @ yt)
+    u = yt - Xt @ beta
+    M = np.zeros((p, p))
+    for b in blocks:
+        a = u[b]
+        if variant == "cr2":
+            ev, vec = np.linalg.eigh(np.eye(len(b)) - Xt[b] @ K @ Xt[b].T)
+            a = (vec / np.sqrt(np.maximum(ev, eig_floor))) @ vec.T @ a
+        score = Xt[b].T @ a
+        M += np.outer(score, score)
+    v = Xt @ K[:, 1]
+    for b, lc in zip(blocks, lam):
+        v[b] -= lc * v[b].mean()
+    return {
+        "tau_hat": float(beta[1]),
+        "se_model": float(np.sqrt(u @ u / max(n - p, 1) * K[1, 1])),
+        "se_cr": float(np.sqrt((K @ M @ K)[1, 1])),
+        "sigma2_eps": sigma2_eps,
+        "sigma2_mu": sigma2_mu,
+        "coefficients": beta,
+        "implied_group_weights": np.bincount(group, weights=v * X[:, 1], minlength=n_groups),
+    }
 
 
 def cell_mean_sandwich(

@@ -215,6 +215,31 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "pwrd: error:" in err
 
 
+def test_analyze_has_no_alpha(small_csv, capsys):
+    # the analysis reports a p-value and never read a level
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", small_csv, "--alpha", "7"], capsys)
+    assert exc.value.code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, flag, estimator",
+    [
+        (["--covariates", "nosuch"], "--covariates", "pwrd"),
+        (["--estimator", "exit", "--covariates", "nosuch"], "--covariates", "exit"),
+        (["--estimator", "mixed", "--method", "peters-belson"], "--method", "mixed"),
+        (["--estimator", "mixed", "--delta0", "3"], "--delta0", "mixed"),
+        (["--estimator", "exit", "--df-rule", "satterthwaite"], "--df-rule", "exit"),
+        (["--estimator", "flat", "--ridge"], "--ridge", "flat"),
+    ],
+)
+def test_analyze_refuses_flags_the_estimator_ignores(small_csv, capsys, flags, flag, estimator):
+    code, _, err = run(["analyze", small_csv, *flags], capsys)
+    assert code == 2
+    assert f"{flag} has no effect on the {estimator} estimator" in err
+
+
 PANEL_HEADER = "unit,cluster,treatment,cohort,grade,year,outcome\n"
 
 

@@ -5,12 +5,19 @@ import pytest
 
 from pwrd import (
     DegenerateDataError,
+    EffectSpec,
     InputError,
     NumericalError,
+    aggregate_test,
+    apply_effect,
+    cluster_covariance,
+    default_scenario,
     estimate_effects_diffmeans,
     estimate_effects_peters_belson,
     estimate_p0,
     exit_observation_estimate,
+    generate_panel,
+    pwrd_weights,
 )
 from pwrd import effects
 from pwrd.effects import effects_to_json_dict
@@ -246,3 +253,35 @@ def test_json_summary_carries_groups_and_exclusions():
     assert {g["g"] for g in doc["groups"]} == {0, 1, 2, 3}
     assert all("p0_hat" in g for g in doc["groups"])
     assert doc["excluded_groups"][0]["reason"].startswith("no control")
+
+
+def test_peters_belson_rejections_are_pinned():
+    """Rejections of the Peters-Belson pwrd test with its residual sandwich
+    (CR2, C - 2 df, one-sided at 0.05), on the design of
+    ``scripts/peters_belson_variance.py``: ``default_scenario()`` plus a
+    cluster covariate x_c ~ N(0, 1) with y += 6 x_c, over 200 replicates at
+    effect1 tau 0 and 5.5.
+
+    The counts are pinned so that a change to the adjusted test's size or
+    power shows; they do not vouch for its size. Its CR2 step rescales by
+    the cell-mean leverage only and ignores the leverage of each group's
+    control regression, a defect that still stands (ROADMAP item 4).
+    """
+    seed, coef, reps = 20260822, 6.0, 200
+    sc = default_scenario(EffectSpec("effect1", tau=5.5), seed=seed)
+    rejections = {}
+    for level in (0.0, 5.5):
+        rejections[level] = 0
+        for r in range(reps):
+            p = apply_effect(generate_panel(sc, r), sc.effect.with_level(level), r)
+            x = np.random.default_rng([seed, r, 7]).normal(size=sc.n_clusters)[p.cluster]
+            p = PanelDataset(
+                unit=p.unit, cluster=p.cluster, treatment=p.treatment, cohort=p.cohort,
+                grade=p.grade, year=p.year, outcome=p.outcome + coef * x, tested_in=p.tested_in,
+                covariates={"x": x}, validate=False,
+            )
+            eff = estimate_effects_peters_belson(p, covariates=("x",))
+            cov = cluster_covariance(p, eff)
+            w = pwrd_weights(cov, estimate_p0(p).on_groups(eff.groups))
+            rejections[level] += aggregate_test(eff, cov, w).p_value <= 0.05
+    assert rejections == {0.0: 12, 5.5: 138}

@@ -1,6 +1,6 @@
 """Random-intercept comparator: component recovery, GLS arithmetic against
 a direct blockwise solve, the fallback behavior, and agreement between the
-cell-keyed and row-keyed records."""
+record-keyed fit and a reference fit that walks the rows."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from pwrd.mixed import VarianceComponents
 from pwrd.panel import PanelDataset
 from pwrd.simulate import EffectSpec, apply_effect, default_scenario, generate_panel
 
-from oracles import random_intercept_robust_se
+from oracles import random_intercept_by_rows, random_intercept_robust_se
 
 
 def intercept_panel(
@@ -223,14 +223,17 @@ def test_cluster_constant_covariate_counts_toward_between_df():
 
 
 @pytest.mark.parametrize("variant", ["cr0", "cr2"])
-@pytest.mark.parametrize("covariates", [("grade",), ("cohort", "follow_up_year")])
+@pytest.mark.parametrize(
+    "covariates", [("grade",), ("cohort", "follow_up_year"), ("grade", "parity")]
+)
 def test_cell_and_row_records_agree(variant, covariates):
-    # group attributes make the fit read the cell table; the same columns
-    # named as schema covariates make it read the rows
+    # the records are the cells when the covariates are design columns or
+    # the same values named as schema columns, and (cell, parity) pairs
+    # when a covariate varies within cells; each fit matches a row walk
     sc = default_scenario(EffectSpec("effect1", tau=5.5), n_clusters=12)
     p = apply_effect(generate_panel(sc, 3), sc.effect, 3)
-    copies = tuple(f"{c}_copy" for c in covariates)
-    copy = PanelDataset(
+    schema = {f"{c}_copy": p.column(c) for c in ("grade", "cohort", "follow_up_year")}
+    p = PanelDataset(
         unit=p.unit,
         cluster=p.cluster,
         treatment=p.treatment,
@@ -238,19 +241,21 @@ def test_cell_and_row_records_agree(variant, covariates):
         grade=p.grade,
         year=p.year,
         outcome=p.outcome,
-        covariates={k: p.column(c) for k, c in zip(copies, covariates)},
+        covariates={**schema, "parity": (p.unit % 2).astype(np.float64)},
         validate=False,
     )
-    cells = fit_random_intercept(p, covariates=covariates, variant=variant)
-    rows = fit_random_intercept(copy, covariates=copies, variant=variant)
-    assert rows.tau_hat == pytest.approx(cells.tau_hat, rel=1e-10)
-    assert rows.se_model == pytest.approx(cells.se_model, rel=1e-10)
-    assert rows.se_cluster_robust == pytest.approx(cells.se_cluster_robust, rel=1e-10)
-    assert rows.components.sigma2_eps == pytest.approx(cells.components.sigma2_eps, rel=1e-10)
-    assert rows.components.sigma2_mu == pytest.approx(cells.components.sigma2_mu, rel=1e-10)
-    assert list(rows.coefficients.values()) == pytest.approx(
-        list(cells.coefficients.values()), rel=1e-10
+    ref = random_intercept_by_rows(
+        design_matrix(p, covariates), p.outcome, p.cluster, p.group_ids, p.n_groups, variant
     )
-    np.testing.assert_allclose(
-        rows.implied_group_weights, cells.implied_group_weights, rtol=1e-10, atol=0
-    )
+    copies = tuple(c if c == "parity" else f"{c}_copy" for c in covariates)
+    for names in (covariates, copies):
+        fit = fit_random_intercept(p, covariates=names, variant=variant)
+        assert fit.tau_hat == pytest.approx(ref["tau_hat"], rel=1e-10)
+        assert fit.se_model == pytest.approx(ref["se_model"], rel=1e-10)
+        assert fit.se_cluster_robust == pytest.approx(ref["se_cr"], rel=1e-10)
+        assert fit.components.sigma2_eps == pytest.approx(ref["sigma2_eps"], rel=1e-10)
+        assert fit.components.sigma2_mu == pytest.approx(ref["sigma2_mu"], rel=1e-10)
+        assert list(fit.coefficients.values()) == pytest.approx(list(ref["coefficients"]), rel=1e-10)
+        np.testing.assert_allclose(
+            fit.implied_group_weights, ref["implied_group_weights"], rtol=1e-10, atol=0
+        )

@@ -200,7 +200,7 @@ def assert_tiers_match(panel, fresh):
         assert set(theirs) <= set(mine)
         for name in theirs:
             assert same(mine[name], theirs[name]), (tier, name)
-    for name in ("m", "s", "f", "z", "n", "means", "ss"):
+    for name in ("m", "s", "f", "z", "n", "means"):
         assert same(getattr(panel.cells, name), getattr(fresh.cells, name)), name
 
 
@@ -408,8 +408,6 @@ def test_cell_table_sums_match_row_walk():
             y = p.outcome[(p.cluster == c) & (p.group_ids == g)]
             assert cells.m[c, g] == len(y)
             assert cells.s[c, g] == pytest.approx(y.sum(), rel=1e-14, abs=1e-12)
-            ss = ((y - y.mean()) ** 2).sum() if len(y) else 0.0
-            assert cells.ss[c, g] == pytest.approx(ss, rel=1e-12, abs=1e-12)
 
 
 def test_column_lookup():

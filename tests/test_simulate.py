@@ -161,7 +161,9 @@ def test_effect_level_does_not_read_a_stale_cell_table():
         outcome=hot.outcome.copy(),
         tested_in=hot.tested_in,
     )
-    assert np.array_equal(hot.cells.ss, fresh.cells.ss)
+    fh, ff = pwrd.fit_random_intercept(hot), pwrd.fit_random_intercept(fresh)
+    # the model-based se reads each record's sum of squared deviations
+    assert (fh.tau_hat, fh.se_model) == (ff.tau_hat, ff.se_model)
     eh, ef = pwrd.estimate_effects_diffmeans(hot), pwrd.estimate_effects_diffmeans(fresh)
     assert np.array_equal(eh.estimates, ef.estimates)
     assert np.array_equal(
