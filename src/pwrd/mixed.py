@@ -15,7 +15,7 @@ squared deviations from its mean. Every quantity of the fit is an exact
 function of these ("You Only Compress Once", Wong et al. 2021), since the
 within-record part of any residual sums to zero. When every covariate is
 constant within each (cluster, group) cell, as grade, cohort and follow-up
-year are, the records are the nonempty cells of the panel's cell table;
+year are, the records are the panel's nonempty cells, in row-major order;
 otherwise they are the distinct (cell, covariate values) rows. The record
 layout is computed once per design when the design fixes every covariate,
 else once per assignment, and the design matrix once per assignment (see
@@ -89,12 +89,10 @@ class MixedModelFit:
 @dataclass(frozen=True, eq=False)
 class _Records:
     """The fit's records, ordered by cluster, and what they fix before the
-    outcome: each row's record, the cell of each record when records are
-    cells (else None), the cluster, group, row count and design row of each
-    record, and the records and rows per cluster."""
+    outcome: each row's record, the cluster, group, row count and design row
+    of each record, and the records and rows per cluster."""
 
     row: np.ndarray
-    cell: np.ndarray | None
     cl: np.ndarray
     grp: np.ndarray
     w: np.ndarray
@@ -105,8 +103,6 @@ class _Records:
 
     def sums(self, panel: PanelDataset) -> np.ndarray:
         """Each record's outcome sum."""
-        if self.cell is not None:
-            return panel.cells.s.ravel()[self.cell]
         return np.bincount(self.row, weights=panel.outcome, minlength=len(self.w))
 
     @cached_property
@@ -135,24 +131,21 @@ class _Records:
 
 def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
     """The records: rows grouped by (cluster, group, covariate values), in
-    that sort order. Each row's record, the records' cells when no cell
-    holds two records (else None), each record's cluster, group, row count
-    and covariate values, and the records and rows per cluster with each
-    cluster's first record."""
+    that sort order. Each row's record, each record's cluster, group, row
+    count and covariate values, and the records and rows per cluster with
+    each cluster's first record."""
     cols = [panel.cluster * panel.n_groups + panel.group_ids, *map(panel.column, covariates)]
     order = np.lexsort(cols[::-1])
     keyed = np.array([col[order] for col in cols], dtype=np.float64)
     new = np.r_[True, (keyed[:, 1:] != keyed[:, :-1]).any(axis=0)]
     row = np.empty(panel.n_obs, dtype=np.int64)
     row[order] = np.cumsum(new) - 1
-    cell = keyed[0, new].astype(np.int64)
-    cl, grp = np.divmod(cell, panel.n_groups)
+    cl, grp = np.divmod(keyed[0, new].astype(np.int64), panel.n_groups)
     w = np.bincount(row).astype(np.float64)
     counts = np.bincount(cl, minlength=panel.n_clusters)
     # row counts are integers, so this sum is exact in any order
     m = np.bincount(cl, weights=w, minlength=panel.n_clusters)
-    cell = cell if (np.diff(cell) > 0).all() else None
-    return row, cell, cl, grp, w, keyed[1:, new].T, counts, np.cumsum(counts) - counts, m
+    return row, cl, grp, w, keyed[1:, new].T, counts, np.cumsum(counts) - counts, m
 
 
 def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
@@ -162,12 +155,12 @@ def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
     def build() -> _Records:
         fixed = set(covariates) <= DESIGN_COVARIATES.keys()
         tier = panel.design_tier if fixed else panel.assignment_tier
-        row, cell, cl, grp, w, cov, counts, starts, m = tier.get(
+        row, cl, grp, w, cov, counts, starts, m = tier.get(
             ("mixed layout", covariates), lambda: _layout(panel, covariates)
         )
         X = np.column_stack([np.ones(len(w)), panel.z_by_cluster[cl], cov])
         X.flags.writeable = False
-        return _Records(row, cell, cl, grp, w, X, counts, starts, m)
+        return _Records(row, cl, grp, w, X, counts, starts, m)
 
     return panel.assignment_tier.get(("mixed records", covariates), build)
 
