@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import _arm_means, _sandwich
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import CellTable, GroupInfo, PanelDataset, arm_counts, cell_table
+from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts, cell_table
 from .weights import t_p_value
 
 
@@ -173,8 +173,16 @@ def estimate_effects_peters_belson(
     contrast of mean prediction residuals, treated minus control (the
     control mean is zero up to rounding). Groups with fewer control rows
     than coefficients are excluded. With no covariates this reduces to the
-    difference in means.
+    difference in means. Grade, cohort and follow-up year are refused: each
+    is constant within every group, so no group's fit can separate it from
+    the intercept.
     """
+    for name in covariates:
+        if name in DESIGN_COVARIATES:
+            raise InputError(
+                f"covariate '{name}' is constant within every cohort-year group, "
+                "so the Peters-Belson group fits cannot adjust for it"
+            )
     kept, excluded = included_groups(panel)
     if not kept:
         raise DegenerateDataError("no group has observations in both arms")

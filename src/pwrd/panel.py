@@ -577,7 +577,7 @@ def _label_text(codes: np.ndarray, labels: np.ndarray | None, prefix: str, width
     """Each code's label, or the code zero-padded behind ``prefix``."""
     if labels is not None:
         return labels[codes].tolist()
-    return np.char.add(prefix, np.char.zfill(codes.astype(str), width)).tolist()
+    return list(map(f"{prefix}%0{width}d".__mod__, codes.tolist()))
 
 
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})

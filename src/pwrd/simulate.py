@@ -31,6 +31,22 @@ library, ``0.5 * math.erfc(z * sqrt(0.5))`` one element at a time, not from
 than ``pwrd simulate`` spends on its own work, and nothing else the command
 runs needs it; it is loaded by the first p-value instead. The two tails
 agree to about 1e-13 relative.
+
+The calibration's bisection moves one grade's cutoff per step, and year
+k's pooled share reads only the years up to k. So each year computes the
+tails of the grades it does not move once, and each track's survival
+product up to the year it meets the moving grade. A step then takes only
+the moving grade's tail and extends each cached product through the
+remaining years one factor at a time, left to right, the order
+``np.cumprod`` multiplies in. It averages each track with the same 1-d
+quadrature dot as the full profile and sums the tracks in the same order,
+so each share, and so each cutoff, is the one a full profile per step
+gives, bit for bit (``tests/oracles.py``: ``pooled_share`` and
+``bisection_by_profile``).
+
+Only ``estimate_power`` with more than one worker imports the process
+pool, so ``import pwrd`` and the commands that run no pool load neither
+``concurrent.futures.process`` nor ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -38,8 +54,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -434,11 +450,23 @@ def _year_grid(
     return grade, present, tuple(levels.tolist()), inverse
 
 
+def _zscores(
+    scenario: Scenario, grades: tuple[int, ...], thresholds: dict[int, float]
+) -> np.ndarray:
+    """Each grade's cutoff less the mean outcome at each quadrature node of
+    the cluster intercept, in noise standard deviations: one row per grade."""
+    x, _ = _gh_rule(_GH_NODES)
+    mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
+    sd = np.sqrt(scenario.sigma2_eps)
+    try:
+        cut = np.asarray([thresholds[g] for g in grades])
+    except KeyError as exc:
+        raise InputError(f"no threshold for grade {exc.args[0]}") from None
+    return ((cut - scenario.beta0 - scenario.beta1 * np.asarray(grades))[:, None] - mu) / sd
+
+
 def _flagged_shares(
-    scenario: Scenario,
-    thresholds: dict[int, float],
-    grades: tuple[int, ...] = (),
-    last_year: int | None = None,
+    scenario: Scenario, thresholds: dict[int, float], grades: tuple[int, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flagged share of each (track, year) and its gradient in the cutoffs of ``grades``.
 
@@ -448,26 +476,15 @@ def _flagged_shares(
     share's derivative in the cutoff met in year i <= j is the normal
     density at that cutoff times the survival product of the other years.
     Shapes are (tracks, years) and (tracks, years, grades), zero past a
-    track's last year. With ``last_year`` the year axis stops there: a
-    year's share depends only on the years up to it, so each kept entry is
-    the one the full axis gives, bit for bit.
+    track's last year.
     """
     tracks = _tracks(scenario)
-    T = max(tr.n_years for tr in tracks)
-    if last_year is not None:
-        T = min(T, last_year)
-    grade, present, levels, inverse = _year_grid(tracks, T)
-    x, wnorm = _gh_rule(_GH_NODES)
-    mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
-    sd = np.sqrt(scenario.sigma2_eps)
-    try:
-        cut = np.asarray([thresholds[g] for g in levels])
-    except KeyError as exc:
-        raise InputError(f"no threshold for grade {exc.args[0]}") from None
+    grade, present, levels, inverse = _year_grid(tracks, max(tr.n_years for tr in tracks))
+    _, wnorm = _gh_rule(_GH_NODES)
     # one z row per grade met, shared by every cell at that grade; a tail of 1
     # past a track's last year leaves its survival unchanged
-    zscore = ((cut - scenario.beta0 - scenario.beta1 * np.asarray(levels))[:, None] - mu) / sd
-    tail = np.ones(grade.shape + mu.shape)
+    zscore = _zscores(scenario, levels, thresholds)
+    tail = np.ones(grade.shape + (_GH_NODES,))
     tail[present] = _normal_tail(zscore)[inverse]
 
     def average(surv: np.ndarray) -> np.ndarray:
@@ -478,6 +495,7 @@ def _flagged_shares(
     flagged = np.zeros(grade.shape)
     flagged[present] = 1.0 - average(np.cumprod(tail, axis=1)[present])
     grad = np.zeros(grade.shape + (len(grades),))
+    sd = np.sqrt(scenario.sigma2_eps)
     for c, g in enumerate(grades):
         hit = (grade == g) & present
         after = (np.cumsum(hit, axis=1) > 0) & present
@@ -488,13 +506,10 @@ def _flagged_shares(
 
 
 def _profile(
-    scenario: Scenario,
-    thresholds: dict[int, float],
-    grades: tuple[int, ...] = (),
-    last_year: int | None = None,
+    scenario: Scenario, thresholds: dict[int, float], grades: tuple[int, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Test-in share by participation year, pooled over tracks, and its Jacobian."""
-    flagged, grad = _flagged_shares(scenario, thresholds, grades, last_year)
+    flagged, grad = _flagged_shares(scenario, thresholds, grades)
     tracks = _tracks(scenario)
     units = np.asarray([[tr.units_per_cluster] for tr in tracks], dtype=np.float64)
     den = (units * _year_grid(tracks, flagged.shape[1])[1]).sum(axis=0)
@@ -564,26 +579,13 @@ def _calibrate_impl(scenario: Scenario, targets: dict[int, float], tol: float) -
     for k in targets:
         if (k - 1) not in grades:
             raise InputError(f"cannot calibrate year {k}: no track occupies grade {k - 1}")
+        if all(tr.n_years < k for tr in tracks):
+            raise InputError(f"cannot calibrate year {k}: no track reaches it")
         if not 0.0 < targets[k] < 1.0:
             raise InputError("targets must lie strictly between 0 and 1")
 
-    total_sd = np.sqrt(scenario.sigma2_eps + scenario.sigma2_mu)
+    thr = _bisect(scenario, targets, grades)
     years = sorted(targets)
-    thr = {g: scenario.beta0 + scenario.beta1 * g - 0.3 * total_sd for g in grades}
-    for k in years:
-        g = k - 1
-        lo = scenario.beta0 + scenario.beta1 * g - 12.0 * total_sd
-        hi = scenario.beta0 + scenario.beta1 * g + 12.0 * total_sd
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            thr[g] = mid
-            # year k's share reads only years up to k
-            if _profile(scenario, thr, last_year=k)[0][k - 1] < targets[k]:
-                lo = mid
-            else:
-                hi = mid
-        thr[g] = 0.5 * (lo + hi)
-
     rows = np.asarray(years) - 1
     knobs = tuple(k - 1 for k in years)
     goal = np.asarray([targets[k] for k in years])
@@ -625,6 +627,79 @@ def _calibrate_impl(scenario: Scenario, targets: dict[int, float], tol: float) -
     raise NumericalError(
         f"threshold calibration did not converge: achieved {achieved}, wanted {targets}"
     )
+
+
+def _bisect(
+    scenario: Scenario, targets: dict[int, float], grades: list[int]
+) -> dict[int, float]:
+    """Cutoffs from one pass over the participation years, each year k
+    bisecting the cutoff of grade k - 1 until year k's pooled share meets
+    its target; grades no year moves keep their starting cutoff."""
+    total_sd = np.sqrt(scenario.sigma2_eps + scenario.sigma2_mu)
+    thr = {g: scenario.beta0 + scenario.beta1 * g - 0.3 * total_sd for g in grades}
+    for k in sorted(targets):
+        g = k - 1
+        share = _year_share(scenario, thr, k)
+        lo = scenario.beta0 + scenario.beta1 * g - 12.0 * total_sd
+        hi = scenario.beta0 + scenario.beta1 * g + 12.0 * total_sd
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if share(mid) < targets[k]:
+                lo = mid
+            else:
+                hi = mid
+        thr[g] = 0.5 * (lo + hi)
+    return thr
+
+
+def _year_share(
+    scenario: Scenario, thresholds: dict[int, float], k: int
+) -> Callable[[float], float]:
+    """Year k's pooled test-in share as a function of the cutoff of grade
+    k - 1, every other grade at ``thresholds``: for each cutoff, the share
+    ``_profile`` gives, bit for bit (see the module docstring)."""
+    g = k - 1
+    _, wnorm = _gh_rule(_GH_NODES)
+    reach = [tr for tr in _tracks(scenario) if tr.n_years >= k]
+    den = float(sum(tr.units_per_cluster for tr in reach))
+    # the tails of every other grade the reaching tracks meet by year k
+    fixed = sorted({tr.entry_grade + j for tr in reach for j in range(k)} - {g})
+    tail = dict(zip(fixed, _normal_tail(_zscores(scenario, tuple(fixed), thresholds))))
+    # per reaching track, in order: its units times its share if grade g is
+    # not among its first k years, else its units, its survival before it
+    # meets g and the tails after
+    paths = []
+    for tr in reach:
+        at = g - tr.entry_grade
+        if 0 <= at < k:
+            before = _survival(tail[tr.entry_grade + j] for j in range(at))
+            after = [tail[tr.entry_grade + j] for j in range(at + 1, k)]
+            paths.append((tr.units_per_cluster, before, after))
+        else:
+            surv = _survival(tail[tr.entry_grade + j] for j in range(k))
+            paths.append(tr.units_per_cluster * (1.0 - wnorm @ surv))
+
+    def share(cutoff: float) -> float:
+        moving = _normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
+        total = 0.0
+        for path in paths:
+            if isinstance(path, tuple):
+                units, before, after = path
+                total += units * (1.0 - wnorm @ _survival([moving, *after], before))
+            else:
+                total += path
+        return total / den
+
+    return share
+
+
+def _survival(factors, start: np.ndarray | None = None) -> np.ndarray | None:
+    """``start`` times each factor in turn, left to right, the order
+    ``np.cumprod`` multiplies in; None for no factor at all."""
+    surv = start
+    for f in factors:
+        surv = f if surv is None else surv * f
+    return surv
 
 
 def theoretical_covariance(scenario: Scenario) -> np.ndarray:
@@ -806,6 +881,8 @@ def estimate_power(
             _run_chunk(scenario, levels, all_reps, methods, alpha, cov_variant, df_rule)
         ]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         per = max(1, (n_reps + workers * 4 - 1) // (workers * 4))
         parts = [all_reps[i : i + per] for i in range(0, n_reps, per)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -7,19 +7,23 @@ library's internals, so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
+import math
 
 import numpy as np
 
 __all__ = [
     "best_slope_by_enumeration",
+    "bisection_by_profile",
     "blocked_assignment",
     "best_slope_by_projected_gradient",
     "cell_mean_sandwich",
     "differs_from_first_seen",
     "ingest_rows",
     "persisted_flags",
+    "pooled_share",
     "random_intercept_by_rows",
     "random_intercept_robust_se",
     "slope",
@@ -321,6 +325,68 @@ def blocked_assignment(coins: np.ndarray, n_clusters: int) -> np.ndarray:
         else:
             z[members[0]] = coin
     return z
+
+
+@functools.lru_cache(maxsize=1)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """96-node Gauss-Hermite nodes, and weights normalized to the standard normal."""
+    x, w = np.polynomial.hermite.hermgauss(96)
+    return x, w / np.sqrt(np.pi)
+
+
+def pooled_share(scenario, thresholds: dict[int, float], k: int) -> float:
+    """Year k's test-in share, pooled over the tracks that reach year k.
+
+    A track's share is 1 less the Gauss-Hermite average over the cluster
+    intercept of its survival: its normal tails in years 1..k, multiplied
+    left to right. The pool sums units times share over the tracks, in
+    track order, over their units.
+    """
+    x, w = _hermite_rule()
+    mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
+    sd = np.sqrt(scenario.sigma2_eps)
+    total = den = 0.0
+    for cs in scenario.cohorts:
+        for eg in cs.entry_grades:
+            if min(scenario.exit_grade - eg + 1, scenario.n_years - cs.entry_year + 1) < k:
+                continue
+            surv = None
+            for g in range(eg, eg + k):
+                z = (thresholds[g] - scenario.beta0 - scenario.beta1 * g - mu) / sd
+                tail = 0.5 * np.asarray([math.erfc(v * math.sqrt(0.5)) for v in z.tolist()])
+                surv = tail if surv is None else surv * tail
+            total += cs.units_per_grade * (1.0 - w @ surv)
+            den += cs.units_per_grade
+    return total / den
+
+
+def bisection_by_profile(scenario, targets: dict[int, float]) -> dict[int, float]:
+    """The calibration's bisection, each step recomputing year k's pooled
+    share from every cutoff (``pooled_share``).
+
+    Year k halves [mean -/+ 12 total sd] of grade k - 1 sixty times; a grade
+    no year moves keeps the start, mean - 0.3 total sd.
+    """
+    total_sd = np.sqrt(scenario.sigma2_eps + scenario.sigma2_mu)
+    grades = {
+        eg + j
+        for cs in scenario.cohorts
+        for eg in cs.entry_grades
+        for j in range(min(scenario.exit_grade - eg + 1, scenario.n_years - cs.entry_year + 1))
+    }
+    thr = {g: scenario.beta0 + scenario.beta1 * g - 0.3 * total_sd for g in grades}
+    for k in sorted(targets):
+        g = k - 1
+        lo = scenario.beta0 + scenario.beta1 * g - 12.0 * total_sd
+        hi = scenario.beta0 + scenario.beta1 * g + 12.0 * total_sd
+        for _ in range(60):
+            thr[g] = 0.5 * (lo + hi)
+            if pooled_share(scenario, thr, k) < targets[k]:
+                lo = thr[g]
+            else:
+                hi = thr[g]
+        thr[g] = 0.5 * (lo + hi)
+    return thr
 
 
 def ingest_rows(source, schema=None):

@@ -3,11 +3,16 @@ and error exit codes."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwrd
 from pwrd import aggregate_external, ingest_panel
 from pwrd.cli import main
 
@@ -56,6 +61,46 @@ def test_simulate_is_reproducible(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_text() == b.read_text()
+
+
+POOL_PROBE = """
+import json, sys
+
+def pool_modules():
+    return sorted(
+        m for m in sys.modules
+        if m == "concurrent.futures.process" or m.split(".")[0].lstrip("_") == "multiprocessing"
+    )
+
+loaded = {}
+import pwrd
+loaded["import pwrd"] = pool_modules()
+from pwrd.cli import main
+out = sys.argv[1]
+for preset in ("single-track", "spillover"):
+    main(["simulate", "--preset", preset, "--clusters", "8", "--units", "4", "--out", out])
+    loaded["simulate " + preset] = pool_modules()
+main(["analyze", out, "--estimator", "flat"])
+loaded["analyze flat"] = pool_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_a_pool_load_no_pool_module(tmp_path):
+    # only estimate_power with more than one worker imports the process pool
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", POOL_PROBE, str(tmp_path / "panel.csv")],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {
+        "import pwrd": [],
+        "simulate single-track": [],
+        "simulate spillover": [],
+        "analyze flat": [],
+    }
 
 
 def test_analyze_table_output(small_csv, capsys):
@@ -120,6 +165,16 @@ def test_analyze_regression_adjusted(small_csv, capsys):
     assert code_pb == code_dm == 0
     line = [l for l in out_pb.splitlines() if "estimate" in l][0]
     assert line == [l for l in out_dm.splitlines() if "estimate" in l][0]
+
+
+@pytest.mark.parametrize("name", ["grade", "cohort", "follow_up_year"])
+def test_peters_belson_design_covariate_exits_2(small_csv, capsys, name):
+    code, _, err = run(
+        ["analyze", small_csv, "--method", "peters-belson", "--covariates", name], capsys
+    )
+    assert code == 2
+    assert f"covariate '{name}' is constant within every cohort-year group" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_analyze_schema_mapping(tmp_path, capsys):

@@ -156,6 +156,21 @@ def test_peters_belson_rank_deficiency_raises():
         estimate_effects_peters_belson(p, covariates=("flat",))
 
 
+@pytest.mark.parametrize("name", ["grade", "cohort", "follow_up_year"])
+def test_peters_belson_refuses_design_covariates_before_any_fit(monkeypatch, name):
+    # each is constant within every cohort-year group, so it is collinear with
+    # the intercept of every group's control fit: an input fault, not a numerical one
+    from pwrd import generate_panel, single_track_scenario
+
+    def never(*args, **kwargs):
+        raise AssertionError("a control fit ran")
+
+    monkeypatch.setattr(effects, "_control_residuals", never)
+    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=4), 0)
+    with pytest.raises(InputError, match=f"covariate '{name}' is constant within every"):
+        estimate_effects_peters_belson(panel, covariates=(name,))
+
+
 def test_p0_uses_control_rows_only():
     p = tiny_panel()
     p0 = estimate_p0(p)

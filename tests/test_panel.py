@@ -26,7 +26,15 @@ from pwrd import (
     single_track_scenario,
 )
 from pwrd.effects import included_groups
-from pwrd.panel import IDENTITY_SCHEMA, Tier, _differs_from_first, group_layout, persist_flags
+from pwrd import panel as panel_module
+from pwrd.panel import (
+    IDENTITY_SCHEMA,
+    Tier,
+    _differs_from_first,
+    _label_text,
+    group_layout,
+    persist_flags,
+)
 
 from oracles import differs_from_first_seen, persisted_flags
 
@@ -504,6 +512,35 @@ def test_to_csv_text_is_pinned(labels):
     buf = io.StringIO()
     _golden_panel(labels).to_csv(buf)
     assert buf.getvalue() == expected
+
+
+def _label_text_by_numpy_strings(codes, labels, prefix, width):
+    """Each code's label, or the code padded by ``np.char.zfill``."""
+    if labels is not None:
+        return labels[codes].tolist()
+    return np.char.add(prefix, np.char.zfill(codes.astype(str), width)).tolist()
+
+
+def test_label_text_pads_as_numpy_strings_do():
+    codes = np.array([0, 7, 42, 123, 9999, 10000, 1234567, 12345678, 123456789])
+    for prefix, width in (("u", 7), ("c", 4), ("b", 4)):
+        got = _label_text(codes, None, prefix, width)
+        assert got == _label_text_by_numpy_strings(codes, None, prefix, width)
+
+
+@pytest.mark.parametrize("labels", [False, True], ids=["codes", "labels"])
+def test_to_csv_bytes_match_numpy_string_padding(monkeypatch, tmp_path, labels):
+    from pwrd import generate_panel, single_track_scenario
+
+    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=4), 0)
+    if labels:  # an ingested panel keeps the labels it read
+        panel.to_csv(tmp_path / "source.csv")
+        panel = ingest_panel(tmp_path / "source.csv")
+        assert panel.unit_labels is not None and panel.cluster_labels is not None
+    panel.to_csv(tmp_path / "got.csv")
+    monkeypatch.setattr(panel_module, "_label_text", _label_text_by_numpy_strings)
+    panel.to_csv(tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_ingest_renamed_columns():

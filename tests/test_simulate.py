@@ -35,14 +35,17 @@ from pwrd.simulate import (
     _STAGE_ASSIGN,
     DEFAULT_TESTIN_TARGETS,
     SPILLOVER_TESTIN_TARGETS,
+    CohortSpec,
     Scenario,
+    _bisect,
     _normal_tail,
     _profile,
     _rng,
+    _year_share,
     default_scenario,
 )
 
-from oracles import blocked_assignment
+from oracles import bisection_by_profile, blocked_assignment, pooled_share
 from test_panel import assert_tiers_match, fresh_copy, tiny_panel
 
 
@@ -396,6 +399,77 @@ def test_calibration_ignores_track_order():
         assert b[g] == pytest.approx(a[g], abs=1e-8)
 
 
+def staggered_scenario():
+    """Cohort 1 enters at grades 0 and 2, cohort 2 a year later at grade 1:
+    grade 2 is met in the first year of one track and the second of another
+    before year 3 moves it, and only the grade-0 track reaches year 4."""
+    cohorts = (CohortSpec(1, 1, (0, 2), 5), CohortSpec(2, 2, (1,), 7))
+    return Scenario(
+        n_clusters=4, cohorts=cohorts, thresholds=(), effect=EffectSpec("null"), seed=0,
+        exit_grade=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [single_track_scenario, default_scenario, staggered_scenario],
+    ids=["single-track", "default", "staggered"],
+)
+def test_year_share_is_the_profile_entry_bit_for_bit(build):
+    # a cutoff's share, not only where the bisection lands: the last bit of a
+    # share decides the last bisection steps
+    sc = build()
+    thr = sc.threshold_map or bisection_by_profile(sc, DEFAULT_TESTIN_TARGETS)
+    rng = np.random.default_rng(14)
+    for k in (1, 2, 3, 4):
+        g = k - 1
+        share = _year_share(sc, thr, k)
+        mean = sc.beta0 + sc.beta1 * g
+        for cutoff in mean + 15.0 * rng.standard_normal(12):
+            want = pooled_share(sc, {**thr, g: cutoff}, k)
+            assert _profile(sc, {**thr, g: cutoff})[0][k - 1].hex() == want.hex()
+            assert share(cutoff).hex() == want.hex()
+
+
+ICC_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+
+
+@pytest.mark.parametrize(
+    "build, targets, icc",
+    [
+        (single_track_scenario, DEFAULT_TESTIN_TARGETS, None),
+        (spillover_scenario, SPILLOVER_TESTIN_TARGETS, None),
+        (default_scenario, DEFAULT_TESTIN_TARGETS, None),
+        (staggered_scenario, DEFAULT_TESTIN_TARGETS, None),
+        *((single_track_scenario, DEFAULT_TESTIN_TARGETS, icc) for icc in ICC_GRID),
+        *((default_scenario, DEFAULT_TESTIN_TARGETS, icc) for icc in ICC_GRID),
+    ],
+    ids=[
+        "single-track", "spillover", "default", "staggered",
+        *(f"single-track-icc{icc}" for icc in ICC_GRID),
+        *(f"default-icc{icc}" for icc in ICC_GRID),
+    ],
+)
+def test_bisection_matches_a_full_profile_per_step(build, targets, icc):
+    sc = build() if icc is None else build().with_icc(icc)
+    want = {g: float(v).hex() for g, v in bisection_by_profile(sc, dict(targets)).items()}
+    got = _bisect(sc, dict(targets), sorted(want))
+    assert {g: float(v).hex() for g, v in got.items()} == want
+    if len(sc.cohorts) == 1 and icc is None:  # one track: bisection is the whole calibration
+        got = calibrate_thresholds(sc, dict(targets))
+        assert {g: v.hex() for g, v in got.items()} == want
+
+
+def test_calibration_refuses_a_year_no_track_can_show():
+    # grades 0, 1, 3 and 4 are met, in the first two years only
+    sc = replace(
+        staggered_scenario(), cohorts=(CohortSpec(1, 1, (0, 3), 5),), n_years=2
+    )
+    with pytest.raises(InputError, match="no track occupies grade 2"):
+        calibrate_thresholds(sc, {3: 0.5})
+    with pytest.raises(InputError, match="cannot calibrate year 5: no track reaches it"):
+        calibrate_thresholds(sc, {5: 0.5})
+
+
 def test_unreachable_profile_is_refused():
     # at icc 0.05 the best attainable worst deviation is about 0.022 > tol 0.02
     with pytest.raises(NumericalError, match="did not converge"):
@@ -521,13 +595,16 @@ def test_power_input_validation():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_unknown_df_rule_is_refused_before_any_replicate(monkeypatch, workers):
+    import concurrent.futures
+
     import pwrd.simulate as sim
 
     def never(*args, **kwargs):
         raise AssertionError("a replicate or a worker started")
 
     monkeypatch.setattr(sim, "_run_chunk", never)
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", never)
+    # estimate_power imports the pool from here, and only when it runs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
     with pytest.raises(InputError, match="df_rule"):
         sim.estimate_power(
             small_scenario(), methods=("flat",), n_reps=4, df_rule="no-such-rule", workers=workers
