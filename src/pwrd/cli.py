@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .covariance import cluster_covariance, satterthwaite_df
+from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
 from .effects import (
     effects_to_json_dict,
     estimate_effects_diffmeans,
@@ -38,6 +38,8 @@ from .mixed import fit_random_intercept
 from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
 from .simulate import (
     DF_RULES,
+    METHODS,
+    REGIMES,
     EffectSpec,
     default_scenario,
     estimate_power,
@@ -104,9 +106,13 @@ def _weights_table(omega, groups) -> str:
     return "\n".join(lines)
 
 
-def _given(value: int | None, default: int) -> int:
-    """A flag's value, or the preset's default when the flag is absent (0 is a value)."""
-    return default if value is None else value
+# each preset's builder and the name of its units-per-cluster parameter; the
+# sizes default in the builder
+_PRESETS = {
+    "default": (default_scenario, "units_per_grade"),
+    "single-track": (single_track_scenario, "units_per_cluster"),
+    "spillover": (spillover_scenario, "units_per_cluster"),
+}
 
 
 def _scenario_from_args(args) -> tuple:
@@ -116,27 +122,10 @@ def _scenario_from_args(args) -> tuple:
         spill_fraction=args.spill,
         effect_mean=args.effect_mean,
     )
-    common = dict(effect=effect, seed=args.seed, icc=args.icc)
-    if args.preset == "default":
-        sc = default_scenario(
-            n_clusters=_given(args.clusters, 52),
-            units_per_grade=_given(args.units, 12),
-            **common,
-        )
-    elif args.preset == "single-track":
-        sc = single_track_scenario(
-            n_clusters=_given(args.clusters, 20),
-            units_per_cluster=_given(args.units, 25),
-            **common,
-        )
-    elif args.preset == "spillover":
-        sc = spillover_scenario(
-            n_clusters=_given(args.clusters, 52),
-            units_per_cluster=_given(args.units, 25),
-            **common,
-        )
-    else:
-        raise InputError(f"unknown preset '{args.preset}'")
+    build, units = _PRESETS[args.preset]
+    sizes = {"n_clusters": args.clusters, units: args.units}
+    given = {name: value for name, value in sizes.items() if value is not None}
+    sc = build(effect=effect, seed=args.seed, icc=args.icc, **given)
     config = {
         "preset": args.preset,
         "n_clusters": sc.n_clusters,
@@ -154,16 +143,12 @@ def _scenario_from_args(args) -> tuple:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--preset", default="default", choices=["default", "single-track", "spillover"]
-    )
+    p.add_argument("--preset", default="default", choices=list(_PRESETS))
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--units", type=int, default=None, help="units per grade and cluster")
     p.add_argument("--icc", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=20260822)
-    p.add_argument(
-        "--effect", default="null", choices=["effect1", "effect2", "effect3", "null"]
-    )
+    p.add_argument("--effect", default="null", choices=REGIMES)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--spill", type=float, default=0.0)
     p.add_argument("--effect-mean", type=float, default=0.0)
@@ -343,14 +328,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _number(kind, text: str, source: str):
+    """``text`` as a ``kind`` number; one that does not parse is an
+    ``InputError`` naming the flag or variable it came from."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{source}: cannot read {text!r} as {kind.__name__}") from None
+
+
 def cmd_power(args) -> int:
     sc, config = _scenario_from_args(args)
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("PWRD_WORKERS", "1"))
+        workers = _number(int, os.environ.get("PWRD_WORKERS", "1"), "PWRD_WORKERS")
     methods = tuple(args.methods.split(","))
     levels = (
-        tuple(float(v) for v in args.levels.split(",")) if args.levels else None
+        tuple(_number(float, v, "--levels") for v in args.levels.split(","))
+        if args.levels
+        else None
     )
     config.update(
         {
@@ -405,9 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="estimate and test on a panel CSV")
     p.add_argument("panel")
     p.add_argument("--schema", default=None, help="JSON column mapping")
-    p.add_argument(
-        "--estimator", default="pwrd", choices=["pwrd", "flat", "mixed", "exit"]
-    )
+    p.add_argument("--estimator", default="pwrd", choices=METHODS)
     p.add_argument(
         "--method", default="diffmeans", choices=["diffmeans", "peters-belson"]
     )
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--alternative", default="greater", choices=["greater", "less", "two-sided"]
     )
-    p.add_argument("--cov-variant", default="cr2", choices=["cr0", "cr2"])
+    p.add_argument("--cov-variant", default="cr2", choices=VARIANTS)
     p.add_argument(
         "--df-rule", default="clusters-2", choices=DF_RULES
     )
@@ -448,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--levels", default=None, help="comma separated effect levels")
-    p.add_argument("--cov-variant", default="cr2", choices=["cr0", "cr2"])
+    p.add_argument("--cov-variant", default="cr2", choices=VARIANTS)
     p.add_argument(
         "--df-rule", default="clusters-2", choices=DF_RULES
     )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import _arm_means, _sandwich
 from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts, cell_table
+from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
 from .weights import t_p_value
 
 
@@ -206,7 +206,10 @@ def estimate_effects_peters_belson(
     name = "group g={0.g} (cohort {0.cohort}, entry grade {0.entry_grade}, year {0.follow_up_year})"
     y, z = panel.outcome[rows], panel.treatment[rows]
     resid = _control_residuals(y, X[rows], z, k, len(fit), lambda j: name.format(fit[j]))
-    table = cell_table(panel.cluster[rows], k, resid, panel.z_by_cluster, len(fit))
+    key, m = panel.cell_layout
+    s = np.bincount(key[rows], weights=resid, minlength=m.size).reshape(m.shape)
+    idx = [gi.g for gi in fit]
+    table = CellTable(m[:, idx], s[:, idx], None, panel.z_by_cluster)
     return _contrast(table, fit, "peters-belson", excluded + thin)
 
 

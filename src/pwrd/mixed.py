@@ -29,11 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import DESIGN_COVARIATES, PanelDataset
 from .weights import t_p_value
-
-EIG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,8 @@ def fit_random_intercept(
     with a warning recorded on the fit. A panel with no within-cluster
     residual variation is refused as degenerate.
     """
-    if variant not in ("cr0", "cr2"):
-        raise InputError("variant must be 'cr0' or 'cr2'")
+    if variant not in VARIANTS:
+        raise InputError(f"variant must be one of {VARIANTS}")
     n = panel.n_obs
     C = panel.n_clusters
     if C < 2:

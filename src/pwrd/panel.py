@@ -242,22 +242,6 @@ class CellTable:
         return arm_totals(self.s, self.z) / self.n
 
 
-def cell_table(
-    cluster: np.ndarray,
-    group: np.ndarray,
-    values: np.ndarray,
-    z_by_cluster: np.ndarray,
-    n_groups: int,
-) -> CellTable:
-    """Sum rows into their (cluster, group) cells, without flags."""
-    shape = (len(z_by_cluster), n_groups)
-    key = cluster * n_groups + group
-    size = shape[0] * shape[1]
-    m = np.bincount(key, minlength=size).astype(np.float64).reshape(shape)
-    s = np.bincount(key, weights=values, minlength=size).reshape(shape)
-    return CellTable(m=m, s=s, f=None, z=z_by_cluster)
-
-
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Column totals of a (C, K) cell array per arm, shape (2, K).
 
@@ -487,9 +471,15 @@ class PanelDataset:
     def cells(self) -> CellTable:
         """The panel's (cluster, group) cell table, built on first use: the
         outcome sums of ``cell_counts``."""
-        key, m = self.design_tier.get("cell layout", self._cell_layout)
+        key, m = self.cell_layout
         s = np.bincount(key, weights=self.outcome, minlength=m.size).reshape(m.shape)
         return self.cell_counts.with_sums(s)
+
+    @property
+    def cell_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's (cluster, group) cell key and the rows per cell, (C, G),
+        from the design tier."""
+        return self.design_tier.get("cell layout", self._cell_layout)
 
     @property
     def cell_counts(self) -> CellTable:
@@ -498,14 +488,13 @@ class PanelDataset:
         return self.assignment_tier.get("cell counts", self._count_table)
 
     def _cell_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's (cluster, group) cell key and the rows per cell, (C, G)."""
         shape = (self.n_clusters, self.n_groups)
         key = self.cluster * self.n_groups + self.group_ids
         m = np.bincount(key, minlength=shape[0] * shape[1]).astype(np.float64).reshape(shape)
         return key, m
 
     def _count_table(self) -> CellTable:
-        key, m = self.design_tier.get("cell layout", self._cell_layout)
+        key, m = self.cell_layout
         f = None
         if self.tested_in is not None:
             f = np.bincount(key, weights=self.tested_in, minlength=m.size).reshape(m.shape)

@@ -32,17 +32,16 @@ than ``pwrd simulate`` spends on its own work, and nothing else the command
 runs needs it; it is loaded by the first p-value instead. The two tails
 agree to about 1e-13 relative.
 
-The calibration's bisection moves one grade's cutoff per step, and year
-k's pooled share reads only the years up to k. So each year computes the
-tails of the grades it does not move once, and each track's survival
-product up to the year it meets the moving grade. A step then takes only
-the moving grade's tail and extends each cached product through the
-remaining years one factor at a time, left to right, the order
-``np.cumprod`` multiplies in. It averages each track with the same 1-d
-quadrature dot as the full profile and sums the tracks in the same order,
-so each share, and so each cutoff, is the one a full profile per step
-gives, bit for bit (``tests/oracles.py``: ``pooled_share`` and
-``bisection_by_profile``).
+The profile, its Jacobian and the calibration's bisection take each
+track's survival from one helper, ``_running_products``: its normal tails
+multiplied left to right, the order ``np.cumprod`` multiplies in, each
+product averaged over the intercept with its own 1-d quadrature dot and
+the tracks summed in order. The bisection moves one grade's cutoff per
+step, and year k's pooled share reads only the years up to k, so a year
+computes the other grades' tails once and a step only the moving grade's.
+Each share, and so each cutoff, is the one the full profile gives, bit for
+bit (``tests/oracles.py``: ``pooled_share``, ``bisection_by_profile`` and
+``flagged_shares_by_grid``).
 
 Only ``estimate_power`` with more than one worker imports the process
 pool, so ``import pwrd`` and the commands that run no pool load neither
@@ -52,10 +51,12 @@ pool, so ``import pwrd`` and the commands that run no pool load neither
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -82,6 +83,8 @@ _STAGE_EFFECT = 3
 
 
 def _rng(seed: int, replicate: int, stage: int) -> np.random.Generator:
+    if replicate < 0:
+        raise InputError(f"replicate index must be nonnegative, got {replicate}")
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(replicate, stage))
     )
@@ -128,12 +131,12 @@ class EffectSpec:
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise InputError(f"regime must be one of {REGIMES}")
-        if self.tau < 0:
-            raise InputError("tau must be nonnegative")
+        if not 0.0 <= self.tau < math.inf:
+            raise InputError("tau must be finite and nonnegative")
         if not 0.0 <= self.spill_fraction <= 1.0:
             raise InputError("spill_fraction must lie in [0, 1]")
-        if self.regime == "effect3" and self.effect_mean < 0:
-            raise InputError("effect_mean must be nonnegative")
+        if not 0.0 <= self.effect_mean < math.inf:
+            raise InputError("effect_mean must be finite and nonnegative")
 
     def level(self) -> float:
         if self.regime == "effect3":
@@ -436,20 +439,6 @@ def _normal_tail(z: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(half, np.float64, z.size).reshape(z.shape)
 
 
-@functools.lru_cache(maxsize=64)
-def _year_grid(
-    tracks: tuple[_Track, ...], n_years: int
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
-    """Each (track, year) cell's grade, whether the track reaches that year,
-    the grades the reached cells meet, and each reached cell's index into them."""
-    grade = np.asarray([[tr.entry_grade] for tr in tracks]) + np.arange(n_years)
-    present = np.arange(n_years) < np.asarray([[tr.n_years] for tr in tracks])
-    levels, inverse = np.unique(grade[present], return_inverse=True)
-    for arr in (grade, present, inverse):
-        arr.flags.writeable = False
-    return grade, present, tuple(levels.tolist()), inverse
-
-
 def _zscores(
     scenario: Scenario, grades: tuple[int, ...], thresholds: dict[int, float]
 ) -> np.ndarray:
@@ -463,6 +452,12 @@ def _zscores(
     except KeyError as exc:
         raise InputError(f"no threshold for grade {exc.args[0]}") from None
     return ((cut - scenario.beta0 - scenario.beta1 * np.asarray(grades))[:, None] - mu) / sd
+
+
+def _running_products(factors: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """Each running product of ``factors``, multiplied left to right, the
+    order ``np.cumprod`` multiplies in."""
+    return list(itertools.accumulate(factors, operator.mul))
 
 
 def _flagged_shares(
@@ -479,29 +474,26 @@ def _flagged_shares(
     track's last year.
     """
     tracks = _tracks(scenario)
-    grade, present, levels, inverse = _year_grid(tracks, max(tr.n_years for tr in tracks))
     _, wnorm = _gh_rule(_GH_NODES)
-    # one z row per grade met, shared by every cell at that grade; a tail of 1
-    # past a track's last year leaves its survival unchanged
-    zscore = _zscores(scenario, levels, thresholds)
-    tail = np.ones(grade.shape + (_GH_NODES,))
-    tail[present] = _normal_tail(zscore)[inverse]
-
-    def average(surv: np.ndarray) -> np.ndarray:
-        # one 1-d dot per row: a matrix-vector product sums in another order,
-        # and the last bisection steps would turn that last bit into new cutoffs
-        return np.asarray([wnorm @ row for row in surv])
-
-    flagged = np.zeros(grade.shape)
-    flagged[present] = 1.0 - average(np.cumprod(tail, axis=1)[present])
-    grad = np.zeros(grade.shape + (len(grades),))
+    met = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
+    zscore = dict(zip(met, _zscores(scenario, tuple(met), thresholds)))
+    tail = {g: _normal_tail(z) for g, z in zscore.items()}
     sd = np.sqrt(scenario.sigma2_eps)
-    for c, g in enumerate(grades):
-        hit = (grade == g) & present
-        after = (np.cumsum(hit, axis=1) > 0) & present
-        factors = tail.copy()
-        factors[hit] = np.exp(-0.5 * zscore[levels.index(g)] ** 2) / (np.sqrt(2.0 * np.pi) * sd)
-        grad[after, c] = average(np.cumprod(factors, axis=1)[after])
+    density = {g: np.exp(-0.5 * zscore[g] ** 2) / (np.sqrt(2.0 * np.pi) * sd) for g in grades}
+
+    flagged = np.zeros((len(tracks), max(tr.n_years for tr in tracks)))
+    grad = np.zeros(flagged.shape + (len(grades),))
+    for t, tr in enumerate(tracks):
+        tails = [tail[tr.entry_grade + j] for j in range(tr.n_years)]
+        # one 1-d dot per product: a matrix-vector product sums in another
+        # order, and the last bisection steps would turn that last bit into
+        # new cutoffs
+        flagged[t, : tr.n_years] = [1.0 - wnorm @ p for p in _running_products(tails)]
+        for c, g in enumerate(grades):
+            at = g - tr.entry_grade
+            if 0 <= at < tr.n_years:
+                swapped = _running_products([*tails[:at], density[g], *tails[at + 1 :]])
+                grad[t, at : tr.n_years, c] = [wnorm @ p for p in swapped[at:]]
     return flagged, grad
 
 
@@ -512,7 +504,8 @@ def _profile(
     flagged, grad = _flagged_shares(scenario, thresholds, grades)
     tracks = _tracks(scenario)
     units = np.asarray([[tr.units_per_cluster] for tr in tracks], dtype=np.float64)
-    den = (units * _year_grid(tracks, flagged.shape[1])[1]).sum(axis=0)
+    reached = np.arange(flagged.shape[1]) < np.asarray([[tr.n_years] for tr in tracks])
+    den = (units * reached).sum(axis=0)
     prof = (units * flagged).sum(axis=0) / den
     return prof, (units[..., None] * grad).sum(axis=0) / den[:, None]
 
@@ -665,41 +658,16 @@ def _year_share(
     # the tails of every other grade the reaching tracks meet by year k
     fixed = sorted({tr.entry_grade + j for tr in reach for j in range(k)} - {g})
     tail = dict(zip(fixed, _normal_tail(_zscores(scenario, tuple(fixed), thresholds))))
-    # per reaching track, in order: its units times its share if grade g is
-    # not among its first k years, else its units, its survival before it
-    # meets g and the tails after
-    paths = []
-    for tr in reach:
-        at = g - tr.entry_grade
-        if 0 <= at < k:
-            before = _survival(tail[tr.entry_grade + j] for j in range(at))
-            after = [tail[tr.entry_grade + j] for j in range(at + 1, k)]
-            paths.append((tr.units_per_cluster, before, after))
-        else:
-            surv = _survival(tail[tr.entry_grade + j] for j in range(k))
-            paths.append(tr.units_per_cluster * (1.0 - wnorm @ surv))
 
     def share(cutoff: float) -> float:
-        moving = _normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
+        tail[g] = _normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
         total = 0.0
-        for path in paths:
-            if isinstance(path, tuple):
-                units, before, after = path
-                total += units * (1.0 - wnorm @ _survival([moving, *after], before))
-            else:
-                total += path
+        for tr in reach:
+            surv = _running_products(tail[tr.entry_grade + j] for j in range(k))[-1]
+            total += tr.units_per_cluster * (1.0 - wnorm @ surv)
         return total / den
 
     return share
-
-
-def _survival(factors, start: np.ndarray | None = None) -> np.ndarray | None:
-    """``start`` times each factor in turn, left to right, the order
-    ``np.cumprod`` multiplies in; None for no factor at all."""
-    surv = start
-    for f in factors:
-        surv = f if surv is None else surv * f
-    return surv
 
 
 def theoretical_covariance(scenario: Scenario) -> np.ndarray:
@@ -874,6 +842,8 @@ def estimate_power(
         if effect_levels is not None
         else (scenario.effect.level(),)
     )
+    if not all(map(math.isfinite, levels)):
+        raise InputError(f"effect levels must be finite, got {levels}")
 
     all_reps = tuple(range(n_reps))
     if workers <= 1:

@@ -21,6 +21,7 @@ __all__ = [
     "best_slope_by_projected_gradient",
     "cell_mean_sandwich",
     "differs_from_first_seen",
+    "flagged_shares_by_grid",
     "ingest_rows",
     "persisted_flags",
     "pooled_share",
@@ -358,6 +359,57 @@ def pooled_share(scenario, thresholds: dict[int, float], k: int) -> float:
             total += cs.units_per_grade * (1.0 - w @ surv)
             den += cs.units_per_grade
     return total / den
+
+
+def flagged_shares_by_grid(
+    scenario, thresholds: dict[int, float], grades: tuple[int, ...] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flagged share of each (track, year) and its gradient in the cutoffs
+    of ``grades``, on one (track, year, node) grid.
+
+    A track is a (cohort, entry grade) pair, in the scenario's order,
+    followed for min(exit_grade - entry grade + 1, n_years - entry_year + 1)
+    years. A cell past a track's last year has a tail of 1, survival is the
+    ``np.cumprod`` of the tails over the years, and the share is 1 less the
+    Gauss-Hermite dot of each survival row. The gradient in grade g's cutoff
+    swaps g's tails for the normal density over the noise sd and takes the
+    same cumprod, from the year the track meets g on. Shapes are (tracks,
+    years) and (tracks, years, grades), zero past a track's last year.
+    """
+    x, wnorm = _hermite_rule()
+    entry, length = [], []
+    for cs in scenario.cohorts:
+        for eg in cs.entry_grades:
+            n = min(scenario.exit_grade - eg + 1, scenario.n_years - cs.entry_year + 1)
+            if n >= 1:
+                entry.append(eg)
+                length.append(n)
+    n_years = max(length)
+    grade = np.asarray(entry)[:, None] + np.arange(n_years)
+    present = np.arange(n_years) < np.asarray(length)[:, None]
+    levels, inverse = np.unique(grade[present], return_inverse=True)
+    mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
+    sd = np.sqrt(scenario.sigma2_eps)
+    cut = np.asarray([thresholds[g] for g in levels.tolist()])
+    zscore = ((cut - scenario.beta0 - scenario.beta1 * levels)[:, None] - mu) / sd
+    half = map(math.erfc, (zscore * math.sqrt(0.5)).ravel().tolist())
+    tail = np.ones(grade.shape + (len(x),))
+    tail[present] = (0.5 * np.fromiter(half, np.float64, zscore.size).reshape(zscore.shape))[inverse]
+
+    def average(surv: np.ndarray) -> np.ndarray:
+        return np.asarray([wnorm @ row for row in surv])
+
+    flagged = np.zeros(grade.shape)
+    flagged[present] = 1.0 - average(np.cumprod(tail, axis=1)[present])
+    grad = np.zeros(grade.shape + (len(grades),))
+    for c, g in enumerate(grades):
+        hit = (grade == g) & present
+        after = (np.cumsum(hit, axis=1) > 0) & present
+        factors = tail.copy()
+        i = levels.tolist().index(g)
+        factors[hit] = np.exp(-0.5 * zscore[i] ** 2) / (np.sqrt(2.0 * np.pi) * sd)
+        grad[after, c] = average(np.cumprod(factors, axis=1)[after])
+    return flagged, grad
 
 
 def bisection_by_profile(scenario, targets: dict[int, float]) -> dict[int, float]:

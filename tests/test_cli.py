@@ -368,12 +368,58 @@ def test_units_sets_the_default_preset_size(tmp_path, capsys):
     assert ingest_panel(out).n_obs == 2496
 
 
+@pytest.mark.parametrize(
+    "preset, build",
+    [
+        ("default", pwrd.default_scenario),
+        ("single-track", pwrd.single_track_scenario),
+        ("spillover", pwrd.spillover_scenario),
+    ],
+    ids=["default", "single-track", "spillover"],
+)
+def test_presets_take_their_sizes_from_the_library(tmp_path, capsys, preset, build):
+    out = tmp_path / "x.csv"
+    code, *_ = run(["simulate", "--preset", preset, "--out", out], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+    sc = build()
+    assert manifest["config"]["n_clusters"] == sc.n_clusters
+    assert manifest["output"]["n_rows"] == pwrd.generate_panel(sc).n_obs
+
+
 @pytest.mark.parametrize("icc", ["nan", "inf"])
 def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
     code, _, err = run(["simulate", "--icc", icc, "--out", tmp_path / "x.csv"], capsys)
     assert code == 2
     assert err.startswith("pwrd: error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (["simulate", "--effect", "effect1", "--tau", "nan"], {}, "tau"),
+        (["simulate", "--effect", "effect3", "--effect-mean", "inf"], {}, "effect_mean"),
+        (["simulate", "--replicate", -1], {}, "replicate index"),
+        (["power", "--levels", "abc", "--workers", 1], {}, "--levels"),
+        (["power", "--levels", "nan", "--workers", 1], {}, "effect levels"),
+        (["power"], {"PWRD_WORKERS": "two"}, "PWRD_WORKERS"),
+    ],
+    ids=["tau-nan", "effect-mean-inf", "replicate-negative", "levels-abc", "levels-nan",
+         "workers-env-two"],
+)
+def test_malformed_values_exit_2_naming_them(tmp_path, capsys, monkeypatch, argv, env, named):
+    # each is refused before any replicate runs, so no pool starts
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "x.csv"
+    sizes = ["--preset", "single-track", "--clusters", 4, "--units", 2]
+    code, _, err = run([*argv, *sizes, "--out", out], capsys)
+    assert code == 2
+    assert err.startswith("pwrd: error:")
+    assert len(err.strip().splitlines()) == 1
+    assert named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

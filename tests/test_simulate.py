@@ -38,6 +38,7 @@ from pwrd.simulate import (
     CohortSpec,
     Scenario,
     _bisect,
+    _flagged_shares,
     _normal_tail,
     _profile,
     _rng,
@@ -45,7 +46,12 @@ from pwrd.simulate import (
     default_scenario,
 )
 
-from oracles import bisection_by_profile, blocked_assignment, pooled_share
+from oracles import (
+    bisection_by_profile,
+    blocked_assignment,
+    flagged_shares_by_grid,
+    pooled_share,
+)
 from test_panel import assert_tiers_match, fresh_copy, tiny_panel
 
 
@@ -287,6 +293,13 @@ def test_effect_spec_validation():
         EffectSpec(regime="effect2", tau=1.0, spill_fraction=1.5)
     with pytest.raises(InputError, match="effect_mean"):
         EffectSpec(regime="effect3", effect_mean=-2.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError, match="tau must be finite"):
+            EffectSpec(regime="effect1", tau=bad)
+        with pytest.raises(InputError, match="spill_fraction"):
+            EffectSpec(regime="effect2", tau=1.0, spill_fraction=bad)
+        with pytest.raises(InputError, match="effect_mean must be finite"):
+            EffectSpec(regime="effect3", effect_mean=bad)
     spec = EffectSpec(regime="effect1", tau=2.0)
     assert spec.with_level(4.0).level() == 4.0
 
@@ -428,6 +441,30 @@ def test_year_share_is_the_profile_entry_bit_for_bit(build):
             want = pooled_share(sc, {**thr, g: cutoff}, k)
             assert _profile(sc, {**thr, g: cutoff})[0][k - 1].hex() == want.hex()
             assert share(cutoff).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        single_track_scenario,
+        default_scenario,
+        staggered_scenario,
+        lambda: default_scenario(icc=0.3),
+    ],
+    ids=["single-track", "default", "staggered", "default-icc0.3"],
+)
+def test_flagged_shares_and_jacobian_match_the_grid_bit_for_bit(build):
+    # SLSQP reads every bit of the profile and its Jacobian
+    sc = build()
+    thr = sc.threshold_map or bisection_by_profile(sc, DEFAULT_TESTIN_TARGETS)
+    grades = tuple(sorted(thr))
+    rng = np.random.default_rng(15)
+    for cut in [thr, *({g: v + 8.0 * rng.standard_normal() for g, v in thr.items()} for _ in range(4))]:
+        got = _flagged_shares(sc, cut, grades)
+        want = flagged_shares_by_grid(sc, cut, grades)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert [v.hex() for v in a.ravel().tolist()] == [v.hex() for v in b.ravel().tolist()]
 
 
 ICC_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
@@ -591,6 +628,13 @@ def test_power_input_validation():
         estimate_power(sc, methods=("flat",), n_reps=0)
     with pytest.raises(InputError, match="cov_variant"):
         estimate_power(sc, methods=("mixed",), n_reps=4, cov_variant="cr9")
+    with pytest.raises(InputError, match="effect levels must be finite"):
+        estimate_power(sc, methods=("flat",), n_reps=4, effect_levels=(0.0, math.nan))
+
+
+def test_negative_replicate_index_is_refused():
+    with pytest.raises(InputError, match="replicate index must be nonnegative"):
+        generate_panel(small_scenario(), -1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
