@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""One sha256 per estimator over seeded replicates, and one for `pwrd analyze`.
+"""One sha256 per estimator over seeded replicates, and one each for `pwrd
+analyze`, the presets' calibration and `pwrd simulate`.
 
 Two commits whose results agree bit for bit print the same lines, so a
 plain ``diff`` of two runs shows whether a change moved any result:
@@ -21,7 +22,11 @@ hashes, over every replicate, level and variant:
 A computation that raises hashes the error's type and message instead.
 The ``analyze`` line hashes the ``--json`` payload of each variant in
 ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
-writes to a temporary directory.
+writes to a temporary directory. The ``calibrate`` line hashes the
+``float.hex`` of each preset's variance components and cutoffs at every
+ICC in CALIBRATE_ICCS, and the error the default preset raises at ICC 0.05.
+The ``simulate`` line hashes the CSV bytes ``pwrd simulate`` writes for
+each preset under each variant in SIMULATE_FLAGS.
 """
 
 import argparse
@@ -37,6 +42,7 @@ import numpy as np
 
 from pwrd import (
     EffectSpec,
+    NumericalError,
     PwrdError,
     aggregate_test,
     apply_effect,
@@ -50,6 +56,8 @@ from pwrd import (
     generate_panel,
     pwrd_weights,
     satterthwaite_df,
+    single_track_scenario,
+    spillover_scenario,
 )
 from pwrd.cli import main as cli_main
 
@@ -65,6 +73,13 @@ ANALYZE_FLAGS = (
     ("--estimator", "exit", "--method", "peters-belson", "--covariates", "grade"),
     ("--cov-variant", "cr0", "--estimator", "mixed", "--covariates", "grade,cohort"),
 )
+PRESETS = {
+    "default": default_scenario,
+    "single-track": single_track_scenario,
+    "spillover": spillover_scenario,
+}
+CALIBRATE_ICCS = (0.1, 0.2, 0.3)
+SIMULATE_FLAGS = ((), ("--effect", "effect1", "--tau", "3", "--replicate", "2"))
 
 
 def feed(h, value) -> None:
@@ -152,6 +167,35 @@ def analyze_digest() -> str:
     return h.hexdigest()
 
 
+def calibrate_digest() -> str:
+    h = hashlib.sha256()
+    for name, build in PRESETS.items():
+        for icc in CALIBRATE_ICCS:
+            sc = build(icc=icc)
+            feed(h, [name, icc, sc.sigma2_mu.hex(), sc.sigma2_eps.hex()])
+            feed(h, [(g, v.hex()) for g, v in sc.thresholds])
+    try:
+        default_scenario(icc=0.05)
+        feed(h, "converged")
+    except NumericalError as exc:
+        feed(h, str(exc))
+    return h.hexdigest()
+
+
+def simulate_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "panel.csv")
+        for preset in PRESETS:
+            for flags in SIMULATE_FLAGS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(["simulate", "--preset", preset, *flags, "--out", path])
+                feed(h, [preset, list(flags), code])
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=200, help="replicates per effect level")
@@ -171,6 +215,8 @@ def main() -> None:
     for name, h in hashes.items():
         print(f"{name:<8} {h.hexdigest()}")
     print(f"{'analyze':<8} {analyze_digest()}")
+    print(f"{'calibrate':<8} {calibrate_digest()}")
+    print(f"{'simulate':<8} {simulate_digest()}")
 
 
 if __name__ == "__main__":

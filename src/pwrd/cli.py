@@ -245,12 +245,7 @@ def cmd_analyze(args) -> int:
     payload.update(
         {
             "effects": effects_to_json_dict(effects, p0),
-            "weights": {
-                "scheme": w.scheme,
-                "omega": [float(v) for v in w.omega],
-                "clipped_groups": list(w.clipped_groups),
-                "fallback": w.fallback,
-            },
+            "weights": {"scheme": w.scheme, **w.to_json_dict()},
             "test": test.to_json_dict(),
             "slopes": {
                 "selected": slope_w,

@@ -129,17 +129,19 @@ class _Records:
 
 
 def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
-    """The records: rows grouped by (cluster, group, covariate values), in
-    that sort order. Each row's record, each record's cluster, group, row
-    count and covariate values, and the records and rows per cluster with
-    each cluster's first record."""
-    cols = [panel.cluster * panel.n_groups + panel.group_ids, *map(panel.column, covariates)]
+    """The records: rows grouped by (cell key, covariate values), in that
+    sort order, the key being the panel's ``cell_layout``. Each row's
+    record; each record's cluster and group (those of its first sorted
+    row), row count and covariate values; and the records and rows per
+    cluster with each cluster's first record."""
+    cols = [panel.cell_layout[0], *map(panel.column, covariates)]
     order = np.lexsort(cols[::-1])
     keyed = np.array([col[order] for col in cols], dtype=np.float64)
     new = np.r_[True, (keyed[:, 1:] != keyed[:, :-1]).any(axis=0)]
     row = np.empty(panel.n_obs, dtype=np.int64)
     row[order] = np.cumsum(new) - 1
-    cl, grp = np.divmod(keyed[0, new].astype(np.int64), panel.n_groups)
+    first = order[new]
+    cl, grp = panel.cluster[first], panel.group_ids[first]
     w = np.bincount(row).astype(np.float64)
     counts = np.bincount(cl, minlength=panel.n_clusters)
     # row counts are integers, so this sum is exact in any order

@@ -462,11 +462,6 @@ class PanelDataset:
             return self.covariates[name]
         raise InputError(f"unknown covariate column '{name}'")
 
-    def cluster_label(self, code: int) -> str:
-        if self.cluster_labels is not None:
-            return str(self.cluster_labels[code])
-        return str(code)
-
     @cached_property
     def cells(self) -> CellTable:
         """The panel's (cluster, group) cell table, built on first use: the

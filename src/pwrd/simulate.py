@@ -72,6 +72,8 @@ DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # imposed shift is then nonpositive in every group and no method retains power.
 SPILLOVER_TESTIN_TARGETS = {1: 0.18, 2: 0.32, 3: 0.40, 4: 0.44}
 EFFECT3_DISPERSION = 2.5
+# The largest deviation from a target test-in share a calibration accepts.
+CALIBRATION_TOL = 0.02
 METHODS = ("pwrd", "flat", "mixed", "exit")
 REGIMES = ("effect1", "effect2", "effect3", "null")
 DF_RULES = ("clusters-2", "satterthwaite")
@@ -282,19 +284,20 @@ def _frame(n_clusters: int, tracks: tuple[_Track, ...]) -> _Frame:
     return _Frame(n_clusters, tracks)
 
 
+def _cutoffs(thresholds: dict[int, float], grades: Iterable[int]) -> np.ndarray:
+    """The cutoff of each of ``grades``, in that order."""
+    grades = list(grades)
+    missing = [g for g in grades if g not in thresholds]
+    if missing:
+        raise InputError(f"no threshold for grades {missing}")
+    return np.asarray([thresholds[g] for g in grades], dtype=np.float64)
+
+
 @functools.lru_cache(maxsize=32)
 def _threshold_row(frame: _Frame, thresholds: tuple[tuple[int, float], ...]) -> np.ndarray:
     """Each row's cutoff, read-only: it is shared by every replicate."""
-    thr = dict(thresholds)
-    grades = sorted(set(frame.grade.tolist()))
-    missing = [g for g in grades if g not in thr]
-    if missing:
-        raise InputError(f"thresholds missing for grades {missing}")
-    vec = np.zeros(max(grades) + 1)
-    for g, v in thr.items():
-        if 0 <= g <= max(grades):
-            vec[g] = v
-    row = vec[frame.grade]
+    grades, inverse = np.unique(frame.grade, return_inverse=True)
+    row = _cutoffs(dict(thresholds), grades.tolist())[inverse]
     row.flags.writeable = False
     return row
 
@@ -447,10 +450,7 @@ def _zscores(
     x, _ = _gh_rule(_GH_NODES)
     mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
     sd = np.sqrt(scenario.sigma2_eps)
-    try:
-        cut = np.asarray([thresholds[g] for g in grades])
-    except KeyError as exc:
-        raise InputError(f"no threshold for grade {exc.args[0]}") from None
+    cut = _cutoffs(thresholds, grades)
     return ((cut - scenario.beta0 - scenario.beta1 * np.asarray(grades))[:, None] - mu) / sd
 
 
@@ -537,7 +537,6 @@ def expected_testin_profile(
 def calibrate_thresholds(
     scenario: Scenario,
     targets: dict[int, float] | None = None,
-    tol: float = 0.02,
 ) -> dict[int, float]:
     """Per-grade cutoffs hitting a test-in profile by participation year.
 
@@ -549,24 +548,25 @@ def calibrate_thresholds(
     the bisection point, SLSQP solves the epigraph problem
     min t subject to -t <= profile_k - target_k <= t with the analytic
     Jacobian of the profile, and the minimax point is accepted as long as
-    its worst deviation stays within ``tol``. The profile is computed
-    exactly by quadrature, so no simulation noise enters the calibration.
+    its worst deviation stays within ``CALIBRATION_TOL``. The profile is
+    computed exactly by quadrature, so no simulation noise enters the
+    calibration.
     """
     targets = dict(targets) if targets is not None else dict(DEFAULT_TESTIN_TARGETS)
     # the profile is invariant to cluster count, effect, and seed
     key = replace(scenario, n_clusters=4, thresholds=(), effect=EffectSpec("null"), seed=0)
-    return dict(_calibrate_cached(key, tuple(sorted(targets.items())), tol))
+    return dict(_calibrate_cached(key, tuple(sorted(targets.items()))))
 
 
 @functools.lru_cache(maxsize=64)
 def _calibrate_cached(
-    scenario: Scenario, target_items: tuple[tuple[int, float], ...], tol: float
+    scenario: Scenario, target_items: tuple[tuple[int, float], ...]
 ) -> tuple[tuple[int, float], ...]:
-    thr = _calibrate_impl(scenario, dict(target_items), tol)
+    thr = _calibrate_impl(scenario, dict(target_items))
     return tuple(sorted(thr.items()))
 
 
-def _calibrate_impl(scenario: Scenario, targets: dict[int, float], tol: float) -> dict[int, float]:
+def _calibrate_impl(scenario: Scenario, targets: dict[int, float]) -> dict[int, float]:
     tracks = _tracks(scenario)
     grades = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
     for k in targets:
@@ -613,7 +613,7 @@ def _calibrate_impl(scenario: Scenario, targets: dict[int, float], tol: float) -
         )
         r, _ = residuals(tuple(res.x[:-1].tolist()))
         thr.update(zip(knobs, res.x[:-1].tolist()))
-    if np.abs(r).max() <= tol:
+    if np.abs(r).max() <= CALIBRATION_TOL:
         return thr
     prof = expected_testin_profile(scenario, thr)
     achieved = {k: float(prof[k]) for k in years}
@@ -974,7 +974,6 @@ def default_scenario(
     n_clusters: int = 52,
     units_per_grade: int = 12,
     icc: float = 0.2,
-    total_variance: float = 225.0,
     targets: dict[int, float] | None = None,
 ) -> Scenario:
     """Four-cohort staggered-entry design with calibrated thresholds.
@@ -989,7 +988,7 @@ def default_scenario(
         CohortSpec(cohort=3, entry_year=3, entry_grades=(0,), units_per_grade=units_per_grade),
         CohortSpec(cohort=4, entry_year=4, entry_grades=(0,), units_per_grade=units_per_grade),
     )
-    return _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets)
+    return _calibrated(cohorts, effect, seed, n_clusters, icc, targets)
 
 
 def single_track_scenario(
@@ -998,7 +997,6 @@ def single_track_scenario(
     n_clusters: int = 20,
     units_per_cluster: int = 25,
     icc: float = 0.2,
-    total_variance: float = 225.0,
     targets: dict[int, float] | None = None,
 ) -> Scenario:
     """One cohort entering at grade 0 and followed for four years.
@@ -1009,11 +1007,12 @@ def single_track_scenario(
     cohorts = (
         CohortSpec(cohort=1, entry_year=1, entry_grades=(0,), units_per_grade=units_per_cluster),
     )
-    return _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets)
+    return _calibrated(cohorts, effect, seed, n_clusters, icc, targets)
 
 
-def _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets) -> Scenario:
-    """A scenario of these cohorts (null effect by default), its thresholds
+def _calibrated(cohorts, effect, seed, n_clusters, icc, targets) -> Scenario:
+    """A scenario of these cohorts (null effect by default) at intraclass
+    correlation ``icc`` of the default total variance, its thresholds
     calibrated to ``targets``."""
     base = Scenario(
         n_clusters=n_clusters,
@@ -1021,9 +1020,7 @@ def _calibrated(cohorts, effect, seed, n_clusters, icc, total_variance, targets)
         thresholds=(),
         effect=effect if effect is not None else EffectSpec(regime="null"),
         seed=seed,
-        sigma2_mu=icc * total_variance,
-        sigma2_eps=(1.0 - icc) * total_variance,
-    )
+    ).with_icc(icc)
     return base.with_thresholds(calibrate_thresholds(base, targets))
 
 
@@ -1033,7 +1030,6 @@ def spillover_scenario(
     n_clusters: int = 52,
     units_per_cluster: int = 25,
     icc: float = 0.2,
-    total_variance: float = 225.0,
 ) -> Scenario:
     """Single-track design calibrated for negative-spillover sweeps.
 
@@ -1050,6 +1046,5 @@ def spillover_scenario(
         n_clusters=n_clusters,
         units_per_cluster=units_per_cluster,
         icc=icc,
-        total_variance=total_variance,
         targets=dict(SPILLOVER_TESTIN_TARGETS),
     )

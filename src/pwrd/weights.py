@@ -71,6 +71,13 @@ class AggregationWeights:
         """Always False: kept so readers of the ``fallback`` JSON key keep working."""
         return False
 
+    def to_json_dict(self) -> dict:
+        return {
+            "omega": [float(v) for v in self.omega],
+            "clipped_groups": list(self.clipped_groups),
+            "fallback": self.fallback,
+        }
+
 
 @dataclass(frozen=True)
 class AggregatedTest:
@@ -272,9 +279,7 @@ class ExternalAggregate:
 
     def to_json_dict(self) -> dict:
         return {
-            "omega": [float(v) for v in self.weights.omega],
-            "clipped_groups": list(self.weights.clipped_groups),
-            "fallback": self.weights.fallback,
+            **self.weights.to_json_dict(),
             "slope": self.slope,
             "test": self.test.to_json_dict(),
         }

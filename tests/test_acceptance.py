@@ -1,6 +1,6 @@
 """End-to-end acceptance gate for the package.
 
-Eleven checks, each printing exactly one PASS/FAIL line on the real
+Twelve checks, each printing exactly one PASS/FAIL line on the real
 stdout so the verdict survives pytest's output capture. Monte Carlo
 checks pin the scenario seed, so every number regenerates bit for bit.
 Single-core budget is about four minutes, dominated by the power sweeps.
@@ -20,9 +20,11 @@ from pwrd import (
     estimate_p0,
     estimate_power,
     expected_group_testin,
+    flat_weights,
     generate_panel,
     icc_sweep,
     negative_effect_sweep,
+    pitman_relative_efficiency,
     pwrd_weights,
     single_track_scenario,
     spillover_scenario,
@@ -324,4 +326,30 @@ def test_11_calibrated_testin_profile(verdict):
         "achieved control test-in profile "
         + "/".join(f"{v:.4f}" for v in profile)
         + f" vs targets {'/'.join(f'{v:.3f}' for v in targets)}, max dev {dev:.4f}",
+    )
+
+
+# ----------------------------------------------------------------------
+# the paper's headline: PWRD's gain is comparable to doubling the clusters
+
+# Pitman efficiency of pwrd over flat weights on the true covariance and
+# control test-in profile of the default design; deterministic, so golden.
+GOLDEN_PRE = 1.85726371530
+
+
+def test_12_pwrd_efficiency_near_doubling_the_clusters(verdict):
+    # Sigma scales as 1/C and p0 does not depend on C, so the ratio and
+    # the clipped set are the same at every cluster count.
+    rows, ok = [], True
+    for C in (26, 52, 104):
+        sc = default_scenario(n_clusters=C)
+        sigma, p0 = theoretical_covariance(sc), expected_group_testin(sc)
+        pwrd = pwrd_weights(sigma, p0)
+        flat = flat_weights(np.asarray([gi.n for gi in generate_panel(sc, 0).catalog]))
+        pre = pitman_relative_efficiency(pwrd.omega, flat.omega, p0, sigma)
+        clipped = len(pwrd.clipped_groups)
+        ok = ok and abs(pre / GOLDEN_PRE - 1.0) <= 1e-9 and clipped == 10 and len(p0) == 16
+        rows.append(f"C={C}:{pre:.6f} ({clipped}/{len(p0)} clipped)")
+    assert verdict(
+        12, ok, "analytic pwrd/flat Pitman efficiency " + " ".join(rows)
     )

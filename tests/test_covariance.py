@@ -15,6 +15,7 @@ from pwrd import (
     estimate_effects_peters_belson,
     estimate_p0,
     exit_observation_estimate,
+    fit_random_intercept,
     generate_panel,
     satterthwaite_df,
     single_track_scenario,
@@ -110,6 +111,25 @@ def test_cluster_relabeling_is_exactly_invariant():
             cluster_covariance(p, eff_p).sigma_hat, cluster_covariance(q, eff_q).sigma_hat
         )
         assert exit_observation_estimate(p).se == exit_observation_estimate(q).se
+
+
+def test_a_skipped_cluster_code_is_an_empty_cluster():
+    sc = single_track_scenario(EffectSpec("effect1", tau=5.5), n_clusters=8)
+    p = apply_effect(generate_panel(sc, 2), sc.effect, 2)
+    # code 3 carries no rows; it counts as a control cluster with nothing in it
+    q = _relabel(p, np.r_[0:3, 4:9])
+    assert q.n_clusters == p.n_clusters + 1
+    eff_p, eff_q = estimate_effects_diffmeans(p), estimate_effects_diffmeans(q)
+    assert np.array_equal(eff_p.estimates, eff_q.estimates)
+    cov_p, cov_q = cluster_covariance(p, eff_p), cluster_covariance(q, eff_q)
+    assert np.array_equal(cov_p.sigma_hat, cov_q.sigma_hat)
+    assert (cov_q.n_clusters, cov_q.df) == (8, 6.0)
+    ex_p, ex_q = exit_observation_estimate(p), exit_observation_estimate(q)
+    assert (ex_q.estimate, ex_q.se, ex_q.n_clusters, ex_q.df) == (
+        ex_p.estimate, ex_p.se, ex_p.n_clusters, ex_p.df
+    )
+    with pytest.raises(DegenerateDataError, match="a cluster has no observations"):
+        fit_random_intercept(q)
 
 
 def test_row_order_does_not_matter_beyond_roundoff():

@@ -441,11 +441,14 @@ def _observation_set(panel):
         return label if label.startswith(prefix) else f"{prefix}{int(label):0{width}d}"
 
     units = panel.unit_labels[panel.unit] if panel.unit_labels is not None else panel.unit
+    clusters = (
+        panel.cluster_labels[panel.cluster] if panel.cluster_labels is not None else panel.cluster
+    )
     flags = panel.tested_in if panel.tested_in is not None else [None] * panel.n_obs
     return {
         (
             canon(str(u), "u", 7),
-            canon(panel.cluster_label(int(c)), "c", 4),
+            canon(str(c), "c", 4),
             int(z),
             int(cohort),
             int(grade),
@@ -454,7 +457,7 @@ def _observation_set(panel):
             None if f is None else int(f),
         )
         for u, c, z, cohort, grade, year, y, f in zip(
-            units, panel.cluster, panel.treatment, panel.cohort,
+            units, clusters, panel.treatment, panel.cohort,
             panel.grade, panel.year, panel.outcome, flags,
         )
     }

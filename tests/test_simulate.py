@@ -110,6 +110,33 @@ def test_flags_persist_within_units():
     assert (f[1:][same_unit] >= f[:-1][same_unit]).all()
 
 
+def negative_grade_scenario(thresholds):
+    # one track entering at grade -1 (pre-K) and followed through grade 2
+    return Scenario(
+        n_clusters=8,
+        cohorts=(CohortSpec(1, 1, (-1,), 3),),
+        thresholds=tuple(sorted(thresholds.items())),
+        effect=EffectSpec("null"),
+        seed=11,
+    )
+
+
+def test_negative_grade_rows_are_flagged_against_their_own_cutoff():
+    sc = negative_grade_scenario({-1: 50.0, 0: 90.0, 1: 100.0, 2: 110.0})
+    p = generate_panel(sc, 0)
+    first = p.year == 1
+    assert (p.grade[first] == -1).all()
+    np.testing.assert_array_equal(p.tested_in[first], p.outcome[first] < 50.0)
+
+
+def test_missing_cutoffs_are_named_together():
+    sc = negative_grade_scenario({0: 90.0, 2: 110.0})
+    with pytest.raises(InputError, match=r"no threshold for grades \[-1, 1\]"):
+        generate_panel(sc, 0)
+    with pytest.raises(InputError, match=r"no threshold for grades \[-1, 1\]"):
+        expected_testin_profile(sc)
+
+
 def test_worker_count_does_not_change_results():
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
     methods = ("pwrd", "flat", "mixed", "exit")
@@ -508,7 +535,7 @@ def test_calibration_refuses_a_year_no_track_can_show():
 
 
 def test_unreachable_profile_is_refused():
-    # at icc 0.05 the best attainable worst deviation is about 0.022 > tol 0.02
+    # at icc 0.05 the best attainable worst deviation is about 0.022 > CALIBRATION_TOL 0.02
     with pytest.raises(NumericalError, match="did not converge"):
         default_scenario(icc=0.05)
 
