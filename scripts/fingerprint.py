@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """One sha256 per estimator over seeded replicates, and one each for `pwrd
-analyze`, the presets' calibration and `pwrd simulate`.
+analyze`, `pwrd weights`, the presets' calibration and `pwrd simulate`.
 
 Two commits whose results agree bit for bit print the same lines, so a
 plain ``diff`` of two runs shows whether a change moved any result:
@@ -22,9 +22,13 @@ hashes, over every replicate, level and variant:
 A computation that raises hashes the error's type and message instead.
 The ``analyze`` line hashes the ``--json`` payload of each variant in
 ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
-writes to a temporary directory. The ``calibrate`` line hashes the
-``float.hex`` of each preset's variance components and cutoffs at every
-ICC in CALIBRATE_ICCS, and the error the default preset raises at ICC 0.05.
+writes to a temporary directory. The ``weights`` line hashes the ``pwrd
+weights`` payload, less its manifest, on the README's summary in each way
+of WEIGHTS_RUNS: with ``se``, with the same variances as ``cov``, and with
+``se`` under a finite df, a nonzero null and a two-sided test. The
+``calibrate`` line hashes the ``float.hex`` of each preset's variance
+components and cutoffs at every ICC in CALIBRATE_ICCS, and the error the
+default preset raises at ICC 0.05.
 The ``simulate`` line hashes the CSV bytes ``pwrd simulate`` writes for
 each preset under each variant in SIMULATE_FLAGS.
 """
@@ -80,6 +84,13 @@ PRESETS = {
 }
 CALIBRATE_ICCS = (0.1, 0.2, 0.3)
 SIMULATE_FLAGS = ((), ("--effect", "effect1", "--tau", "3", "--replicate", "2"))
+README_SE = (0.023, 0.019, 0.021, 0.019)
+README_SUMMARY = {"delta_hat": (-0.001, -0.030, -0.035, -0.035), "p0": (0.25, 0.5, 0.75, 1.0)}
+WEIGHTS_RUNS = (
+    ({"se": README_SE}, ()),
+    ({"cov": np.diag(np.square(README_SE)).tolist()}, ()),
+    ({"se": README_SE}, ("--df", "30", "--delta0", "0.01", "--alternative", "two-sided")),
+)
 
 
 def feed(h, value) -> None:
@@ -150,6 +161,16 @@ def exit_fit(panel, variant):
     return ex, ex.p_value("greater")
 
 
+def cli_json(h, argv) -> None:
+    """Add the JSON that ``pwrd argv`` prints, less its manifest, or its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    payload = json.loads(out.getvalue()) if code == 0 else {"exit": code}
+    payload.pop("manifest", None)
+    h.update(json.dumps(payload, sort_keys=True).encode())
+
+
 def analyze_digest() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
@@ -157,13 +178,20 @@ def analyze_digest() -> str:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", path])
         for flags in ANALYZE_FLAGS:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = cli_main(["analyze", path, "--json", *flags])
-            payload = json.loads(out.getvalue()) if code == 0 else {"exit": code}
-            payload.pop("manifest", None)
             feed(h, list(flags))
-            h.update(json.dumps(payload, sort_keys=True).encode())
+            cli_json(h, ["analyze", path, "--json", *flags])
+    return h.hexdigest()
+
+
+def weights_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "summary.json")
+        for spread, flags in WEIGHTS_RUNS:
+            with open(path, "w") as fh:
+                json.dump({**README_SUMMARY, **spread}, fh)
+            feed(h, [sorted(spread), list(flags)])
+            cli_json(h, ["weights", path, *flags])
     return h.hexdigest()
 
 
@@ -215,6 +243,7 @@ def main() -> None:
     for name, h in hashes.items():
         print(f"{name:<8} {h.hexdigest()}")
     print(f"{'analyze':<8} {analyze_digest()}")
+    print(f"{'weights':<8} {weights_digest()}")
     print(f"{'calibrate':<8} {calibrate_digest()}")
     print(f"{'simulate':<8} {simulate_digest()}")
 

@@ -262,7 +262,6 @@ def exit_observation_estimate(
     panel: PanelDataset,
     method: str = "difference-in-means",
     covariates: tuple[str, ...] = (),
-    exit_grade: int | None = None,
     variant: str = "cr2",
 ) -> ExitEstimate:
     """Effect on the exit-observation subset, one row per unit.
@@ -275,12 +274,8 @@ def exit_observation_estimate(
     approximation (the uncertainty of the fitted coefficients enters only
     through the residualization).
     """
-    rows, cluster, m = panel.design_tier.get(
-        ("exit rows", exit_grade), lambda: _exit_rows(panel, exit_grade)
-    )
-    n0, n1, counts = panel.assignment_tier.get(
-        ("exit counts", exit_grade), lambda: _exit_counts(panel, m)
-    )
+    rows, cluster, m = panel.design_tier.get("exit rows", lambda: _exit_rows(panel))
+    n0, n1, counts = panel.assignment_tier.get("exit counts", lambda: _exit_counts(panel, m))
 
     y = panel.outcome[rows]
     if method == "difference-in-means":
@@ -307,13 +302,9 @@ def exit_observation_estimate(
     )
 
 
-def _exit_rows(
-    panel: PanelDataset, exit_grade: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exit_rows(panel: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exit rows, their clusters and the rows per cluster, shape (C, 1)."""
-    rows = np.flatnonzero(panel.exit_mask(exit_grade))
-    if not len(rows):
-        raise DegenerateDataError("exit rule selects no observations")
+    rows = np.flatnonzero(panel.exit_mask())
     cluster = panel.cluster[rows]
     m = np.bincount(cluster, minlength=panel.n_clusters).astype(np.float64).reshape(-1, 1)
     return rows, cluster, m

@@ -218,7 +218,10 @@ def fit_random_intercept(
     ordinary least squares. Panels with one observation per cluster cannot
     separate the components and also fall back to ordinary least squares,
     with a warning recorded on the fit. A panel with no within-cluster
-    residual variation is refused as degenerate.
+    residual variation is refused as degenerate, and so is one whose
+    components sum to at most 1e-24 times the outcome's mean square: a
+    residual standard deviation below 1e-12 times the outcome's root mean
+    square is rounding, not variation, and a test would divide by it.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
@@ -273,6 +276,8 @@ def fit_random_intercept(
             "zero within-cluster residual variance: the outcome does not vary"
             " within clusters beyond the covariates"
         )
+    if total <= 1e-24 * (ss_within + float(w @ ybar**2)) / n:  # that is, of mean(y**2)
+        raise DegenerateDataError(f"residual variance {total:.3g} is rounding of the outcome")
     components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
 
     # quasi-demeaning GLS transform, on record means

@@ -47,7 +47,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, TypeVar
+from typing import Callable, Iterator, Mapping, NoReturn, TypeVar
 
 import numpy as np
 
@@ -449,11 +449,6 @@ class PanelDataset:
     def n_units(self) -> int:
         return len(np.unique(self.unit))
 
-    @property
-    def group_index(self) -> dict[tuple[int, int, int], int]:
-        """Map (cohort, entry_grade, follow_up_year) to group ordinal."""
-        return {(gi.cohort, gi.entry_grade, gi.follow_up_year): gi.g for gi in self.catalog}
-
     def column(self, name: str) -> np.ndarray:
         """Numeric column by name, covering design columns and covariates."""
         if name in DESIGN_COVARIATES:
@@ -512,15 +507,9 @@ class PanelDataset:
         new.meta = dict(self.meta)
         return new
 
-    def exit_mask(self, exit_grade: int | None = None) -> np.ndarray:
-        """Boolean mask selecting each unit's exit observation.
-
-        By default the exit observation is the unit's last follow-up year.
-        With ``exit_grade`` given, it is the observation at that grade, and
-        units never observed at that grade contribute nothing.
-        """
-        if exit_grade is not None:
-            return self.grade == exit_grade
+    def exit_mask(self) -> np.ndarray:
+        """Boolean mask selecting each unit's exit observation, its last
+        follow-up year."""
         if not self.n_obs:
             return np.zeros(0, dtype=bool)
         last_year = np.zeros(int(self.unit.max()) + 1, dtype=np.int64)
@@ -571,10 +560,9 @@ _CHUNK_ROWS = 4096  # rows converted per step; it bounds the text held at once
 
 
 def ingest_panel(
-    source: str | os.PathLike | io.TextIOBase | Iterable[Mapping[str, str]],
-    schema: PanelSchema = IDENTITY_SCHEMA,
+    source: str | os.PathLike | io.TextIOBase, schema: PanelSchema = IDENTITY_SCHEMA
 ) -> PanelDataset:
-    """Read a delimited or record-stream source into a PanelDataset.
+    """Read a CSV file or text stream into a PanelDataset.
 
     Rows are read in chunks and converted a whole column at a time. Rows
     that fail type coercion raise ``InputError`` naming the row. Rows
@@ -591,9 +579,7 @@ def ingest_panel(
             raise InputError(f"cannot read panel {name}: {exc.strerror}") from exc
         with fh:
             return _ingest_chunks(_csv_chunks(fh, name), schema)
-    if isinstance(source, io.TextIOBase):
-        return _ingest_chunks(_csv_chunks(source, "input"), schema)
-    return _ingest_chunks(_record_chunks(source, schema), schema)
+    return _ingest_chunks(_csv_chunks(source, "input"), schema)
 
 
 def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator[list | None]:
@@ -620,27 +606,6 @@ def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator[list | None]:
     yield from [chunk] if chunk else []
     if error is not None:
         raise error
-
-
-def _record_chunks(
-    records: Iterable[Mapping[str, str]], schema: PanelSchema
-) -> Iterator[list | None]:
-    """Records as ``_csv_chunks`` gives text: the header is the first
-    record's keys plus any column the schema requires, and a record
-    without a value for a column is a short row."""
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        yield None
-        return
-    rule = schema.tested_in_rule
-    required = [schema.columns[k] for k in REQUIRED_COLUMNS] + list(schema.covariates)
-    required += [rule.score_column] if rule is not None else []
-    header = list(dict.fromkeys([*first, *required]))
-    yield header
-    records = itertools.chain([first], records)
-    for chunk in iter(lambda: list(itertools.islice(records, _CHUNK_ROWS)), []):
-        yield [[record.get(name) for name in header] for record in chunk]
 
 
 def _labels(texts) -> np.ndarray:

@@ -74,6 +74,8 @@ SPILLOVER_TESTIN_TARGETS = {1: 0.18, 2: 0.32, 3: 0.40, 4: 0.44}
 EFFECT3_DISPERSION = 2.5
 # The largest deviation from a target test-in share a calibration accepts.
 CALIBRATION_TOL = 0.02
+# The largest share of a power cell's replicates that may fail before a run is refused.
+MAX_EXCLUSION_FRACTION = 0.02
 METHODS = ("pwrd", "flat", "mixed", "exit")
 REGIMES = ("effect1", "effect2", "effect3", "null")
 DF_RULES = ("clusters-2", "satterthwaite")
@@ -369,15 +371,13 @@ def _treated_rows(panel: PanelDataset, defer_onset: bool) -> tuple[np.ndarray, n
 
 
 def apply_effect(
-    panel: PanelDataset,
-    spec: EffectSpec,
-    replicate_index: int | None = None,
-    seed: int | None = None,
+    panel: PanelDataset, spec: EffectSpec, replicate_index: int | None = None
 ) -> PanelDataset:
     """Inject the treatment effect into an already generated panel.
 
-    Effect3 draws come from a stream keyed by (seed, replicate, stage); the
-    seed and replicate default to the ones recorded by ``generate_panel``.
+    Effect3 draws come from a stream keyed by (seed, replicate, stage): the
+    seed ``generate_panel`` recorded, and the replicate it recorded unless
+    one is given.
     """
     if spec.regime == "null":
         return panel
@@ -404,8 +404,7 @@ def apply_effect(
     # effect3
     if spec.effect_mean == 0:
         return panel
-    if seed is None:
-        seed = panel.meta.get("seed")
+    seed = panel.meta.get("seed")
     if replicate_index is None:
         replicate_index = panel.meta.get("replicate")
     if seed is None or replicate_index is None:
@@ -510,13 +509,10 @@ def _profile(
     return prof, (units[..., None] * grad).sum(axis=0) / den[:, None]
 
 
-def expected_group_testin(
-    scenario: Scenario, thresholds: dict[int, float] | None = None
-) -> np.ndarray:
+def expected_group_testin(scenario: Scenario) -> np.ndarray:
     """Exact control test-in proportion per catalog group."""
-    thr = thresholds if thresholds is not None else scenario.threshold_map
     tracks = _tracks(scenario)
-    flagged, _ = _flagged_shares(scenario, thr)
+    flagged, _ = _flagged_shares(scenario, scenario.threshold_map)
     row = {(tr.cohort, tr.entry_grade): t for t, tr in enumerate(tracks)}
     frame = _frame(scenario.n_clusters, tracks)
     out = np.empty(len(frame.catalog))
@@ -692,6 +688,19 @@ def theoretical_covariance(scenario: Scenario) -> np.ndarray:
 # ----------------------------------------------------------------------
 # per-replicate analysis
 
+def _check_analysis(methods: tuple[str, ...], cov_variant: str, df_rule: str) -> None:
+    """Refuse what no replicate could analyze: Satterthwaite df need CR2."""
+    for m in methods:
+        if m not in METHODS:
+            raise InputError(f"unknown method '{m}'")
+    if cov_variant not in VARIANTS:
+        raise InputError(f"cov_variant must be one of {VARIANTS}")
+    if df_rule not in DF_RULES:
+        raise InputError(f"df_rule must be one of {DF_RULES}")
+    if df_rule == "satterthwaite" and cov_variant != "cr2":
+        raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
+
+
 def analyze_replicate(
     panel: PanelDataset,
     methods: tuple[str, ...],
@@ -700,11 +709,9 @@ def analyze_replicate(
     df_rule: str = "clusters-2",
 ) -> dict[str, bool]:
     """One-sided rejection indicator for each requested method."""
-    if df_rule not in DF_RULES:
-        raise InputError(f"df_rule must be one of {DF_RULES}")
+    _check_analysis(methods, cov_variant, df_rule)
     out: dict[str, bool] = {}
-    need_shared = any(m in methods for m in ("pwrd", "flat"))
-    if need_shared:
+    if "pwrd" in methods or "flat" in methods:
         effects = estimate_effects_diffmeans(panel)
         cov = cluster_covariance(panel, effects, variant=cov_variant)
     for method in ("pwrd", "flat"):
@@ -816,27 +823,20 @@ def estimate_power(
     cov_variant: str = "cr2",
     df_rule: str = "clusters-2",
     workers: int = 1,
-    max_exclusion_fraction: float = 0.02,
 ) -> PowerResult:
     """Monte Carlo rejection rates, one cell per method and effect level.
 
     Every replicate runs each method's full estimation pipeline. A
     replicate that raises a package error is excluded from that cell's
-    denominator and recorded; a run whose exclusions exceed the allowed
-    fraction fails outright.
+    denominator and recorded; a run whose exclusions exceed
+    ``MAX_EXCLUSION_FRACTION`` of its replicates fails outright.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"unknown method '{m}'")
+    # checked up front: inside a replicate the error would only exclude it
+    _check_analysis(methods, cov_variant, df_rule)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie in (0, 1)")
     if n_reps < 1:
         raise InputError("n_reps must be positive")
-    # checked up front: inside a replicate the error would only exclude it
-    if cov_variant not in VARIANTS:
-        raise InputError(f"cov_variant must be one of {VARIANTS}")
-    if df_rule not in DF_RULES:
-        raise InputError(f"df_rule must be one of {DF_RULES}")
     levels = (
         tuple(float(v) for v in effect_levels)
         if effect_levels is not None
@@ -874,7 +874,7 @@ def estimate_power(
             used = col >= 0
             n_used = int(used.sum())
             n_excl = n_reps - n_used
-            if n_excl > max_exclusion_fraction * n_reps:
+            if n_excl > MAX_EXCLUSION_FRACTION * n_reps:
                 raise DegenerateDataError(
                     f"{n_excl} of {n_reps} replicates failed for method '{m}' "
                     f"at effect level {lv}; run is unreliable"
@@ -902,40 +902,23 @@ def estimate_power(
 
 
 def icc_sweep(
-    scenario: Scenario,
-    icc_grid: tuple[float, ...],
-    targets: dict[int, float] | None = None,
-    methods: tuple[str, ...] = ("pwrd", "flat", "mixed"),
-    n_reps: int = 1000,
-    alpha: float = 0.05,
-    cov_variant: str = "cr2",
-    workers: int = 1,
+    scenario: Scenario, icc_grid: tuple[float, ...], n_reps: int = 1000, workers: int = 1
 ) -> PowerResult:
     """Power across intraclass correlations, total variance held fixed.
 
     Thresholds are recalibrated at every grid point so the test-in profile
-    stays at the target values and only the correlation structure moves.
+    stays at the scenario's own, and only the correlation structure moves.
     """
-    if targets is None:
-        targets = {
-            k: round(v, 10)
-            for k, v in expected_testin_profile(scenario).items()
-        }
+    targets = {k: round(v, 10) for k, v in expected_testin_profile(scenario).items()}
     scenarios = (
         sc.with_thresholds(calibrate_thresholds(sc, targets))
         for sc in map(scenario.with_icc, icc_grid)
     )
-    return _sweep(scenario.seed, scenarios, methods, n_reps, alpha, cov_variant, workers)
+    return _sweep(scenario.seed, scenarios, n_reps, workers)
 
 
 def negative_effect_sweep(
-    scenario: Scenario,
-    spill_grid: tuple[float, ...],
-    methods: tuple[str, ...] = ("pwrd", "flat", "mixed"),
-    n_reps: int = 1000,
-    alpha: float = 0.05,
-    cov_variant: str = "cr2",
-    workers: int = 1,
+    scenario: Scenario, spill_grid: tuple[float, ...], n_reps: int = 1000, workers: int = 1
 ) -> PowerResult:
     """Power across spillover fractions at a fixed positive effect size.
 
@@ -948,18 +931,15 @@ def negative_effect_sweep(
         replace(scenario, effect=replace(scenario.effect, spill_fraction=float(sp)))
         for sp in spill_grid
     )
-    return _sweep(scenario.seed, scenarios, methods, n_reps, alpha, cov_variant, workers)
+    return _sweep(scenario.seed, scenarios, n_reps, workers)
 
 
-def _sweep(seed: int, scenarios, methods, n_reps, alpha, cov_variant, workers) -> PowerResult:
+def _sweep(seed: int, scenarios, n_reps: int, workers: int) -> PowerResult:
     """The cells and failures of ``estimate_power`` on each scenario in turn."""
     cells: list[PowerCell] = []
     failures: list[tuple[int, float, str]] = []
     for sc in scenarios:
-        res = estimate_power(
-            sc, methods=methods, n_reps=n_reps, alpha=alpha, cov_variant=cov_variant,
-            workers=workers,
-        )
+        res = estimate_power(sc, n_reps=n_reps, workers=workers)
         cells.extend(res.cells)
         failures.extend(res.failures)
     return PowerResult(cells=tuple(cells), seed=seed, failures=tuple(failures))
@@ -974,7 +954,6 @@ def default_scenario(
     n_clusters: int = 52,
     units_per_grade: int = 12,
     icc: float = 0.2,
-    targets: dict[int, float] | None = None,
 ) -> Scenario:
     """Four-cohort staggered-entry design with calibrated thresholds.
 
@@ -988,7 +967,7 @@ def default_scenario(
         CohortSpec(cohort=3, entry_year=3, entry_grades=(0,), units_per_grade=units_per_grade),
         CohortSpec(cohort=4, entry_year=4, entry_grades=(0,), units_per_grade=units_per_grade),
     )
-    return _calibrated(cohorts, effect, seed, n_clusters, icc, targets)
+    return _calibrated(cohorts, effect, seed, n_clusters, icc, None)
 
 
 def single_track_scenario(

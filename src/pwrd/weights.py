@@ -22,7 +22,7 @@ from .errors import DegenerateDataError, InputError, NumericalError
 PD_GATE = 1e-12
 RIDGE_FACTOR = 1e-8
 WEIGHT_SUM_TOL = 1e-12
-SCHEMES = ("pwrd", "flat", "exit", "custom")
+SCHEMES = ("pwrd", "flat", "custom")
 ALTERNATIVES = ("two-sided", "greater", "less")
 
 
@@ -206,7 +206,7 @@ def aggregate_test(
 
     The statistic is (w'delta_hat - w'delta0) / sqrt(w'Sigma_hat w) with a
     t reference on the covariance's degrees of freedom (normal when df is
-    infinite). ``delta0`` defaults to the zero vector.
+    infinite). ``delta0`` defaults to the zero vector and must be finite.
     """
     d = _vector(effects, "estimates")
     S = _matrix(cov)
@@ -225,6 +225,8 @@ def aggregate_test(
             d0 = np.full(len(d), float(d0))
         if len(d0) != len(d):
             raise InputError("delta0 length mismatch")
+        if not np.isfinite(d0).all():
+            raise InputError("delta0 must be finite")
         null_value = float(w @ d0)
 
     if df is None:
@@ -300,8 +302,10 @@ def aggregate_external(
     Supply either a full covariance matrix or a vector of standard errors;
     standard errors imply a diagonal covariance, in which case the weights
     reduce to p0_g / se_g^2, renormalized. The reference distribution is
-    normal unless a finite ``df`` is given.
+    normal unless a finite ``df`` is given; a ``df`` must be positive.
     """
+    if not df > 0:
+        raise InputError(f"df must be positive, got {df}")
     d = _vector(delta_hat, "delta_hat")
     if not np.isfinite(d).all():
         raise InputError("delta_hat must be finite")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import math
 
@@ -442,9 +441,8 @@ def bisection_by_profile(scenario, targets: dict[int, float]) -> dict[int, float
 
 
 def ingest_rows(source, schema=None):
-    """Reference ingest of a text stream or a record stream: walk the
-    records one at a time, as ``csv.DictReader`` yields them, parsing each
-    field.
+    """Reference ingest of a text stream: walk the records one at a time,
+    as ``csv.DictReader`` yields them, parsing each field.
 
     The per-row rules are the contract ``pwrd.ingest_panel`` keeps: the
     outcome is read first and a blank one drops the row; then unit,
@@ -466,20 +464,18 @@ def ingest_rows(source, schema=None):
     )
 
     schema = IDENTITY_SCHEMA if schema is None else schema
-    if isinstance(source, io.TextIOBase):
-        reader = csv.DictReader(source)
+    reader = csv.DictReader(source)
 
-        def records():
-            try:
-                yield from reader
-            except csv.Error as exc:
-                raise InputError(f"panel input, line {reader.line_num}: {exc}") from exc
+    def records():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise InputError(f"panel input, line {reader.line_num}: {exc}") from exc
 
-        source = records()
     col = dict(schema.columns)
     rule = schema.tested_in_rule
 
-    rows = iter(source)
+    rows = records()
     first = next(rows, None)
     if first is not None:
         rows = itertools.chain([first], rows)

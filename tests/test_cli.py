@@ -17,6 +17,13 @@ from pwrd import aggregate_external, ingest_panel
 from pwrd.cli import main
 
 
+README_SUMMARY = {
+    "delta_hat": [-0.001, -0.030, -0.035, -0.035],
+    "se": [0.023, 0.019, 0.021, 0.019],
+    "p0": [0.25, 0.5, 0.75, 1.0],
+}
+
+
 def run(argv, capsys):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -206,11 +213,7 @@ def test_analyze_schema_mapping(tmp_path, capsys):
 
 
 def test_weights_subcommand_matches_library(tmp_path, capsys):
-    summary = {
-        "delta_hat": [-0.001, -0.030, -0.035, -0.035],
-        "se": [0.023, 0.019, 0.021, 0.019],
-        "p0": [0.25, 0.5, 0.75, 1.0],
-    }
+    summary = README_SUMMARY
     spath = tmp_path / "summary.json"
     spath.write_text(json.dumps(summary))
     dest = tmp_path / "weights.json"
@@ -404,17 +407,37 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
         (["power", "--levels", "abc", "--workers", 1], {}, "--levels"),
         (["power", "--levels", "nan", "--workers", 1], {}, "effect levels"),
         (["power"], {"PWRD_WORKERS": "two"}, "PWRD_WORKERS"),
+        (["power", "--cov-variant", "cr0", "--df-rule", "satterthwaite", "--workers", 1], {},
+         "Satterthwaite degrees of freedom require the cr2 variant"),
+        (["analyze", "--delta0", "inf"], {}, "delta0 must be finite"),
+        (["analyze", "--delta0", "nan"], {}, "delta0 must be finite"),
+        (["weights", "--delta0", "inf"], {}, "delta0 must be finite"),
+        (["weights", "--delta0", "nan"], {}, "delta0 must be finite"),
+        (["weights", "--df", "0"], {}, "df must be positive, got 0.0"),
+        (["weights", "--df", "nan"], {}, "df must be positive, got nan"),
     ],
     ids=["tau-nan", "effect-mean-inf", "replicate-negative", "levels-abc", "levels-nan",
-         "workers-env-two"],
+         "workers-env-two", "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
+         "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan"],
 )
-def test_malformed_values_exit_2_naming_them(tmp_path, capsys, monkeypatch, argv, env, named):
+def test_malformed_values_exit_2_naming_them(
+    tmp_path, capsys, monkeypatch, request, argv, env, named
+):
     # each is refused before any replicate runs, so no pool starts
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     out = tmp_path / "x.csv"
-    sizes = ["--preset", "single-track", "--clusters", 4, "--units", 2]
-    code, _, err = run([*argv, *sizes, "--out", out], capsys)
+    command, *flags = argv
+    if command == "analyze":
+        source = [request.getfixturevalue("small_csv")]
+    elif command == "weights":
+        source = [tmp_path / "summary.json"]
+        source[0].write_text(json.dumps(README_SUMMARY))
+    else:
+        source = ["--preset", "single-track", "--clusters", 4, "--units", 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning before the refusal
+        code, _, err = run([command, *source, *flags, "--out", out], capsys)
     assert code == 2
     assert err.startswith("pwrd: error:")
     assert len(err.strip().splitlines()) == 1
@@ -557,6 +580,31 @@ def test_mixed_without_within_cluster_variation_exits_3(tmp_path, capsys):
     assert code == 3
     assert "zero within-cluster residual variance" in err
     assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
+
+
+def test_an_outcome_the_design_fits_exactly_is_refused_by_every_estimator(tmp_path, capsys):
+    # 8 clusters of 2 units seen at grades 0 and 1; the outcome is exactly
+    # 100 + 10 grade + 5 treatment (variance 31.25), so every fit's residuals
+    # are rounding, and the mixed fit's components about 1e-26
+    rows = [(c, k, g) for c in range(8) for k in range(2) for g in (0, 1)]
+    exact = np.array([100.0 + 10 * g + 5 * (c % 2) for c, _, g in rows])
+    noise = np.random.default_rng(0).normal(0.0, 1e-6, len(rows))
+    path = tmp_path / "exact.csv"
+    for y, codes in ((exact, dict(pwrd=4, flat=4, exit=4, mixed=3)), (exact + noise, dict(mixed=0))):
+        path.write_text(
+            "unit,cluster,treatment,cohort,grade,year,outcome,tested_in\n" + "".join(
+                f"u{c}_{k},c{c},{c % 2},1,{g},{g + 1},{v!r},{int(k == 0)}\n"
+                for (c, k, g), v in zip(rows, y.tolist())
+            )
+        )
+        for estimator, want in codes.items():
+            code, out, err = run(["analyze", path, "--estimator", estimator, "--json"], capsys)
+            assert code == want, (estimator, err)
+            if estimator == "mixed" and want == 3:
+                assert "rounding" in err and len(err.strip().splitlines()) == 1
+    # the outcome plus noise of SD 1e-6 still fits, on components of about 1e-12
+    fit = json.loads(out)["mixed"]
+    assert 1e-13 < fit["sigma2_eps"] + fit["sigma2_mu"] < 1e-11
 
 
 def test_overflowing_standard_error_is_one_line(capsys, tmp_path):

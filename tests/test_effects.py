@@ -202,13 +202,6 @@ def test_exit_estimate_hand_case():
     assert ex.df == 0.0
 
 
-def test_exit_estimate_at_fixed_grade():
-    p = tiny_panel()
-    ex = exit_observation_estimate(p, exit_grade=4, variant="cr0")
-    # grade-4 rows: treated 2,3 control 6,7
-    assert ex.estimate == pytest.approx(2.5 - 6.5, abs=1e-12)
-
-
 def test_exit_estimate_requires_both_arms():
     p = tiny_panel(treatment=np.ones(8, dtype=int), validate=False)
     with pytest.raises(DegenerateDataError, match="lacks one arm"):

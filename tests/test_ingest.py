@@ -78,14 +78,6 @@ def test_matches_row_walk_on_fuzzed_csv(text, schema, chunk, newline):
         assert_same_ingest(_text(text, newline), SCHEMAS[schema])
 
 
-@FUZZ
-@given(text=panel_csv(), chunk=st.sampled_from([1, 3, 4096]))
-def test_matches_row_walk_on_fuzzed_records(text, chunk):
-    records = list(csv.DictReader(io.StringIO(text, newline="")))
-    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
-        assert_same_ingest(lambda: iter(records), SCHEMAS["covariate"])
-
-
 def test_repeated_header_name_last_wins():
     text = HEADER.replace("outcome", "outcome,outcome") + "a,s1,1,1,3,1,1.5,2.5\nb,s2,0,1,3,1,,7\n"
     p = assert_same_ingest(_text(text, ""))
@@ -149,27 +141,3 @@ def test_read_error_names_the_line_dict_reader_names():
     text = HEADER + "a,s1\n" + '"' + "x" * (csv.field_size_limit() + 10)
     assert assert_same_ingest(_text(text, "")) == "row 2: missing column 'outcome'"
 
-
-def test_record_source():
-    records = [
-        {"unit": "a", "cluster": "s1", "treatment": "1", "cohort": "1", "grade": "3",
-         "year": "1", "outcome": "1.5", "x": "0.5"},
-        {"unit": "b", "cluster": "s2", "treatment": "0", "cohort": "1", "grade": "3",
-         "year": "1", "outcome": " ", "x": "0.1"},
-        {"unit": "c", "cluster": "s2", "treatment": "0", "cohort": "1", "grade": "3",
-         "year": "1", "outcome": "2", "x": "-1"},
-    ]
-    p = assert_same_ingest(lambda: iter(records), SCHEMAS["covariate"])
-    assert p.covariates["x"].tolist() == [0.5, -1.0]
-    assert p.ingest_report.dropped_rows == ((3, "missing outcome"),)
-    assert p.block is None and p.tested_in is None
-    # a column the first record lacks is still read from later records
-    first = {"cluster": "s1", "treatment": "1", "cohort": "1", "grade": "3", "year": "1",
-             "outcome": ""}
-    p = assert_same_ingest(lambda: iter([first, *records]), SCHEMAS["covariate"])
-    assert p.n_obs == 2
-    assert p.ingest_report.dropped_rows == ((2, "missing outcome"), (4, "missing outcome"))
-    del records[2]["x"]
-    assert assert_same_ingest(lambda: iter(records), SCHEMAS["covariate"]) == (
-        "row 4: missing column 'x'"
-    )

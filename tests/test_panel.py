@@ -111,13 +111,6 @@ def test_single_arm_group_is_degenerate():
         assert {rec.reason for rec in excluded} == {f"no {empty} observations"}
 
 
-def test_group_index_maps_keys_to_ordinals():
-    p = tiny_panel()
-    assert p.group_index[(1, 4, 2)] == 3
-    assert p.n_obs == 8
-    assert p.n_units == 4
-
-
 def test_cached_catalog_refreshes_arm_counts():
     # replicate reuse: same layout, fresh treatment assignment; the extra
     # grade-7 entrant sits in the treated cluster only
@@ -377,14 +370,6 @@ def test_exit_mask_defaults_to_last_year():
         tested_in=np.zeros(8, dtype=int),
     )
     np.testing.assert_array_equal(q.exit_mask(), [1, 0, 1, 0, 1, 0, 0, 1])
-
-
-def test_exit_mask_at_a_grade():
-    p = tiny_panel()
-    mask = p.exit_mask(exit_grade=4)
-    np.testing.assert_array_equal(p.grade[mask], [4, 4, 4, 4])
-    # grade never reached by a unit contributes nothing for it
-    assert p.exit_mask(exit_grade=5).sum() == 2
 
 
 # ----------------------------------------------------------------------

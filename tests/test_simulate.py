@@ -629,20 +629,24 @@ def test_failed_replicates_are_excluded_and_recorded(monkeypatch):
     import pwrd.simulate as sim
 
     real = sim.analyze_replicate
+    failing = {3}
 
-    def flaky(panel, methods, alpha=0.05, cov_variant="cr2", df_rule="clusters-2"):
-        if panel.meta.get("replicate") == 3:
+    def flaky(panel, *args):
+        if panel.meta.get("replicate") in failing:
             raise DegenerateDataError("synthetic failure")
-        return real(panel, methods, alpha, cov_variant, df_rule)
+        return real(panel, *args)
 
     monkeypatch.setattr(sim, "analyze_replicate", flaky)
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
-    res = sim.estimate_power(sc, methods=("flat",), n_reps=10, max_exclusion_fraction=0.2)
-    assert res.cell("flat").n_reps == 9
+    # one failure of 50 is within the allowed 0.02 * 50, two are not
+    assert sim.MAX_EXCLUSION_FRACTION == 0.02
+    res = sim.estimate_power(sc, methods=("flat",), n_reps=50)
+    assert res.cell("flat").n_reps == 49
     assert res.cell("flat").n_excluded == 1
-    assert len(res.failures) == 1 and res.failures[0][0] == 3
-    with pytest.raises(DegenerateDataError, match="unreliable"):
-        sim.estimate_power(sc, methods=("flat",), n_reps=10, max_exclusion_fraction=0.0)
+    assert res.failures == ((3, 6.0, "DegenerateDataError: synthetic failure"),)
+    failing.add(17)
+    with pytest.raises(DegenerateDataError, match="2 of 50 replicates failed .* unreliable"):
+        sim.estimate_power(sc, methods=("flat",), n_reps=50)
 
 
 def test_power_input_validation():
@@ -664,8 +668,8 @@ def test_negative_replicate_index_is_refused():
         generate_panel(small_scenario(), -1)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_unknown_df_rule_is_refused_before_any_replicate(monkeypatch, workers):
+def forbid_replicates(monkeypatch):
+    """Make starting a replicate or a worker pool fail the test."""
     import concurrent.futures
 
     import pwrd.simulate as sim
@@ -676,9 +680,24 @@ def test_unknown_df_rule_is_refused_before_any_replicate(monkeypatch, workers):
     monkeypatch.setattr(sim, "_run_chunk", never)
     # estimate_power imports the pool from here, and only when it runs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_df_rule_is_refused_before_any_replicate(monkeypatch, workers):
+    forbid_replicates(monkeypatch)
     with pytest.raises(InputError, match="df_rule"):
-        sim.estimate_power(
+        estimate_power(
             small_scenario(), methods=("flat",), n_reps=4, df_rule="no-such-rule", workers=workers
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cr0_with_satterthwaite_is_refused_before_any_replicate(monkeypatch, workers):
+    forbid_replicates(monkeypatch)
+    with pytest.raises(InputError, match="Satterthwaite degrees of freedom require the cr2"):
+        estimate_power(
+            small_scenario(), methods=("flat",), n_reps=2, cov_variant="cr0",
+            df_rule="satterthwaite", workers=workers,
         )
 
 
@@ -686,6 +705,16 @@ def test_analyze_replicate_refuses_an_unknown_df_rule():
     panel = generate_panel(small_scenario(), 0)
     with pytest.raises(InputError, match="df_rule"):
         analyze_replicate(panel, ("pwrd",), df_rule="no-such-rule")
+
+
+def test_analyze_replicate_refuses_what_estimate_power_refuses():
+    panel = generate_panel(small_scenario(), 0)
+    with pytest.raises(InputError, match="unknown method 'bogus'"):
+        analyze_replicate(panel, ("bogus", "flat"))
+    with pytest.raises(InputError, match="cov_variant"):
+        analyze_replicate(panel, ("flat",), cov_variant="cr9")
+    with pytest.raises(InputError, match="Satterthwaite degrees of freedom require the cr2"):
+        analyze_replicate(panel, ("flat",), cov_variant="cr0", df_rule="satterthwaite")
 
 
 def test_negative_effect_sweep_requires_spillover_regime():
