@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """One sha256 per estimator over seeded replicates, and one each for `pwrd
-analyze`, `pwrd weights`, the presets' calibration and `pwrd simulate`.
+analyze`, `pwrd weights`, the reference tails and weight solver, the
+presets' calibration and `pwrd simulate`.
 
 Two commits whose results agree bit for bit print the same lines, so a
 plain ``diff`` of two runs shows whether a change moved any result:
@@ -26,9 +27,12 @@ writes to a temporary directory. The ``weights`` line hashes the ``pwrd
 weights`` payload, less its manifest, on the README's summary in each way
 of WEIGHTS_RUNS: with ``se``, with the same variances as ``cov``, and with
 ``se`` under a finite df, a nonzero null and a two-sided test. The
-``calibrate`` line hashes the ``float.hex`` of each preset's variance
-components and cutoffs at every ICC in CALIBRATE_ICCS, and the error the
-default preset raises at ICC 0.05.
+``tails`` line hashes the ``float.hex`` of ``t_p_value`` at every df in
+TAIL_DFS, t in TAIL_TS and alternative, then of the ``pwrd_weights`` of
+acceptance 01's 500 random instances (``tests/oracles.py::random_problem``
+at seed 20260822). The ``calibrate`` line hashes the ``float.hex`` of each
+preset's variance components and cutoffs at every ICC in CALIBRATE_ICCS,
+and the error the default preset raises at ICC 0.05.
 The ``simulate`` line hashes the CSV bytes ``pwrd simulate`` writes for
 each preset under each variant in SIMULATE_FLAGS.
 """
@@ -37,10 +41,12 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +70,7 @@ from pwrd import (
     spillover_scenario,
 )
 from pwrd.cli import main as cli_main
+from pwrd.weights import ALTERNATIVES, t_p_value
 
 LEVELS = (0.0, 5.5)
 VARIANTS = ("cr0", "cr2")
@@ -91,6 +98,12 @@ WEIGHTS_RUNS = (
     ({"cov": np.diag(np.square(README_SE)).tolist()}, ()),
     ({"se": README_SE}, ("--df", "30", "--delta0", "0.01", "--alternative", "two-sided")),
 )
+
+TAIL_DFS = (0.5, 1.0, 1.5, 3.0, 17.5, 24.0, 50.0, 102.0, 1e3, 1e4, 1e6, float("inf"))
+TAIL_TS = np.concatenate(
+    [np.linspace(-40.0, 40.0, 81), np.random.default_rng(5).uniform(-40.0, 40.0, 200)]
+)
+ORACLES = Path(__file__).resolve().parents[1] / "tests" / "oracles.py"
 
 
 def feed(h, value) -> None:
@@ -195,6 +208,21 @@ def weights_digest() -> str:
     return h.hexdigest()
 
 
+def tails_digest() -> str:
+    h = hashlib.sha256()
+    for df in TAIL_DFS:
+        for t in TAIL_TS:
+            feed(h, [t_p_value(t, df, alternative).hex() for alternative in ALTERNATIVES])
+    spec = importlib.util.spec_from_file_location("oracles", ORACLES)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    rng = np.random.default_rng(20260822)
+    for i in range(500):
+        sigma, p0 = oracles.random_problem(rng, 2 + i % 4)
+        guarded(h, lambda: [v.hex() for v in pwrd_weights(sigma, p0).omega.tolist()])
+    return h.hexdigest()
+
+
 def calibrate_digest() -> str:
     h = hashlib.sha256()
     for name, build in PRESETS.items():
@@ -244,6 +272,7 @@ def main() -> None:
         print(f"{name:<8} {h.hexdigest()}")
     print(f"{'analyze':<8} {analyze_digest()}")
     print(f"{'weights':<8} {weights_digest()}")
+    print(f"{'tails':<8} {tails_digest()}")
     print(f"{'calibrate':<8} {calibrate_digest()}")
     print(f"{'simulate':<8} {simulate_digest()}")
 

@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -84,16 +85,22 @@ def _writing(path: str):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _json_text(payload: dict) -> str:
+    """``payload`` as JSON text; a NaN or infinite value raises ValueError,
+    since neither is JSON (RFC 8259)."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_json(payload: dict, path: str) -> None:
     with _writing(path), open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_json_text(payload) + "\n")
 
 
 def _emit(payload: dict, out: str | None) -> None:
     if out:
         _write_json(payload, out)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_json_text(payload))
 
 
 def _weights_table(omega, groups) -> str:
@@ -251,7 +258,7 @@ def cmd_analyze(args) -> int:
                 "selected": slope_w,
                 "flat": slope_flat,
                 "relative_efficiency_vs_flat": (
-                    (slope_w / slope_flat) ** 2 if slope_flat > 0 else float("inf")
+                    (slope_w / slope_flat) ** 2 if slope_flat > 0 else None
                 ),
             },
         }
@@ -297,7 +304,7 @@ def cmd_weights(args) -> int:
             {
                 "alternative": args.alternative,
                 "delta0": args.delta0,
-                "df": args.df,
+                "df": args.df if args.df is not None and math.isfinite(args.df) else None,
                 "ridge": args.ridge,
             },
             [args.summary],

@@ -26,10 +26,10 @@ layout and design tier, the effect levels of one replicate share its
 assignment tier, and each level computes only what its outcome changes.
 
 The analytic test-in profile takes its normal tail from the standard
-library, ``0.5 * math.erfc(z * sqrt(0.5))`` one element at a time, not from
-``scipy.special.ndtr``. Importing ``scipy.special`` takes about 0.3 s, more
-than ``pwrd simulate`` spends on its own work, and nothing else the command
-runs needs it; it is loaded by the first p-value instead. The two tails
+library, ``0.5 * math.erfc(z * sqrt(0.5))`` one element at a time
+(``weights.normal_tail``, which the test's normal reference also uses),
+not from ``scipy.special.ndtr``. Importing ``scipy.special`` takes about
+0.3 s, more than ``pwrd simulate`` spends on its own work. The two tails
 agree to about 1e-13 relative.
 
 The profile, its Jacobian and the calibration's bisection take each
@@ -65,7 +65,7 @@ from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_e
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
 from .panel import PanelDataset, Tier, group_layout
-from .weights import aggregate_test, flat_weights, pwrd_weights
+from .weights import aggregate_test, flat_weights, normal_tail, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # Every year at or below one half flagged: with full negative spillover the
@@ -432,15 +432,6 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / np.sqrt(np.pi)
 
 
-_SQRT_HALF = math.sqrt(0.5)
-
-
-def _normal_tail(z: np.ndarray) -> np.ndarray:
-    """P(Z > z) for a standard normal Z, elementwise, in ``z``'s shape."""
-    half = map(math.erfc, (z * _SQRT_HALF).ravel().tolist())
-    return 0.5 * np.fromiter(half, np.float64, z.size).reshape(z.shape)
-
-
 def _zscores(
     scenario: Scenario, grades: tuple[int, ...], thresholds: dict[int, float]
 ) -> np.ndarray:
@@ -476,7 +467,7 @@ def _flagged_shares(
     _, wnorm = _gh_rule(_GH_NODES)
     met = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
     zscore = dict(zip(met, _zscores(scenario, tuple(met), thresholds)))
-    tail = {g: _normal_tail(z) for g, z in zscore.items()}
+    tail = {g: normal_tail(z) for g, z in zscore.items()}
     sd = np.sqrt(scenario.sigma2_eps)
     density = {g: np.exp(-0.5 * zscore[g] ** 2) / (np.sqrt(2.0 * np.pi) * sd) for g in grades}
 
@@ -653,10 +644,10 @@ def _year_share(
     den = float(sum(tr.units_per_cluster for tr in reach))
     # the tails of every other grade the reaching tracks meet by year k
     fixed = sorted({tr.entry_grade + j for tr in reach for j in range(k)} - {g})
-    tail = dict(zip(fixed, _normal_tail(_zscores(scenario, tuple(fixed), thresholds))))
+    tail = dict(zip(fixed, normal_tail(_zscores(scenario, tuple(fixed), thresholds))))
 
     def share(cutoff: float) -> float:
-        tail[g] = _normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
+        tail[g] = normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
         total = 0.0
         for tr in reach:
             surv = _running_products(tail[tr.entry_grade + j] for j in range(k))[-1]

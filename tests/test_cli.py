@@ -110,6 +110,106 @@ def test_commands_without_a_pool_load_no_pool_module(tmp_path):
     }
 
 
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from pwrd.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+panel, se_summary, cov_summary = sys.argv[1:4]
+runs = {
+    "analyze pwrd": ["analyze", panel, "--json"],
+    "analyze pwrd satterthwaite": ["analyze", panel, "--json", "--df-rule", "satterthwaite"],
+    "analyze flat": ["analyze", panel, "--json", "--estimator", "flat"],
+    "analyze mixed": ["analyze", panel, "--json", "--estimator", "mixed"],
+    "analyze exit": ["analyze", panel, "--json", "--estimator", "exit"],
+    "analyze peters-belson": ["analyze", panel, "--json", "--method", "peters-belson"],
+    "weights se": ["weights", se_summary],
+    "weights cov": ["weights", cov_summary],
+    "power single-track": [
+        "power", "--preset", "single-track", "--clusters", "8", "--units", "4",
+        "--methods", "pwrd,flat,mixed,exit", "--reps", "4", "--workers", "1",
+    ],
+}
+loaded = {}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[name] = [code, scipy_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_analysis_commands_load_no_scipy_module(small_csv, tmp_path):
+    # the tails and the weight solver are in-package; only the default
+    # preset's minimax calibration imports scipy
+    se_summary, cov_summary = tmp_path / "se.json", tmp_path / "cov.json"
+    se_summary.write_text(json.dumps(README_SUMMARY))
+    cov = np.diag(np.square(README_SUMMARY["se"])).tolist()
+    cov_summary.write_text(json.dumps({**README_SUMMARY, "se": None, "cov": cov}))
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(small_csv), str(se_summary), str(cov_summary)],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(loaded) == 9
+    for name, (code, modules) in loaded.items():
+        assert (name, code, modules) == (name, 0, [])
+
+
+def _strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [(), ("--df-rule", "satterthwaite"), ("--estimator", "flat"), ("--estimator", "mixed"),
+     ("--estimator", "exit"), ("--method", "peters-belson")],
+    ids=["pwrd", "satterthwaite", "flat", "mixed", "exit", "peters-belson"],
+)
+def test_analyze_prints_strict_json(small_csv, capsys, flags):
+    code, out, _ = run(["analyze", small_csv, "--json", *flags], capsys)
+    assert code == 0
+    _strict_json(out)
+
+
+def test_weights_and_power_write_strict_json(tmp_path, capsys):
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps(README_SUMMARY))
+    for flags, df in (((), None), (("--df", "inf"), None), (("--df", "30"), 30.0)):
+        code, out, _ = run(["weights", spath, *flags], capsys)
+        assert code == 0
+        doc = _strict_json(out)
+        # a normal reference writes its df as null
+        assert doc["test"]["df"] == doc["manifest"]["config"]["df"] == df
+    dest = tmp_path / "power.json"
+    code, _, _ = run(
+        ["power", "--preset", "single-track", "--clusters", 8, "--units", 4,
+         "--reps", 4, "--workers", 1, "--out", dest],
+        capsys,
+    )
+    assert code == 0
+    _strict_json(dest.read_text())
+
+
+def test_weights_with_an_overflowing_statistic_exits_4(tmp_path, capsys):
+    # a finite null so far out that t is -inf: refused, not printed as -Infinity
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps(README_SUMMARY))
+    code, out, err = run(["weights", spath, "--delta0", "1e308"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.strip() == "pwrd: error: test statistic is not finite"
+
+
 def test_analyze_table_output(small_csv, capsys):
     code, out, _ = run(["analyze", small_csv], capsys)
     assert code == 0

@@ -39,12 +39,12 @@ from pwrd.simulate import (
     Scenario,
     _bisect,
     _flagged_shares,
-    _normal_tail,
     _profile,
     _rng,
     _year_share,
     default_scenario,
 )
+from pwrd.weights import normal_tail
 
 from oracles import (
     bisection_by_profile,
@@ -394,11 +394,11 @@ def test_normal_tail_matches_scipy_ndtr():
     z = np.concatenate(
         [np.linspace(-30.0, 30.0, 6001), np.random.default_rng(11).uniform(-30.0, 30.0, 3999)]
     ).reshape(2, -1, 5)
-    got = _normal_tail(z)
+    got = normal_tail(z)
     want = special.ndtr(-z)
     assert got.shape == z.shape
     assert np.all(np.abs(got - want) <= 1e-12 * want)
-    assert _normal_tail(np.asarray([-np.inf, np.inf])).tolist() == [1.0, 0.0]
+    assert normal_tail(np.asarray([-np.inf, np.inf])).tolist() == [1.0, 0.0]
 
 
 def test_profile_jacobian_matches_central_differences():

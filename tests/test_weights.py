@@ -24,6 +24,7 @@ from pwrd import (
 )
 from pwrd import test_slope as slope_of
 
+import pwrd.weights as weights_module
 from pwrd.weights import AggregationWeights, t_p_value
 
 from oracles import (
@@ -153,12 +154,8 @@ def test_weights_input_checks_raise_input_error(call):
 
 
 def test_solver_failure_is_a_numerical_error(monkeypatch):
-    import scipy.optimize
-
-    def stuck(A, b):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", stuck)
+    # the solver's own step cap, here with no step allowed
+    monkeypatch.setattr(weights_module, "SOLVER_STEPS_PER_GROUP", 0)
     with pytest.raises(NumericalError, match="weight solver"):
         pwrd_weights(np.eye(2), np.array([0.5, 0.5]))
 
@@ -219,6 +216,52 @@ def test_slope_matches_enumeration_oracle(seed, G):
     assert achieved >= s_best * (1 - 1e-6)
     # and never above the true optimum by more than roundoff
     assert achieved <= s_best * (1 + 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, G=st.integers(min_value=2, max_value=8))
+def test_weights_and_support_match_enumeration_oracle(seed, G):
+    sigma, p0 = random_problem(np.random.default_rng(seed), G)
+    w = pwrd_weights(sigma, p0)
+    _, best = best_slope_by_enumeration(sigma, p0)
+    np.testing.assert_allclose(w.omega, best, rtol=0, atol=1e-10)
+    assert w.clipped_groups == tuple(np.flatnonzero(best == 0))
+
+
+def _acceptance_01_problems() -> list:
+    """The 500 random instances of acceptance 01."""
+    rng = np.random.default_rng(20260822)
+    return [random_problem(rng, 2 + i % 4) for i in range(500)]
+
+
+def _default_replicate_problems() -> list:
+    """CR2 covariance and p0 of 200 default-design replicates at effect levels 0 and 5.5."""
+    sc = pwrd.default_scenario(pwrd.EffectSpec("effect1", tau=5.5))
+    out = []
+    for r in range(200):
+        base = pwrd.generate_panel(sc, r)
+        for level in (0.0, 5.5):
+            panel = pwrd.apply_effect(base, sc.effect.with_level(level), r)
+            effects = pwrd.estimate_effects_diffmeans(panel)
+            cov = pwrd.cluster_covariance(panel, effects, variant="cr2")
+            out.append((cov.sigma_hat, pwrd.estimate_p0(panel).p_hat))
+    return out
+
+
+@pytest.mark.parametrize(
+    "problems", [_acceptance_01_problems, _default_replicate_problems],
+    ids=["acceptance-01", "default-replicates"],
+)
+def test_weights_match_scipy_nnls(problems):
+    # scipy's NNLS on the Cholesky form L'v ~ L^{-1}p0 is the oracle
+    from scipy.optimize import nnls
+
+    for sigma, p0 in problems():
+        L = np.linalg.cholesky(sigma)
+        v, _ = nnls(L.T, np.linalg.solve(L, p0))
+        w = pwrd_weights(sigma, p0)
+        np.testing.assert_allclose(w.omega, v / v.sum(), rtol=0, atol=1e-12)
+        assert w.clipped_groups == tuple(np.flatnonzero(v == 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,14 +395,43 @@ def test_scalar_delta0_broadcasts():
     assert a.null_value == pytest.approx(0.05, abs=1e-15)
 
 
-@pytest.mark.parametrize("df", [1.0, 3.0, 17.5, 50.0, np.inf])
-def test_t_p_value_is_bit_equal_to_scipy_stats(df):
+TAIL_DFS = (0.5, 1.0, 1.5, 3.0, 17.5, 24.0, 50.0, 102.0, 1e3, 1e4, 1e6, np.inf)
+TAIL_TS = np.concatenate(
+    [np.linspace(-40.0, 40.0, 81), np.random.default_rng(5).uniform(-40.0, 40.0, 200)]
+)
+
+
+@pytest.mark.parametrize("df", TAIL_DFS)
+def test_t_p_value_matches_scipy_stats(df):
+    # scipy.stats is the oracle: 1e-12 relative wherever its tail is at
+    # least 1e-300, and exactly 0 where it underflows
     dist = stats.norm if np.isinf(df) else stats.t(df)
-    ts = np.concatenate([np.linspace(-8.0, 8.0, 81), np.random.default_rng(5).normal(0, 3, 200)])
-    for t in ts:
-        assert t_p_value(t, df, "greater") == float(dist.sf(t))
-        assert t_p_value(t, df, "less") == float(dist.cdf(t))
-        assert t_p_value(t, df, "two-sided") == float(2.0 * dist.sf(abs(t)))
+    for t in TAIL_TS:
+        wanted = {
+            "greater": float(dist.sf(t)),
+            "less": float(dist.cdf(t)),
+            "two-sided": float(2.0 * dist.sf(abs(t))),
+        }
+        for alternative, want in wanted.items():
+            got = t_p_value(t, df, alternative)
+            if want >= 1e-300:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (t, alternative)
+            elif want == 0.0:
+                assert got == 0.0, (t, alternative)
+            else:
+                assert got < 1e-300, (t, alternative)
+
+
+@pytest.mark.parametrize("df", [0.5, 24.0, 1e6, np.inf])
+def test_t_p_value_at_infinite_and_nan_statistics(df):
+    assert t_p_value(np.inf, df, "greater") == 0.0
+    assert t_p_value(-np.inf, df, "greater") == 1.0
+    assert t_p_value(np.inf, df, "less") == 1.0
+    assert t_p_value(-np.inf, df, "two-sided") == 0.0
+    assert t_p_value(0.0, df, "two-sided") == 1.0
+    assert t_p_value(0.0, df, "greater") == 0.5
+    with pytest.raises(NumericalError, match="NaN"):
+        t_p_value(np.nan, df, "greater")
 
 
 def test_import_does_not_load_scipy_stats():
