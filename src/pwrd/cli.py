@@ -50,6 +50,7 @@ from .simulate import (
     spillover_scenario,
 )
 from .weights import (
+    ALTERNATIVES,
     aggregate_external,
     aggregate_test,
     flat_weights,
@@ -232,8 +233,11 @@ def cmd_analyze(args) -> int:
     else:
         effects = estimate_effects_diffmeans(panel)
     cov = cluster_covariance(panel, effects, variant=args.cov_variant)
-    # Peters-Belson drops groups with too few control rows for its fit
-    p0 = estimate_p0(panel).on_groups(effects.groups)
+    # the flat test reads no flag, so without flags it reports no p0 and no slopes
+    p0 = None
+    if args.estimator == "pwrd" or panel.tested_in is not None:
+        # Peters-Belson drops groups with too few control rows for its fit
+        p0 = estimate_p0(panel).on_groups(effects.groups)
 
     if args.estimator == "flat":
         w = flat_weights(effects)
@@ -246,23 +250,21 @@ def cmd_analyze(args) -> int:
         effects, cov, w, delta0=args.delta0, alternative=args.alternative, df=df
     )
 
-    flat = flat_weights(effects)
-    slope_w = test_slope(w.omega, p0.p_hat, cov.sigma_hat)
-    slope_flat = test_slope(flat.omega, p0.p_hat, cov.sigma_hat)
     payload.update(
         {
             "effects": effects_to_json_dict(effects, p0),
             "weights": {"scheme": w.scheme, **w.to_json_dict()},
             "test": test.to_json_dict(),
-            "slopes": {
-                "selected": slope_w,
-                "flat": slope_flat,
-                "relative_efficiency_vs_flat": (
-                    (slope_w / slope_flat) ** 2 if slope_flat > 0 else None
-                ),
-            },
         }
     )
+    if p0 is not None:
+        slope_w = test_slope(w.omega, p0.p_hat, cov.sigma_hat)
+        slope_flat = test_slope(flat_weights(effects).omega, p0.p_hat, cov.sigma_hat)
+        payload["slopes"] = {
+            "selected": slope_w,
+            "flat": slope_flat,
+            "relative_efficiency_vs_flat": (slope_w / slope_flat) ** 2 if slope_flat > 0 else None,
+        }
     if args.json or args.out:
         _emit(payload, args.out)
     if not args.json:
@@ -408,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", default="diffmeans", choices=["diffmeans", "peters-belson"]
     )
     p.add_argument("--covariates", default=None, help="comma separated column names")
-    p.add_argument(
-        "--alternative", default="greater", choices=["greater", "less", "two-sided"]
-    )
+    p.add_argument("--alternative", default="greater", choices=ALTERNATIVES)
     p.add_argument("--cov-variant", default="cr2", choices=VARIANTS)
     p.add_argument(
         "--df-rule", default="clusters-2", choices=DF_RULES
@@ -423,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="aggregate externally computed estimates")
     p.add_argument("summary", help="JSON with delta_hat, p0, and cov or se")
-    p.add_argument(
-        "--alternative", default="greater", choices=["greater", "less", "two-sided"]
-    )
+    p.add_argument("--alternative", default="greater", choices=ALTERNATIVES)
     p.add_argument("--delta0", type=float, default=None)
     p.add_argument("--df", type=float, default=None)
     p.add_argument("--ridge", action="store_true")

@@ -64,10 +64,6 @@ class CovarianceEstimate:
         if eigmin < -1e-10 * max(np.trace(S), 1e-300):
             raise NumericalError("covariance matrix has a substantially negative eigenvalue")
 
-    @property
-    def n_groups(self) -> int:
-        return self.sigma_hat.shape[0]
-
     def group_ordinals(self) -> tuple[int, ...]:
         return tuple(gi.g for gi in self.groups)
 

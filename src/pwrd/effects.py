@@ -24,7 +24,7 @@ import numpy as np
 from .covariance import _arm_means, _sandwich
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
-from .weights import t_p_value
+from .weights import check_test_variance, t_p_value
 
 
 @dataclass(frozen=True)
@@ -251,11 +251,9 @@ class ExitEstimate:
     method: str
 
     def p_value(self, alternative: str = "greater") -> float:
-        """t test of the estimate; refuses df <= 0 (``t_p_value``) before a
-        zero standard error."""
-        if self.se <= 0 < self.df:
-            raise NumericalError("exit estimate has a zero standard error")
-        return t_p_value(self.estimate / self.se if self.se > 0 else 0.0, self.df, alternative)
+        """t test of the estimate (``check_test_variance``)."""
+        check_test_variance(self.se**2, 0.0, self.df)
+        return t_p_value(self.estimate / self.se, self.df, alternative)
 
 
 def exit_observation_estimate(
@@ -272,7 +270,8 @@ def exit_observation_estimate(
     contrast is taken on prediction residuals from a control-only fit,
     which leaves the point estimate exact and the variance a first-order
     approximation (the uncertainty of the fitted coefficients enters only
-    through the residualization).
+    through the residualization). A variance that is rounding is refused
+    (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
     rows, cluster, m = panel.design_tier.get("exit rows", lambda: _exit_rows(panel))
     n0, n1, counts = panel.assignment_tier.get("exit counts", lambda: _exit_counts(panel, m))
@@ -289,7 +288,10 @@ def exit_observation_estimate(
         raise InputError(f"unknown method '{method}'")
 
     s = np.bincount(cluster, weights=values, minlength=m.size).reshape(m.shape)
-    delta, V, n_clusters = _sandwich(counts.with_sums(s), variant)
+    table = counts.with_sums(s)
+    delta, V, n_clusters = _sandwich(table, variant)
+    if n_clusters > 2:  # else the test refuses its df first
+        check_test_variance(float(V[0, 0]), table.mean_square, n_clusters - 2)
     return ExitEstimate(
         estimate=float(delta[0]),
         se=float(np.sqrt(V[0, 0])),

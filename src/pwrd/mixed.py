@@ -32,7 +32,7 @@ import numpy as np
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import DESIGN_COVARIATES, PanelDataset
-from .weights import t_p_value
+from .weights import ROUNDING_FLOOR, check_test_variance, t_p_value
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ class MixedModelFit:
         }
 
     def p_value(self, alternative: str = "greater") -> float:
+        """t test on the cluster-robust standard error (``check_test_variance``)."""
+        check_test_variance(self.se_cluster_robust**2, 0.0, self.df)
         return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
 
 
@@ -219,9 +221,10 @@ def fit_random_intercept(
     separate the components and also fall back to ordinary least squares,
     with a warning recorded on the fit. A panel with no within-cluster
     residual variation is refused as degenerate, and so is one whose
-    components sum to at most 1e-24 times the outcome's mean square: a
-    residual standard deviation below 1e-12 times the outcome's root mean
-    square is rounding, not variation, and a test would divide by it.
+    components sum to at most ``ROUNDING_FLOOR`` times the outcome's mean
+    square: that is rounding, not variation. So is a cluster-robust variance
+    of the effect at that level, refused as a numerical failure
+    (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
@@ -276,7 +279,8 @@ def fit_random_intercept(
             "zero within-cluster residual variance: the outcome does not vary"
             " within clusters beyond the covariates"
         )
-    if total <= 1e-24 * (ss_within + float(w @ ybar**2)) / n:  # that is, of mean(y**2)
+    mean_square = (ss_within + float(w @ ybar**2)) / n  # that is, mean(y**2)
+    if total <= ROUNDING_FLOOR * mean_square:
         raise DegenerateDataError(f"residual variance {total:.3g} is rounding of the outcome")
     components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
 
@@ -302,6 +306,8 @@ def fit_random_intercept(
     M = _cr_meat(Xt, w, u, starts, XtX, variant)
     V = K @ M @ K
     se_cr = float(np.sqrt(V[1, 1]))
+    if C > 2:  # else the test refuses its df first
+        check_test_variance(float(V[1, 1]), mean_square, C - 2)
 
     # implied per-group weights of the treated side of the contrast
     v = Xt @ K[:, 1]

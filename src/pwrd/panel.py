@@ -241,6 +241,12 @@ class CellTable:
         once every (arm, column) cell has rows."""
         return arm_totals(self.s, self.z) / self.n
 
+    @property
+    def mean_square(self) -> float:
+        """Count-weighted mean square of the (arm, column) means: at most the values'."""
+        n = self.n
+        return float((n * self.means**2).sum() / n.sum())
+
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Column totals of a (C, K) cell array per arm, shape (2, K).

@@ -119,18 +119,13 @@ class EffectSpec:
     ``tau`` is the constant added under effect1 and effect2.
     ``spill_fraction`` scales the negative spillover under effect2.
     ``effect_mean`` is the mean of the per-observation draw under effect3;
-    its variance is 2.5 times the mean, or, with ``dispersion_is_sd``,
-    its standard deviation is 2.5 times the mean.
-    ``defer_onset`` delays effect1/effect2 onset to the year after a unit
-    first tests in.
+    its variance is 2.5 times the mean.
     """
 
     regime: str
     tau: float = 0.0
     spill_fraction: float = 0.0
     effect_mean: float = 0.0
-    dispersion_is_sd: bool = False
-    defer_onset: bool = False
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
@@ -244,8 +239,6 @@ class _Frame:
     with the design tier of its panels."""
 
     def __init__(self, n_clusters: int, tracks: tuple[_Track, ...]):
-        self.n_clusters = n_clusters
-        self.tracks = tracks
         unit_parts, cluster_parts, cohort_parts = [], [], []
         grade_parts, year_parts = [], []
         self.track_slices: list[tuple[int, int, int]] = []
@@ -272,7 +265,6 @@ class _Frame:
         self.grade = np.concatenate(grade_parts)
         self.year = np.concatenate(year_parts)
         self.n_obs = len(self.unit)
-        self.n_units = next_unit
         self.block_by_cluster = np.arange(n_clusters) // 2
         self.n_blocks = int(self.block_by_cluster.max()) + 1
         self.block = self.block_by_cluster[self.cluster]
@@ -350,23 +342,11 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
     )
 
 
-def _flag_previous_year(panel: PanelDataset) -> np.ndarray:
-    """Flag value at each unit's previous observation, 0 for the first."""
-    order = np.lexsort((panel.year, panel.unit))
-    f = panel.tested_in[order]
-    prev = np.zeros_like(f)
-    same = panel.unit[order][1:] == panel.unit[order][:-1]
-    prev[1:][same] = f[:-1][same]
-    out = np.empty_like(prev)
-    out[order] = prev
-    return out
-
-
-def _treated_rows(panel: PanelDataset, defer_onset: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Treated rows whose flag is set (the year before, with deferred
-    onset) and the other treated rows: what the assignment fixes."""
+def _treated_rows(panel: PanelDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Treated rows whose flag is set and the other treated rows: what the
+    assignment fixes."""
     z = panel.treatment.astype(bool)
-    flagged = (_flag_previous_year(panel) if defer_onset else panel.tested_in).astype(bool)
+    flagged = panel.tested_in.astype(bool)
     return np.flatnonzero(z & flagged), np.flatnonzero(z & ~flagged)
 
 
@@ -387,9 +367,7 @@ def apply_effect(
             raise DegenerateDataError("flag-driven effects need test-in flags")
         if spec.tau == 0 and (spec.regime == "effect1" or spec.spill_fraction == 0):
             return panel
-        flagged, unflagged = panel.assignment_tier.get(
-            ("treated rows", spec.defer_onset), lambda: _treated_rows(panel, spec.defer_onset)
-        )
+        flagged, unflagged = panel.assignment_tier.get("treated rows", lambda: _treated_rows(panel))
         y = panel.outcome.copy()
         y[flagged] += spec.tau
         if spec.regime == "effect2" and spec.spill_fraction > 0:
@@ -409,8 +387,7 @@ def apply_effect(
         replicate_index = panel.meta.get("replicate")
     if seed is None or replicate_index is None:
         raise InputError("effect3 needs a seed and replicate index")
-    spread = EFFECT3_DISPERSION * spec.effect_mean
-    sd = spread if spec.dispersion_is_sd else np.sqrt(spread)
+    sd = np.sqrt(EFFECT3_DISPERSION * spec.effect_mean)
     z = panel.treatment.astype(bool)
     draws = _rng(int(seed), int(replicate_index), _STAGE_EFFECT).normal(
         spec.effect_mean, sd, int(z.sum())
@@ -549,11 +526,8 @@ def calibrate_thresholds(
 def _calibrate_cached(
     scenario: Scenario, target_items: tuple[tuple[int, float], ...]
 ) -> tuple[tuple[int, float], ...]:
-    thr = _calibrate_impl(scenario, dict(target_items))
-    return tuple(sorted(thr.items()))
-
-
-def _calibrate_impl(scenario: Scenario, targets: dict[int, float]) -> dict[int, float]:
+    """``calibrate_thresholds`` on its cache key, the cutoffs as sorted items."""
+    targets = dict(target_items)
     tracks = _tracks(scenario)
     grades = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
     for k in targets:
@@ -601,7 +575,7 @@ def _calibrate_impl(scenario: Scenario, targets: dict[int, float]) -> dict[int, 
         r, _ = residuals(tuple(res.x[:-1].tolist()))
         thr.update(zip(knobs, res.x[:-1].tolist()))
     if np.abs(r).max() <= CALIBRATION_TOL:
-        return thr
+        return tuple(sorted(thr.items()))
     prof = expected_testin_profile(scenario, thr)
     achieved = {k: float(prof[k]) for k in years}
     raise NumericalError(

@@ -45,6 +45,9 @@ SCHEMES = ("pwrd", "flat", "custom")
 ALTERNATIVES = ("two-sided", "greater", "less")
 # The weight solver's cap on linear solves, per group, as in Lawson & Hanson.
 SOLVER_STEPS_PER_GROUP = 3
+# A test variance at most this share of the outcome's mean square is rounding,
+# not variation: a standard error below 1e-12 of the outcome's root mean square.
+ROUNDING_FLOOR = 1e-24
 
 
 def _vector(x, attr: str) -> np.ndarray:
@@ -57,8 +60,6 @@ def _vector(x, attr: str) -> np.ndarray:
 def _matrix(x) -> np.ndarray:
     arr = getattr(x, "sigma_hat") if hasattr(x, "sigma_hat") else x
     S = np.asarray(arr, dtype=np.float64)
-    if S.ndim == 1:
-        S = np.diag(S)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InputError(f"covariance must be a square matrix, got shape {S.shape}")
     return S
@@ -381,12 +382,24 @@ def _t_tails(t: float, df: float) -> tuple[float, float]:
     return (small, 1.0 - small) if outer_first else (1.0 - small, small)
 
 
+def _refuse_df(df: float) -> None:
+    if not df > 0:
+        raise DegenerateDataError(f"refusing to test with df = {df}")
+
+
+def check_test_variance(variance: float, mean_square: float, df: float) -> None:
+    """Refuse ``df <= 0`` (degenerate data), then a variance at most ``ROUNDING_FLOOR``
+    times the outcome's mean square or a lower bound of it (a numerical failure)."""
+    _refuse_df(df)
+    if variance <= ROUNDING_FLOOR * mean_square:
+        raise NumericalError(f"zero standard error: test variance {variance:.3g} is rounding")
+
+
 def t_p_value(t: float, df: float, alternative: str) -> float:
     """P-value of statistic ``t`` against a t reference on ``df`` degrees of
     freedom, or the standard normal when ``df`` is infinite. Refuses
     ``df <= 0`` and a NaN ``t``; ``t = +-inf`` gives exactly 0 or 1."""
-    if not df > 0:
-        raise DegenerateDataError(f"refusing to test with df = {df}")
+    _refuse_df(df)
     if alternative not in ALTERNATIVES:
         raise InputError(f"unknown alternative '{alternative}'; expected one of {ALTERNATIVES}")
     t = float(t)
@@ -418,6 +431,7 @@ def aggregate_test(
     The statistic is (w'delta_hat - w'delta0) / sqrt(w'Sigma_hat w) with a
     t reference on the covariance's degrees of freedom (normal when df is
     infinite). ``delta0`` defaults to the zero vector and must be finite.
+    A variance that is rounding of the effects' arm means is refused.
     """
     d = _vector(effects, "estimates")
     S = _matrix(cov)
@@ -444,8 +458,7 @@ def aggregate_test(
         df = float(getattr(cov, "df", np.inf))
 
     var = float(w @ S @ w)
-    if var <= 0:
-        raise NumericalError("weighted variance is not positive")
+    check_test_variance(var, effects.cells.mean_square if hasattr(effects, "cells") else 0.0, df)
     se = float(np.sqrt(var))
     estimate = float(w @ d)
     t = (estimate - null_value) / se

@@ -1,8 +1,11 @@
 """End-to-end command line checks: round trips, JSON payloads, manifests,
 and error exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +18,7 @@ import pytest
 import pwrd
 from pwrd import aggregate_external, ingest_panel
 from pwrd.cli import main
+from pwrd.simulate import analyze_replicate
 
 
 README_SUMMARY = {
@@ -705,6 +709,94 @@ def test_an_outcome_the_design_fits_exactly_is_refused_by_every_estimator(tmp_pa
     # the outcome plus noise of SD 1e-6 still fits, on components of about 1e-12
     fit = json.loads(out)["mixed"]
     assert 1e-13 < fit["sigma2_eps"] + fit["sigma2_mu"] < 1e-11
+
+
+@pytest.mark.parametrize("noise", ["centered-normal", "plus-minus-pairs"])
+def test_a_rounding_level_test_variance_exits_4_in_every_estimator(tmp_path, capsys, noise):
+    # 8 clusters with alternating arms, grades 0-2 in year 1, 6 units per
+    # (cluster, grade) cell; each cell's noise sums to zero, so every cell
+    # mean is exact and each contrast's variance is rounding (about 1e-28)
+    rng = np.random.default_rng(1)
+    lines = ["unit,cluster,treatment,cohort,grade,year,outcome,tested_in\n"]
+    for c in range(8):
+        for g in range(3):
+            e = rng.normal(size=6) if noise == "centered-normal" else np.array([1.0, -1.0] * 3)
+            y = (100.3 + 10.7 * g + 5.1 * (c % 2) + (e - e.mean())).tolist()
+            lines += [f"u{c}_{g}_{k},c{c},{c % 2},1,{g},1,{y[k]!r},{int(k == 0)}\n" for k in range(6)]
+    path = tmp_path / "probe.csv"
+    path.write_text("".join(lines))
+    for estimator in ("pwrd", "flat", "mixed", "exit"):
+        code, out, err = run(["analyze", path, "--estimator", estimator, "--json"], capsys)
+        assert (estimator, code, out) == (estimator, 4, "")
+        assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
+        if estimator != "pwrd":  # pwrd's covariance gate refuses first
+            assert "is rounding" in err
+
+
+def test_flat_analyzes_a_panel_without_test_in_flags(small_csv, tmp_path, capsys):
+    header, *lines = small_csv.read_text().splitlines()
+    drop = header.split(",").index("tested_in")
+    path = tmp_path / "flagless.csv"
+    path.write_text("\n".join(
+        ",".join(f for i, f in enumerate(line.split(",")) if i != drop)
+        for line in [header, *lines]
+    ) + "\n")
+    code, out, _ = run(["analyze", path, "--estimator", "flat", "--json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    # only what p0 fixes is left out: the groups' p0_hat and the slopes
+    assert "slopes" not in doc
+    assert all("p0_hat" not in group for group in doc["effects"]["groups"])
+    flagged = json.loads(run(["analyze", small_csv, "--estimator", "flat", "--json"], capsys)[1])
+    assert doc["test"] == flagged["test"] and doc["weights"] == flagged["weights"]
+    assert [{k: v for k, v in group.items() if k != "p0_hat"}
+            for group in flagged["effects"]["groups"]] == doc["effects"]["groups"]
+    # the pwrd weights need the flags
+    code, _, err = run(["analyze", path, "--json"], capsys)
+    assert code == 3 and "no test-in flags" in err
+
+
+def test_weights_refuses_a_vector_covariance(tmp_path, capsys):
+    # the README's standard errors given as "cov" are not variances
+    spath = tmp_path / "summary.json"
+    spath.write_text(json.dumps({**README_SUMMARY, "se": None, "cov": README_SUMMARY["se"]}))
+    code, out, err = run(["weights", spath], capsys)
+    assert (code, out) == (2, "")
+    assert "covariance must be a square matrix, got shape (4,)" in err
+
+
+@pytest.fixture(scope="module")
+def effect1_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("effect1") / "panel.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "estimator, variant, df_rule",
+    [(e, v, "clusters-2") for e in ("pwrd", "flat", "mixed", "exit") for v in ("cr0", "cr2")]
+    + [(e, "cr2", "satterthwaite") for e in ("pwrd", "flat")],
+)
+def test_cli_and_monte_carlo_loop_agree(effect1_csv, capsys, estimator, variant, df_rule):
+    flags = ["--estimator", estimator, "--cov-variant", variant]
+    if df_rule != "clusters-2":
+        flags += ["--df-rule", df_rule]
+    code, out, _ = run(["analyze", effect1_csv, "--json", *flags], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    if estimator == "mixed":
+        p = doc["p_value"]
+    elif estimator == "exit":
+        p = doc["exit"]["p_value"]
+    else:
+        p = doc["test"]["p"]
+    assert 0.0 < p < 1.0
+    # the loop rejects at alpha = p and not one ulp below: the same p, bit for bit
+    panel = ingest_panel(effect1_csv)
+    for alpha, rejects in ((p, True), (math.nextafter(p, 0.0), False)):
+        got = analyze_replicate(panel, (estimator,), alpha, variant, df_rule)
+        assert got == {estimator: rejects}
 
 
 def test_overflowing_standard_error_is_one_line(capsys, tmp_path):

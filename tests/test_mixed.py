@@ -2,6 +2,8 @@
 a direct blockwise solve, the fallback behavior, and agreement between the
 record-keyed fit and a reference fit that walks the rows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,15 @@ def test_two_clusters_fit_but_refuse_to_test():
     assert fit.df == 0.0
     with pytest.raises(DegenerateDataError, match="df"):
         fit.p_value()
+
+
+def test_a_zero_robust_se_is_refused_not_divided_by():
+    fit = fit_random_intercept(intercept_panel(C=20, m=4, seed=5), covariates=())
+    with pytest.raises(NumericalError, match="zero standard error"):
+        replace(fit, se_cluster_robust=0.0).p_value()
+    # df <= 0 is refused first, as degenerate data
+    with pytest.raises(DegenerateDataError, match="df = 0"):
+        replace(fit, se_cluster_robust=0.0, df=0.0).p_value()
 
 
 def test_pvalue_alternatives():

@@ -262,15 +262,6 @@ def test_effect2_warns_when_imposed_total_is_not_positive():
         apply_effect(q, EffectSpec(regime="effect2", tau=5.0, spill_fraction=1.0))
 
 
-def test_deferred_onset_starts_the_year_after_first_flag():
-    p = flagged_panel()
-    q = apply_effect(p, EffectSpec(regime="effect1", tau=5.0, defer_onset=True))
-    delta = (q.outcome - p.outcome).reshape(3, 3)
-    # unit 0 flags in year 2, so the effect lands in year 3 only;
-    # unit 1 is flagged at entry and gets years 2 and 3; control gets nothing
-    np.testing.assert_array_equal(delta, [[0, 0, 5], [0, 5, 5], [0, 0, 0]])
-
-
 def test_flag_effects_require_flags():
     p = tiny_panel(tested_in=None)
     with pytest.raises(DegenerateDataError, match="test-in flags"):
@@ -286,14 +277,6 @@ def test_effect3_draws_have_requested_moments():
     assert (shifted.outcome == base.outcome)[base.treatment == 0].all()
     assert delta.mean() == pytest.approx(5.0, abs=0.3)
     assert delta.var() == pytest.approx(12.5, rel=0.15)
-
-
-def test_effect3_spread_can_be_a_standard_deviation():
-    sc = small_scenario(n_clusters=20, units_per_cluster=50)
-    base = generate_panel(sc, 0)
-    spec = EffectSpec(regime="effect3", effect_mean=5.0, dispersion_is_sd=True)
-    delta = (apply_effect(base, spec).outcome - base.outcome)[base.treatment == 1]
-    assert delta.std() == pytest.approx(12.5, rel=0.1)
 
 
 def test_effect3_is_deterministic_given_seed_and_replicate():
