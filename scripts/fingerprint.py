@@ -83,6 +83,9 @@ ANALYZE_FLAGS = (
     ("--estimator", "exit"),
     ("--estimator", "exit", "--method", "peters-belson", "--covariates", "grade"),
     ("--cov-variant", "cr0", "--estimator", "mixed", "--covariates", "grade,cohort"),
+    ("--method", "peters-belson"),
+    ("--estimator", "flat", "--method", "peters-belson"),
+    ("--ridge", "--delta0", "0.5", "--alternative", "two-sided"),
 )
 PRESETS = {
     "default": default_scenario,

@@ -20,28 +20,21 @@ import contextlib
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
-from .effects import (
-    effects_to_json_dict,
-    estimate_effects_diffmeans,
-    estimate_effects_peters_belson,
-    estimate_p0,
-    exit_observation_estimate,
-)
+from .covariance import VARIANTS
+from .effects import effects_to_json_dict
 from .errors import InputError, PwrdError
-from .mixed import fit_random_intercept
 from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
 from .simulate import (
     DF_RULES,
     METHODS,
     REGIMES,
     EffectSpec,
+    _analyze,
     default_scenario,
     estimate_power,
     generate_panel,
@@ -49,14 +42,7 @@ from .simulate import (
     single_track_scenario,
     spillover_scenario,
 )
-from .weights import (
-    ALTERNATIVES,
-    aggregate_external,
-    aggregate_test,
-    flat_weights,
-    pwrd_weights,
-    test_slope,
-)
+from .weights import ALTERNATIVES, aggregate_external, flat_weights, test_slope
 
 
 def _sha256(path: str) -> str:
@@ -205,51 +191,29 @@ def cmd_analyze(args) -> int:
             "derived_tested_in": report.derived_tested_in,
         }
 
+    p_value, found = _analyze(
+        panel, (args.estimator,), args.cov_variant, args.df_rule, alternative=args.alternative,
+        method=args.method, covariates=covs, ridge=args.ridge, delta0=args.delta0,
+    )[args.estimator]
     if args.estimator == "mixed":
-        fit = fit_random_intercept(panel, covariates=covs or ("grade",), variant=args.cov_variant)
-        payload["mixed"] = fit.to_json_dict()
-        payload["p_value"] = fit.p_value(args.alternative)
+        payload["mixed"] = found.to_json_dict()
+        payload["p_value"] = p_value
         _emit(payload, args.out)
         return 0
     if args.estimator == "exit":
-        method = "difference-in-means" if args.method == "diffmeans" else args.method
-        ex = exit_observation_estimate(
-            panel, method=method, covariates=covs, variant=args.cov_variant
-        )
-        p_value = ex.p_value(args.alternative)
         payload["exit"] = {
-            "estimate": ex.estimate,
-            "se": ex.se,
-            "df": ex.df,
-            "t_stat": ex.estimate / ex.se,
+            "estimate": found.estimate,
+            "se": found.se,
+            "df": found.df,
+            "t_stat": found.estimate / found.se,
             "p_value": p_value,
-            "n": ex.n,
+            "n": found.n,
         }
         _emit(payload, args.out)
         return 0
 
-    if args.method == "peters-belson":
-        effects = estimate_effects_peters_belson(panel, covariates=covs)
-    else:
-        effects = estimate_effects_diffmeans(panel)
-    cov = cluster_covariance(panel, effects, variant=args.cov_variant)
     # the flat test reads no flag, so without flags it reports no p0 and no slopes
-    p0 = None
-    if args.estimator == "pwrd" or panel.tested_in is not None:
-        # Peters-Belson drops groups with too few control rows for its fit
-        p0 = estimate_p0(panel).on_groups(effects.groups)
-
-    if args.estimator == "flat":
-        w = flat_weights(effects)
-    else:
-        w = pwrd_weights(cov, p0, ridge=args.ridge)
-    df = None
-    if args.df_rule == "satterthwaite":
-        df = satterthwaite_df(panel, effects, w.omega, variant=args.cov_variant)
-    test = aggregate_test(
-        effects, cov, w, delta0=args.delta0, alternative=args.alternative, df=df
-    )
-
+    effects, cov, p0, w, test = found
     payload.update(
         {
             "effects": effects_to_json_dict(effects, p0),
@@ -334,7 +298,7 @@ def cmd_simulate(args) -> int:
 
 def _number(kind, text: str, source: str):
     """``text`` as a ``kind`` number; one that does not parse is an
-    ``InputError`` naming the flag or variable it came from."""
+    ``InputError`` naming the flag it came from."""
     try:
         return kind(text)
     except ValueError:
@@ -343,9 +307,6 @@ def _number(kind, text: str, source: str):
 
 def cmd_power(args) -> int:
     sc, config = _scenario_from_args(args)
-    workers = args.workers
-    if workers is None:
-        workers = _number(int, os.environ.get("PWRD_WORKERS", "1"), "PWRD_WORKERS")
     methods = tuple(args.methods.split(","))
     levels = (
         tuple(_number(float, v, "--levels") for v in args.levels.split(","))
@@ -360,7 +321,7 @@ def cmd_power(args) -> int:
             "levels": list(levels) if levels else None,
             "cov_variant": args.cov_variant,
             "df_rule": args.df_rule,
-            "workers": workers,
+            "workers": args.workers,
         }
     )
     result = estimate_power(
@@ -371,7 +332,7 @@ def cmd_power(args) -> int:
         alpha=args.alpha,
         cov_variant=args.cov_variant,
         df_rule=args.df_rule,
-        workers=workers,
+        workers=args.workers,
     )
     print("method  regime    level      power    mc_se    reps")
     for c in result.cells:
@@ -446,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--df-rule", default="clusters-2", choices=DF_RULES
     )
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_power)
     return ap

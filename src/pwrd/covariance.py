@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import CellTable, GroupInfo, PanelDataset
+from .weights import check_test_variance
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
@@ -133,9 +134,14 @@ def cluster_covariance(
     """Sandwich covariance of the group effect vector, clustered by cluster.
 
     Reads only the cell table the effects carry, so the variance is that of
-    the contrast the estimator took.
+    the contrast the estimator took. A trace at rounding level is refused
+    (``check_test_variance``) unless df <= 0, which the test refuses first:
+    nonnegative weights summing to one give w'Vw <= tr V, so no aggregate
+    test on this matrix could pass.
     """
     _, V, n_clusters = _sandwich(effects.cells, variant)
+    if n_clusters > 2:
+        check_test_variance(float(np.trace(V)), effects.cells.mean_square, n_clusters - 2)
     return CovarianceEstimate(
         sigma_hat=V,
         variant=variant,

@@ -78,6 +78,8 @@ class TestInProportions:
     def on_groups(self, groups: tuple[GroupInfo, ...]) -> TestInProportions:
         """The proportions of ``groups``, a subset of these in the same order,
         such as the groups an effect estimator kept."""
+        if groups == self.groups:
+            return self
         keep = np.isin(self.group_ordinals(), [gi.g for gi in groups])
         return TestInProportions(self.p_hat[keep], self.n_control[keep], groups)
 

@@ -220,10 +220,10 @@ def fit_random_intercept(
     ordinary least squares. Panels with one observation per cluster cannot
     separate the components and also fall back to ordinary least squares,
     with a warning recorded on the fit. A panel with no within-cluster
-    residual variation is refused as degenerate, and so is one whose
-    components sum to at most ``ROUNDING_FLOOR`` times the outcome's mean
-    square: that is rounding, not variation. So is a cluster-robust variance
-    of the effect at that level, refused as a numerical failure
+    residual variation is refused as degenerate. Components that sum to at
+    most ``ROUNDING_FLOOR`` times the outcome's mean square are rounding, not
+    variation, and are refused as a numerical failure; so is a
+    cluster-robust variance of the effect at that level
     (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
     if variant not in VARIANTS:
@@ -281,7 +281,7 @@ def fit_random_intercept(
         )
     mean_square = (ss_within + float(w @ ybar**2)) / n  # that is, mean(y**2)
     if total <= ROUNDING_FLOOR * mean_square:
-        raise DegenerateDataError(f"residual variance {total:.3g} is rounding of the outcome")
+        raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
     components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
 
     # quasi-demeaning GLS transform, on record means

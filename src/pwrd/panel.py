@@ -241,7 +241,7 @@ class CellTable:
         once every (arm, column) cell has rows."""
         return arm_totals(self.s, self.z) / self.n
 
-    @property
+    @cached_property
     def mean_square(self) -> float:
         """Count-weighted mean square of the (arm, column) means: at most the values'."""
         n = self.n

@@ -56,12 +56,17 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
 from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
-from .effects import estimate_effects_diffmeans, estimate_p0, exit_observation_estimate
+from .effects import (
+    estimate_effects_diffmeans,
+    estimate_effects_peters_belson,
+    estimate_p0,
+    exit_observation_estimate,
+)
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
 from .mixed import fit_random_intercept
 from .panel import PanelDataset, Tier, group_layout
@@ -666,6 +671,56 @@ def _check_analysis(methods: tuple[str, ...], cov_variant: str, df_rule: str) ->
         raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
 
 
+def _analyze(
+    panel: PanelDataset,
+    methods: tuple[str, ...],
+    cov_variant: str,
+    df_rule: str,
+    alternative: str = "greater",
+    method: str = "diffmeans",
+    covariates: tuple[str, ...] = (),
+    ridge: bool = False,
+    delta0: float | None = None,
+) -> dict[str, tuple[float, Any]]:
+    """The analysis of ``pwrd analyze`` and of every Monte Carlo replicate:
+    each requested method's p-value and what it computed. That is (effects,
+    covariance, p0, weights, test) for pwrd and flat, which share the
+    effects and their sandwich; the fit, on ``covariates`` or else grade, for
+    mixed; and the estimate for exit."""
+    _check_analysis(methods, cov_variant, df_rule)
+    out: dict[str, tuple[float, Any]] = {}
+    if "pwrd" in methods or "flat" in methods:
+        if method == "peters-belson":
+            effects = estimate_effects_peters_belson(panel, covariates)
+        else:
+            effects = estimate_effects_diffmeans(panel)
+        cov = cluster_covariance(panel, effects, variant=cov_variant)
+        # flat reads no flags; Peters-Belson drops groups with too few control rows
+        p0 = None
+        if "pwrd" in methods or panel.tested_in is not None:
+            p0 = estimate_p0(panel).on_groups(effects.groups)
+    for m in ("pwrd", "flat"):
+        if m not in methods:
+            continue
+        if m == "pwrd":
+            w = pwrd_weights(cov, p0, ridge=ridge)
+        else:  # the group sizes, so the table's counts, fix the flat weights
+            w = effects.cells.counts.get("flat weights", lambda: flat_weights(effects))
+        df = None
+        if df_rule == "satterthwaite":
+            df = satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
+        test = aggregate_test(effects, cov, w, delta0=delta0, alternative=alternative, df=df)
+        out[m] = (test.p_value, (effects, cov, p0, w, test))
+    if "mixed" in methods:
+        fit = fit_random_intercept(panel, covariates=covariates or ("grade",), variant=cov_variant)
+        out["mixed"] = (fit.p_value(alternative), fit)
+    if "exit" in methods:
+        exit_method = "difference-in-means" if method == "diffmeans" else method
+        ex = exit_observation_estimate(panel, exit_method, covariates, cov_variant)
+        out["exit"] = (ex.p_value(alternative), ex)
+    return out
+
+
 def analyze_replicate(
     panel: PanelDataset,
     methods: tuple[str, ...],
@@ -674,33 +729,7 @@ def analyze_replicate(
     df_rule: str = "clusters-2",
 ) -> dict[str, bool]:
     """One-sided rejection indicator for each requested method."""
-    _check_analysis(methods, cov_variant, df_rule)
-    out: dict[str, bool] = {}
-    if "pwrd" in methods or "flat" in methods:
-        effects = estimate_effects_diffmeans(panel)
-        cov = cluster_covariance(panel, effects, variant=cov_variant)
-    for method in ("pwrd", "flat"):
-        if method not in methods:
-            continue
-        # both come from included_groups, so p0 and the effects align
-        if method == "pwrd":
-            w = pwrd_weights(cov, estimate_p0(panel))
-        else:  # the group sizes, so the assignment, fix the flat weights
-            w = panel.assignment_tier.get("flat weights", lambda: flat_weights(effects))
-        df = (
-            satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
-            if df_rule == "satterthwaite"
-            else None
-        )
-        test = aggregate_test(effects, cov, w, alternative="greater", df=df)
-        out[method] = test.p_value <= alpha
-    if "mixed" in methods:
-        fit = fit_random_intercept(panel, covariates=("grade",), variant=cov_variant)
-        out["mixed"] = fit.p_value("greater") <= alpha
-    if "exit" in methods:
-        ex = exit_observation_estimate(panel, variant=cov_variant)
-        out["exit"] = ex.p_value("greater") <= alpha
-    return out
+    return {m: p <= alpha for m, (p, _) in _analyze(panel, methods, cov_variant, df_rule).items()}
 
 
 @dataclass(frozen=True)

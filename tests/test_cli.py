@@ -503,33 +503,28 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
 
 
 @pytest.mark.parametrize(
-    "argv, env, named",
+    "argv, named",
     [
-        (["simulate", "--effect", "effect1", "--tau", "nan"], {}, "tau"),
-        (["simulate", "--effect", "effect3", "--effect-mean", "inf"], {}, "effect_mean"),
-        (["simulate", "--replicate", -1], {}, "replicate index"),
-        (["power", "--levels", "abc", "--workers", 1], {}, "--levels"),
-        (["power", "--levels", "nan", "--workers", 1], {}, "effect levels"),
-        (["power"], {"PWRD_WORKERS": "two"}, "PWRD_WORKERS"),
-        (["power", "--cov-variant", "cr0", "--df-rule", "satterthwaite", "--workers", 1], {},
+        (["simulate", "--effect", "effect1", "--tau", "nan"], "tau"),
+        (["simulate", "--effect", "effect3", "--effect-mean", "inf"], "effect_mean"),
+        (["simulate", "--replicate", -1], "replicate index"),
+        (["power", "--levels", "abc", "--workers", 1], "--levels"),
+        (["power", "--levels", "nan", "--workers", 1], "effect levels"),
+        (["power", "--cov-variant", "cr0", "--df-rule", "satterthwaite", "--workers", 1],
          "Satterthwaite degrees of freedom require the cr2 variant"),
-        (["analyze", "--delta0", "inf"], {}, "delta0 must be finite"),
-        (["analyze", "--delta0", "nan"], {}, "delta0 must be finite"),
-        (["weights", "--delta0", "inf"], {}, "delta0 must be finite"),
-        (["weights", "--delta0", "nan"], {}, "delta0 must be finite"),
-        (["weights", "--df", "0"], {}, "df must be positive, got 0.0"),
-        (["weights", "--df", "nan"], {}, "df must be positive, got nan"),
+        (["analyze", "--delta0", "inf"], "delta0 must be finite"),
+        (["analyze", "--delta0", "nan"], "delta0 must be finite"),
+        (["weights", "--delta0", "inf"], "delta0 must be finite"),
+        (["weights", "--delta0", "nan"], "delta0 must be finite"),
+        (["weights", "--df", "0"], "df must be positive, got 0.0"),
+        (["weights", "--df", "nan"], "df must be positive, got nan"),
     ],
     ids=["tau-nan", "effect-mean-inf", "replicate-negative", "levels-abc", "levels-nan",
-         "workers-env-two", "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
+         "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
          "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan"],
 )
-def test_malformed_values_exit_2_naming_them(
-    tmp_path, capsys, monkeypatch, request, argv, env, named
-):
+def test_malformed_values_exit_2_naming_them(tmp_path, capsys, request, argv, named):
     # each is refused before any replicate runs, so no pool starts
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     out = tmp_path / "x.csv"
     command, *flags = argv
     if command == "analyze":
@@ -694,7 +689,7 @@ def test_an_outcome_the_design_fits_exactly_is_refused_by_every_estimator(tmp_pa
     exact = np.array([100.0 + 10 * g + 5 * (c % 2) for c, _, g in rows])
     noise = np.random.default_rng(0).normal(0.0, 1e-6, len(rows))
     path = tmp_path / "exact.csv"
-    for y, codes in ((exact, dict(pwrd=4, flat=4, exit=4, mixed=3)), (exact + noise, dict(mixed=0))):
+    for y, codes in ((exact, dict(pwrd=4, flat=4, exit=4, mixed=4)), (exact + noise, dict(mixed=0))):
         path.write_text(
             "unit,cluster,treatment,cohort,grade,year,outcome,tested_in\n" + "".join(
                 f"u{c}_{k},c{c},{c % 2},1,{g},{g + 1},{v!r},{int(k == 0)}\n"
@@ -704,7 +699,7 @@ def test_an_outcome_the_design_fits_exactly_is_refused_by_every_estimator(tmp_pa
         for estimator, want in codes.items():
             code, out, err = run(["analyze", path, "--estimator", estimator, "--json"], capsys)
             assert code == want, (estimator, err)
-            if estimator == "mixed" and want == 3:
+            if estimator == "mixed" and want == 4:
                 assert "rounding" in err and len(err.strip().splitlines()) == 1
     # the outcome plus noise of SD 1e-6 still fits, on components of about 1e-12
     fit = json.loads(out)["mixed"]
@@ -725,12 +720,12 @@ def test_a_rounding_level_test_variance_exits_4_in_every_estimator(tmp_path, cap
             lines += [f"u{c}_{g}_{k},c{c},{c % 2},1,{g},1,{y[k]!r},{int(k == 0)}\n" for k in range(6)]
     path = tmp_path / "probe.csv"
     path.write_text("".join(lines))
-    for estimator in ("pwrd", "flat", "mixed", "exit"):
-        code, out, err = run(["analyze", path, "--estimator", estimator, "--json"], capsys)
-        assert (estimator, code, out) == (estimator, 4, "")
+    # no weights can help, so pwrd names the rounding, not the ridge option
+    for flags in [["--estimator", e] for e in ("pwrd", "flat", "mixed", "exit")] + [["--ridge"]]:
+        code, out, err = run(["analyze", path, *flags, "--json"], capsys)
+        assert (flags, code, out) == (flags, 4, "")
         assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
-        if estimator != "pwrd":  # pwrd's covariance gate refuses first
-            assert "is rounding" in err
+        assert "is rounding" in err and "ridge" not in err
 
 
 def test_flat_analyzes_a_panel_without_test_in_flags(small_csv, tmp_path, capsys):
@@ -797,6 +792,22 @@ def test_cli_and_monte_carlo_loop_agree(effect1_csv, capsys, estimator, variant,
     for alpha, rejects in ((p, True), (math.nextafter(p, 0.0), False)):
         got = analyze_replicate(panel, (estimator,), alpha, variant, df_rule)
         assert got == {estimator: rejects}
+
+
+@pytest.mark.parametrize("estimator", ["pwrd", "flat", "mixed", "exit"])
+def test_analyze_goes_through_the_one_pipeline(effect1_csv, capsys, monkeypatch, estimator):
+    argv = ["analyze", effect1_csv, "--estimator", estimator, "--json"]
+    _, plain, _ = run(argv, capsys)
+    pipeline, calls = pwrd.cli._analyze, []
+
+    def spy(panel, methods, *args, **kwargs):
+        calls.append(methods)
+        return pipeline(panel, methods, *args, **kwargs)
+
+    monkeypatch.setattr(pwrd.cli, "_analyze", spy)
+    code, out, _ = run(argv, capsys)
+    assert (code, calls) == (0, [(estimator,)])
+    assert json.loads(out) == json.loads(plain)
 
 
 def test_overflowing_standard_error_is_one_line(capsys, tmp_path):
