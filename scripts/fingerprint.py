@@ -14,8 +14,9 @@ at effect levels 0 and 5.5, each analyzed under CR0 and CR2. Each line
 hashes, over every replicate, level and variant:
 
   pwrd    the diff-in-means effects, their sandwich, p0, the pwrd weights
-          and the test's p-values under both df rules
-  flat    the flat weights and the test's p-values under both df rules
+          and the test's p-values: on C - 2 df, and under CR2 also on
+          Satterthwaite df, which take no other variant
+  flat    the flat weights and the same p-values
   mixed   every field of the random-intercept fit, for each covariate set
           in MIXED_COVARIATES
   exit    every field of the exit estimate and its p-value
@@ -144,8 +145,8 @@ def guarded(h, compute) -> None:
 
 
 def p_values(panel, effects, cov, w, variant):
-    df = satterthwaite_df(panel, effects, w.omega, variant=variant)
-    return [aggregate_test(effects, cov, w, df=d).p_value for d in (None, df)]
+    dfs = (None, satterthwaite_df(panel, effects, w.omega)) if variant == "cr2" else (None,)
+    return [aggregate_test(effects, cov, w, df=d).p_value for d in dfs]
 
 
 def group_line(h_pwrd, h_flat, panel, variant) -> None:

@@ -56,7 +56,7 @@ def run_study(args: argparse.Namespace):
                                      n_reps=args.reps, workers=args.workers)
     if args.study == "effect3":
         levels = _grid(args.levels, (1.5, 3.0, 4.5, 6.0))
-        sc = default_scenario(effect=EffectSpec(regime="effect3", effect_mean=levels[0]),
+        sc = default_scenario(effect=EffectSpec(regime="effect3", tau=levels[0]),
                               seed=args.seed)
         return estimate_power(sc, effect_levels=levels, n_reps=args.reps, workers=args.workers)
     raise SystemExit(f"unknown study {args.study!r}")

@@ -100,26 +100,19 @@ def _weights_table(omega, groups) -> str:
     return "\n".join(lines)
 
 
-# each preset's builder and the name of its units-per-cluster parameter; the
-# sizes default in the builder
+# each preset's builder; the sizes default in the builder
 _PRESETS = {
-    "default": (default_scenario, "units_per_grade"),
-    "single-track": (single_track_scenario, "units_per_cluster"),
-    "spillover": (spillover_scenario, "units_per_cluster"),
+    "default": default_scenario,
+    "single-track": single_track_scenario,
+    "spillover": spillover_scenario,
 }
 
 
 def _scenario_from_args(args) -> tuple:
-    effect = EffectSpec(
-        regime=args.effect,
-        tau=args.tau,
-        spill_fraction=args.spill,
-        effect_mean=args.effect_mean,
-    )
-    build, units = _PRESETS[args.preset]
-    sizes = {"n_clusters": args.clusters, units: args.units}
+    effect = EffectSpec(regime=args.effect, tau=args.tau, spill_fraction=args.spill)
+    sizes = {"n_clusters": args.clusters, "units_per_grade": args.units}
     given = {name: value for name, value in sizes.items() if value is not None}
-    sc = build(effect=effect, seed=args.seed, icc=args.icc, **given)
+    sc = _PRESETS[args.preset](effect=effect, seed=args.seed, icc=args.icc, **given)
     config = {
         "preset": args.preset,
         "n_clusters": sc.n_clusters,
@@ -129,7 +122,6 @@ def _scenario_from_args(args) -> tuple:
             "regime": effect.regime,
             "tau": effect.tau,
             "spill_fraction": effect.spill_fraction,
-            "effect_mean": effect.effect_mean,
         },
         "thresholds": {str(g): v for g, v in sc.thresholds},
     }
@@ -143,9 +135,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--icc", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=20260822)
     p.add_argument("--effect", default="null", choices=REGIMES)
-    p.add_argument("--tau", type=float, default=0.0)
+    p.add_argument("--tau", type=float, default=0.0, help="effect size; under effect3 the mean")
     p.add_argument("--spill", type=float, default=0.0)
-    p.add_argument("--effect-mean", type=float, default=0.0)
 
 
 def _refuse_unread_flags(args, covs: tuple[str, ...]) -> None:

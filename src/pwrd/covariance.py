@@ -58,6 +58,8 @@ class CovarianceEstimate:
             raise InputError("sigma_hat must be square")
         if len(self.groups) != S.shape[0]:
             raise InputError("groups and sigma_hat must align")
+        if not np.isfinite(S).all():
+            raise NumericalError("covariance contains non-finite entries")
         scale = max(np.abs(S).max(), 1.0)
         if np.abs(S - S.T).max() > 1e-10 * scale:
             raise NumericalError("covariance matrix is not symmetric")

@@ -32,7 +32,7 @@ import numpy as np
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import DESIGN_COVARIATES, PanelDataset
-from .weights import ROUNDING_FLOOR, check_test_variance, t_p_value
+from .weights import ROUNDING_FLOOR, check_finite, check_test_variance, t_p_value
 
 
 @dataclass(frozen=True)
@@ -280,6 +280,7 @@ def fit_random_intercept(
             " within clusters beyond the covariates"
         )
     mean_square = (ss_within + float(w @ ybar**2)) / n  # that is, mean(y**2)
+    check_finite(("residual variance", total), ("outcome mean square", mean_square))
     if total <= ROUNDING_FLOOR * mean_square:
         raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
     components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)

@@ -323,7 +323,10 @@ def _validate_arrays(
     order = np.lexsort((year, unit))
     dup = np.zeros(len(unit), dtype=bool)
     dup[order[1:]] = (unit[order][1:] == unit[order][:-1]) & (year[order][1:] == year[order][:-1])
-    checks = [
+    checks = [(unit < 0, "negative unit code"), (cluster < 0, "negative cluster code")]
+    if block is not None:
+        checks.append((block < 0, "negative block code"))
+    checks += [
         (~np.isin(treatment, (0, 1)), "non-binary treatment"),
         (year < 1, "follow_up_year below 1"),
         (~np.isfinite(outcome), "non-finite outcome"),
@@ -343,6 +346,22 @@ def _validate_arrays(
     for bad, what in checks:  # the first failing check names its rows
         if bad.any():
             _fail_rows(rows, bad, what)
+    skipped = np.flatnonzero(np.bincount(cluster) == 0)
+    if skipped.size:
+        raise InputError(
+            f"cluster codes must run from 0 to C - 1; missing codes {skipped.tolist()}"
+        )
+
+
+def _refuse_non_integral(**columns) -> None:
+    """Raise InputError naming the rows of an integer column that hold a
+    non-integral or non-finite float; a column that is not float passes."""
+    for name, values in columns.items():
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            bad = ~np.isfinite(values) | (values != np.trunc(values))
+            if bad.any():
+                _fail_rows(np.arange(len(values)), bad, f"non-integral value in column '{name}'")
 
 
 def _differs_from_first(key: np.ndarray, value: np.ndarray) -> np.ndarray:
@@ -385,6 +404,11 @@ class PanelDataset:
         _layout: tuple[tuple[GroupInfo, ...], np.ndarray] | None = None,
         _design: Tier | None = None,
     ) -> None:
+        if validate:  # before the integer casts below truncate a value
+            _refuse_non_integral(
+                unit=unit, cluster=cluster, treatment=treatment, cohort=cohort, grade=grade,
+                year=year, tested_in=tested_in, block=block,
+            )
         self.unit = np.asarray(unit, dtype=np.int64)
         self.cluster = np.asarray(cluster, dtype=np.int64)
         self.treatment = np.asarray(treatment, dtype=np.int8)
@@ -420,13 +444,14 @@ class PanelDataset:
                 raise InputError(f"covariate '{name}' contains non-finite values")
 
         if validate:
+            # the flags as given: the int8 cast would wrap 256 to 0
             _validate_arrays(
                 unit=self.unit,
                 cluster=self.cluster,
-                treatment=self.treatment,
+                treatment=np.asarray(treatment, dtype=np.int64),
                 year=self.year,
                 outcome=self.outcome,
-                tested_in=self.tested_in,
+                tested_in=None if tested_in is None else np.asarray(tested_in, dtype=np.int64),
                 block=self.block,
             )
 

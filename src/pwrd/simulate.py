@@ -119,18 +119,19 @@ class CohortSpec:
 
 @dataclass(frozen=True)
 class EffectSpec:
-    """Effect regime and its magnitude knobs.
+    """Effect regime and its size.
 
-    ``tau`` is the constant added under effect1 and effect2.
-    ``spill_fraction`` scales the negative spillover under effect2.
-    ``effect_mean`` is the mean of the per-observation draw under effect3;
-    its variance is 2.5 times the mean.
+    ``tau`` is the effect size of every regime: the constant added to
+    flagged treated observations under effect1 and effect2, and the mean of
+    the per-observation draw under effect3, whose variance is 2.5 times
+    ``tau``. ``spill_fraction`` scales the negative spillover under effect2.
+    A size the regime would not read is refused: a nonzero ``tau`` under
+    null, and a nonzero ``spill_fraction`` outside effect2.
     """
 
     regime: str
     tau: float = 0.0
     spill_fraction: float = 0.0
-    effect_mean: float = 0.0
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
@@ -139,21 +140,15 @@ class EffectSpec:
             raise InputError("tau must be finite and nonnegative")
         if not 0.0 <= self.spill_fraction <= 1.0:
             raise InputError("spill_fraction must lie in [0, 1]")
-        if not 0.0 <= self.effect_mean < math.inf:
-            raise InputError("effect_mean must be finite and nonnegative")
-
-    def level(self) -> float:
-        if self.regime == "effect3":
-            return self.effect_mean
-        if self.regime == "null":
-            return 0.0
-        return self.tau
+        if self.regime == "null" and self.tau != 0:
+            raise InputError(f"the null regime has no effect size, got tau {self.tau:g}")
+        if self.regime != "effect2" and self.spill_fraction != 0:
+            raise InputError(
+                f"only effect2 has a spillover, got spill_fraction {self.spill_fraction:g}"
+                f" under {self.regime}"
+            )
 
     def with_level(self, level: float) -> "EffectSpec":
-        if self.regime == "effect3":
-            return replace(self, effect_mean=float(level))
-        if self.regime == "null":
-            return self
         return replace(self, tau=float(level))
 
 
@@ -364,18 +359,16 @@ def apply_effect(
     seed ``generate_panel`` recorded, and the replicate it recorded unless
     one is given.
     """
-    if spec.regime == "null":
+    if spec.regime == "null" or spec.tau == 0:
         return panel
 
     if spec.regime in ("effect1", "effect2"):
         if panel.tested_in is None:
             raise DegenerateDataError("flag-driven effects need test-in flags")
-        if spec.tau == 0 and (spec.regime == "effect1" or spec.spill_fraction == 0):
-            return panel
         flagged, unflagged = panel.assignment_tier.get("treated rows", lambda: _treated_rows(panel))
         y = panel.outcome.copy()
         y[flagged] += spec.tau
-        if spec.regime == "effect2" and spec.spill_fraction > 0:
+        if spec.spill_fraction > 0:
             y[unflagged] -= spec.spill_fraction * spec.tau
             imposed = spec.tau * len(flagged) - spec.spill_fraction * spec.tau * len(unflagged)
             if imposed <= 0:
@@ -385,17 +378,15 @@ def apply_effect(
         return panel.with_outcome(y)
 
     # effect3
-    if spec.effect_mean == 0:
-        return panel
     seed = panel.meta.get("seed")
     if replicate_index is None:
         replicate_index = panel.meta.get("replicate")
     if seed is None or replicate_index is None:
         raise InputError("effect3 needs a seed and replicate index")
-    sd = np.sqrt(EFFECT3_DISPERSION * spec.effect_mean)
+    sd = np.sqrt(EFFECT3_DISPERSION * spec.tau)
     z = panel.treatment.astype(bool)
     draws = _rng(int(seed), int(replicate_index), _STAGE_EFFECT).normal(
-        spec.effect_mean, sd, int(z.sum())
+        spec.tau, sd, int(z.sum())
     )
     y = panel.outcome.copy()
     y[z] += draws
@@ -834,10 +825,12 @@ def estimate_power(
     levels = (
         tuple(float(v) for v in effect_levels)
         if effect_levels is not None
-        else (scenario.effect.level(),)
+        else (scenario.effect.tau,)
     )
     if not all(map(math.isfinite, levels)):
         raise InputError(f"effect levels must be finite, got {levels}")
+    if scenario.effect.regime == "null" and any(levels):
+        raise InputError(f"the null regime has no effect size, got effect levels {levels}")
 
     all_reps = tuple(range(n_reps))
     if workers <= 1:
@@ -882,9 +875,7 @@ def estimate_power(
                     regime=scenario.effect.regime,
                     effect_level=lv,
                     icc=scenario.icc,
-                    p_spill=scenario.effect.spill_fraction
-                    if scenario.effect.regime == "effect2"
-                    else 0.0,
+                    p_spill=scenario.effect.spill_fraction,
                     rejection_rate=rate,
                     mc_se=float(np.sqrt(rate * (1.0 - rate) / n_used)),
                     n_reps=n_used,
@@ -968,7 +959,7 @@ def single_track_scenario(
     effect: EffectSpec | None = None,
     seed: int = 20260822,
     n_clusters: int = 20,
-    units_per_cluster: int = 25,
+    units_per_grade: int = 25,
     icc: float = 0.2,
     targets: dict[int, float] | None = None,
 ) -> Scenario:
@@ -978,7 +969,7 @@ def single_track_scenario(
     count, as in convergence studies over a wide range of sizes.
     """
     cohorts = (
-        CohortSpec(cohort=1, entry_year=1, entry_grades=(0,), units_per_grade=units_per_cluster),
+        CohortSpec(cohort=1, entry_year=1, entry_grades=(0,), units_per_grade=units_per_grade),
     )
     return _calibrated(cohorts, effect, seed, n_clusters, icc, targets)
 
@@ -1001,7 +992,7 @@ def spillover_scenario(
     effect: EffectSpec | None = None,
     seed: int = 20260822,
     n_clusters: int = 52,
-    units_per_cluster: int = 25,
+    units_per_grade: int = 25,
     icc: float = 0.2,
 ) -> Scenario:
     """Single-track design calibrated for negative-spillover sweeps.
@@ -1017,7 +1008,7 @@ def spillover_scenario(
         effect=effect,
         seed=seed,
         n_clusters=n_clusters,
-        units_per_cluster=units_per_cluster,
+        units_per_grade=units_per_grade,
         icc=icc,
         targets=dict(SPILLOVER_TESTIN_TARGETS),
     )

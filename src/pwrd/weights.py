@@ -382,15 +382,26 @@ def _t_tails(t: float, df: float) -> tuple[float, float]:
     return (small, 1.0 - small) if outer_first else (1.0 - small, small)
 
 
+def check_finite(*named: tuple[str, float]) -> None:
+    """Refuse the first of the (name, value) pairs whose value is not finite:
+    an outcome too large to square overflows to inf, or to nan once an inf
+    is subtracted, and an overflow is not rounding."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise NumericalError(f"{name} {value:.3g} is not finite")
+
+
 def _refuse_df(df: float) -> None:
     if not df > 0:
         raise DegenerateDataError(f"refusing to test with df = {df}")
 
 
 def check_test_variance(variance: float, mean_square: float, df: float) -> None:
-    """Refuse ``df <= 0`` (degenerate data), then a variance at most ``ROUNDING_FLOOR``
-    times the outcome's mean square or a lower bound of it (a numerical failure)."""
+    """Refuse ``df <= 0`` (degenerate data), then a variance or mean square
+    that overflowed, then a variance at most ``ROUNDING_FLOOR`` times the
+    outcome's mean square or a lower bound of it (numerical failures)."""
     _refuse_df(df)
+    check_finite(("test variance", variance), ("outcome mean square", mean_square))
     if variance <= ROUNDING_FLOOR * mean_square:
         raise NumericalError(f"zero standard error: test variance {variance:.3g} is rounding")
 

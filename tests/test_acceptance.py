@@ -163,7 +163,7 @@ def test_06_spillover_sweep_advantage_and_parity(verdict):
 
 
 def test_07_near_parity_under_unconditional_effect(verdict):
-    sc = default_scenario(effect=EffectSpec(regime="effect3", effect_mean=1.5))
+    sc = default_scenario(effect=EffectSpec(regime="effect3", tau=1.5))
     levels = (1.5, 3.0, 4.5, 6.0)
     res = estimate_power(sc, effect_levels=levels, n_reps=1000)
     rows, ok = [], True
@@ -185,7 +185,7 @@ def test_08_estimated_statistic_converges_with_size(verdict):
     t_gap_med, w_err_med, n_obs = [], [], []
     for n_clusters in (20, 80, 320):
         sc = single_track_scenario(
-            n_clusters=n_clusters, units_per_cluster=25, icc=0.05
+            n_clusters=n_clusters, units_per_grade=25, icc=0.05
         )
         sigma_true = theoretical_covariance(sc)
         p_true = expected_group_testin(sc)

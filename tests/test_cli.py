@@ -506,7 +506,10 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
     "argv, named",
     [
         (["simulate", "--effect", "effect1", "--tau", "nan"], "tau"),
-        (["simulate", "--effect", "effect3", "--effect-mean", "inf"], "effect_mean"),
+        (["simulate", "--effect", "effect3", "--tau", "inf"], "tau must be finite"),
+        (["simulate", "--effect", "null", "--tau", "5"], "null regime has no effect size"),
+        (["simulate", "--effect", "effect1", "--spill", "0.5"], "only effect2 has a spillover"),
+        (["power", "--levels", "0,5.5", "--workers", 1], "null regime has no effect size"),
         (["simulate", "--replicate", -1], "replicate index"),
         (["power", "--levels", "abc", "--workers", 1], "--levels"),
         (["power", "--levels", "nan", "--workers", 1], "effect levels"),
@@ -519,7 +522,8 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
         (["weights", "--df", "0"], "df must be positive, got 0.0"),
         (["weights", "--df", "nan"], "df must be positive, got nan"),
     ],
-    ids=["tau-nan", "effect-mean-inf", "replicate-negative", "levels-abc", "levels-nan",
+    ids=["tau-nan", "effect3-tau-inf", "null-tau", "effect1-spill", "power-null-levels",
+         "replicate-negative", "levels-abc", "levels-nan",
          "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
          "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan"],
 )
@@ -542,6 +546,36 @@ def test_malformed_values_exit_2_naming_them(tmp_path, capsys, request, argv, na
     assert len(err.strip().splitlines()) == 1
     assert named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_the_removed_second_size_flag_is_refused(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    argv = [command, "--preset", "single-track", "--clusters", 4, "--units", 2]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--effect", "effect3", "--effect-mean", 2, "--out", out], capsys)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "pwrd: error: unrecognized arguments: --effect-mean 2"
+    ]
+    assert not out.exists()
+
+
+def test_effect3_takes_its_mean_from_tau(tmp_path, capsys):
+    size = ["--preset", "single-track", "--clusters", 8, "--units", 4, "--replicate", 1]
+    null, hot = tmp_path / "null.csv", tmp_path / "hot.csv"
+    assert run(["simulate", *size, "--out", null], capsys)[0] == 0
+    assert run(["simulate", *size, "--effect", "effect3", "--tau", 5, "--out", hot], capsys)[0] == 0
+    sc = pwrd.single_track_scenario(n_clusters=8, units_per_grade=4)
+    want = pwrd.apply_effect(pwrd.generate_panel(sc, 1), pwrd.EffectSpec("effect3", tau=5.0), 1)
+    base, shifted = ingest_panel(null), ingest_panel(hot)
+    assert np.array_equal(shifted.outcome, want.outcome)
+    treated = base.treatment == 1
+    assert (shifted.outcome != base.outcome)[treated].all()
+    assert np.array_equal(shifted.outcome[~treated], base.outcome[~treated])
+    manifest = json.loads((tmp_path / "hot.csv.manifest.json").read_text())
+    assert manifest["config"]["effect"] == {"regime": "effect3", "tau": 5.0, "spill_fraction": 0.0}
 
 
 @pytest.mark.parametrize(
@@ -726,6 +760,45 @@ def test_a_rounding_level_test_variance_exits_4_in_every_estimator(tmp_path, cap
         assert (flags, code, out) == (flags, 4, "")
         assert err.startswith("pwrd: error:") and len(err.strip().splitlines()) == 1
         assert "is rounding" in err and "ridge" not in err
+
+
+def _scaled_p_values(csv_path, scale, tmp_path, capsys) -> dict:
+    """Each estimator's (exit code, p-value or stderr) on the panel with its
+    outcome multiplied by ``scale``."""
+    header, *lines = csv_path.read_text().splitlines()
+    col = header.split(",").index("outcome")
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        row[col] = repr(float(row[col]) * scale)
+    path = tmp_path / f"scaled-{scale:g}.csv"
+    path.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+    found = {}
+    for estimator in ("pwrd", "flat", "mixed", "exit"):
+        code, out, err = run(["analyze", path, "--estimator", estimator, "--json"], capsys)
+        if code:
+            found[estimator] = (code, err)
+            continue
+        doc = json.loads(out)
+        p = doc["test"]["p"] if "test" in doc else doc.get("exit", doc)["p_value"]
+        found[estimator] = (0, p)
+    return found
+
+
+@pytest.mark.parametrize("scale", [1e152, 1e306])
+def test_an_overflowing_outcome_is_named_not_called_rounding(small_csv, tmp_path, capsys, scale):
+    # at 1e152 the outcome's mean square overflows to inf, at 1e306 the arm
+    # means' differences and the sandwich overflow to nan
+    for estimator, (code, err) in _scaled_p_values(small_csv, scale, tmp_path, capsys).items():
+        assert code == 4, (estimator, err)
+        assert err.startswith("pwrd: error:") and "not finite" in err
+        assert "rounding" not in err and "Traceback" not in err
+
+
+def test_a_large_but_finite_outcome_analyzes_as_the_unscaled_one(small_csv, tmp_path, capsys):
+    unscaled = _scaled_p_values(small_csv, 1.0, tmp_path, capsys)
+    for estimator, (code, p) in _scaled_p_values(small_csv, 1e151, tmp_path, capsys).items():
+        assert code == 0
+        assert p == pytest.approx(unscaled[estimator][1], rel=1e-12)
 
 
 def test_flat_analyzes_a_panel_without_test_in_flags(small_csv, tmp_path, capsys):

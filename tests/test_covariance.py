@@ -83,7 +83,7 @@ def test_pooled_variance_agrees_with_single_group_covariance():
     assert exit_observation_estimate(p, variant="cr0").se ** 2 == pytest.approx(16.0 / 9.0, rel=1e-14)
 
 
-def _relabel(p, codes):
+def _relabel(p, codes, validate=True):
     return PanelDataset(
         unit=p.unit,
         cluster=codes[p.cluster],
@@ -93,6 +93,7 @@ def _relabel(p, codes):
         year=p.year,
         outcome=p.outcome,
         tested_in=p.tested_in,
+        validate=validate,
     )
 
 
@@ -116,8 +117,12 @@ def test_cluster_relabeling_is_exactly_invariant():
 def test_a_skipped_cluster_code_is_an_empty_cluster():
     sc = single_track_scenario(EffectSpec("effect1", tau=5.5), n_clusters=8)
     p = apply_effect(generate_panel(sc, 2), sc.effect, 2)
-    # code 3 carries no rows; it counts as a control cluster with nothing in it
-    q = _relabel(p, np.r_[0:3, 4:9])
+    codes = np.r_[0:3, 4:9]
+    with pytest.raises(InputError, match=r"missing codes \[3\]"):
+        _relabel(p, codes)
+    # built without validation, code 3 carries no rows; it counts as a
+    # control cluster with nothing in it
+    q = _relabel(p, codes, validate=False)
     assert q.n_clusters == p.n_clusters + 1
     eff_p, eff_q = estimate_effects_diffmeans(p), estimate_effects_diffmeans(q)
     assert np.array_equal(eff_p.estimates, eff_q.estimates)
@@ -190,6 +195,15 @@ def test_variance_estimate_validates_itself():
             df=2.0,
             groups=gi[:2],
         )
+    for bad in (np.nan, np.inf):  # refused before the eigensolver sees it
+        with pytest.raises(NumericalError, match="covariance contains non-finite entries"):
+            CovarianceEstimate(
+                sigma_hat=np.array([[1.0, bad], [bad, 1.0]]),
+                variant="cr0",
+                n_clusters=4,
+                df=2.0,
+                groups=gi[:2],
+            )
 
 
 def test_unknown_variant_rejected():

@@ -166,7 +166,7 @@ def test_peters_belson_refuses_design_covariates_before_any_fit(monkeypatch, nam
         raise AssertionError("a control fit ran")
 
     monkeypatch.setattr(effects, "_control_residuals", never)
-    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=4), 0)
+    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=4), 0)
     with pytest.raises(InputError, match=f"covariate '{name}' is constant within every"):
         estimate_effects_peters_belson(panel, covariates=(name,))
 

@@ -206,7 +206,7 @@ def assert_tiers_match(panel, fresh):
 
 
 def test_flipped_assignment_builds_its_own_assignment_tier():
-    p = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1)
+    p = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=6), 1)
     exercise(p)
     flipped = PanelDataset(
         **{k: getattr(p, k) for k in COLUMNS if k != "treatment"},
@@ -224,7 +224,7 @@ def test_flipped_assignment_builds_its_own_assignment_tier():
 
 def test_relabeled_clusters_build_their_own_design_tier():
     # a panel built from its columns, so its design tier is its own
-    p = fresh_copy(generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1))
+    p = fresh_copy(generate_panel(single_track_scenario(n_clusters=8, units_per_grade=6), 1))
     exercise(p)
     perm = np.array([5, 2, 7, 0, 3, 6, 1, 4])
     relabeled = PanelDataset(
@@ -241,7 +241,7 @@ def test_relabeled_clusters_build_their_own_design_tier():
 
 
 def test_with_outcome_shares_the_tiers_but_not_the_sums():
-    p = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=6), 1)
+    p = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=6), 1)
     exercise(p)
     q = p.with_outcome(p.outcome + np.arange(p.n_obs))
     assert q.design_tier is p.design_tier and q.assignment_tier is p.assignment_tier
@@ -286,6 +286,59 @@ def test_rejects_unit_changing_cluster():
 def test_rejects_flag_that_turns_off():
     with pytest.raises(InputError, match="drops back"):
         tiny_panel(tested_in=np.array([1, 0, 0, 0, 0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize(
+    "column, values, rows",
+    [
+        ("treatment", [0.5, 1, 1, 1, 0, 0, 0, 0], [0]),  # the int8 cast made it control
+        ("unit", [0.2, 0.7, 1, 1, 2, 2, 3, 3], [0, 1]),  # both were cast to unit 0
+        ("cluster", [0, 0, 0, 0, 1, 1, 1, 1.5], [7]),
+        ("tested_in", [0, 1, 0, 0, 1, 1, 0, np.nan], [7]),
+        ("grade", [3, 4, 4, 5, 3, 4, 4, np.inf], [7]),
+        ("block", [0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25], [4, 5, 6, 7]),
+    ],
+)
+def test_rejects_non_integral_values_in_integer_columns(column, values, rows):
+    with pytest.raises(InputError, match=rf"non-integral value in column '{column}': rows \{rows}"):
+        tiny_panel(**{column: np.array(values, dtype=np.float64)})
+
+
+def test_rejects_flags_the_int8_cast_would_wrap_to_binary():
+    with pytest.raises(InputError, match=r"non-binary treatment: rows \[4, 5, 6, 7\]"):
+        tiny_panel(treatment=np.array([1, 1, 1, 1, 256, 256, 256, 256]))
+    with pytest.raises(InputError, match=r"non-binary tested_in flag: rows \[0\]"):
+        tiny_panel(tested_in=np.array([257, 1, 0, 0, 1, 1, 0, 0]))
+
+
+def test_accepts_integral_floats_in_integer_columns():
+    ints = tiny_panel(block=np.array([0, 0, 0, 0, 1, 1, 1, 1]))
+    floats = tiny_panel(
+        **{k: getattr(ints, k).astype(float) for k in ("unit", "cluster", "treatment", "block")}
+    )
+    for k in ("unit", "cluster", "treatment", "block"):
+        got, want = getattr(floats, k), getattr(ints, k)
+        assert got.dtype == want.dtype and np.array_equal(got, want), k
+    assert np.array_equal(floats.cells.means, ints.cells.means)
+
+
+@pytest.mark.parametrize(
+    "column, values, rows",
+    [
+        ("unit", [0, 0, -1, -1, 2, 2, 3, 3], [2, 3]),
+        ("cluster", [-1, -1, -1, -1, 0, 0, 0, 0], [0, 1, 2, 3]),
+        ("block", [0, 0, 0, 0, -2, -2, -2, -2], [4, 5, 6, 7]),
+    ],
+)
+def test_rejects_negative_codes(column, values, rows):
+    with pytest.raises(InputError, match=rf"negative {column} code: rows \{rows}"):
+        tiny_panel(**{column: np.array(values)})
+
+
+def test_rejects_cluster_codes_that_skip_a_number():
+    # codes 0 and 2: a cluster 1 with no rows would count in C and its df
+    with pytest.raises(InputError, match=r"must run from 0 to C - 1; missing codes \[1\]"):
+        tiny_panel(cluster=np.array([0, 0, 0, 0, 2, 2, 2, 2]))
 
 
 def test_consistency_checks_name_rows_of_shuffled_input():
@@ -520,7 +573,7 @@ def test_label_text_pads_as_numpy_strings_do():
 def test_to_csv_bytes_match_numpy_string_padding(monkeypatch, tmp_path, labels):
     from pwrd import generate_panel, single_track_scenario
 
-    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_cluster=4), 0)
+    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=4), 0)
     if labels:  # an ingested panel keeps the labels it read
         panel.to_csv(tmp_path / "source.csv")
         panel = ingest_panel(tmp_path / "source.csv")

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -57,7 +58,7 @@ from test_panel import assert_tiers_match, fresh_copy, tiny_panel
 
 def small_scenario(**kw):
     kw.setdefault("n_clusters", 8)
-    kw.setdefault("units_per_cluster", 6)
+    kw.setdefault("units_per_grade", 6)
     return single_track_scenario(**kw)
 
 
@@ -177,6 +178,12 @@ def test_effect1_adds_tau_to_flagged_treated_rows():
 def test_effect1_zero_tau_is_identity():
     p = flagged_panel()
     assert apply_effect(p, EffectSpec(regime="effect1", tau=0.0)) is p
+    # so is a zero size in every regime, spillover or not, with no warning
+    # and before effect3 looks for its stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apply_effect(p, EffectSpec(regime="effect2", spill_fraction=0.5)) is p
+        assert apply_effect(p, EffectSpec(regime="effect3")) is p
 
 
 def test_effect_level_does_not_read_a_stale_cell_table():
@@ -269,9 +276,9 @@ def test_flag_effects_require_flags():
 
 
 def test_effect3_draws_have_requested_moments():
-    sc = small_scenario(n_clusters=20, units_per_cluster=50)
+    sc = small_scenario(n_clusters=20, units_per_grade=50)
     base = generate_panel(sc, 0)
-    spec = EffectSpec(regime="effect3", effect_mean=5.0)
+    spec = EffectSpec(regime="effect3", tau=5.0)
     shifted = apply_effect(base, spec)
     delta = (shifted.outcome - base.outcome)[base.treatment == 1]
     assert (shifted.outcome == base.outcome)[base.treatment == 0].all()
@@ -282,7 +289,7 @@ def test_effect3_draws_have_requested_moments():
 def test_effect3_is_deterministic_given_seed_and_replicate():
     sc = small_scenario()
     base = generate_panel(sc, 2)
-    spec = EffectSpec(regime="effect3", effect_mean=3.0)
+    spec = EffectSpec(regime="effect3", tau=3.0)
     a = apply_effect(base, spec)
     b = apply_effect(base, spec)
     assert np.array_equal(a.outcome, b.outcome)
@@ -291,7 +298,7 @@ def test_effect3_is_deterministic_given_seed_and_replicate():
 def test_effect3_needs_provenance():
     p = flagged_panel()  # no meta recorded
     with pytest.raises(InputError, match="seed"):
-        apply_effect(p, EffectSpec(regime="effect3", effect_mean=3.0))
+        apply_effect(p, EffectSpec(regime="effect3", tau=3.0))
 
 
 def test_effect_spec_validation():
@@ -301,24 +308,38 @@ def test_effect_spec_validation():
         EffectSpec(regime="effect1", tau=-1.0)
     with pytest.raises(InputError, match="spill_fraction"):
         EffectSpec(regime="effect2", tau=1.0, spill_fraction=1.5)
-    with pytest.raises(InputError, match="effect_mean"):
-        EffectSpec(regime="effect3", effect_mean=-2.0)
+    with pytest.raises(InputError, match="tau"):
+        EffectSpec(regime="effect3", tau=-2.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(InputError, match="tau must be finite"):
-            EffectSpec(regime="effect1", tau=bad)
+        for regime in ("effect1", "effect3"):
+            with pytest.raises(InputError, match="tau must be finite"):
+                EffectSpec(regime=regime, tau=bad)
         with pytest.raises(InputError, match="spill_fraction"):
             EffectSpec(regime="effect2", tau=1.0, spill_fraction=bad)
-        with pytest.raises(InputError, match="effect_mean must be finite"):
-            EffectSpec(regime="effect3", effect_mean=bad)
     spec = EffectSpec(regime="effect1", tau=2.0)
-    assert spec.with_level(4.0).level() == 4.0
+    assert spec.with_level(4.0).tau == 4.0
+    assert EffectSpec(regime="effect3", tau=1.5).with_level(3.0) == EffectSpec("effect3", tau=3.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"regime": "null", "tau": 1.0}, "null regime has no effect size"),
+        ({"regime": "effect1", "spill_fraction": 0.2}, "only effect2 has a spillover"),
+        ({"regime": "effect3", "tau": 1.0, "spill_fraction": 0.2}, "only effect2 has a spillover"),
+        ({"regime": "null", "spill_fraction": 0.2}, "only effect2 has a spillover"),
+    ],
+)
+def test_effect_spec_refuses_a_size_its_regime_ignores(kwargs, named):
+    with pytest.raises(InputError, match=named):
+        EffectSpec(**kwargs)
 
 
 # ----------------------------------------------------------------------
 # calibration and analytic covariance
 
 def test_single_track_calibration_is_exact():
-    sc = single_track_scenario(n_clusters=8, units_per_cluster=6)
+    sc = single_track_scenario(n_clusters=8, units_per_grade=6)
     profile = expected_testin_profile(sc)
     # single-entry designs make the system triangular, solvable to precision
     for k, target in {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}.items():
@@ -326,7 +347,7 @@ def test_single_track_calibration_is_exact():
 
 
 def test_spillover_preset_profile():
-    sc = spillover_scenario(n_clusters=8, units_per_cluster=6)
+    sc = spillover_scenario(n_clusters=8, units_per_grade=6)
     profile = expected_testin_profile(sc)
     for k, target in SPILLOVER_TESTIN_TARGETS.items():
         assert profile[k] == pytest.approx(target, abs=1e-9)
@@ -682,6 +703,19 @@ def test_cr0_with_satterthwaite_is_refused_before_any_replicate(monkeypatch, wor
             small_scenario(), methods=("flat",), n_reps=2, cov_variant="cr0",
             df_rule="satterthwaite", workers=workers,
         )
+
+
+@pytest.mark.parametrize(
+    "levels, named",
+    [
+        ((0.0, 5.5), "null regime has no effect size"),
+        ((5.5, math.nan), "effect levels must be finite"),
+    ],
+)
+def test_null_effect_levels_are_refused_before_any_replicate(monkeypatch, levels, named):
+    forbid_replicates(monkeypatch)
+    with pytest.raises(InputError, match=named):
+        estimate_power(small_scenario(), methods=("flat",), n_reps=2, effect_levels=levels)
 
 
 def test_analyze_replicate_refuses_an_unknown_df_rule():
