@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""One sha256 per estimator over seeded replicates, and one each for `pwrd
-analyze`, `pwrd weights`, the reference tails and weight solver, the
-presets' calibration and `pwrd simulate`.
+"""One sha256 per estimator over seeded replicates, and one each for the
+Monte Carlo engine, `pwrd analyze`, `pwrd weights`, the reference tails and
+weight solver, the presets' calibration and `pwrd simulate`.
 
 Two commits whose results agree bit for bit print the same lines, so a
 plain ``diff`` of two runs shows whether a change moved any result:
@@ -22,6 +22,13 @@ hashes, over every replicate, level and variant:
   exit    every field of the exit estimate and its p-value
 
 A computation that raises hashes the error's type and message instead.
+The ``power`` line hashes the cells and failures of ``estimate_power`` on
+the same scenario, every method in ``METHODS`` at the same levels and
+``--reps`` replicates, under each (variant, df rule) pair of VARIANTS and
+DF_RULES; CR0 with Satterthwaite df hashes its refusal. Each run is made
+with 1 and with 2 workers, and the script stops if the two differ. The
+per-estimator lines call the public per-replicate functions, so only this
+line covers the engine's own loop and its batched stages.
 The ``analyze`` line hashes the ``--json`` payload of each variant in
 ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
 writes to a temporary directory. The ``weights`` line hashes the ``pwrd
@@ -61,6 +68,7 @@ from pwrd import (
     default_scenario,
     estimate_effects_diffmeans,
     estimate_p0,
+    estimate_power,
     exit_observation_estimate,
     fit_random_intercept,
     flat_weights,
@@ -71,6 +79,7 @@ from pwrd import (
     spillover_scenario,
 )
 from pwrd.cli import main as cli_main
+from pwrd.simulate import DF_RULES, METHODS
 from pwrd.weights import ALTERNATIVES, t_p_value
 
 LEVELS = (0.0, 5.5)
@@ -178,6 +187,33 @@ def exit_fit(panel, variant):
     return ex, ex.p_value("greater")
 
 
+def power_run(sc, reps: int, variant: str, df_rule: str, workers: int) -> bytes:
+    """The digest of one ``estimate_power`` run's cells and failures."""
+    h = hashlib.sha256()
+
+    def run():
+        res = estimate_power(
+            sc, methods=METHODS, effect_levels=LEVELS, n_reps=reps,
+            cov_variant=variant, df_rule=df_rule, workers=workers,
+        )
+        return res.cells, res.failures
+
+    guarded(h, run)
+    return h.digest()
+
+
+def power_digest(sc, reps: int) -> str:
+    h = hashlib.sha256()
+    for variant in VARIANTS:
+        for df_rule in DF_RULES:
+            serial, pooled = (power_run(sc, reps, variant, df_rule, w) for w in (1, 2))
+            if serial != pooled:
+                raise SystemExit(f"power: 1 and 2 workers differ under {variant}, {df_rule}")
+            feed(h, [variant, df_rule])
+            h.update(serial)
+    return h.hexdigest()
+
+
 def cli_json(h, argv) -> None:
     """Add the JSON that ``pwrd argv`` prints, less its manifest, or its exit code."""
     out = io.StringIO()
@@ -274,6 +310,7 @@ def main() -> None:
                 guarded(hashes["exit"], lambda: exit_fit(panel, variant))
     for name, h in hashes.items():
         print(f"{name:<8} {h.hexdigest()}")
+    print(f"{'power':<8} {power_digest(sc, args.reps)}")
     print(f"{'analyze':<8} {analyze_digest()}")
     print(f"{'weights':<8} {weights_digest()}")
     print(f"{'tails':<8} {tails_digest()}")

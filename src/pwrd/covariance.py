@@ -12,9 +12,16 @@ within a cluster, each cluster touches only one arm, and the covariance of
 the contrast vector is the sum of the two arm blocks. One sandwich serves
 every contrast: the group effects' table, and the exit contrast's
 one-group table built on the exit rows. What a table's counts fix (the
-arm totals, the clusters with rows and the CR2 scale factors) is computed
-once per counts tier and shared by every table that differs only in its
-sums (``CellTable.counts``).
+arm totals and the clusters with rows) is computed once per counts tier
+and shared by every table that differs only in its sums
+(``CellTable.counts``).
+
+The sandwich runs on a stack of tables (``panel.CellStack``): the tables
+of many replicates that share a counts layout, with a leading replicate
+axis on every array below the rows. A stack of one table is the single
+case, and each table's result does not depend on its neighbours in the
+stack. The batched entry points (``covariances``, ``satterthwaite_dfs``)
+return, per item, the result or the package error that refuses it.
 
 Two variants are provided. CR0 uses the raw residual sums. CR2 rescales
 each cluster's residuals by the symmetric inverse square root of the
@@ -27,13 +34,14 @@ n the arm total. Eigenvalues of I - H below the floor are clipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, NumericalError
-from .panel import CellTable, GroupInfo, PanelDataset
+from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
+from .panel import CellStack, CellTable, GroupInfo, PanelDataset
 from .weights import check_test_variance
 
 if TYPE_CHECKING:
@@ -71,11 +79,6 @@ class CovarianceEstimate:
         return tuple(gi.g for gi in self.groups)
 
 
-def _cr2_scales(m: np.ndarray, n_cell: np.ndarray) -> np.ndarray:
-    """Residual-sum scaling implementing (I - H_c)^(-1/2) per cluster cell."""
-    return 1.0 / np.sqrt(np.maximum(1.0 - m / n_cell, EIG_FLOOR))
-
-
 def _active_clusters(cells: CellTable) -> np.ndarray:
     """The mask of clusters with rows, after the checks that the table's
     counts support a contrast.
@@ -94,38 +97,85 @@ def _active_clusters(cells: CellTable) -> np.ndarray:
     return active
 
 
-def _arm_means(cells: CellTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-arm counts and means of a (C, K) table, (2, K) each, and the mask
-    of clusters with rows. The table's contrast is means[1] - means[0]."""
-    active = cells.counts.get("active", lambda: _active_clusters(cells))
-    return cells.n, cells.means, active
+def _active(cells: CellTable) -> np.ndarray:
+    return cells.counts.get("active", lambda: _active_clusters(cells))
 
 
-def _cluster_terms(cells: CellTable) -> tuple[np.ndarray, np.ndarray]:
-    """Each cluster's arm total per column, (C, K), and its sign in the
-    contrast, (C, 1)."""
-    z = cells.z
-    return cells.n[z], np.where(z == 1, 1.0, -1.0)[:, None]
+def stacks(tables) -> tuple[list, list[tuple[list[int], CellStack]]]:
+    """Each table's counts check, and the tables that pass it as stacks.
+
+    ``tables`` holds cell tables, or the package errors of items that have
+    none. Returns, per table, the error that refuses it or None; and the
+    passing tables' indices grouped by what a stack's tables share, their
+    counts layout ``m`` and number of control clusters, in order of first
+    appearance, each with the stack of its tables.
+    """
+    errors: list = []
+    groups: dict = {}
+    for i, cells in enumerate(tables):
+        found = cells if isinstance(cells, PwrdError) else attempt(lambda: _active(cells))
+        if isinstance(found, PwrdError):
+            errors.append(found)
+        else:
+            errors.append(None)
+            groups.setdefault((id(cells.m), int(np.count_nonzero(cells.z == 0))), []).append(i)
+    return errors, [(idx, CellStack([tables[i] for i in idx])) for idx in groups.values()]
 
 
-def _sandwich(cells: CellTable, variant: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """Treated-minus-control contrast of cell means and its cluster sandwich.
+def _terms(stack: CellStack, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Each cluster's arm total per column, (R, C, K), its sign in the
+    contrast, (R, C, 1), and its CR2 scale per column, (R, C, K): the
+    (1 - m/n)^(-1/2) that implements (I - H_c)^(-1/2) per cluster cell, with
+    eigenvalues of I - H clipped at the floor. CR0 has no scale (None)."""
+    treated = stack.z[:, :, None] == 1
+    n_z = np.where(treated, stack.n[:, 1:], stack.n[:, :1])
+    sign = np.where(treated, 1.0, -1.0)
+    if variant == "cr0":
+        return n_z, sign, None
+    return n_z, sign, 1.0 / np.sqrt(np.maximum(1.0 - stack.m / n_z, EIG_FLOOR))
 
-    Returns the K contrasts of the (C, K) table, their K x K covariance and
-    the number of clusters with rows.
+
+def sandwich(stack: CellStack, variant: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Treated-minus-control contrasts of a stack's cell means and their
+    cluster sandwiches.
+
+    Returns the (R, K) contrasts, their (R, K, K) covariances and the
+    number of clusters with rows. Non-finite means give a non-finite
+    sandwich, which the caller refuses, so numpy does not warn of it.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
-    n, mean, active = _arm_means(cells)
-    m, s, z = cells.m, cells.s, cells.z
-    n_z, sign = cells.counts.get("cluster terms", lambda: _cluster_terms(cells))
-    R = s - m * mean[z]
-    if variant == "cr2":
-        R = R * cells.counts.get("cr2 scales", lambda: _cr2_scales(m, n_z))
-    U = (sign * R / n_z)[active]
-    # Canonical row order makes the accumulated sum independent of cluster labels.
-    Us = U[np.lexsort(U.T[::-1])]
-    return mean[1] - mean[0], Us.T @ Us, len(U)
+    means, z = stack.means, stack.z[:, :, None]
+    active = _active(stack.tables[0])
+    n_z, sign, scales = _terms(stack, variant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = stack.s - stack.m * np.where(z == 1, means[:, 1:], means[:, :1])
+        if variant == "cr2":
+            R = R * scales
+        U = (sign * R / n_z)[:, active]
+        # Canonical row order makes the accumulated sum independent of cluster labels.
+        order = np.lexsort(U.transpose(2, 0, 1)[::-1], axis=-1)
+        Us = np.take_along_axis(U, order[:, :, None], axis=1)
+        V = np.swapaxes(Us, 1, 2) @ Us
+    return stack.contrasts, V, U.shape[1]
+
+
+def covariances(effects, variant: str = "cr2") -> list:
+    """``cluster_covariance`` of each of ``effects``, from one sandwich per
+    stack of their cell tables: a CovarianceEstimate, or the package error
+    that refuses it."""
+    out, found = stacks([e.cells for e in effects])
+    for idx, stack in found:
+        _, V, n_clusters = sandwich(stack, variant)
+        for i, S, ms in zip(idx, V, stack.mean_square.tolist()):
+            out[i] = attempt(lambda: _covariance(effects[i].groups, S, ms, variant, n_clusters))
+    return out
+
+
+def _covariance(groups, S, mean_square, variant, n_clusters) -> CovarianceEstimate:
+    if n_clusters > 2:  # else the test refuses its df first
+        check_test_variance(float(np.trace(S)), mean_square, n_clusters - 2)
+    return CovarianceEstimate(S, variant, n_clusters, float(n_clusters - 2), groups)
 
 
 def cluster_covariance(
@@ -141,16 +191,34 @@ def cluster_covariance(
     nonnegative weights summing to one give w'Vw <= tr V, so no aggregate
     test on this matrix could pass.
     """
-    _, V, n_clusters = _sandwich(effects.cells, variant)
-    if n_clusters > 2:
-        check_test_variance(float(np.trace(V)), effects.cells.mean_square, n_clusters - 2)
-    return CovarianceEstimate(
-        sigma_hat=V,
-        variant=variant,
-        n_clusters=n_clusters,
-        df=float(n_clusters - 2),
-        groups=effects.groups,
-    )
+    return one(covariances([effects], variant))
+
+
+def satterthwaite_dfs(effects, omegas) -> list:
+    """``satterthwaite_df`` of each (effects, omega) pair, from one
+    computation per stack of the effects' cell tables: the df, or the
+    package error that refuses the effects' table."""
+    out, found = stacks([e.cells for e in effects])
+    for idx, stack in found:
+        active = _active(stack.tables[0])
+        n_z, sign, scales = _terms(stack, "cr2")
+        omega = np.stack([omegas[i] for i in idx])[:, None, :]
+        phi = (sign * omega / n_z * scales)[:, active]
+        m, n_z, z = stack.m[active], n_z[:, active], stack.z[:, active]
+        # Om = V'(I - H)V for the per-cluster coefficient vectors V; the cell
+        # projector H couples only clusters of the same arm.
+        a = (m * phi**2).sum(axis=2)
+        F = m * phi / np.sqrt(n_z)
+        Om = np.where(z[:, :, None] == z[:, None, :], -(F @ np.swapaxes(F, 1, 2)), 0.0)
+        diagonal = np.arange(len(m))
+        Om[:, diagonal, diagonal] += a
+        tr = np.trace(Om, axis1=1, axis2=2)
+        denom = (Om**2).sum(axis=(1, 2))
+        fallback = float(len(m) - 2)
+        for i, t, d in zip(idx, tr.tolist(), denom.tolist()):
+            df = t * t / d if d > 0 and math.isfinite(d) and math.isfinite(t) else math.inf
+            out[i] = df if math.isfinite(df) else fallback
+    return out
 
 
 def satterthwaite_df(
@@ -170,30 +238,6 @@ def satterthwaite_df(
     if variant != "cr2":
         raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
     omega = np.asarray(omega, dtype=np.float64)
-    G = effects.n_groups
-    if len(omega) != G:
+    if len(omega) != effects.n_groups:
         raise InputError("omega length must match the number of included groups")
-
-    cells = effects.cells
-    active = cells.counts.get("active", lambda: _active_clusters(cells))
-    m, z = cells.m, cells.z
-    fallback = float(active.sum() - 2)
-
-    n_z, sign = cells.counts.get("cluster terms", lambda: _cluster_terms(cells))
-    scales = cells.counts.get("cr2 scales", lambda: _cr2_scales(m, n_z))
-    phi = (sign * omega[None, :] / n_z * scales)[active]
-    m, n_z, z = m[active], n_z[active], z[active]
-
-    # Om = V'(I - H)V for the per-cluster coefficient vectors V; the cell
-    # projector H couples only clusters of the same arm.
-    a = (m * phi**2).sum(axis=1)
-    F = m * phi / np.sqrt(n_z)
-    Om = np.diag(a) - np.where(z[:, None] == z[None, :], F @ F.T, 0.0)
-    tr = float(np.trace(Om))
-    denom = float((Om**2).sum())
-    if denom <= 0 or not np.isfinite(denom) or not np.isfinite(tr):
-        return fallback
-    df = tr * tr / denom
-    if not np.isfinite(df):
-        return fallback
-    return float(df)
+    return one(satterthwaite_dfs([effects], [omega]))

@@ -12,17 +12,23 @@ sandwich reads the same table, so the variance is that of the contrast.
 What the assignment fixes is computed once per assignment and shared by
 every outcome on it (see ``panel``): the kept groups, their count table,
 p0, and the exit rows' table of counts.
+
+The difference-in-means and exit estimators take a list of panels
+(``effects_diffmeans``, ``exit_estimates``): each panel sums its own rows,
+and the contrasts of tables that share a layout are one computation
+(``covariance.stacks``). The single-panel functions run them on one panel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .covariance import _arm_means, _sandwich
-from .errors import DegenerateDataError, InputError, NumericalError
+from .covariance import sandwich, stacks
+from .errors import DegenerateDataError, InputError, NumericalError, attempt, one
 from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
 from .weights import check_test_variance, t_p_value
 
@@ -104,34 +110,51 @@ def _split_catalog(
     return tuple(kept), tuple(out)
 
 
-def _contrast(
-    cells: CellTable,
-    groups: tuple[GroupInfo, ...],
-    method: str,
-    excluded: tuple[ExclusionRecord, ...],
-) -> GroupEffects:
-    """Group effects as the arm-mean contrast of a table, carrying the table."""
-    n, mean, _ = _arm_means(cells)
-    n = cells.counts.get("group n", lambda: (n[0] + n[1]).astype(np.int64))
-    return GroupEffects(mean[1] - mean[0], groups, n, method, cells, excluded)
+def contrasts(tables, method: str, groups, excluded) -> list:
+    """Group effects as the arm-mean contrast of each table, carrying the
+    table, from one contrast per stack of tables (``covariance.stacks``):
+    a GroupEffects, or the package error that refuses it. ``groups`` and
+    ``excluded`` hold each table's groups and exclusions."""
+    out, found = stacks(tables)
+    for idx, stack in found:
+        for i, delta in zip(idx, stack.contrasts):
+            cells = tables[i]
+            n = cells.counts.get("group n", lambda: (cells.n[0] + cells.n[1]).astype(np.int64))
+            out[i] = GroupEffects(delta, groups[i], n, method, cells, excluded[i])
+    return out
 
 
 def _kept_counts(panel: PanelDataset) -> tuple[np.ndarray, CellTable]:
-    """The kept groups' columns of the cell table and their row counts."""
+    """The kept groups' columns of the cell table and their row counts; the
+    counts' layout from the design tier, so replicates of one design that
+    keep the same groups share it and stack."""
     kept, _ = included_groups(panel)
     idx = np.asarray([gi.g for gi in kept])
     counts = panel.cell_counts
-    return idx, CellTable(counts.m[:, idx], None, None, counts.z)
+    m = panel.design_tier.get(("kept counts", idx.tobytes()), lambda: counts.m[:, idx])
+    return idx, CellTable(m, None, None, counts.z)
+
+
+def _diffmeans_table(panel: PanelDataset) -> CellTable:
+    kept, _ = included_groups(panel)
+    if not kept:
+        raise DegenerateDataError("no group has observations in both arms")
+    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
+    return counts.with_sums(panel.cells.s[:, idx])
+
+
+def effects_diffmeans(panels) -> list:
+    """``estimate_effects_diffmeans`` of each panel, each a GroupEffects or
+    the package error that refuses it: each panel sums its own rows, and
+    the contrasts are taken once per stack of their tables."""
+    tables = [attempt(lambda: _diffmeans_table(p)) for p in panels]
+    split = [included_groups(p) for p in panels]
+    return contrasts(tables, "difference-in-means", *zip(*split))
 
 
 def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
     """Treated-minus-control mean outcome within each group."""
-    kept, excluded = included_groups(panel)
-    if not kept:
-        raise DegenerateDataError("no group has observations in both arms")
-    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
-    table = counts.with_sums(panel.cells.s[:, idx])
-    return _contrast(table, kept, "difference-in-means", excluded)
+    return one(effects_diffmeans([panel]))
 
 
 def _design(panel: PanelDataset, covariates: tuple[str, ...]) -> np.ndarray:
@@ -212,7 +235,7 @@ def estimate_effects_peters_belson(
     s = np.bincount(key[rows], weights=resid, minlength=m.size).reshape(m.shape)
     idx = [gi.g for gi in fit]
     table = CellTable(m[:, idx], s[:, idx], None, panel.z_by_cluster)
-    return _contrast(table, fit, "peters-belson", excluded + thin)
+    return one(contrasts([table], "peters-belson", [fit], [excluded + thin]))
 
 
 def estimate_p0(panel: PanelDataset) -> TestInProportions:
@@ -258,6 +281,25 @@ class ExitEstimate:
         return t_p_value(self.estimate / self.se, self.df, alternative)
 
 
+def exit_estimates(
+    panels,
+    method: str = "difference-in-means",
+    covariates: tuple[str, ...] = (),
+    variant: str = "cr2",
+) -> list:
+    """``exit_observation_estimate`` of each panel, each an ExitEstimate or
+    the package error that refuses it: each panel sums its own exit rows,
+    and the one-group sandwich is taken once per stack of their tables."""
+    tables = [attempt(lambda: _exit_table(p, method, covariates)) for p in panels]
+    out, found = stacks(tables)
+    for idx, stack in found:
+        delta, V, n_clusters = sandwich(stack, variant)
+        values = zip(idx, delta[:, 0].tolist(), V[:, 0, 0].tolist(), stack.mean_square.tolist())
+        for i, d, v, ms in values:
+            out[i] = attempt(lambda: _exit_estimate(tables[i], method, d, v, ms, n_clusters))
+    return out
+
+
 def exit_observation_estimate(
     panel: PanelDataset,
     method: str = "difference-in-means",
@@ -275,28 +317,33 @@ def exit_observation_estimate(
     through the residualization). A variance that is rounding is refused
     (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
-    rows, cluster, m = panel.design_tier.get("exit rows", lambda: _exit_rows(panel))
-    n0, n1, counts = panel.assignment_tier.get("exit counts", lambda: _exit_counts(panel, m))
+    return one(exit_estimates([panel], method, covariates, variant))
 
+
+def _exit_table(panel: PanelDataset, method: str, covariates: tuple[str, ...]) -> CellTable:
+    """The exit rows' one-group cell table of the values ``method`` contrasts."""
+    rows, cluster, m = panel.design_tier.get("exit rows", lambda: _exit_rows(panel))
+    counts = panel.assignment_tier.get("exit counts", lambda: _exit_counts(panel, m))
     y = panel.outcome[rows]
     if method == "difference-in-means":
         values = y
     elif method == "peters-belson":
         X = _design(panel, covariates)[rows]
         z = panel.treatment[rows]
-        one = np.zeros(len(y), dtype=np.int64)
-        values = _control_residuals(y, X, z, one, 1, lambda _: "exit subset")
+        one_group = np.zeros(len(y), dtype=np.int64)
+        values = _control_residuals(y, X, z, one_group, 1, lambda _: "exit subset")
     else:
         raise InputError(f"unknown method '{method}'")
+    return counts.with_sums(np.bincount(cluster, weights=values, minlength=m.size).reshape(m.shape))
 
-    s = np.bincount(cluster, weights=values, minlength=m.size).reshape(m.shape)
-    table = counts.with_sums(s)
-    delta, V, n_clusters = _sandwich(table, variant)
+
+def _exit_estimate(table, method, delta, variance, mean_square, n_clusters) -> ExitEstimate:
     if n_clusters > 2:  # else the test refuses its df first
-        check_test_variance(float(V[0, 0]), table.mean_square, n_clusters - 2)
+        check_test_variance(variance, mean_square, n_clusters - 2)
+    n0, n1 = (int(n) for n in table.n[:, 0])
     return ExitEstimate(
-        estimate=float(delta[0]),
-        se=float(np.sqrt(V[0, 0])),
+        estimate=delta,
+        se=math.sqrt(variance),
         df=float(n_clusters - 2),
         n=n1 + n0,
         n_treated=n1,
@@ -314,13 +361,12 @@ def _exit_rows(panel: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return rows, cluster, m
 
 
-def _exit_counts(panel: PanelDataset, m: np.ndarray) -> tuple[int, int, CellTable]:
-    """Control and treated exit rows, and the exit rows' table of counts."""
+def _exit_counts(panel: PanelDataset, m: np.ndarray) -> CellTable:
+    """The exit rows' table of counts, once both arms have exit rows."""
     counts = CellTable(m, None, None, panel.z_by_cluster)
-    n0, n1 = (int(n) for n in counts.n[:, 0])
-    if n1 == 0 or n0 == 0:
+    if (counts.n[:, 0] == 0).any():
         raise DegenerateDataError("exit subset lacks one arm entirely")
-    return n0, n1, counts
+    return counts
 
 
 def effects_to_json_dict(effects: GroupEffects, p0: TestInProportions | None = None) -> dict:

@@ -30,3 +30,21 @@ class NumericalError(PwrdError):
     """Numerical failure, typically a singular or indefinite matrix."""
 
     exit_code = 4
+
+
+def attempt(compute):
+    """``compute()``, or the package error it raises: how a batched stage
+    records one item's refusal without stopping its neighbours."""
+    try:
+        return compute()
+    except PwrdError as exc:
+        return exc
+
+
+def one(results):
+    """The single result of a batched stage run on one item, raising it if
+    it is a package error."""
+    (result,) = results
+    if isinstance(result, PwrdError):
+        raise result
+    return result

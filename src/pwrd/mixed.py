@@ -20,6 +20,13 @@ otherwise they are the distinct (cell, covariate values) rows. The record
 layout is computed once per design when the design fixes every covariate,
 else once per assignment, and the design matrix once per assignment (see
 ``panel``), so a fit on a new outcome reads only its sums.
+
+``fits_random_intercept`` fits a list of panels. Each makes its own pass
+over its rows (the record sums, the OLS fit and the within-record sum of
+squares); the fits whose panels share a record layout then run as one
+stack, every array below the records carrying a leading replicate axis,
+and the CR2 eigendecompositions of all their clusters are one call.
+``fit_random_intercept`` is the stack of one panel.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import EIG_FLOOR, VARIANTS
-from .errors import DegenerateDataError, InputError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, PanelDataset
 from .weights import ROUNDING_FLOOR, check_finite, check_test_variance, t_p_value
 
@@ -173,29 +180,31 @@ def _cr_meat(
     w: np.ndarray,
     u: np.ndarray,
     starts: np.ndarray,
-    XtX: np.ndarray,
-    variant: str,
+    eigen: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """Sum of b_c b_c' over clusters, from records weighted by ``w``.
+    """Sum of b_c b_c' over clusters, from records weighted by ``w``, for a
+    stack of fits: ``Xt`` (R, N, p) and ``u`` (R, N), giving (R, p, p).
 
-    b_c = Xt_c' e_c for CR0, and Xt_c'(I - H_cc)^(-1/2) e_c for CR2. A
+    b_c = Xt_c' e_c for CR0 (``eigen`` None), and Xt_c'(I - H_cc)^(-1/2) e_c
+    for CR2, from ``eigen``, the eigendecomposition of each fit's Xt'WXt. A
     record's rows share its design row, so their residuals enter only
-    through their sum ``w * u``.
+    through their sum ``w * u``. The per-cluster eigendecompositions of
+    every fit are one batched call.
     """
-    p = Xt.shape[1]
+    p = Xt.shape[2]
     wXt = w[:, None] * Xt
     # per-cluster score sums, one row per cluster
-    B = np.add.reduceat(wXt * u[:, None], starts, axis=0)
-    if variant == "cr2":
-        eva, evec = np.linalg.eigh(XtX)
-        if eva.min() <= 0:
-            raise NumericalError("singular design in cluster adjustment")
-        Khalf = (evec / np.sqrt(eva)) @ evec.T
+    B = np.add.reduceat(wXt * u[:, :, None], starts, axis=1)
+    if eigen is not None:
+        eva, evec = eigen
+        Khalf = (evec / np.sqrt(eva)[:, None, :]) @ np.swapaxes(evec, 1, 2)
         # per-cluster Gram blocks Xc'Xc, stacked, from their distinct entries
         j, k = np.array([(a, b) for a in range(p) for b in range(a, p)]).T
-        G = np.empty((len(starts), p, p))
-        G[:, j, k] = G[:, k, j] = np.add.reduceat(wXt[:, j] * Xt[:, k], starts, axis=0)
-        d, Q = np.linalg.eigh(Khalf @ G @ Khalf)
+        products = np.stack([wXt[:, :, a] * Xt[:, :, b] for a, b in zip(j, k)], axis=2)
+        G = np.empty((*B.shape, p))
+        G[:, :, j, k] = G[:, :, k, j] = np.add.reduceat(products, starts, axis=1)
+        Kc = Khalf[:, None]
+        d, Q = np.linalg.eigh(Kc @ G @ Kc)
         d = np.clip(d, 0.0, None)
         coef = np.where(
             d > 1e-12,
@@ -203,9 +212,199 @@ def _cr_meat(
             0.5,
         )
         # b_c + Gc Khalf Q diag(coef) Q' Khalf b_c = Xc'(I - H_cc)^(-1/2) e_c, per cluster
-        t = coef * (np.swapaxes(Q, 1, 2) @ (B @ Khalf.T)[:, :, None])[:, :, 0]
-        B = B + (G @ (Khalf @ (Q @ t[:, :, None])))[:, :, 0]
-    return B.T @ B
+        t = coef * (np.swapaxes(Q, 2, 3) @ (B @ np.swapaxes(Khalf, 1, 2))[:, :, :, None])[..., 0]
+        B = B + (G @ (Kc @ (Q @ t[..., None])))[..., 0]
+    return np.swapaxes(B, 1, 2) @ B
+
+
+@dataclass(frozen=True, eq=False)
+class _RowPass:
+    """What a fit reads from its panel's rows: the records, their outcome
+    sums and means, the OLS residuals of the record means, and the sum of
+    squared deviations of the rows from their record means."""
+
+    rec: _Records
+    s: np.ndarray
+    ybar: np.ndarray
+    e: np.ndarray
+    ss_within: float
+
+
+def _row_pass(panel: PanelDataset, covariates: tuple[str, ...]) -> _RowPass:
+    C = panel.n_clusters
+    if C < 2:
+        raise DegenerateDataError(f"need at least 2 clusters, found {C}")
+    rec = _records(panel, covariates)
+    s = rec.sums(panel)
+    # record means; a record's rows differ from its mean by the same
+    # deviations in every fit below, which contribute their sum of squares
+    # to each residual sum of squares and nothing to any cross product
+    ybar = s / rec.w
+    beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
+    if rank < rec.X.shape[1]:
+        raise NumericalError("rank-deficient design matrix")
+    e = ybar - rec.X @ beta_ols
+    dev2 = (panel.outcome - ybar[rec.row]) ** 2
+    ss_within = float(np.bincount(rec.row, weights=dev2, minlength=len(rec.w)).sum())
+    if (rec.counts == 0).any():
+        raise DegenerateDataError("a cluster has no observations")
+    return _RowPass(rec, s, ybar, e, ss_within)
+
+
+def _components(
+    n: int, C: int, p: int, q: int, m2: float, ss_within: float, sums: tuple[float, ...]
+) -> tuple[VarianceComponents, float, tuple[str, ...]]:
+    """The variance components of one fit, the outcome's mean square and
+    the fit's warnings, from its sums of squares."""
+    ssw, ssb, ss_ols, wy2 = sums
+    ssw += ss_within
+    warnings_: tuple[str, ...] = ()
+    if n == C or C <= q:
+        warnings_ = ("cannot separate variance components; fell back to ordinary least squares",)
+        sigma2_eps = (ss_within + ss_ols) / max(n - p, 1)
+        sigma2_mu = 0.0
+    else:
+        sigma2_eps = ssw / (n - C)
+        n0 = (n - m2 / n) / (C - q)
+        msb = ssb / (C - q)
+        sigma2_mu = (msb - sigma2_eps) / n0
+        if sigma2_mu < 0:
+            sigma2_mu = 0.0
+
+    total = sigma2_eps + sigma2_mu
+    icc = sigma2_mu / total if total > 0 else 0.0
+    if icc >= 1.0:
+        raise DegenerateDataError(
+            "zero within-cluster residual variance: the outcome does not vary"
+            " within clusters beyond the covariates"
+        )
+    mean_square = (ss_within + wy2) / n  # that is, mean(y**2)
+    check_finite(("residual variance", total), ("outcome mean square", mean_square))
+    if total <= ROUNDING_FLOOR * mean_square:
+        raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
+    components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
+    return components, mean_square, warnings_
+
+
+def fits_random_intercept(
+    panels,
+    covariates: tuple[str, ...] = ("grade",),
+    variant: str = "cr2",
+) -> list:
+    """``fit_random_intercept`` of each panel, each a MixedModelFit or the
+    package error that refuses it.
+
+    Each panel makes its own pass over its rows (``_row_pass``). Everything
+    below the records is computed once per stack of panels that share a
+    record layout: the components' sums, the GLS transform and solve, the
+    cluster-robust meat and the implied weights.
+    """
+    if variant not in VARIANTS:
+        raise InputError(f"variant must be one of {VARIANTS}")
+    out: list = []
+    groups: dict = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails check_finite
+        for i, panel in enumerate(panels):
+            out.append(attempt(lambda: _row_pass(panel, covariates)))
+            if not isinstance(out[i], PwrdError):
+                groups.setdefault(id(out[i].rec.row), []).append(i)
+    for idx in groups.values():
+        fits = _fit_stack([panels[i] for i in idx], [out[i] for i in idx], covariates, variant)
+        for i, fit in zip(idx, fits):
+            out[i] = fit
+    return out
+
+
+def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
+    """The fits of panels whose row passes share a record layout."""
+    rec = passes[0].rec
+    cl, w, starts, m = rec.cl, rec.w, rec.starts, rec.m
+    n, C, p = panels[0].n_obs, panels[0].n_clusters, rec.X.shape[1]
+    e = np.stack([rp.e for rp in passes])
+    ybar = np.stack([rp.ybar for rp in passes])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails check_finite
+        rbar = np.add.reduceat(w * e, starts, axis=1) / m
+        sums = (
+            (w * (e - rbar[:, cl]) ** 2).sum(axis=1),
+            (m * rbar**2).sum(axis=1),
+            (w * e**2).sum(axis=1),
+            np.array([w @ y2 for y2 in ybar**2]),
+        )
+    m2 = float((m**2).sum())
+    # cluster-constant columns count toward the between degrees of freedom
+    out = [
+        attempt(lambda: _components(n, C, p, rp.rec.q, m2, rp.ss_within, row))
+        for rp, row in zip(passes, zip(*(a.tolist() for a in sums)))
+    ]
+    live = [k for k, found in enumerate(out) if not isinstance(found, PwrdError)]
+    if not live:
+        return out
+    eps = np.array([out[k][0].sigma2_eps for k in live])[:, None]
+    mu = np.array([out[k][0].sigma2_mu for k in live])[:, None]
+
+    # quasi-demeaning GLS transform, on record means
+    lam_r = np.where(mu > 0, 1.0 - np.sqrt(eps / (eps + m * mu)), 0.0)[:, cl]
+    S = np.stack([passes[k].s for k in live])
+    X = np.stack([passes[k].rec.X for k in live])
+    yt = ybar[live] - lam_r * (np.add.reduceat(S, starts, axis=1) / m)[:, cl]
+    Xt = X - lam_r[:, :, None] * np.stack([passes[k].rec.xbar for k in live])
+    XtT = np.swapaxes(Xt, 1, 2)
+    XtX = XtT @ (w[:, None] * Xt)
+    try:
+        K = np.linalg.inv(XtX)
+        refused = None
+    except np.linalg.LinAlgError:
+        refused = "singular transformed design"
+    eigen = np.linalg.eigh(XtX) if variant == "cr2" else None
+    if refused is None and eigen is not None and (eigen[0].min(axis=1) <= 0).any():
+        refused = "singular design in cluster adjustment"
+    if refused is not None:  # a fit refuses its design: each is fitted alone
+        for k in live:
+            if len(live) > 1:
+                out[k] = _fit_stack([panels[k]], [passes[k]], covariates, variant)[0]
+            else:
+                out[k] = NumericalError(refused)
+        return out
+
+    beta = (K @ (XtT @ (w * yt)[:, :, None]))[:, :, 0]
+    u = yt - (Xt @ beta[:, :, None])[:, :, 0]
+    ss_gls = np.array([passes[k].ss_within + w @ u2 for k, u2 in zip(live, u**2)])
+    s2 = ss_gls / max(n - p, 1)
+    V = K @ _cr_meat(Xt, w, u, starts, eigen) @ K
+    with np.errstate(invalid="ignore"):  # a negative variance fails check_test_variance
+        se_model = np.sqrt(s2 * K[:, 1, 1])
+        se_cr = np.sqrt(V[:, 1, 1])
+
+    # implied per-group weights of the treated side of the contrast
+    v = (Xt @ K[:, :, 1:2])[:, :, 0]
+    a = v - lam_r * (np.add.reduceat(w * v, starts, axis=1) / m)[:, cl]
+    names = ["intercept", "treatment", *covariates]
+    found = zip(live, beta, se_model.tolist(), se_cr.tolist(), V[:, 1, 1].tolist(), a, X)
+    for k, b, se_m, se_r, v11, a_k, X_k in found:
+        components, mean_square, warnings_ = out[k]
+        gw = np.bincount(rec.grp, weights=w * a_k * X_k[:, 1], minlength=panels[k].n_groups)
+        fit = MixedModelFit(
+            tau_hat=float(b[1]),
+            se_model=se_m,
+            se_cluster_robust=se_r,
+            components=components,
+            df=float(C - 2),
+            n_clusters=C,
+            n_obs=n,
+            coefficients={nm: float(x) for nm, x in zip(names, b)},
+            implied_group_weights=gw,
+            variant=variant,
+            warnings=warnings_,
+        )
+        out[k] = attempt(lambda: _checked(fit, v11, mean_square))
+    return out
+
+
+def _checked(fit: MixedModelFit, variance: float, mean_square: float) -> MixedModelFit:
+    """The fit, once its cluster-robust variance is not rounding."""
+    if fit.n_clusters > 2:  # else the test refuses its df first
+        check_test_variance(variance, mean_square, fit.n_clusters - 2)
+    return fit
 
 
 def fit_random_intercept(
@@ -226,105 +425,4 @@ def fit_random_intercept(
     cluster-robust variance of the effect at that level
     (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
-    if variant not in VARIANTS:
-        raise InputError(f"variant must be one of {VARIANTS}")
-    n = panel.n_obs
-    C = panel.n_clusters
-    if C < 2:
-        raise DegenerateDataError(f"need at least 2 clusters, found {C}")
-    names = ["intercept", "treatment", *covariates]
-    rec = _records(panel, covariates)
-    cl, w, X, starts, m = rec.cl, rec.w, rec.X, rec.starts, rec.m
-    s = rec.sums(panel)
-    p = X.shape[1]
-    warnings_: list[str] = []
-
-    # record means; a record's rows differ from its mean by the same
-    # deviations in every fit below, which contribute their sum of squares
-    # to each residual sum of squares and nothing to any cross product
-    ybar = s / w
-    beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
-    if rank < p:
-        raise NumericalError("rank-deficient design matrix")
-    e = ybar - X @ beta_ols
-    dev2 = (panel.outcome - ybar[rec.row]) ** 2
-    ss_within = float(np.bincount(rec.row, weights=dev2, minlength=len(w)).sum())
-
-    if (rec.counts == 0).any():
-        raise DegenerateDataError("a cluster has no observations")
-
-    # cluster-constant columns count toward the between degrees of freedom
-    q = rec.q
-
-    rbar = np.add.reduceat(w * e, starts) / m
-    ssw = ss_within + float((w * (e - rbar[cl]) ** 2).sum())
-    ssb = float((m * rbar**2).sum())
-
-    if n == C or C <= q:
-        warnings_.append("cannot separate variance components; fell back to ordinary least squares")
-        sigma2_eps = (ss_within + float((w * e**2).sum())) / max(n - p, 1)
-        sigma2_mu = 0.0
-    else:
-        sigma2_eps = ssw / (n - C)
-        n0 = (n - float((m**2).sum()) / n) / (C - q)
-        msb = ssb / (C - q)
-        sigma2_mu = (msb - sigma2_eps) / n0
-        if sigma2_mu < 0:
-            sigma2_mu = 0.0
-
-    total = sigma2_eps + sigma2_mu
-    icc = sigma2_mu / total if total > 0 else 0.0
-    if icc >= 1.0:
-        raise DegenerateDataError(
-            "zero within-cluster residual variance: the outcome does not vary"
-            " within clusters beyond the covariates"
-        )
-    mean_square = (ss_within + float(w @ ybar**2)) / n  # that is, mean(y**2)
-    check_finite(("residual variance", total), ("outcome mean square", mean_square))
-    if total <= ROUNDING_FLOOR * mean_square:
-        raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
-    components = VarianceComponents(sigma2_eps=sigma2_eps, sigma2_mu=sigma2_mu, icc=icc)
-
-    # quasi-demeaning GLS transform, on record means
-    if sigma2_mu > 0:
-        lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu))
-    else:
-        lam = np.zeros(C)
-    lam_r = lam[cl]
-    yt = ybar - lam_r * (np.add.reduceat(s, starts) / m)[cl]
-    Xt = X - lam_r[:, None] * rec.xbar
-
-    XtX = Xt.T @ (w[:, None] * Xt)
-    try:
-        K = np.linalg.inv(XtX)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular transformed design") from exc
-    beta = K @ (Xt.T @ (w * yt))
-    u = yt - Xt @ beta
-    s2 = (ss_within + float(w @ u**2)) / max(n - p, 1)
-    se_model = float(np.sqrt(s2 * K[1, 1]))
-
-    M = _cr_meat(Xt, w, u, starts, XtX, variant)
-    V = K @ M @ K
-    se_cr = float(np.sqrt(V[1, 1]))
-    if C > 2:  # else the test refuses its df first
-        check_test_variance(float(V[1, 1]), mean_square, C - 2)
-
-    # implied per-group weights of the treated side of the contrast
-    v = Xt @ K[:, 1]
-    a = v - lam_r * (np.add.reduceat(w * v, starts) / m)[cl]
-    gw = np.bincount(rec.grp, weights=w * a * X[:, 1], minlength=panel.n_groups)
-
-    return MixedModelFit(
-        tau_hat=float(beta[1]),
-        se_model=se_model,
-        se_cluster_robust=se_cr,
-        components=components,
-        df=float(C - 2),
-        n_clusters=C,
-        n_obs=n,
-        coefficients={nm: float(b) for nm, b in zip(names, beta)},
-        implied_group_weights=gw,
-        variant=variant,
-        warnings=tuple(warnings_),
-    )
+    return one(fits_random_intercept([panel], covariates, variant))

@@ -16,15 +16,18 @@ at the tier that fixes it:
 
 * the design tier (``design_tier``), keyed on the rows' units, clusters,
   grades, years and groups: the (cluster, group) cell key and row counts
-  ``m``, each unit's exit row and its cluster, and the random-intercept
-  fit's record layout when its covariates are design columns
-  (``DESIGN_COVARIATES``). The replicates of one simulated scenario share it;
-  any other panel builds its own, so a panel that shares only the catalog
-  (relabeled clusters, say) never reads another layout's counts.
+  ``m``, the columns of ``m`` of each set of kept groups, each unit's exit
+  row and its cluster, and the random-intercept fit's record layout when
+  its covariates are design columns (``DESIGN_COVARIATES``). The
+  replicates of one simulated scenario share it; any other panel builds its
+  own, so a panel that shares only the catalog (relabeled clusters, say)
+  never reads another layout's counts. Tables and fits whose layout is one
+  object stack across replicates (``CellStack``,
+  ``mixed.fits_random_intercept``).
 * the assignment tier (``assignment_tier``), keyed on the design plus the
   arms and the test-in flags: the cell table's counts without its sums
   (``cell_counts``) with their per-(arm, group) totals (``CellTable.n``),
-  the kept groups, p0, the CR2 scale factors, the exit table's counts, and
+  the kept groups, p0, the exit table's counts, and
   the fit's design matrix, its between-cluster columns and, when a schema
   covariate is named, its record layout. Panels that differ only in their
   outcome (``with_outcome``) share it.
@@ -217,7 +220,9 @@ class CellTable:
 
     A table of counts only, as an assignment tier holds, has ``s`` None;
     ``with_sums`` gives it sums. ``counts`` holds what ``m`` and ``z`` fix,
-    such as ``n``, and is shared by every table made from it.
+    such as ``n``, and is shared by every table made from it. ``means`` and
+    ``mean_square`` are those of a ``CellStack`` of this one table, or of
+    the stack that first held it.
     """
 
     m: np.ndarray
@@ -239,28 +244,63 @@ class CellTable:
     def means(self) -> np.ndarray:
         """Per (arm, column) means of the values, shape (2, K); read only
         once every (arm, column) cell has rows."""
-        return arm_totals(self.s, self.z) / self.n
+        return CellStack((self,)).means[0]
 
     @cached_property
     def mean_square(self) -> float:
         """Count-weighted mean square of the (arm, column) means: at most the values'."""
+        return float(CellStack((self,)).mean_square[0])
+
+
+class CellStack:
+    """Cell tables of one counts layout, their arrays stacked on a leading
+    replicate axis: ``z`` (R, C), ``s`` (R, C, K), ``n`` and ``means``
+    (R, 2, K), the treated-minus-control ``contrasts`` of the means (R, K),
+    and ``mean_square`` (R,).
+
+    The tables share ``m`` (taken from the first) and have the same number
+    of control clusters; every (arm, column) cell has rows. Each table's
+    ``means`` and ``mean_square`` are the stack's, computed once: a stack of
+    tables that already hold them reads them, and a new stack stores them.
+    An overflowed sum gives non-finite means, which the tests refuse
+    (``weights.check_test_variance``), so numpy does not warn of it.
+    """
+
+    def __init__(self, tables) -> None:
+        self.tables = tuple(tables)
+        self.m = self.tables[0].m
+        self.z = np.stack([t.z for t in self.tables])
+        self.s = np.stack([t.s for t in self.tables])
+        self.n = np.stack([t.n for t in self.tables])
         n = self.n
-        return float((n * self.means**2).sum() / n.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            if all("mean_square" in vars(t) for t in self.tables):
+                self.means = np.stack([t.means for t in self.tables])
+                self.mean_square = np.array([t.mean_square for t in self.tables])
+            else:
+                self.means = arm_totals(self.s, self.z) / n
+                self.mean_square = (n * self.means**2).sum(axis=(1, 2)) / n.sum(axis=(1, 2))
+                for t, mean, ms in zip(self.tables, self.means, self.mean_square.tolist()):
+                    vars(t).update(means=mean, mean_square=ms)
+            self.contrasts = self.means[:, 1] - self.means[:, 0]
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Column totals of a (C, K) cell array per arm, shape (2, K).
+    """Column totals per arm of stacked (C, K) cell arrays, ``x`` (R, C, K)
+    with arms ``z`` (R, C), shape (R, 2, K). Every row of ``z`` has the
+    same number of control clusters.
 
-    Each arm's columns are sorted before summing, so the totals are
+    Each arm's entries are sorted before summing, so the totals are
     bit-for-bit the same however the clusters are numbered.
     """
-    return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
+    arms = (x[z == arm].reshape(len(x), -1, x.shape[2]) for arm in (0, 1))
+    return np.stack([np.sort(a, axis=1).sum(axis=1) for a in arms], axis=1)
 
 
 def arm_counts(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``arm_totals`` of a (C, K) array of integer counts, as one product
-    with the arm indicators: integers below 2**53 add exactly in any order,
-    so no sort is needed."""
+    """Column totals per arm of a (C, K) array of integer counts, shape
+    (2, K), as one product with the arm indicators: integers below 2**53
+    add exactly in any order, so no sort is needed."""
     return np.array([z == 0, z == 1], dtype=np.float64) @ x
 
 

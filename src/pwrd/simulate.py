@@ -25,6 +25,15 @@ Each quantity of a replicate is computed once, at the tier that fixes it
 layout and design tier, the effect levels of one replicate share its
 assignment tier, and each level computes only what its outcome changes.
 
+The Monte Carlo loop draws replicates one at a time, and hands the
+(replicate, level) panels of ``REPLICATE_BATCH`` replicates to one
+analysis (``_analyze_panels``). Each panel sums its own rows; every
+computation below the rows carries a leading replicate axis, so a stage
+runs once per batch rather than once per panel. The weight solve and the
+t tails stay one call per panel. ``pwrd analyze`` and the public
+per-replicate functions run the same stages on one panel, and a panel's
+results do not depend on the batch it was analyzed in.
+
 The analytic test-in profile takes its normal tail from the standard
 library, ``0.5 * math.erfc(z * sqrt(0.5))`` one element at a time
 (``weights.normal_tail``, which the test's normal reference also uses),
@@ -60,17 +69,12 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .covariance import VARIANTS, cluster_covariance, satterthwaite_df
-from .effects import (
-    estimate_effects_diffmeans,
-    estimate_effects_peters_belson,
-    estimate_p0,
-    exit_observation_estimate,
-)
-from .errors import DegenerateDataError, InputError, NumericalError, PwrdError
-from .mixed import fit_random_intercept
+from .covariance import VARIANTS, covariances, satterthwaite_dfs
+from .effects import effects_diffmeans, estimate_effects_peters_belson, estimate_p0, exit_estimates
+from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
+from .mixed import fits_random_intercept
 from .panel import PanelDataset, Tier, group_layout
-from .weights import aggregate_test, flat_weights, normal_tail, pwrd_weights
+from .weights import aggregate_tests, flat_weights, normal_tail, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # Every year at or below one half flagged: with full negative spillover the
@@ -82,6 +86,8 @@ CALIBRATION_TOL = 0.02
 # The largest share of a power cell's replicates that may fail before a run is refused.
 MAX_EXCLUSION_FRACTION = 0.02
 METHODS = ("pwrd", "flat", "mixed", "exit")
+# Replicates whose (replicate, level) panels one analysis takes at a time.
+REPLICATE_BATCH = 16
 REGIMES = ("effect1", "effect2", "effect3", "null")
 DF_RULES = ("clusters-2", "satterthwaite")
 
@@ -662,8 +668,8 @@ def _check_analysis(methods: tuple[str, ...], cov_variant: str, df_rule: str) ->
         raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
 
 
-def _analyze(
-    panel: PanelDataset,
+def _analyze_panels(
+    panels,
     methods: tuple[str, ...],
     cov_variant: str,
     df_rule: str,
@@ -672,44 +678,87 @@ def _analyze(
     covariates: tuple[str, ...] = (),
     ridge: bool = False,
     delta0: float | None = None,
-) -> dict[str, tuple[float, Any]]:
-    """The analysis of ``pwrd analyze`` and of every Monte Carlo replicate:
-    each requested method's p-value and what it computed. That is (effects,
-    covariance, p0, weights, test) for pwrd and flat, which share the
-    effects and their sandwich; the fit, on ``covariates`` or else grade, for
-    mixed; and the estimate for exit."""
+) -> list:
+    """The analysis of ``pwrd analyze`` and of every Monte Carlo replicate,
+    on a list of panels at once.
+
+    Each panel's entry maps each requested method to its p-value and what
+    it computed: (effects, covariance, p0, weights, test) for pwrd and
+    flat, which share the effects and their sandwich; the fit, on
+    ``covariates`` or else grade, for mixed; and the estimate for exit. A
+    panel that a stage refuses gets that stage's package error instead,
+    the first one in the order above, and later stages skip it.
+
+    Each stage runs once over the panels still standing: each panel sums
+    its own rows, and what lies below the rows (contrasts, sandwiches,
+    degrees of freedom, test variances, the mixed fit's GLS and CR2 meat)
+    is one computation per stack of panels that share a layout. The weight
+    solve and the t tail are one call per panel. A panel's results do not
+    depend on which panels share its list.
+    """
     _check_analysis(methods, cov_variant, df_rule)
-    out: dict[str, tuple[float, Any]] = {}
+    errors: list = [None] * len(panels)
+    out: list[dict] = [{} for _ in panels]
+
+    def stage(compute, idx) -> dict:
+        """``compute`` on the panels of ``idx`` not yet refused, one result
+        each; the errors are recorded and the rest returned by panel."""
+        idx = [i for i in idx if errors[i] is None]
+        done = {}
+        for i, found in zip(idx, compute(idx) if idx else ()):
+            if isinstance(found, PwrdError):
+                errors[i] = found
+            else:
+                done[i] = found
+        return done
+
+    def each(compute, idx) -> dict:
+        return stage(lambda live: [attempt(lambda: compute(i)) for i in live], idx)
+
+    every = range(len(panels))
     if "pwrd" in methods or "flat" in methods:
         if method == "peters-belson":
-            effects = estimate_effects_peters_belson(panel, covariates)
+            effects = each(lambda i: estimate_effects_peters_belson(panels[i], covariates), every)
         else:
-            effects = estimate_effects_diffmeans(panel)
-        cov = cluster_covariance(panel, effects, variant=cov_variant)
+            effects = stage(lambda idx: effects_diffmeans([panels[i] for i in idx]), every)
+        covs = stage(lambda idx: covariances([effects[i] for i in idx], cov_variant), effects)
         # flat reads no flags; Peters-Belson drops groups with too few control rows
-        p0 = None
-        if "pwrd" in methods or panel.tested_in is not None:
-            p0 = estimate_p0(panel).on_groups(effects.groups)
+        wanted = [i for i in covs if "pwrd" in methods or panels[i].tested_in is not None]
+        p0 = each(lambda i: estimate_p0(panels[i]).on_groups(effects[i].groups), wanted)
     for m in ("pwrd", "flat"):
         if m not in methods:
             continue
         if m == "pwrd":
-            w = pwrd_weights(cov, p0, ridge=ridge)
+            w = each(lambda i: pwrd_weights(covs[i], p0[i], ridge=ridge), covs)
         else:  # the group sizes, so the table's counts, fix the flat weights
-            w = effects.cells.counts.get("flat weights", lambda: flat_weights(effects))
-        df = None
+            w = each(lambda i: effects[i].cells.counts.get(
+                "flat weights", lambda: flat_weights(effects[i])), covs)
+        dfs = dict.fromkeys(w)
         if df_rule == "satterthwaite":
-            df = satterthwaite_df(panel, effects, w.omega, variant=cov_variant)
-        test = aggregate_test(effects, cov, w, delta0=delta0, alternative=alternative, df=df)
-        out[m] = (test.p_value, (effects, cov, p0, w, test))
+            dfs = stage(lambda idx: satterthwaite_dfs(
+                [effects[i] for i in idx], [w[i].omega for i in idx]), w)
+        tests = stage(lambda idx: aggregate_tests(
+            [(effects[i], covs[i], w[i], dfs[i]) for i in idx], delta0, alternative), dfs)
+        for i, test in tests.items():
+            out[i][m] = (test.p_value, (effects[i], covs[i], p0.get(i), w[i], test))
     if "mixed" in methods:
-        fit = fit_random_intercept(panel, covariates=covariates or ("grade",), variant=cov_variant)
-        out["mixed"] = (fit.p_value(alternative), fit)
+        fit_on = covariates or ("grade",)
+        fits = stage(lambda idx: fits_random_intercept(
+            [panels[i] for i in idx], fit_on, cov_variant), every)
+        for i, p in each(lambda i: fits[i].p_value(alternative), fits).items():
+            out[i]["mixed"] = (p, fits[i])
     if "exit" in methods:
         exit_method = "difference-in-means" if method == "diffmeans" else method
-        ex = exit_observation_estimate(panel, exit_method, covariates, cov_variant)
-        out["exit"] = (ex.p_value(alternative), ex)
-    return out
+        exits = stage(lambda idx: exit_estimates(
+            [panels[i] for i in idx], exit_method, covariates, cov_variant), every)
+        for i, p in each(lambda i: exits[i].p_value(alternative), exits).items():
+            out[i]["exit"] = (p, exits[i])
+    return [found if found is not None else res for found, res in zip(errors, out)]
+
+
+def _analyze(panel: PanelDataset, *args, **kwargs) -> dict[str, tuple[float, Any]]:
+    """``_analyze_panels`` of one panel, raising the error that refuses it."""
+    return one(_analyze_panels([panel], *args, **kwargs))
 
 
 def analyze_replicate(
@@ -782,20 +831,32 @@ def _run_chunk(
     df_rule: str,
 ) -> tuple[np.ndarray, list[tuple[int, float, str]]]:
     """Rejections per (replicate, level, method), 1 or 0, or -1 where the
-    replicate failed at that level; and the failures."""
+    replicate failed at that level; and the failures.
+
+    Replicates are drawn and their effects applied one at a time, and the
+    (replicate, level) panels of each ``REPLICATE_BATCH`` replicates are
+    analyzed together (``_analyze_panels``).
+    """
     hits = np.full((len(reps), len(levels), len(methods)), -1, dtype=np.int8)
     excluded: list[tuple[int, float, str]] = []
     specs = [scenario.effect.with_level(lv) for lv in levels]
-    for i, rep in enumerate(reps):
-        base = generate_panel(scenario, rep)
-        for j, (lv, spec) in enumerate(zip(levels, specs)):
-            try:
-                panel = apply_effect(base, spec, rep)
-                res = analyze_replicate(panel, methods, alpha, cov_variant, df_rule)
-            except PwrdError as exc:
-                excluded.append((rep, lv, f"{type(exc).__name__}: {exc}"))
-                continue
-            hits[i, j] = [res[m] for m in methods]
+    for start in range(0, len(reps), REPLICATE_BATCH):
+        keys, panels = [], []
+        for i, rep in enumerate(reps[start : start + REPLICATE_BATCH], start):
+            base = generate_panel(scenario, rep)
+            for j, spec in enumerate(specs):
+                panel = attempt(lambda: apply_effect(base, spec, rep))
+                if isinstance(panel, PwrdError):
+                    excluded.append((rep, levels[j], f"{type(panel).__name__}: {panel}"))
+                    continue
+                keys.append((i, j))
+                panels.append(panel)
+        found = _analyze_panels(panels, methods, cov_variant, df_rule)
+        for (i, j), res in zip(keys, found):
+            if isinstance(res, PwrdError):
+                excluded.append((reps[i], levels[j], f"{type(res).__name__}: {res}"))
+            else:
+                hits[i, j] = [res[m][0] <= alpha for m in methods]
     return hits, excluded
 
 

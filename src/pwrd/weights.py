@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, NumericalError
+from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 
 PD_GATE = 1e-12
 RIDGE_FACTOR = 1e-8
@@ -444,6 +444,12 @@ def aggregate_test(
     infinite). ``delta0`` defaults to the zero vector and must be finite.
     A variance that is rounding of the effects' arm means is refused.
     """
+    return one(aggregate_tests([(effects, cov, weights, df)], delta0, alternative))
+
+
+def _test_inputs(effects, cov, weights, delta0, df) -> tuple:
+    """The effect vector, covariance, weights, null value, df and outcome
+    mean square of one test, checked."""
     d = _vector(effects, "estimates")
     S = _matrix(cov)
     w = _vector(weights, "omega")
@@ -467,21 +473,43 @@ def aggregate_test(
 
     if df is None:
         df = float(getattr(cov, "df", np.inf))
+    mean_square = effects.cells.mean_square if hasattr(effects, "cells") else 0.0
+    return d, S, w, null_value, float(df), mean_square
 
-    var = float(w @ S @ w)
-    check_test_variance(var, effects.cells.mean_square if hasattr(effects, "cells") else 0.0, df)
-    se = float(np.sqrt(var))
-    estimate = float(w @ d)
+
+def aggregate_tests(items, delta0=None, alternative: str = "greater") -> list:
+    """``aggregate_test`` of each (effects, cov, weights, df) item, each an
+    AggregatedTest or the package error that refuses it. The weighted
+    estimates and variances of items with the same number of groups are
+    computed as one stack; each t tail is its own call."""
+    out: list = [attempt(lambda: _test_inputs(e, c, w, delta0, df)) for e, c, w, df in items]
+    by_size: dict = {}
+    for i, found in enumerate(out):
+        if not isinstance(found, PwrdError):
+            by_size.setdefault(len(found[0]), []).append(i)
+    for idx in by_size.values():
+        d, S, w = (np.stack([out[i][j] for i in idx]) for j in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by check_test_variance
+            var = ((w[:, None, :] @ S) @ w[:, :, None])[:, 0, 0]
+            estimate = (w[:, None, :] @ d[:, :, None])[:, 0, 0]
+        for i, v, est in zip(idx, var.tolist(), estimate.tolist()):
+            _, _, _, null_value, df, mean_square = out[i]
+            out[i] = attempt(lambda: _test(est, null_value, v, df, mean_square, alternative))
+    return out
+
+
+def _test(estimate, null_value, var, df, mean_square, alternative) -> AggregatedTest:
+    check_test_variance(var, mean_square, df)
+    se = math.sqrt(var)
     t = (estimate - null_value) / se
     if not math.isfinite(t):
         raise NumericalError("test statistic is not finite")
-
     return AggregatedTest(
         estimate=estimate,
         null_value=null_value,
         se=se,
-        t_stat=float(t),
-        df=float(df),
+        t_stat=t,
+        df=df,
         p_value=t_p_value(t, df, alternative),
         alternative=alternative,
     )

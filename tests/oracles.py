@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "analyze_replicate",
     "best_slope_by_enumeration",
     "bisection_by_profile",
     "blocked_assignment",
@@ -26,6 +27,12 @@ __all__ = [
     "pooled_share",
     "random_intercept_by_rows",
     "random_intercept_robust_se",
+    "replicate_exit",
+    "replicate_loop",
+    "replicate_mixed",
+    "replicate_sandwich",
+    "replicate_satterthwaite",
+    "replicate_test",
     "slope",
     "random_problem",
 ]
@@ -567,3 +574,242 @@ def ingest_rows(source, schema=None):
         n_read=n_read, n_kept=panel.n_obs, dropped_rows=tuple(dropped), derived_tested_in=derived,
     )
     return panel
+
+
+# ----------------------------------------------------------------------
+# the per-replicate reference pipeline
+#
+# The Monte Carlo engine analyzes stacks of panels at once. These are the
+# per-replicate implementations it replaced, one panel and one (C, K) cell
+# table at a time, with the same checks and error messages. They read the
+# library's panel tiers and call its unchanged pieces (p0, the weight
+# solver, the flat weights and the t tail), so a difference from the engine
+# is a difference in the batched stages.
+
+_REJECTED = "pwrd", "flat", "mixed", "exit"
+
+
+def _arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return np.stack([np.sort(x[z == arm], axis=0).sum(axis=0) for arm in (0, 1)])
+
+
+def replicate_sandwich(m, s, z, variant: str):
+    """Contrasts of a (C, K) table's arm means, their cluster sandwich, the
+    number of clusters with rows and the table's mean square."""
+    from pwrd.errors import DegenerateDataError, NumericalError
+
+    active = m.sum(axis=1) > 0
+    if active.sum() < 2:
+        raise DegenerateDataError(f"need at least 2 clusters, found {int(active.sum())}")
+    n = np.array([z == 0, z == 1], dtype=np.float64) @ m
+    if (n == 0).any():
+        raise NumericalError(f"singular bread: empty (arm, group) cells {np.flatnonzero(n == 0).tolist()}")
+    mean = _arm_totals(s, z) / n
+    n_z, sign = n[z], np.where(z == 1, 1.0, -1.0)[:, None]
+    R = s - m * mean[z]
+    if variant == "cr2":
+        R = R * (1.0 / np.sqrt(np.maximum(1.0 - m / n_z, 1e-12)))
+    U = (sign * R / n_z)[active]
+    Us = U[np.lexsort(U.T[::-1])]
+    mean_square = float((n * mean**2).sum() / n.sum())
+    return mean[1] - mean[0], Us.T @ Us, len(U), mean_square
+
+
+def _checked_covariance(V: np.ndarray) -> np.ndarray:
+    from pwrd.errors import NumericalError
+
+    if not np.isfinite(V).all():
+        raise NumericalError("covariance contains non-finite entries")
+    if np.abs(V - V.T).max() > 1e-10 * max(np.abs(V).max(), 1.0):
+        raise NumericalError("covariance matrix is not symmetric")
+    if np.linalg.eigvalsh(V).min() < -1e-10 * max(np.trace(V), 1e-300):
+        raise NumericalError("covariance matrix has a substantially negative eigenvalue")
+    return V
+
+
+def replicate_satterthwaite(m, z, omega) -> float:
+    """Satterthwaite df of omega' delta_hat on a (C, K) table's counts."""
+    active = m.sum(axis=1) > 0
+    n = np.array([z == 0, z == 1], dtype=np.float64) @ m
+    n_z, sign = n[z], np.where(z == 1, 1.0, -1.0)[:, None]
+    scales = 1.0 / np.sqrt(np.maximum(1.0 - m / n_z, 1e-12))
+    phi = (sign * omega[None, :] / n_z * scales)[active]
+    m, n_z, z = m[active], n_z[active], z[active]
+    a = (m * phi**2).sum(axis=1)
+    F = m * phi / np.sqrt(n_z)
+    Om = np.diag(a) - np.where(z[:, None] == z[None, :], F @ F.T, 0.0)
+    tr, denom = float(np.trace(Om)), float((Om**2).sum())
+    df = tr * tr / denom if denom > 0 and math.isfinite(denom) and math.isfinite(tr) else math.inf
+    return df if math.isfinite(df) else float(active.sum() - 2)
+
+
+def replicate_test(d, V, w, df: float, mean_square: float) -> float:
+    """One-sided p-value of w'd against the t reference on ``df``."""
+    from pwrd.errors import NumericalError
+    from pwrd.weights import check_test_variance, t_p_value
+
+    var = float(w @ V @ w)
+    check_test_variance(var, mean_square, df)
+    t = float(w @ d) / float(np.sqrt(var))
+    if not math.isfinite(t):
+        raise NumericalError("test statistic is not finite")
+    return t_p_value(t, df, "greater")
+
+
+def replicate_mixed(panel, covariates=("grade",), variant="cr2") -> tuple[float, float, float]:
+    """(tau_hat, cluster-robust se, df) of the random-intercept fit on the
+    fit's records, one panel at a time."""
+    from pwrd.errors import DegenerateDataError, NumericalError
+    from pwrd.mixed import _records
+    from pwrd.weights import ROUNDING_FLOOR, check_finite, check_test_variance
+
+    n, C = panel.n_obs, panel.n_clusters
+    if C < 2:
+        raise DegenerateDataError(f"need at least 2 clusters, found {C}")
+    rec = _records(panel, covariates)
+    cl, w, X, starts, m = rec.cl, rec.w, rec.X, rec.starts, rec.m
+    s = np.bincount(rec.row, weights=panel.outcome, minlength=len(w))
+    p = X.shape[1]
+    ybar = s / w
+    beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
+    if rank < p:
+        raise NumericalError("rank-deficient design matrix")
+    e = ybar - X @ beta_ols
+    ss_within = float(np.bincount(rec.row, weights=(panel.outcome - ybar[rec.row]) ** 2).sum())
+    if (rec.counts == 0).any():
+        raise DegenerateDataError("a cluster has no observations")
+    q = rec.q
+    rbar = np.add.reduceat(w * e, starts) / m
+    if n == C or C <= q:
+        sigma2_eps, sigma2_mu = (ss_within + float((w * e**2).sum())) / max(n - p, 1), 0.0
+    else:
+        sigma2_eps = (ss_within + float((w * (e - rbar[cl]) ** 2).sum())) / (n - C)
+        n0 = (n - float((m**2).sum()) / n) / (C - q)
+        sigma2_mu = max((float((m * rbar**2).sum()) / (C - q) - sigma2_eps) / n0, 0.0)
+    total = sigma2_eps + sigma2_mu
+    if (sigma2_mu / total if total > 0 else 0.0) >= 1.0:
+        raise DegenerateDataError(
+            "zero within-cluster residual variance: the outcome does not vary"
+            " within clusters beyond the covariates"
+        )
+    mean_square = (ss_within + float(w @ ybar**2)) / n
+    check_finite(("residual variance", total), ("outcome mean square", mean_square))
+    if total <= ROUNDING_FLOOR * mean_square:
+        raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
+    lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu)) if sigma2_mu > 0 else np.zeros(C)
+    yt = ybar - lam[cl] * (np.add.reduceat(s, starts) / m)[cl]
+    Xt = X - lam[cl][:, None] * rec.xbar
+    XtX = Xt.T @ (w[:, None] * Xt)
+    try:
+        K = np.linalg.inv(XtX)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular transformed design") from exc
+    beta = K @ (Xt.T @ (w * yt))
+    u = yt - Xt @ beta
+    wXt = w[:, None] * Xt
+    B = np.add.reduceat(wXt * u[:, None], starts, axis=0)
+    if variant == "cr2":
+        eva, evec = np.linalg.eigh(XtX)
+        if eva.min() <= 0:
+            raise NumericalError("singular design in cluster adjustment")
+        Khalf = (evec / np.sqrt(eva)) @ evec.T
+        j, k = np.array([(a, b) for a in range(p) for b in range(a, p)]).T
+        G = np.empty((len(starts), p, p))
+        G[:, j, k] = G[:, k, j] = np.add.reduceat(wXt[:, j] * Xt[:, k], starts, axis=0)
+        d, Q = np.linalg.eigh(Khalf @ G @ Khalf)
+        d = np.clip(d, 0.0, None)
+        big = d > 1e-12
+        scale = 1.0 / np.sqrt(np.maximum(1.0 - d, 1e-12)) - 1.0
+        coef = np.where(big, scale / np.where(big, d, 1.0), 0.5)
+        t = coef * (np.swapaxes(Q, 1, 2) @ (B @ Khalf.T)[:, :, None])[:, :, 0]
+        B = B + (G @ (Khalf @ (Q @ t[:, :, None])))[:, :, 0]
+    V = K @ (B.T @ B) @ K
+    if C > 2:
+        check_test_variance(float(V[1, 1]), mean_square, C - 2)
+    return float(beta[1]), float(np.sqrt(V[1, 1])), float(C - 2)
+
+
+def replicate_exit(panel, variant="cr2") -> tuple[float, float, float]:
+    """(estimate, se, df) of the exit rows' difference in means."""
+    from pwrd.errors import DegenerateDataError
+    from pwrd.weights import check_test_variance
+
+    rows = np.flatnonzero(panel.exit_mask())
+    cluster = panel.cluster[rows]
+    m = np.bincount(cluster, minlength=panel.n_clusters).astype(np.float64).reshape(-1, 1)
+    z = panel.z_by_cluster
+    if min(np.array([z == 0, z == 1], dtype=np.float64) @ m[:, 0]) == 0:
+        raise DegenerateDataError("exit subset lacks one arm entirely")
+    s = np.bincount(cluster, weights=panel.outcome[rows], minlength=m.size).reshape(m.shape)
+    delta, V, n_clusters, mean_square = replicate_sandwich(m, s, z, variant)
+    if n_clusters > 2:
+        check_test_variance(float(V[0, 0]), mean_square, n_clusters - 2)
+    return float(delta[0]), float(np.sqrt(V[0, 0])), float(n_clusters - 2)
+
+
+def analyze_replicate(panel, methods=_REJECTED, cov_variant="cr2", df_rule="clusters-2") -> dict:
+    """Each method's one-sided p-value, and its weights for pwrd and flat,
+    by the per-replicate pipeline; a refused panel raises its error."""
+    from pwrd.effects import estimate_p0, included_groups
+    from pwrd.errors import DegenerateDataError
+    from pwrd.weights import check_test_variance, flat_weights, pwrd_weights, t_p_value
+
+    out = {}
+    if "pwrd" in methods or "flat" in methods:
+        kept, _ = included_groups(panel)
+        if not kept:
+            raise DegenerateDataError("no group has observations in both arms")
+        idx = np.asarray([gi.g for gi in kept])
+        m = panel.cell_counts.m[:, idx]
+        s, z = panel.cells.s[:, idx], panel.z_by_cluster
+        d, V, n_clusters, mean_square = replicate_sandwich(m, s, z, cov_variant)
+        if n_clusters > 2:
+            check_test_variance(float(np.trace(V)), mean_square, n_clusters - 2)
+        V = _checked_covariance(V)
+        p0 = None
+        if "pwrd" in methods or panel.tested_in is not None:
+            p0 = estimate_p0(panel).on_groups(kept)
+    for method in ("pwrd", "flat"):
+        if method in methods:
+            if method == "pwrd":
+                w = pwrd_weights(V, p0).omega
+            else:
+                w = flat_weights(np.array([gi.n for gi in kept], dtype=np.float64)).omega
+            df = float(n_clusters - 2)
+            if df_rule == "satterthwaite":
+                df = replicate_satterthwaite(m, panel.z_by_cluster, w)
+            out[method] = (replicate_test(d, V, w, df, mean_square), w)
+    if "mixed" in methods:
+        tau, se, df = replicate_mixed(panel, variant=cov_variant)
+        check_test_variance(se**2, 0.0, df)
+        out["mixed"] = (t_p_value(tau / se, df, "greater"), None)
+    if "exit" in methods:
+        est, se, df = replicate_exit(panel, cov_variant)
+        check_test_variance(se**2, 0.0, df)
+        out["exit"] = (t_p_value(est / se, df, "greater"), None)
+    return out
+
+
+def replicate_loop(scenario, levels, reps, methods=_REJECTED, alpha=0.05, cov_variant="cr2",
+                   df_rule="clusters-2"):
+    """Rejections per (replicate, level, method), -1 where the replicate
+    failed, each p-value (None where it failed), and the failures, one
+    replicate and one level at a time."""
+    from pwrd import apply_effect, generate_panel
+    from pwrd.errors import PwrdError
+
+    hits = np.full((len(reps), len(levels), len(methods)), -1, dtype=np.int8)
+    p_values: dict = {}
+    failures = []
+    for i, rep in enumerate(reps):
+        base = generate_panel(scenario, rep)
+        for j, lv in enumerate(levels):
+            try:
+                panel = apply_effect(base, scenario.effect.with_level(lv), rep)
+                found = analyze_replicate(panel, methods, cov_variant, df_rule)
+            except PwrdError as exc:
+                failures.append((rep, lv, f"{type(exc).__name__}: {exc}"))
+                continue
+            hits[i, j] = [found[m][0] <= alpha for m in methods]
+            p_values[rep, lv] = found
+    return hits, p_values, failures

@@ -787,10 +787,16 @@ def _scaled_p_values(csv_path, scale, tmp_path, capsys) -> dict:
 @pytest.mark.parametrize("scale", [1e152, 1e306])
 def test_an_overflowing_outcome_is_named_not_called_rounding(small_csv, tmp_path, capsys, scale):
     # at 1e152 the outcome's mean square overflows to inf, at 1e306 the arm
-    # means' differences and the sandwich overflow to nan
-    for estimator, (code, err) in _scaled_p_values(small_csv, scale, tmp_path, capsys).items():
+    # means' differences and the sandwich overflow to nan; numpy's warnings
+    # of either would print lines of their own before the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        found = _scaled_p_values(small_csv, scale, tmp_path, capsys)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    for estimator, (code, err) in found.items():
         assert code == 4, (estimator, err)
         assert err.startswith("pwrd: error:") and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
         assert "rounding" not in err and "Traceback" not in err
 
 

@@ -270,3 +270,33 @@ def test_cell_and_row_records_agree(variant, covariates):
         np.testing.assert_allclose(
             fit.implied_group_weights, ref["implied_group_weights"], rtol=1e-10, atol=0
         )
+
+
+def test_a_refused_fit_in_a_stack_leaves_its_neighbours_alone(monkeypatch):
+    from pwrd.mixed import fits_random_intercept
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    panels = [
+        apply_effect(generate_panel(sc, r), sc.effect.with_level(lv), r)
+        for r in range(3)
+        for lv in (0.0, 5.5)
+    ]
+    alone = [fit_random_intercept(p) for p in panels]
+    # the fit of panel 3 finds its transformed design singular
+    real_inv, seen = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append(np.array(a)) or real_inv(a))
+    fit_random_intercept(panels[3])
+    marked = seen[0][0]
+
+    def inv(a):
+        if any(np.array_equal(block, marked) for block in np.asarray(a)):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    found = fits_random_intercept(panels)
+    assert isinstance(found[3], NumericalError)
+    assert str(found[3]) == "singular transformed design"
+    for i in (0, 1, 2, 4, 5):
+        assert found[i].tau_hat == alone[i].tau_hat
+        assert found[i].se_cluster_robust == alone[i].se_cluster_robust

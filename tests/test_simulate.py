@@ -52,6 +52,7 @@ from oracles import (
     blocked_assignment,
     flagged_shares_by_grid,
     pooled_share,
+    replicate_loop,
 )
 from test_panel import assert_tiers_match, fresh_copy, tiny_panel
 
@@ -138,16 +139,51 @@ def test_missing_cutoffs_are_named_together():
         expected_testin_profile(sc)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    import pwrd.simulate as sim
+
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
-    methods = ("pwrd", "flat", "mixed", "exit")
-    serial = estimate_power(sc, methods=methods, n_reps=24, workers=1)
-    parallel = estimate_power(sc, methods=methods, n_reps=24, workers=3)
-    assert [c.method for c in serial.cells] == list(methods)
-    for cell_s, cell_p in zip(serial.cells, parallel.cells):
-        assert cell_s.rejection_rate == cell_p.rejection_rate
-        assert cell_s.method == cell_p.method
-        assert cell_s.n_excluded == cell_p.n_excluded
+    methods, levels, reps = ("pwrd", "flat", "mixed", "exit"), (0.0, 6.0), range(24)
+    panels = [
+        apply_effect(generate_panel(sc, r), sc.effect.with_level(lv), r)
+        for r in reps
+        for lv in levels
+    ]
+
+    def analyzed(per_call):
+        """Each panel's (method, p-value) pairs or error text, ``per_call``
+        panels to an analysis."""
+        found = []
+        for start in range(0, len(panels), per_call):
+            batch = panels[start : start + per_call]
+            found += sim._analyze_panels(batch, methods, "cr2", "clusters-2")
+        return [
+            f"{type(res).__name__}: {res}" if isinstance(res, pwrd.PwrdError)
+            else [(m, res[m][0]) for m in methods]
+            for res in found
+        ]
+
+    batched = analyzed(len(panels))
+    assert analyzed(len(levels) * sim.REPLICATE_BATCH) == batched
+    assert analyzed(len(levels)) == batched
+    assert analyzed(1) == batched
+
+    _, oracle, failures = replicate_loop(sc, levels, reps, methods)
+    assert failures == []
+    for (r, lv), found in zip(((r, lv) for r in reps for lv in levels), batched):
+        for m, p in found:
+            expected = oracle[r, lv][m][0]
+            assert (p <= 0.05) == (expected <= 0.05)
+            assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    serial = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=1)
+    parallel = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=3)
+    monkeypatch.setattr(sim, "REPLICATE_BATCH", 1)
+    alone = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=1)
+    assert [c.method for c in serial.cells] == list(methods) * len(levels)
+    for res in (parallel, alone):
+        assert res.cells == serial.cells
+        assert res.failures == serial.failures
 
 
 # ----------------------------------------------------------------------
@@ -632,15 +668,17 @@ def test_effect_level_grid_shares_base_replicates():
 def test_failed_replicates_are_excluded_and_recorded(monkeypatch):
     import pwrd.simulate as sim
 
-    real = sim.analyze_replicate
+    real = sim._analyze_panels
     failing = {3}
 
-    def flaky(panel, *args):
-        if panel.meta.get("replicate") in failing:
-            raise DegenerateDataError("synthetic failure")
-        return real(panel, *args)
+    def flaky(panels, *args):
+        found = real(panels, *args)
+        return [
+            DegenerateDataError("synthetic failure") if p.meta.get("replicate") in failing else res
+            for p, res in zip(panels, found)
+        ]
 
-    monkeypatch.setattr(sim, "analyze_replicate", flaky)
+    monkeypatch.setattr(sim, "_analyze_panels", flaky)
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
     # one failure of 50 is within the allowed 0.02 * 50, two are not
     assert sim.MAX_EXCLUSION_FRACTION == 0.02
@@ -651,6 +689,27 @@ def test_failed_replicates_are_excluded_and_recorded(monkeypatch):
     failing.add(17)
     with pytest.raises(DegenerateDataError, match="2 of 50 replicates failed .* unreliable"):
         sim.estimate_power(sc, methods=("flat",), n_reps=50)
+
+
+def test_a_failing_replicate_inside_a_batch_is_excluded_as_alone(monkeypatch):
+    import pwrd.simulate as sim
+
+    # one unit per cluster and low cutoffs: replicate 21 flags no control unit
+    sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0), units_per_grade=1)
+    sc = sc.with_thresholds({g: v - 10.0 for g, v in sc.threshold_map.items()})
+    methods, levels, reps = ("pwrd", "flat", "mixed", "exit"), (0.0, 6.0), tuple(range(24))
+    assert sim.REPLICATE_BATCH < 21 < 2 * sim.REPLICATE_BATCH
+    args = (sc, levels, reps, methods, 0.05, "cr2", "clusters-2")
+    hits, failures = sim._run_chunk(*args)
+    text = "DegenerateDataError: no test-in signal: p0 is zero in every group"
+    assert sorted(failures) == [(21, 0.0, text), (21, 6.0, text)]
+    oracle_hits, _, oracle_failures = replicate_loop(sc, levels, reps, methods)
+    assert sorted(failures) == sorted(oracle_failures)
+    np.testing.assert_array_equal(hits, oracle_hits)
+    monkeypatch.setattr(sim, "REPLICATE_BATCH", 1)
+    alone_hits, alone_failures = sim._run_chunk(*args)
+    np.testing.assert_array_equal(hits, alone_hits)
+    assert sorted(alone_failures) == sorted(failures)
 
 
 def test_power_input_validation():
