@@ -48,6 +48,7 @@ import io
 import itertools
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NoReturn, TypeVar
@@ -627,7 +628,7 @@ def _label_text(codes: np.ndarray, labels: np.ndarray | None, prefix: str, width
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})
 
 
-_CHUNK_ROWS = 4096  # rows converted per step; it bounds the text held at once
+_CHUNK_ROWS = 4096  # lines read per step (rows, past a hand-off); it bounds the text held
 
 
 def ingest_panel(
@@ -635,17 +636,19 @@ def ingest_panel(
 ) -> PanelDataset:
     """Read a CSV file or text stream into a PanelDataset.
 
-    Rows are read in chunks and converted a whole column at a time. Rows
-    that fail type coercion raise ``InputError`` naming the row. Rows
-    with a missing outcome are dropped and recorded in the panel's
-    ``ingest_report``. When the schema maps no ``tested_in`` column but
-    provides a threshold rule, flags are derived from the designated score
-    column with persistence across years.
+    Lines are read in chunks, tokenized (see ``_csv_chunks`` for which text
+    is split on commas and which goes through ``csv.reader``) and converted
+    a whole column at a time. Rows that fail type coercion raise
+    ``InputError`` naming the row. Rows with a missing outcome are dropped
+    and recorded in the panel's ``ingest_report``. When the schema maps no
+    ``tested_in`` column but provides a threshold rule, flags are derived
+    from the designated score column with persistence across years. A file
+    may begin with a UTF-8 byte-order mark; it is not part of the header.
     """
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)
         try:
-            fh = open(source, "r", newline="", encoding="utf-8")
+            fh = open(source, "r", newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise InputError(f"cannot read panel {name}: {exc.strerror}") from exc
         with fh:
@@ -653,42 +656,131 @@ def ingest_panel(
     return _ingest_chunks(_csv_chunks(source, "input"), schema)
 
 
-def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator[list | None]:
+def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator:
     """The header row (None for empty text), then the nonblank rows in
-    chunks. Undecodable or unparsable text is an InputError, raised after
-    the rows before it and naming the line ``csv.DictReader`` names."""
-    reader, chunk, line, blank, error = csv.reader(fh), [], 0, False, None
-    try:
-        header = next(reader, None)
-        line = reader.line_num
-        yield header
-        for row in reader:
-            line = reader.line_num if row or not blank else line
-            blank = not row
-            if row:
-                chunk.append(row)
-            if len(chunk) == _CHUNK_ROWS:
-                yield chunk
-                chunk = []
-    except UnicodeDecodeError as exc:
-        error = InputError(f"panel {name} is not UTF-8 text: {exc.reason}")
-    except csv.Error as exc:
-        error = InputError(f"panel {name}, line {line}: {exc}")
-    yield from [chunk] if chunk else []
+    chunks, each as (row count, columns); a short row's missing fields are
+    None. Undecodable or unparsable text is an InputError, raised after the
+    rows before it and naming the line ``csv.DictReader`` names.
+
+    Lines are read ``_CHUNK_ROWS`` at a time, the header's line alone. A
+    chunk is plain when it holds no quote or carriage return
+    (``_NOT_PLAIN``), no line longer than ``csv.field_size_limit()``, no
+    blank line, and, past the header, only lines of the header's width:
+    ``csv.reader`` would read each line as the line split on commas, so the
+    chunk is split on commas at once. At the first chunk that is not plain,
+    ``csv.reader`` takes over and reads to the end of the text (the
+    hand-off), since it alone reads quoted fields, which may span lines,
+    CRLF line ends, and blank, short and long rows. ``PanelDataset.to_csv``
+    output whose labels hold no comma or quote is plain throughout.
+    """
+    limit, lines = csv.field_size_limit(), iter(fh)
+    header, consumed, error = None, 0, None
+    chunk, undecodable = _read_lines(lines, 1)
+    while chunk and _is_plain(text := "".join(chunk), chunk, limit, header):
+        n = len(chunk)
+        if header is None:  # the header's line
+            header = next(csv.reader(chunk))
+            yield header
+        else:
+            flat, width = text.replace("\n", ",").split(","), len(header)
+            yield n, [flat[k : n * width : width] for k in range(width)]
+        consumed += n
+        if undecodable is not None:
+            break
+        chunk, undecodable = _read_lines(lines, _CHUNK_ROWS)
+    else:  # csv.reader reads this chunk and the rest, numbering lines on from `consumed`
+        rest = lines if undecodable is None else _raising(undecodable)  # where the reader meets it
+        reader, rows, undecodable = csv.reader(itertools.chain(chunk, rest)), [], None
+        line, blank = consumed, False
+        try:
+            if not consumed:
+                header = next(reader, None)
+                line = reader.line_num
+                yield header
+            for row in reader:
+                line = consumed + reader.line_num if row or not blank else line
+                blank = not row
+                if row:
+                    rows.append(row)
+                if len(rows) == _CHUNK_ROWS:
+                    yield _columns(rows, len(header))
+                    rows = []
+        except UnicodeDecodeError as exc:
+            undecodable = exc
+        except csv.Error as exc:
+            error = InputError(f"panel {name}, line {line}: {exc}")
+        yield from [_columns(rows, len(header))] if rows else []
+    if undecodable is not None:
+        error = InputError(f"panel {name} is not UTF-8 text: {undecodable.reason}")
     if error is not None:
         raise error
 
 
-def _labels(texts) -> np.ndarray:
-    return np.array(list(map(str.strip, texts)), dtype=str)
+def _read_lines(lines: Iterator[str], n: int) -> tuple[list[str], UnicodeDecodeError | None]:
+    """Up to ``n`` more lines, and the decoding error that cut them short, if any."""
+    chunk: list[str] = []
+    try:
+        chunk += itertools.islice(lines, n)
+    except UnicodeDecodeError as exc:
+        return chunk, exc
+    return chunk, None
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` when first read."""
+    raise exc
+    yield  # makes this a generator, so the raise waits for the first read
+
+
+# Characters csv.reader reads otherwise than a comma split would: quotes,
+# a record end, and a NUL, which it refuses before Python 3.11.
+_NOT_PLAIN = ('"', "\r") if sys.version_info >= (3, 11) else ('"', "\r", "\0")
+
+
+def _is_plain(text: str, chunk: list[str], limit: int, header: list | None) -> bool:
+    """Whether ``csv.reader`` reads each line of ``chunk`` (joined, ``text``)
+    as the line split on commas into as many fields as ``header`` has (any
+    number for the header's own line), and no line is blank."""
+    if any(c in text for c in _NOT_PLAIN) or max(map(len, chunk)) > limit or "\n" in chunk:
+        return False
+    return header is None or set(map(str.count, chunk, itertools.repeat(","))) == {len(header) - 1}
+
+
+def _columns(rows: list[list], width: int) -> tuple[int, list]:
+    """Row count and columns of ``csv.reader`` rows; a short row lacks its last columns."""
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    return len(rows), list(zip(*rows))
+
+
+class _LabelCodes:
+    """One label column's codes over one ingest: calling it on a chunk's
+    texts gives each stripped label its code, the same in every chunk, and
+    ``decode`` turns every code into its label's index in the sorted
+    labels."""
+
+    def __init__(self) -> None:
+        self.codes: dict[str, int] = {}
+
+    def __call__(self, texts) -> np.ndarray:
+        labels, codes = list(map(str.strip, texts)), self.codes
+        codes.update(zip(set(labels) - codes.keys(), itertools.count(len(codes))))
+        return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
+
+    def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The labels in numpy's code-point order and each code's index
+        among them, as ``np.unique`` of the labels' ``<U`` array: labels
+        that differ only by trailing NULs are one label."""
+        labels, index = np.unique(np.array(list(self.codes), dtype=str), return_inverse=True)
+        return labels, index[codes]  # the dict holds codes 0, 1, ... in order
 
 
 def _integers(texts) -> np.ndarray:
-    values = list(map(int, map(str.strip, texts)))
+    values = {text: int(str.strip(text)) for text in dict.fromkeys(texts)}  # each text parsed once
     try:
-        return np.array(values, dtype=np.int64)
+        return np.fromiter(map(values.__getitem__, texts), np.int64, len(texts))
     except OverflowError:  # exact for now; _int64_column names the rows once all parse
-        return np.array(values, dtype=object)
+        return np.array(list(map(values.__getitem__, texts)), dtype=object)
 
 
 def _floats(texts) -> np.ndarray:
@@ -696,8 +788,8 @@ def _floats(texts) -> np.ndarray:
 
 
 _FIELD_CONVERTERS = dict(  # in the order a row's fields are checked
-    outcome=_floats, unit=_labels, cluster=_labels, treatment=_integers,
-    cohort=_integers, grade=_integers, year=_integers, block=_labels, tested_in=_integers,
+    outcome=_floats, unit=_LabelCodes, cluster=_LabelCodes, treatment=_integers,
+    cohort=_integers, grade=_integers, year=_integers, block=_LabelCodes, tested_in=_integers,
 )
 
 
@@ -735,19 +827,20 @@ def _convert_chunk(fields: list, columns: list, start: int) -> tuple:
         dropped = [(row, "missing outcome") for row in kept[~keep].tolist()]
         kept, outcome = kept[keep], list(itertools.compress(outcome, keep))
         columns = [list(itertools.compress(column, keep)) for column in columns]
-    values = [_convert(f, c, p, start) for (_, p, f), c in zip(fields[1:], columns[1:])]
-    return kept, dropped, [_floats(outcome), *values]
+    values = [_floats(outcome)]
+    values += [_convert(f, c, p, start) for (_, p, f), c in zip(fields[1:], columns[1:])]
+    return kept, dropped, values
 
 
-def _ingest_chunks(chunks: Iterator[list | None], schema: PanelSchema) -> PanelDataset:
+def _ingest_chunks(chunks: Iterator, schema: PanelSchema) -> PanelDataset:
     col = dict(schema.columns)
     rule = schema.tested_in_rule
-    header, rows = next(chunks), next(chunks, None)
+    header, first = next(chunks), next(chunks, None)
 
     # Optional logical columns are used only when the source actually has
     # them, so the identity schema works on sources with or without flags.
-    if rows is not None:
-        chunks = itertools.chain([rows], chunks)
+    if first is not None:
+        chunks = itertools.chain([first], chunks)
         for optional in ("block", "tested_in"):
             if optional in col and col[optional] not in header:
                 del col[optional]
@@ -756,8 +849,12 @@ def _ingest_chunks(chunks: Iterator[list | None], schema: PanelSchema) -> PanelD
 
     # (logical name, physical column, converter) in the order a row's
     # fields are checked; the outcome comes first, as it decides whether a
-    # row is kept
-    fields = [(k, col[k], convert) for k, convert in _FIELD_CONVERTERS.items() if k in col]
+    # row is kept. Each label column gets codes of its own for this call.
+    fields = [
+        (k, col[k], convert() if convert is _LabelCodes else convert)
+        for k, convert in _FIELD_CONVERTERS.items()
+        if k in col
+    ]
     fields += [(None, c, _floats) for c in schema.covariates]
     fields += [("score", rule.score_column, _floats)] if rule is not None else []
     index = {name: i for i, name in enumerate(header or ())}  # a repeated name: the last wins
@@ -765,16 +862,14 @@ def _ingest_chunks(chunks: Iterator[list | None], schema: PanelSchema) -> PanelD
     dropped: list[tuple[int, str]] = []
     errors: list[str] = []
     n_read = 0
-    for rows in chunks:
-        start, n_read = n_read + 2, n_read + len(rows)  # row 1 is the header
-        if min(map(len, rows)) < len(header):  # a short row lacks its last columns
-            rows = [row + [None] * (len(header) - len(row)) for row in rows]
-        table, absent = list(zip(*rows)), (None,) * len(rows)
+    for n, table in chunks:
+        start, n_read = n_read + 2, n_read + n  # row 1 is the header
+        absent = (None,) * n
         columns = [table[index[p]] if p in index else absent for _, p, _ in fields]
         try:
             kept, chunk_dropped, values = _convert_chunk(fields, columns, start)
         except (ValueError, TypeError):  # walk the chunk's rows to name the failures
-            for i in range(len(rows)):
+            for i in range(n):
                 try:
                     _convert_chunk(fields, [column[i : i + 1] for column in columns], start + i)
                 except InputError:
@@ -794,14 +889,13 @@ def _ingest_chunks(chunks: Iterator[list | None], schema: PanelSchema) -> PanelD
         raise InputError("no usable rows in input")
     row_numbers, *values = (np.concatenate(part) for part in parts)
     raw = {k: v for (k, _, _), v in zip(fields, values) if k is not None}
-    unit_labels, unit = np.unique(raw["unit"], return_inverse=True)
-    cluster_labels, cluster = np.unique(raw["cluster"], return_inverse=True)
+    labels = {k: f.decode(raw[k]) for k, _, f in fields if isinstance(f, _LabelCodes)}
+    unit_labels, unit = labels["unit"]
+    cluster_labels, cluster = labels["cluster"]
     ints = {k: _int64_column(raw[k], p, row_numbers) for k, p, f in fields if f is _integers}
     treatment, cohort, grade, year = (ints[k] for k in ("treatment", "cohort", "grade", "year"))
     outcome = raw["outcome"]
-    block = block_labels = None
-    if "block" in raw:
-        block_labels, block = np.unique(raw["block"], return_inverse=True)
+    block_labels, block = labels.get("block", (None, None))
 
     tested_in = ints.get("tested_in")
     derived = tested_in is None and rule is not None

@@ -457,7 +457,9 @@ def ingest_rows(source, schema=None):
     first record has them), the covariates and the score column, each
     stripped except the last two. A missing column stops at once; a value
     that does not parse is collected, and collection stops at the eighth.
-    Type checks after parsing reuse the library's array validation.
+    Text the reader cannot read (undecodable, or a ``csv.Error``) stops
+    where the reader meets it. Type checks after parsing reuse the
+    library's array validation.
     """
     from pwrd.errors import InputError
     from pwrd.panel import (
@@ -478,6 +480,8 @@ def ingest_rows(source, schema=None):
             yield from reader
         except csv.Error as exc:
             raise InputError(f"panel input, line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"panel input is not UTF-8 text: {exc.reason}") from exc
 
     col = dict(schema.columns)
     rule = schema.tested_in_rule
