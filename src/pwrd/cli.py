@@ -9,8 +9,8 @@ Four subcommands:
 
 All JSON output embeds a manifest with the resolved configuration, the
 package version, and a checksum of every input file, so a result can be
-traced back to exactly what produced it. Exit codes: 2 for bad input,
-3 for degenerate data, 4 for numerical failure.
+traced back to exactly what produced it. Exit codes: 1 for a closed
+stdout, 2 for bad input, 3 for degenerate data, 4 for numerical failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -407,10 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except PwrdError as exc:
         print(f"pwrd: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # stdout's reader is gone: flush the rest at exit into the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ import numpy as np
 
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
-from .panel import DESIGN_COVARIATES, PanelDataset
+from .panel import DESIGN_COVARIATES, PanelDataset, group_rows
 from .weights import ROUNDING_FLOOR, check_finite, check_test_variance, t_p_value
 
 
@@ -140,22 +140,18 @@ class _Records:
 def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
     """The records: rows grouped by (cell key, covariate values), in that
     sort order, the key being the panel's ``cell_layout``. Each row's
-    record; each record's cluster and group (those of its first sorted
-    row), row count and covariate values; and the records and rows per
-    cluster with each cluster's first record."""
-    cols = [panel.cell_layout[0], *map(panel.column, covariates)]
-    order = np.lexsort(cols[::-1])
-    keyed = np.array([col[order] for col in cols], dtype=np.float64)
-    new = np.r_[True, (keyed[:, 1:] != keyed[:, :-1]).any(axis=0)]
-    row = np.empty(panel.n_obs, dtype=np.int64)
-    row[order] = np.cumsum(new) - 1
-    first = order[new]
+    record; each record's cluster and group (those of its first row), row
+    count and covariate values; and the records and rows per cluster with
+    each cluster's first record."""
+    cols = [panel.column(name) for name in covariates]
+    row, first = group_rows(panel.cell_layout[0], *cols)
     cl, grp = panel.cluster[first], panel.group_ids[first]
+    cov = np.stack([col[first] for col in cols], axis=1) if cols else np.empty((len(first), 0))
     w = np.bincount(row).astype(np.float64)
     counts = np.bincount(cl, minlength=panel.n_clusters)
     # row counts are integers, so this sum is exact in any order
     m = np.bincount(cl, weights=w, minlength=panel.n_clusters)
-    return row, cl, grp, w, keyed[1:, new].T, counts, np.cumsum(counts) - counts, m
+    return row, cl, grp, w, cov, counts, np.cumsum(counts) - counts, m
 
 
 def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:

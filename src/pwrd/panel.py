@@ -10,6 +10,8 @@ the same follow-up year. Downstream estimation operates on these groups.
 The group catalog is a static layout (``group_layout``): each group's key
 and row count, which the design fixes. Panels that share a design, such
 as the replicates of one simulated scenario, share one catalog object.
+``group_rows`` is the package's one group-by: the catalog, the mixed
+fit's records, validation's row checks and simulated cutoff rows use it.
 
 Everything else a panel's estimators read is computed once, on first use,
 at the tier that fixes it:
@@ -131,13 +133,13 @@ class ThresholdRule:
 
 
 def load_json_object(source: str | os.PathLike | io.TextIOBase, what: str) -> dict:
-    """A JSON object from a path or text stream; a file that cannot be read
-    or holds anything else is an ``InputError`` naming it."""
+    """A JSON object from a path (past any UTF-8 byte-order mark) or a text
+    stream; one that cannot be read or holds anything else is an ``InputError`` naming it."""
     path = isinstance(source, (str, os.PathLike))
     name = os.fspath(source) if path else "input"
     try:
         if path:
-            with open(source, "r", encoding="utf-8") as fh:
+            with open(source, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         else:
             raw = json.load(source)
@@ -305,6 +307,19 @@ def arm_counts(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.array([z == 0, z == 1], dtype=np.float64) @ x
 
 
+def group_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group (int64), numbered in lexicographic order of the rows'
+    ``keys`` tuples, and each group's lowest row index, from one stable
+    ``np.lexsort``. Keys compare as numpy compares them: -0.0 equals 0.0."""
+    order = np.lexsort(keys[::-1])
+    new = np.ones(len(order), dtype=bool)
+    ranked = [key[order] for key in keys]
+    new[1:] = np.any([r[1:] != r[:-1] for r in ranked], axis=0)
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.cumsum(new) - 1
+    return codes, order[new]
+
+
 def group_layout(
     cohort: np.ndarray, grade: np.ndarray, year: np.ndarray
 ) -> tuple[tuple[GroupInfo, ...], np.ndarray]:
@@ -314,15 +329,10 @@ def group_layout(
     entry grade = grade - (follow_up_year - 1), in lexicographic key order.
     """
     entry = grade - (year - 1)
-    group = np.zeros(len(cohort), dtype=np.int64)
-    for col in (cohort, entry, year):
-        values, rank = np.unique(col, return_inverse=True)
-        # mixing ranks keeps key order; re-ranking keeps the codes below n^2
-        _, first, group = np.unique(group * len(values) + rank, return_index=True, return_inverse=True)
-    keys = zip(cohort[first].tolist(), entry[first].tolist(), year[first].tolist())
+    group, first = group_rows(cohort, entry, year)
     counts = np.bincount(group, minlength=len(first)).tolist()
-    catalog = tuple(GroupInfo(g, *key, k) for g, (key, k) in enumerate(zip(keys, counts)))
-    return catalog, group.astype(np.int64, copy=False)
+    keys = zip(cohort[first].tolist(), entry[first].tolist(), year[first].tolist(), counts)
+    return tuple(GroupInfo(g, *key) for g, key in enumerate(keys)), group
 
 
 def persist_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.ndarray:
@@ -361,9 +371,8 @@ def _validate_arrays(
 ) -> None:
     """Raise InputError naming offending rows when an invariant fails."""
     rows = row_numbers if row_numbers is not None else np.arange(len(unit))
-    order = np.lexsort((year, unit))
-    dup = np.zeros(len(unit), dtype=bool)
-    dup[order[1:]] = (unit[order][1:] == unit[order][:-1]) & (year[order][1:] == year[order][:-1])
+    dup = _differs_from_first(group_rows(unit, year), np.arange(len(unit)))  # a pair's later rows
+    by_cluster, by_unit = group_rows(cluster), group_rows(unit)
     checks = [(unit < 0, "negative unit code"), (cluster < 0, "negative cluster code")]
     if block is not None:
         checks.append((block < 0, "negative block code"))
@@ -376,11 +385,11 @@ def _validate_arrays(
         checks.append((~np.isin(tested_in, (0, 1)), "non-binary tested_in flag"))
     checks += [
         (dup, "duplicate (unit, follow_up_year) pair"),
-        (_differs_from_first(cluster, treatment), "treatment varies within a cluster"),
+        (_differs_from_first(by_cluster, treatment), "treatment varies within a cluster"),
     ]
     if block is not None:
-        checks.append((_differs_from_first(cluster, block), "block varies within a cluster"))
-    checks.append((_differs_from_first(unit, cluster), "unit appears in more than one cluster"))
+        checks.append((_differs_from_first(by_cluster, block), "block varies within a cluster"))
+    checks.append((_differs_from_first(by_unit, cluster), "unit appears in more than one cluster"))
     if tested_in is not None:
         drops = persist_flags(tested_in, unit, year) != tested_in
         checks.append((drops, "tested_in flag drops back to 0 within a unit"))
@@ -405,10 +414,10 @@ def _refuse_non_integral(**columns) -> None:
                 _fail_rows(np.arange(len(values)), bad, f"non-integral value in column '{name}'")
 
 
-def _differs_from_first(key: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Rows whose value differs from the value at the first row of their key."""
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return value != value[first][inverse]
+def _differs_from_first(groups: tuple[np.ndarray, np.ndarray], value: np.ndarray) -> np.ndarray:
+    """Rows whose value differs from that of their group's first row (``group_rows``)."""
+    codes, first = groups
+    return value != value[first][codes]
 
 
 class PanelDataset:
@@ -516,10 +525,6 @@ class PanelDataset:
     @property
     def n_groups(self) -> int:
         return len(self.catalog)
-
-    @property
-    def n_units(self) -> int:
-        return len(np.unique(self.unit))
 
     def column(self, name: str) -> np.ndarray:
         """Numeric column by name, covering design columns and covariates."""

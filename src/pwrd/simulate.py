@@ -73,7 +73,7 @@ from .covariance import VARIANTS, covariances, satterthwaite_dfs
 from .effects import effects_diffmeans, estimate_effects_peters_belson, estimate_p0, exit_estimates
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .mixed import fits_random_intercept
-from .panel import PanelDataset, Tier, group_layout
+from .panel import PanelDataset, Tier, group_layout, group_rows
 from .weights import aggregate_tests, flat_weights, normal_tail, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
@@ -296,8 +296,8 @@ def _cutoffs(thresholds: dict[int, float], grades: Iterable[int]) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _threshold_row(frame: _Frame, thresholds: tuple[tuple[int, float], ...]) -> np.ndarray:
     """Each row's cutoff, read-only: it is shared by every replicate."""
-    grades, inverse = np.unique(frame.grade, return_inverse=True)
-    row = _cutoffs(dict(thresholds), grades.tolist())[inverse]
+    codes, first = group_rows(frame.grade)
+    row = _cutoffs(dict(thresholds), frame.grade[first].tolist())[codes]
     row.flags.writeable = False
     return row
 
@@ -883,6 +883,8 @@ def estimate_power(
         raise InputError("alpha must lie in (0, 1)")
     if n_reps < 1:
         raise InputError("n_reps must be positive")
+    if workers < 1:
+        raise InputError(f"workers must be positive, got {workers}")
     levels = (
         tuple(float(v) for v in effect_levels)
         if effect_levels is not None
@@ -894,7 +896,7 @@ def estimate_power(
         raise InputError(f"the null regime has no effect size, got effect levels {levels}")
 
     all_reps = tuple(range(n_reps))
-    if workers <= 1:
+    if workers == 1:
         chunks = [
             _run_chunk(scenario, levels, all_reps, methods, alpha, cov_variant, df_rule)
         ]

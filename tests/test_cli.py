@@ -316,6 +316,55 @@ def test_analyze_schema_mapping(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["schema", "summary"])
+def test_a_byte_order_mark_before_json_changes_nothing(tmp_path, capsys, request, kind):
+    # editors and spreadsheets may save UTF-8 JSON behind a byte-order mark
+    if kind == "schema":
+        columns = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
+        text = json.dumps({"columns": {c: c for c in columns}})
+        argv = ["analyze", request.getfixturevalue("small_csv"), "--schema"]
+    else:
+        text, argv = json.dumps(README_SUMMARY), ["weights"]
+    outputs = []
+    for mark in ("", "\ufeff"):
+        doc = tmp_path / f"{kind}{len(mark)}.json"
+        doc.write_text(mark + text, encoding="utf-8")
+        code, out, err = run([*argv, doc], capsys)
+        assert (code, err) == (0, "")
+        if kind == "summary":  # the manifest names and hashes each input file
+            out = json.loads(out)
+            del out["manifest"]["inputs"]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+CLOSED_STDOUT_PROBE = "import sys; from pwrd.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command", ["weights", "analyze"])
+def test_a_reader_that_closed_stdout_gives_exit_1_without_a_traceback(tmp_path, request, command):
+    if command == "weights":
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps(README_SUMMARY))
+        argv = ["weights", summary]
+    else:
+        argv = ["analyze", request.getfixturevalue("small_csv")]  # the table output
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLOSED_STDOUT_PROBE, *map(str, argv)],
+            env={**os.environ, "PYTHONPATH": str(src_dir)}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 def test_weights_subcommand_matches_library(tmp_path, capsys):
     summary = README_SUMMARY
     spath = tmp_path / "summary.json"
@@ -521,11 +570,14 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
         (["weights", "--delta0", "nan"], "delta0 must be finite"),
         (["weights", "--df", "0"], "df must be positive, got 0.0"),
         (["weights", "--df", "nan"], "df must be positive, got nan"),
+        (["power", "--workers", 0], "workers must be positive, got 0"),
+        (["power", "--workers", -3], "workers must be positive, got -3"),
     ],
     ids=["tau-nan", "effect3-tau-inf", "null-tau", "effect1-spill", "power-null-levels",
          "replicate-negative", "levels-abc", "levels-nan",
          "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
-         "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan"],
+         "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan",
+         "workers-0", "workers-negative"],
 )
 def test_malformed_values_exit_2_naming_them(tmp_path, capsys, request, argv, named):
     # each is refused before any replicate runs, so no pool starts

@@ -33,6 +33,7 @@ from pwrd.panel import (
     _differs_from_first,
     _label_text,
     group_layout,
+    group_rows,
     persist_flags,
 )
 
@@ -98,6 +99,23 @@ def test_group_layout_matches_row_key_unique():
         assert got == [(g, *uniq[g].tolist(), counts[g]) for g in range(len(uniq))]
         np.testing.assert_array_equal(group_ids, inverse.ravel())
         assert group_ids.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 3000])
+def test_group_rows_matches_row_key_unique(n):
+    rng = np.random.default_rng(n)
+    spread = np.array([-(2**40), -7, -1, 0, 3, 2**33, 2**40])
+    floats = np.array([-2.5, -0.0, 0.0, 0.0, 0.5, 0.5, 7.0])  # repeats, and both zeros
+    cases = [[rng.choice(spread, n) for _ in range(k)] for k in (1, 2, 3)]
+    cases += [[rng.choice(floats, n)], [rng.choice(floats, n), rng.choice(spread, n)]]
+    for keys in cases:
+        codes, first = group_rows(*keys)
+        _, index, inverse = np.unique(
+            np.stack(keys, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        np.testing.assert_array_equal(codes, inverse.ravel())
+        np.testing.assert_array_equal(first, index)
+        assert codes.dtype == np.int64
 
 
 def test_single_arm_group_is_degenerate():
@@ -377,7 +395,7 @@ def test_vectorized_checks_match_row_walks():
         n = int(rng.integers(0, 30))
         key, value = rng.integers(0, 5, n), rng.integers(0, 3, n)
         expected = differs_from_first_seen(key, value)
-        np.testing.assert_array_equal(_differs_from_first(key, value), expected)
+        np.testing.assert_array_equal(_differs_from_first(group_rows(key), value), expected)
         unit, year, raw = rng.integers(0, 4, n), rng.permutation(n), rng.integers(0, 2, n)
         expected = persisted_flags(raw, unit, year)
         np.testing.assert_array_equal(persist_flags(raw, unit, year), expected)
@@ -414,7 +432,7 @@ def test_persist_flags_respects_row_order():
 def test_exit_mask_defaults_to_last_year():
     p = tiny_panel()
     mask = p.exit_mask()
-    assert mask.sum() == p.n_units
+    assert mask.sum() == len(np.unique(p.unit))
     np.testing.assert_array_equal(p.year[mask], [2, 2, 2, 2])
     # shuffled rows, and units followed for different spans
     q = tiny_panel(

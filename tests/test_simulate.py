@@ -777,6 +777,13 @@ def test_null_effect_levels_are_refused_before_any_replicate(monkeypatch, levels
         estimate_power(small_scenario(), methods=("flat",), n_reps=2, effect_levels=levels)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused_before_any_replicate(monkeypatch, workers):
+    forbid_replicates(monkeypatch)
+    with pytest.raises(InputError, match=f"workers must be positive, got {workers}"):
+        estimate_power(small_scenario(), methods=("flat",), n_reps=2, workers=workers)
+
+
 def test_analyze_replicate_refuses_an_unknown_df_rule():
     panel = generate_panel(small_scenario(), 0)
     with pytest.raises(InputError, match="df_rule"):
