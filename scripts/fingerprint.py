@@ -31,10 +31,12 @@ per-estimator lines call the public per-replicate functions, so only this
 line covers the engine's own loop and its batched stages.
 The ``analyze`` line hashes the ``--json`` payload of each variant in
 ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
-writes to a temporary directory. The ``weights`` line hashes the ``pwrd
-weights`` payload, less its manifest, on the README's summary in each way
-of WEIGHTS_RUNS: with ``se``, with the same variances as ``cov``, and with
-``se`` under a finite df, a nonzero null and a two-sided test. The
+writes to a temporary directory; ``--covariates`` makes the exit variant
+Peters-Belson's and names the mixed fit's covariates. The ``weights``
+line hashes the ``pwrd weights`` payload, less its manifest, on the
+README's summary in each way of WEIGHTS_RUNS: with ``se``, with the same
+variances as ``cov``, and with ``se`` under a finite df, a nonzero null
+and a two-sided test. The
 ``tails`` line hashes the ``float.hex`` of ``t_p_value`` at every df in
 TAIL_DFS, t in TAIL_TS and alternative, then of the ``pwrd_weights`` of
 acceptance 01's 500 random instances (``tests/oracles.py::random_problem``
@@ -91,10 +93,8 @@ ANALYZE_FLAGS = (
     ("--estimator", "flat"),
     ("--estimator", "mixed"),
     ("--estimator", "exit"),
-    ("--estimator", "exit", "--method", "peters-belson", "--covariates", "grade"),
+    ("--estimator", "exit", "--covariates", "grade"),
     ("--cov-variant", "cr0", "--estimator", "mixed", "--covariates", "grade,cohort"),
-    ("--method", "peters-belson"),
-    ("--estimator", "flat", "--method", "peters-belson"),
     ("--ridge", "--delta0", "0.5", "--alternative", "two-sided"),
 )
 PRESETS = {

@@ -110,7 +110,8 @@ _PRESETS = {
 
 
 def _scenario_from_args(args) -> tuple:
-    effect = EffectSpec(regime=args.effect, tau=args.tau, spill_fraction=args.spill)
+    tau = 0.0 if args.tau is None else args.tau
+    effect = EffectSpec(regime=args.effect, tau=tau, spill_fraction=args.spill)
     sizes = {"n_clusters": args.clusters, "units_per_grade": args.units}
     given = {name: value for name, value in sizes.items() if value is not None}
     sc = _PRESETS[args.preset](effect=effect, seed=args.seed, icc=args.icc, **given)
@@ -136,34 +137,30 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--icc", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=20260822)
     p.add_argument("--effect", default="null", choices=REGIMES)
-    p.add_argument("--tau", type=float, default=0.0, help="effect size; under effect3 the mean")
+    p.add_argument("--tau", type=float, default=None, help="effect size; under effect3 the mean")
     p.add_argument("--spill", type=float, default=0.0)
 
 
-def _refuse_unread_flags(args, covs: tuple[str, ...]) -> None:
+def _refuse_unread_flags(args) -> None:
     """Refuse an ``analyze`` flag given a value the chosen estimator never reads."""
     aggregate = args.estimator in ("pwrd", "flat")
     unread = {
-        "--method": args.estimator == "mixed" and args.method != "diffmeans",
-        "--covariates": bool(covs) and args.estimator != "mixed" and args.method == "diffmeans",
         "--df-rule": not aggregate and args.df_rule != "clusters-2",
         "--delta0": not aggregate and args.delta0 is not None,
         "--ridge": args.estimator != "pwrd" and args.ridge,
     }
     for flag, refused in unread.items():
         if refused:
-            method = f" with --method {args.method}" if flag == "--covariates" else ""
-            raise InputError(f"{flag} has no effect on the {args.estimator} estimator{method}")
+            raise InputError(f"{flag} has no effect on the {args.estimator} estimator")
 
 
 def cmd_analyze(args) -> int:
     covs = tuple(args.covariates.split(",")) if args.covariates else ()
-    _refuse_unread_flags(args, covs)
+    _refuse_unread_flags(args)
     schema = PanelSchema.from_json(args.schema) if args.schema else IDENTITY_SCHEMA
     panel = ingest_panel(args.panel, schema=schema)
     config = {
         "estimator": args.estimator,
-        "method": args.method,
         "covariates": list(covs),
         "alternative": args.alternative,
         "cov_variant": args.cov_variant,
@@ -185,7 +182,7 @@ def cmd_analyze(args) -> int:
 
     p_value, found = _analyze(
         panel, (args.estimator,), args.cov_variant, args.df_rule, alternative=args.alternative,
-        method=args.method, covariates=covs, ridge=args.ridge, delta0=args.delta0,
+        covariates=covs, ridge=args.ridge, delta0=args.delta0,
     )[args.estimator]
     if args.estimator == "mixed":
         payload["mixed"] = found.to_json_dict()
@@ -298,11 +295,13 @@ def _number(kind, text: str, source: str):
 
 
 def cmd_power(args) -> int:
+    if args.levels is not None and args.tau is not None:
+        raise InputError("--tau has no effect when --levels is given: each level is an effect size")
     sc, config = _scenario_from_args(args)
     methods = tuple(args.methods.split(","))
     levels = (
         tuple(_number(float, v, "--levels") for v in args.levels.split(","))
-        if args.levels
+        if args.levels is not None
         else None
     )
     config.update(
@@ -360,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", default=None, help="JSON column mapping")
     p.add_argument("--estimator", default="pwrd", choices=METHODS)
     p.add_argument(
-        "--method", default="diffmeans", choices=["diffmeans", "peters-belson"]
+        "--covariates", default=None,
+        help="comma separated column names: the mixed fit's covariates, and for the other"
+        " estimators a Peters-Belson adjustment on them",
     )
-    p.add_argument("--covariates", default=None, help="comma separated column names")
     p.add_argument("--alternative", default="greater", choices=ALTERNATIVES)
     p.add_argument("--cov-variant", default="cr2", choices=VARIANTS)
     p.add_argument(

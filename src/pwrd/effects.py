@@ -281,16 +281,12 @@ class ExitEstimate:
         return t_p_value(self.estimate / self.se, self.df, alternative)
 
 
-def exit_estimates(
-    panels,
-    method: str = "difference-in-means",
-    covariates: tuple[str, ...] = (),
-    variant: str = "cr2",
-) -> list:
+def exit_estimates(panels, covariates: tuple[str, ...] = (), variant: str = "cr2") -> list:
     """``exit_observation_estimate`` of each panel, each an ExitEstimate or
     the package error that refuses it: each panel sums its own exit rows,
     and the one-group sandwich is taken once per stack of their tables."""
-    tables = [attempt(lambda: _exit_table(p, method, covariates)) for p in panels]
+    tables = [attempt(lambda: _exit_table(p, covariates)) for p in panels]
+    method = "peters-belson" if covariates else "difference-in-means"
     out, found = stacks(tables)
     for idx, stack in found:
         delta, V, n_clusters = sandwich(stack, variant)
@@ -301,39 +297,34 @@ def exit_estimates(
 
 
 def exit_observation_estimate(
-    panel: PanelDataset,
-    method: str = "difference-in-means",
-    covariates: tuple[str, ...] = (),
-    variant: str = "cr2",
+    panel: PanelDataset, covariates: tuple[str, ...] = (), variant: str = "cr2"
 ) -> ExitEstimate:
     """Effect on the exit-observation subset, one row per unit.
 
     The contrast pools all exit rows into a single comparison, with the
     same cluster sandwich as the group contrasts, on a one-group cell
-    table built from the exit rows. For the regression-adjusted method the
-    contrast is taken on prediction residuals from a control-only fit,
-    which leaves the point estimate exact and the variance a first-order
-    approximation (the uncertainty of the fitted coefficients enters only
-    through the residualization). A variance that is rounding is refused
+    table built from the exit rows. With ``covariates`` it is the
+    Peters-Belson contrast, taken on prediction residuals from a
+    control-only fit on them, which leaves the point estimate exact and
+    the variance a first-order approximation (the uncertainty of the fitted
+    coefficients enters only through the residualization); without, the
+    difference in means. A variance that is rounding is refused
     (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
-    return one(exit_estimates([panel], method, covariates, variant))
+    return one(exit_estimates([panel], covariates, variant))
 
 
-def _exit_table(panel: PanelDataset, method: str, covariates: tuple[str, ...]) -> CellTable:
-    """The exit rows' one-group cell table of the values ``method`` contrasts."""
+def _exit_table(panel: PanelDataset, covariates: tuple[str, ...]) -> CellTable:
+    """The exit rows' one-group cell table of the outcome, or of its
+    control-fit residuals on ``covariates``."""
     rows, cluster, m = panel.design_tier.get("exit rows", lambda: _exit_rows(panel))
     counts = panel.assignment_tier.get("exit counts", lambda: _exit_counts(panel, m))
-    y = panel.outcome[rows]
-    if method == "difference-in-means":
-        values = y
-    elif method == "peters-belson":
+    values = panel.outcome[rows]
+    if covariates:
         X = _design(panel, covariates)[rows]
-        z = panel.treatment[rows]
-        one_group = np.zeros(len(y), dtype=np.int64)
-        values = _control_residuals(y, X, z, one_group, 1, lambda _: "exit subset")
-    else:
-        raise InputError(f"unknown method '{method}'")
+        one_group = np.zeros(len(values), dtype=np.int64)
+        values = _control_residuals(
+            values, X, panel.treatment[rows], one_group, 1, lambda _: "exit subset")
     return counts.with_sums(np.bincount(cluster, weights=values, minlength=m.size).reshape(m.shape))
 
 

@@ -11,7 +11,8 @@ The group catalog is a static layout (``group_layout``): each group's key
 and row count, which the design fixes. Panels that share a design, such
 as the replicates of one simulated scenario, share one catalog object.
 ``group_rows`` is the package's one group-by: the catalog, the mixed
-fit's records, validation's row checks and simulated cutoff rows use it.
+fit's records, validation's row checks and the cutoff lookup
+(``grade_cutoffs``) of simulated and ingested flags use it.
 
 Everything else a panel's estimators read is computed once, on first use,
 at the tier that fixes it:
@@ -224,8 +225,9 @@ class CellTable:
     A table of counts only, as an assignment tier holds, has ``s`` None;
     ``with_sums`` gives it sums. ``counts`` holds what ``m`` and ``z`` fix,
     such as ``n``, and is shared by every table made from it. ``means`` and
-    ``mean_square`` are those of a ``CellStack`` of this one table, or of
-    the stack that first held it.
+    ``mean_square`` are those of the last ``CellStack`` that held this
+    table, or of a stack of this one table; every stack computes the same
+    values for it.
     """
 
     m: np.ndarray
@@ -262,10 +264,9 @@ class CellStack:
     and ``mean_square`` (R,).
 
     The tables share ``m`` (taken from the first) and have the same number
-    of control clusters; every (arm, column) cell has rows. Each table's
-    ``means`` and ``mean_square`` are the stack's, computed once: a stack of
-    tables that already hold them reads them, and a new stack stores them.
-    An overflowed sum gives non-finite means, which the tests refuse
+    of control clusters; every (arm, column) cell has rows. The stack
+    computes its ``means`` and ``mean_square`` and stores each table's on
+    that table. An overflowed sum gives non-finite means, which the tests refuse
     (``weights.check_test_variance``), so numpy does not warn of it.
     """
 
@@ -277,15 +278,11 @@ class CellStack:
         self.n = np.stack([t.n for t in self.tables])
         n = self.n
         with np.errstate(over="ignore", invalid="ignore"):
-            if all("mean_square" in vars(t) for t in self.tables):
-                self.means = np.stack([t.means for t in self.tables])
-                self.mean_square = np.array([t.mean_square for t in self.tables])
-            else:
-                self.means = arm_totals(self.s, self.z) / n
-                self.mean_square = (n * self.means**2).sum(axis=(1, 2)) / n.sum(axis=(1, 2))
-                for t, mean, ms in zip(self.tables, self.means, self.mean_square.tolist()):
-                    vars(t).update(means=mean, mean_square=ms)
+            self.means = arm_totals(self.s, self.z) / n
+            self.mean_square = (n * self.means**2).sum(axis=(1, 2)) / n.sum(axis=(1, 2))
             self.contrasts = self.means[:, 1] - self.means[:, 0]
+        for t, mean, ms in zip(self.tables, self.means, self.mean_square.tolist()):
+            vars(t).update(means=mean, mean_square=ms)
 
 
 def arm_totals(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -318,6 +315,18 @@ def group_rows(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.empty(len(order), dtype=np.int64)
     codes[order] = np.cumsum(new) - 1
     return codes, order[new]
+
+
+def grade_cutoffs(cutoffs: Mapping[int, float], grade: np.ndarray, lacking: str) -> np.ndarray:
+    """The cutoff of each entry of ``grade``, each distinct grade looked up
+    once (``group_rows``); grades without one are an ``InputError``: the
+    text ``lacking``, then their sorted list."""
+    codes, first = group_rows(grade)
+    grades = grade[first].tolist()
+    missing = [g for g in grades if g not in cutoffs]
+    if missing:
+        raise InputError(f"{lacking} {missing}")
+    return np.asarray([cutoffs[g] for g in grades], dtype=np.float64)[codes]
 
 
 def group_layout(
@@ -905,10 +914,7 @@ def _ingest_chunks(chunks: Iterator, schema: PanelSchema) -> PanelDataset:
     tested_in = ints.get("tested_in")
     derived = tested_in is None and rule is not None
     if derived:
-        missing = sorted(set(grade.tolist()) - set(rule.cutoffs))
-        if missing:
-            raise InputError(f"threshold rule lacks cutoffs for grades {missing}")
-        cut = np.asarray([rule.cutoffs[g] for g in grade.tolist()])
+        cut = grade_cutoffs(rule.cutoffs, grade, "threshold rule lacks cutoffs for grades")
         tested_in = persist_flags(raw["score"] < cut, unit, year)
 
     _validate_arrays(

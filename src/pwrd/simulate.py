@@ -73,7 +73,7 @@ from .covariance import VARIANTS, covariances, satterthwaite_dfs
 from .effects import effects_diffmeans, estimate_effects_peters_belson, estimate_p0, exit_estimates
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .mixed import fits_random_intercept
-from .panel import PanelDataset, Tier, group_layout, group_rows
+from .panel import PanelDataset, Tier, grade_cutoffs, group_layout
 from .weights import aggregate_tests, flat_weights, normal_tail, pwrd_weights
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
@@ -284,20 +284,10 @@ def _frame(n_clusters: int, tracks: tuple[_Track, ...]) -> _Frame:
     return _Frame(n_clusters, tracks)
 
 
-def _cutoffs(thresholds: dict[int, float], grades: Iterable[int]) -> np.ndarray:
-    """The cutoff of each of ``grades``, in that order."""
-    grades = list(grades)
-    missing = [g for g in grades if g not in thresholds]
-    if missing:
-        raise InputError(f"no threshold for grades {missing}")
-    return np.asarray([thresholds[g] for g in grades], dtype=np.float64)
-
-
 @functools.lru_cache(maxsize=32)
 def _threshold_row(frame: _Frame, thresholds: tuple[tuple[int, float], ...]) -> np.ndarray:
     """Each row's cutoff, read-only: it is shared by every replicate."""
-    codes, first = group_rows(frame.grade)
-    row = _cutoffs(dict(thresholds), frame.grade[first].tolist())[codes]
+    row = grade_cutoffs(dict(thresholds), frame.grade, "no threshold for grades")
     row.flags.writeable = False
     return row
 
@@ -411,15 +401,13 @@ def _gh_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w / np.sqrt(np.pi)
 
 
-def _zscores(
-    scenario: Scenario, grades: tuple[int, ...], thresholds: dict[int, float]
-) -> np.ndarray:
-    """Each grade's cutoff less the mean outcome at each quadrature node of
-    the cluster intercept, in noise standard deviations: one row per grade."""
+def _zscores(scenario: Scenario, grades: tuple[int, ...], cut: np.ndarray) -> np.ndarray:
+    """Each grade's cutoff ``cut`` less the mean outcome at each quadrature
+    node of the cluster intercept, in noise standard deviations: one row
+    per grade."""
     x, _ = _gh_rule(_GH_NODES)
     mu = np.sqrt(2.0 * scenario.sigma2_mu) * x
     sd = np.sqrt(scenario.sigma2_eps)
-    cut = _cutoffs(thresholds, grades)
     return ((cut - scenario.beta0 - scenario.beta1 * np.asarray(grades))[:, None] - mu) / sd
 
 
@@ -445,7 +433,8 @@ def _flagged_shares(
     tracks = _tracks(scenario)
     _, wnorm = _gh_rule(_GH_NODES)
     met = sorted({tr.entry_grade + j for tr in tracks for j in range(tr.n_years)})
-    zscore = dict(zip(met, _zscores(scenario, tuple(met), thresholds)))
+    cut = grade_cutoffs(thresholds, np.asarray(met), "no threshold for grades")
+    zscore = dict(zip(met, _zscores(scenario, tuple(met), cut)))
     tail = {g: normal_tail(z) for g, z in zscore.items()}
     sd = np.sqrt(scenario.sigma2_eps)
     density = {g: np.exp(-0.5 * zscore[g] ** 2) / (np.sqrt(2.0 * np.pi) * sd) for g in grades}
@@ -620,10 +609,11 @@ def _year_share(
     den = float(sum(tr.units_per_cluster for tr in reach))
     # the tails of every other grade the reaching tracks meet by year k
     fixed = sorted({tr.entry_grade + j for tr in reach for j in range(k)} - {g})
-    tail = dict(zip(fixed, normal_tail(_zscores(scenario, tuple(fixed), thresholds))))
+    cut = grade_cutoffs(thresholds, np.asarray(fixed), "no threshold for grades")
+    tail = dict(zip(fixed, normal_tail(_zscores(scenario, tuple(fixed), cut))))
 
     def share(cutoff: float) -> float:
-        tail[g] = normal_tail(_zscores(scenario, (g,), {g: cutoff}))[0]
+        tail[g] = normal_tail(_zscores(scenario, (g,), np.array([cutoff])))[0]
         total = 0.0
         for tr in reach:
             surv = _running_products(tail[tr.entry_grade + j] for j in range(k))[-1]
@@ -668,13 +658,21 @@ def _check_analysis(methods: tuple[str, ...], cov_variant: str, df_rule: str) ->
         raise InputError("Satterthwaite degrees of freedom require the cr2 variant")
 
 
+def _distinct(name: str, values) -> tuple:
+    """``values`` as a tuple, refused unless nonempty and free of repeats:
+    an empty list would run nothing, and a repeat would run a cell twice."""
+    values = tuple(values)
+    if not values or len(set(values)) < len(values):
+        raise InputError(f"{name} must be nonempty and without repeats, got {values}")
+    return values
+
+
 def _analyze_panels(
     panels,
     methods: tuple[str, ...],
     cov_variant: str,
     df_rule: str,
     alternative: str = "greater",
-    method: str = "diffmeans",
     covariates: tuple[str, ...] = (),
     ridge: bool = False,
     delta0: float | None = None,
@@ -685,7 +683,9 @@ def _analyze_panels(
     Each panel's entry maps each requested method to its p-value and what
     it computed: (effects, covariance, p0, weights, test) for pwrd and
     flat, which share the effects and their sandwich; the fit, on
-    ``covariates`` or else grade, for mixed; and the estimate for exit. A
+    ``covariates`` or else grade, for mixed; and the estimate for exit.
+    Nonempty ``covariates`` make the pwrd, flat and exit contrasts
+    Peters-Belson's on them; empty, they are differences in means. A
     panel that a stage refuses gets that stage's package error instead,
     the first one in the order above, and later stages skip it.
 
@@ -717,7 +717,7 @@ def _analyze_panels(
 
     every = range(len(panels))
     if "pwrd" in methods or "flat" in methods:
-        if method == "peters-belson":
+        if covariates:
             effects = each(lambda i: estimate_effects_peters_belson(panels[i], covariates), every)
         else:
             effects = stage(lambda idx: effects_diffmeans([panels[i] for i in idx]), every)
@@ -748,9 +748,8 @@ def _analyze_panels(
         for i, p in each(lambda i: fits[i].p_value(alternative), fits).items():
             out[i]["mixed"] = (p, fits[i])
     if "exit" in methods:
-        exit_method = "difference-in-means" if method == "diffmeans" else method
         exits = stage(lambda idx: exit_estimates(
-            [panels[i] for i in idx], exit_method, covariates, cov_variant), every)
+            [panels[i] for i in idx], covariates, cov_variant), every)
         for i, p in each(lambda i: exits[i].p_value(alternative), exits).items():
             out[i]["exit"] = (p, exits[i])
     return [found if found is not None else res for found, res in zip(errors, out)]
@@ -878,7 +877,7 @@ def estimate_power(
     ``MAX_EXCLUSION_FRACTION`` of its replicates fails outright.
     """
     # checked up front: inside a replicate the error would only exclude it
-    _check_analysis(methods, cov_variant, df_rule)
+    _check_analysis(_distinct("methods", methods), cov_variant, df_rule)
     if not 0 < alpha < 1:
         raise InputError("alpha must lie in (0, 1)")
     if n_reps < 1:
@@ -892,6 +891,7 @@ def estimate_power(
     )
     if not all(map(math.isfinite, levels)):
         raise InputError(f"effect levels must be finite, got {levels}")
+    _distinct("effect levels", levels)
     if scenario.effect.regime == "null" and any(levels):
         raise InputError(f"the null regime has no effect size, got effect levels {levels}")
 
@@ -957,6 +957,7 @@ def icc_sweep(
     Thresholds are recalibrated at every grid point so the test-in profile
     stays at the scenario's own, and only the correlation structure moves.
     """
+    icc_grid = _distinct("icc_grid", icc_grid)
     targets = {k: round(v, 10) for k, v in expected_testin_profile(scenario).items()}
     scenarios = (
         sc.with_thresholds(calibrate_thresholds(sc, targets))
@@ -975,6 +976,7 @@ def negative_effect_sweep(
     """
     if scenario.effect.regime != "effect2":
         raise InputError("negative effect sweep requires an effect2 scenario")
+    spill_grid = _distinct("spill_grid", spill_grid)
     scenarios = (
         replace(scenario, effect=replace(scenario.effect, spill_fraction=float(sp)))
         for sp in spill_grid

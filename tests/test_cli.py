@@ -121,14 +121,16 @@ from pwrd.cli import main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-panel, se_summary, cov_summary = sys.argv[1:4]
+panel, se_summary, cov_summary, graded = sys.argv[1:5]
 runs = {
     "analyze pwrd": ["analyze", panel, "--json"],
     "analyze pwrd satterthwaite": ["analyze", panel, "--json", "--df-rule", "satterthwaite"],
     "analyze flat": ["analyze", panel, "--json", "--estimator", "flat"],
     "analyze mixed": ["analyze", panel, "--json", "--estimator", "mixed"],
     "analyze exit": ["analyze", panel, "--json", "--estimator", "exit"],
-    "analyze peters-belson": ["analyze", panel, "--json", "--method", "peters-belson"],
+    "analyze peters-belson": [
+        "analyze", graded, "--json", "--estimator", "exit", "--covariates", "grade",
+    ],
     "weights se": ["weights", se_summary],
     "weights cov": ["weights", cov_summary],
     "power single-track": [
@@ -145,16 +147,18 @@ print(json.dumps(loaded))
 """
 
 
-def test_analysis_commands_load_no_scipy_module(small_csv, tmp_path):
+def test_analysis_commands_load_no_scipy_module(small_csv, effect1_csv, tmp_path):
     # the tails and the weight solver are in-package; only the default
-    # preset's minimax calibration imports scipy
+    # preset's minimax calibration imports scipy. The default preset's exit
+    # rows span grades, so its panel can adjust the exit contrast for grade
     se_summary, cov_summary = tmp_path / "se.json", tmp_path / "cov.json"
     se_summary.write_text(json.dumps(README_SUMMARY))
     cov = np.diag(np.square(README_SUMMARY["se"])).tolist()
     cov_summary.write_text(json.dumps({**README_SUMMARY, "se": None, "cov": cov}))
     src_dir = Path(pwrd.__file__).resolve().parents[1]
+    inputs = map(str, (small_csv, se_summary, cov_summary, effect1_csv))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, str(small_csv), str(se_summary), str(cov_summary)],
+        [sys.executable, "-c", SCIPY_PROBE, *inputs],
         env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
         check=True,
     )
@@ -176,11 +180,13 @@ def _strict_json(text: str):
 @pytest.mark.parametrize(
     "flags",
     [(), ("--df-rule", "satterthwaite"), ("--estimator", "flat"), ("--estimator", "mixed"),
-     ("--estimator", "exit"), ("--method", "peters-belson")],
+     ("--estimator", "exit"), ("--estimator", "exit", "--covariates", "grade")],
     ids=["pwrd", "satterthwaite", "flat", "mixed", "exit", "peters-belson"],
 )
-def test_analyze_prints_strict_json(small_csv, capsys, flags):
-    code, out, _ = run(["analyze", small_csv, "--json", *flags], capsys)
+def test_analyze_prints_strict_json(small_csv, effect1_csv, capsys, flags):
+    # the single-track panel's exit rows share one grade, the default's do not
+    panel = effect1_csv if "--covariates" in flags else small_csv
+    code, out, _ = run(["analyze", panel, "--json", *flags], capsys)
     assert code == 0
     _strict_json(out)
 
@@ -267,22 +273,20 @@ def test_analyze_other_estimators(small_csv, tmp_path, capsys, estimator):
     assert doc["manifest"]["config"]["estimator"] == estimator
 
 
-def test_analyze_regression_adjusted(small_csv, capsys):
+def test_analyze_regression_adjusted(small_csv):
     # grade is constant inside a cohort-year group, so no covariate from
     # the simulated panel varies within group; the intercept-only fit
     # must reproduce the difference in means
-    code_pb, out_pb, _ = run(["analyze", small_csv, "--method", "peters-belson"], capsys)
-    code_dm, out_dm, _ = run(["analyze", small_csv], capsys)
-    assert code_pb == code_dm == 0
-    line = [l for l in out_pb.splitlines() if "estimate" in l][0]
-    assert line == [l for l in out_dm.splitlines() if "estimate" in l][0]
+    panel = ingest_panel(small_csv)
+    pb = pwrd.estimate_effects_peters_belson(panel)
+    dm = pwrd.estimate_effects_diffmeans(panel)
+    assert pb.groups == dm.groups
+    np.testing.assert_allclose(pb.estimates, dm.estimates, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["grade", "cohort", "follow_up_year"])
 def test_peters_belson_design_covariate_exits_2(small_csv, capsys, name):
-    code, _, err = run(
-        ["analyze", small_csv, "--method", "peters-belson", "--covariates", name], capsys
-    )
+    code, _, err = run(["analyze", small_csv, "--covariates", name], capsys)
     assert code == 2
     assert f"covariate '{name}' is constant within every cohort-year group" in err
     assert len(err.strip().splitlines()) == 1
@@ -401,7 +405,7 @@ def test_power_stdout_and_json(tmp_path, capsys):
     dest = tmp_path / "power.json"
     code, out, _ = run(
         ["power", "--preset", "single-track", "--clusters", 8, "--units", 4,
-         "--effect", "effect1", "--tau", 6, "--methods", "pwrd,flat",
+         "--effect", "effect1", "--methods", "pwrd,flat",
          "--reps", 6, "--levels", "0,6", "--out", dest],
         capsys,
     )
@@ -436,13 +440,14 @@ def test_analyze_has_no_alpha(small_csv, capsys):
 
 @pytest.mark.parametrize(
     "flags, flag, estimator",
-    [
-        (["--covariates", "nosuch"], "--covariates", "pwrd"),
-        (["--estimator", "exit", "--covariates", "nosuch"], "--covariates", "exit"),
-        (["--estimator", "mixed", "--method", "peters-belson"], "--method", "mixed"),
+    [  # every (flag, estimator) pair that the estimator never reads
+        (["--estimator", "mixed", "--df-rule", "satterthwaite"], "--df-rule", "mixed"),
+        (["--estimator", "exit", "--delta0", "3"], "--delta0", "exit"),
+        (["--estimator", "exit", "--ridge"], "--ridge", "exit"),
         (["--estimator", "mixed", "--delta0", "3"], "--delta0", "mixed"),
         (["--estimator", "exit", "--df-rule", "satterthwaite"], "--df-rule", "exit"),
         (["--estimator", "flat", "--ridge"], "--ridge", "flat"),
+        (["--estimator", "mixed", "--ridge"], "--ridge", "mixed"),
     ],
 )
 def test_analyze_refuses_flags_the_estimator_ignores(small_csv, capsys, flags, flag, estimator):
@@ -572,12 +577,19 @@ def test_non_finite_icc_exits_2(tmp_path, capsys, icc):
         (["weights", "--df", "nan"], "df must be positive, got nan"),
         (["power", "--workers", 0], "workers must be positive, got 0"),
         (["power", "--workers", -3], "workers must be positive, got -3"),
+        (["power", "--effect", "effect1", "--tau", "3", "--levels", "0,5.5"], "--tau"),
+        (["power", "--effect", "effect1", "--tau", "0", "--levels", "5.5"], "--tau"),
+        (["power", "--methods", "pwrd,pwrd"], "methods must be nonempty and without repeats"),
+        (["power", "--effect", "effect1", "--levels", "5.5,5.5"],
+         "effect levels must be nonempty and without repeats"),
+        (["power", "--levels", ""], "--levels"),
     ],
     ids=["tau-nan", "effect3-tau-inf", "null-tau", "effect1-spill", "power-null-levels",
          "replicate-negative", "levels-abc", "levels-nan",
          "power-cr0-satterthwaite", "analyze-delta0-inf", "analyze-delta0-nan",
          "weights-delta0-inf", "weights-delta0-nan", "weights-df-0", "weights-df-nan",
-         "workers-0", "workers-negative"],
+         "workers-0", "workers-negative", "tau-with-levels", "tau-0-with-levels",
+         "repeated-method", "repeated-level", "levels-empty"],
 )
 def test_malformed_values_exit_2_naming_them(tmp_path, capsys, request, argv, named):
     # each is refused before any replicate runs, so no pool starts
@@ -672,8 +684,7 @@ def test_peters_belson_cli_takes_p0_on_its_groups(tmp_path, capsys):
     columns = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
     schema.write_text(json.dumps({"columns": {c: c for c in columns}, "covariates": ["x"]}))
     code, out, _ = run(
-        ["analyze", path, "--schema", schema, "--method", "peters-belson",
-         "--covariates", "x", "--json"],
+        ["analyze", path, "--schema", schema, "--covariates", "x", "--json"],
         capsys,
     )
     assert code == 0
@@ -683,6 +694,48 @@ def test_peters_belson_cli_takes_p0_on_its_groups(tmp_path, capsys):
     p0 = dict(zip(estimate_p0(p).group_ordinals(), estimate_p0(p).p_hat))
     assert [g["g"] for g in doc["effects"]["groups"]] == list(eff.group_ordinals())
     assert [g["p0_hat"] for g in doc["effects"]["groups"]] == [p0[g] for g in eff.group_ordinals()]
+
+
+@pytest.mark.parametrize("estimator", ["pwrd", "flat", "exit"])
+def test_covariates_alone_select_peters_belson(tmp_path, capsys, estimator):
+    # a covariate list is the adjustment: no second flag asks for it
+    from test_covariance import unbalanced_panel
+
+    path, schema = tmp_path / "panel.csv", tmp_path / "schema.json"
+    unbalanced_panel(seed=1).to_csv(path)
+    columns = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
+    schema.write_text(json.dumps({"columns": {c: c for c in columns}, "covariates": ["x"]}))
+    code, out, _ = run(
+        ["analyze", path, "--schema", schema, "--estimator", estimator, "--covariates", "x",
+         "--json"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    p = ingest_panel(path, schema=pwrd.PanelSchema.from_json(schema))
+    if estimator == "exit":
+        ex = pwrd.exit_observation_estimate(p, covariates=("x",))
+        assert ex.method == "peters-belson"
+        assert (doc["exit"]["estimate"], doc["exit"]["se"]) == (ex.estimate, ex.se)
+        assert doc["exit"]["p_value"] == ex.p_value()
+        return
+    eff = pwrd.estimate_effects_peters_belson(p, covariates=("x",))
+    cov = pwrd.cluster_covariance(p, eff)
+    p0 = pwrd.estimate_p0(p).on_groups(eff.groups)
+    w = pwrd.pwrd_weights(cov, p0) if estimator == "pwrd" else pwrd.flat_weights(eff)
+    assert doc["effects"]["method"] == "peters-belson"
+    assert [g["delta_hat"] for g in doc["effects"]["groups"]] == eff.estimates.tolist()
+    assert doc["weights"]["omega"] == w.omega.tolist()
+    assert doc["test"]["p"] == pwrd.aggregate_test(eff, cov, w).p_value
+
+
+@pytest.mark.parametrize("estimator", ["pwrd", "exit"])
+def test_unknown_covariate_exits_2_naming_it(small_csv, capsys, estimator):
+    code, _, err = run(
+        ["analyze", small_csv, "--estimator", estimator, "--covariates", "nosuch"], capsys
+    )
+    assert code == 2
+    assert err.strip() == "pwrd: error: unknown covariate column 'nosuch'"
 
 
 def test_missing_summary_key_exits_2(tmp_path, capsys):

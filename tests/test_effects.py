@@ -221,16 +221,9 @@ def test_exit_test_refuses_zero_df_and_zero_se():
     assert ok.p_value("less") == t_p_value(2.0, 5.0, "less")
 
 
-def test_exit_estimate_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        exit_observation_estimate(tiny_panel(), method="bayes")
-
-
 def test_effects_input_checks_raise_input_error():
     groups = tiny_panel().catalog
     G = len(groups)
-    with pytest.raises(InputError, match="unknown method"):
-        exit_observation_estimate(tiny_panel(), method="bayes")
     cells = tiny_panel().cells
     with pytest.raises(InputError, match="must align"):
         effects.GroupEffects(np.zeros(G + 1), groups, np.ones(G), "difference-in-means", cells)

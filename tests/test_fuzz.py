@@ -79,9 +79,8 @@ ANALYZE_FLAGS = st.sampled_from(
     [
         [],
         ["--json"],
-        ["--method", "peters-belson", "--schema", "{schema}", "--covariates", "x"],
-        ["--method", "peters-belson", "--schema", "{schema}", "--covariates", "x",
-         "--estimator", "exit"],
+        ["--schema", "{schema}", "--covariates", "x"],
+        ["--schema", "{schema}", "--covariates", "x", "--estimator", "exit"],
         ["--estimator", "flat", "--cov-variant", "cr0"],
         ["--estimator", "mixed"],
         ["--estimator", "exit"],

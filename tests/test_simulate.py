@@ -784,6 +784,33 @@ def test_fewer_than_one_worker_is_refused_before_any_replicate(monkeypatch, work
         estimate_power(small_scenario(), methods=("flat",), n_reps=2, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"methods": ()}, "methods"),
+        ({"methods": ("flat", "pwrd", "flat")}, "methods"),
+        ({"effect_levels": ()}, "effect levels"),
+        ({"effect_levels": (5.5, 0.0, 5.5)}, "effect levels"),
+    ],
+    ids=["no-methods", "repeated-method", "no-levels", "repeated-level"],
+)
+def test_empty_or_repeated_lists_are_refused_before_any_replicate(monkeypatch, kwargs, named):
+    # an empty list would run nothing, a repeat would print one cell twice
+    forbid_replicates(monkeypatch)
+    sc = small_scenario(effect=EffectSpec(regime="effect1", tau=5.5))
+    with pytest.raises(InputError, match=f"{named} must be nonempty and without repeats"):
+        estimate_power(sc, **{"methods": ("flat",), **kwargs}, n_reps=2)
+
+
+def test_sweeps_refuse_an_empty_grid_before_any_replicate(monkeypatch):
+    forbid_replicates(monkeypatch)
+    with pytest.raises(InputError, match="icc_grid must be nonempty"):
+        pwrd.icc_sweep(small_scenario(), icc_grid=(), n_reps=2)
+    sc = small_scenario(effect=EffectSpec(regime="effect2", tau=5.0))
+    with pytest.raises(InputError, match="spill_grid must be nonempty"):
+        negative_effect_sweep(sc, spill_grid=(), n_reps=2)
+
+
 def test_analyze_replicate_refuses_an_unknown_df_rule():
     panel = generate_panel(small_scenario(), 0)
     with pytest.raises(InputError, match="df_rule"):
