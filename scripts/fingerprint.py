@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """One sha256 per estimator over seeded replicates, and one each for the
-Monte Carlo engine, `pwrd analyze`, `pwrd weights`, the reference tails and
+Monte Carlo engine, `pwrd analyze` on ordered and on shuffled rows,
+`pwrd weights`, the reference tails and
 weight solver, the presets' calibration and `pwrd simulate`.
 
 Two commits whose results agree bit for bit print the same lines, so a
@@ -32,7 +33,12 @@ line covers the engine's own loop and its batched stages.
 The ``analyze`` line hashes the ``--json`` payload of each variant in
 ANALYZE_FLAGS, less its manifest, on one panel that ``pwrd simulate``
 writes to a temporary directory; ``--covariates`` makes the exit variant
-Peters-Belson's and names the mixed fit's covariates. The ``weights``
+Peters-Belson's and names the mixed fit's covariates. The ``ingest``
+line hashes the payloads of each variant in INGEST_FLAGS on the same
+panel with its data rows in a seeded random order (INGEST_SEED), once with
+its ``tested_in`` column and once with flags derived by a schema's
+``tested_in_rule`` (INGEST_RULE), so that ingest persists the flags and
+validation checks them on rows out of (unit, year) order. The ``weights``
 line hashes the ``pwrd weights`` payload, less its manifest, on the
 README's summary in each way of WEIGHTS_RUNS: with ``se``, with the same
 variances as ``cov``, and with ``se`` under a finite df, a nonzero null
@@ -81,6 +87,7 @@ from pwrd import (
     spillover_scenario,
 )
 from pwrd.cli import main as cli_main
+from pwrd.panel import LOGICAL_COLUMNS
 from pwrd.simulate import DF_RULES, METHODS
 from pwrd.weights import ALTERNATIVES, t_p_value
 
@@ -97,6 +104,9 @@ ANALYZE_FLAGS = (
     ("--cov-variant", "cr0", "--estimator", "mixed", "--covariates", "grade,cohort"),
     ("--ridge", "--delta0", "0.5", "--alternative", "two-sided"),
 )
+INGEST_FLAGS = (("--estimator", "pwrd"), ("--estimator", "exit"))
+INGEST_SEED = 20260822
+INGEST_RULE = {"score_column": "outcome", "cutoffs": {"0": 95.0, "1": 105.0, "2": 115.0, "3": 125.0}}
 PRESETS = {
     "default": default_scenario,
     "single-track": single_track_scenario,
@@ -224,15 +234,42 @@ def cli_json(h, argv) -> None:
     h.update(json.dumps(payload, sort_keys=True).encode())
 
 
+def write_analyze_panel(path: str) -> None:
+    """The panel the ``analyze`` and ``ingest`` lines read, written by ``pwrd simulate``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", path])
+
+
 def analyze_digest() -> str:
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "panel.csv")
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli_main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", path])
+        write_analyze_panel(path)
         for flags in ANALYZE_FLAGS:
             feed(h, list(flags))
             cli_json(h, ["analyze", path, "--json", *flags])
+    return h.hexdigest()
+
+
+def ingest_digest() -> str:
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        path, shuffled, schema = (
+            os.path.join(work, name) for name in ("panel.csv", "shuffled.csv", "schema.json")
+        )
+        write_analyze_panel(path)
+        with open(path) as fh:
+            header, *rows = fh.readlines()
+        order = np.random.default_rng(INGEST_SEED).permutation(len(rows))
+        with open(shuffled, "w") as fh:
+            fh.writelines([header, *(rows[i] for i in order)])
+        columns = {c: c for c in LOGICAL_COLUMNS if c != "tested_in"}
+        with open(schema, "w") as fh:
+            json.dump({"columns": columns, "tested_in_rule": INGEST_RULE}, fh)
+        for source, schema_flags in (("tested_in", ()), ("tested_in_rule", ("--schema", schema))):
+            for flags in INGEST_FLAGS:
+                feed(h, [source, list(flags)])
+                cli_json(h, ["analyze", shuffled, "--json", *schema_flags, *flags])
     return h.hexdigest()
 
 
@@ -312,6 +349,7 @@ def main() -> None:
         print(f"{name:<8} {h.hexdigest()}")
     print(f"{'power':<8} {power_digest(sc, args.reps)}")
     print(f"{'analyze':<8} {analyze_digest()}")
+    print(f"{'ingest':<8} {ingest_digest()}")
     print(f"{'weights':<8} {weights_digest()}")
     print(f"{'tails':<8} {tails_digest()}")
     print(f"{'calibrate':<8} {calibrate_digest()}")

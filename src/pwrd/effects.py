@@ -308,7 +308,9 @@ def exit_observation_estimate(
     control-only fit on them, which leaves the point estimate exact and
     the variance a first-order approximation (the uncertainty of the fitted
     coefficients enters only through the residualization); without, the
-    difference in means. A variance that is rounding is refused
+    difference in means. A covariate constant on the exit rows' control
+    arm is an InputError, since the fit cannot separate it from the
+    intercept. A variance that is rounding is refused
     (``check_test_variance``) unless df <= 0, which the test refuses first.
     """
     return one(exit_estimates([panel], covariates, variant))
@@ -322,6 +324,13 @@ def _exit_table(panel: PanelDataset, covariates: tuple[str, ...]) -> CellTable:
     values = panel.outcome[rows]
     if covariates:
         X = _design(panel, covariates)[rows]
+        ctrl = X[panel.treatment[rows] == 0]
+        for name, column in zip(covariates, ctrl.T[1:]):
+            if (column == column[0]).all():
+                raise InputError(
+                    f"covariate '{name}' is constant on the exit rows' control arm, "
+                    "so the exit control fit cannot adjust for it"
+                )
         one_group = np.zeros(len(values), dtype=np.int64)
         values = _control_residuals(
             values, X, panel.treatment[rows], one_group, 1, lambda _: "exit subset")

@@ -11,8 +11,13 @@ The group catalog is a static layout (``group_layout``): each group's key
 and row count, which the design fixes. Panels that share a design, such
 as the replicates of one simulated scenario, share one catalog object.
 ``group_rows`` is the package's one group-by: the catalog, the mixed
-fit's records, validation's row checks and the cutoff lookup
-(``grade_cutoffs``) of simulated and ingested flags use it.
+fit's records, validation's row checks, flag persistence
+(``persist_flags``), each unit's exit row (``PanelDataset.exit_mask``) and
+the cutoff lookup (``grade_cutoffs``) of simulated and ingested flags use
+it. ``simulate.generate_panel`` persists its flags on its own: its frame
+holds each unit's years side by side, so an in-place OR along them takes
+about a third of the time of numbering the units, in a stage that runs
+once per replicate.
 
 Everything else a panel's estimators read is computed once, on first use,
 at the tier that fixes it:
@@ -51,7 +56,6 @@ import io
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NoReturn, TypeVar
@@ -348,15 +352,26 @@ def persist_flags(raw: np.ndarray, unit: np.ndarray, year: np.ndarray) -> np.nda
     """Carry a 0/1 flag forward in time within each unit.
 
     Once a unit's raw flag is 1 in some year, the returned flag is 1 for
-    that year and every later year of the same unit.
+    that year and every later year of the same unit. So the rows of a
+    repeated (unit, year) pair, which validation refuses, all read 1 from
+    the unit's first flagged year on, whatever their order.
     """
-    order = np.lexsort((year, unit))
-    start = np.searchsorted(unit[order], unit[order])  # first sorted row of each unit
-    # 2 * start + flag increases from unit to unit, so its running maximum
-    # is 2 * start plus the largest flag seen so far within the unit
-    out = np.empty(len(order), dtype=np.int8)
-    out[order] = np.maximum.accumulate(2 * start + (np.asarray(raw)[order] != 0)) - 2 * start
-    return out
+    flagged, year = np.asarray(raw) != 0, np.asarray(year)
+    return _persisted(flagged, group_rows(unit), year).astype(np.int8)
+
+
+def _persisted(
+    flagged: np.ndarray, units: tuple[np.ndarray, np.ndarray], year: np.ndarray
+) -> np.ndarray:
+    """Whether each row's year is at or after the first ``flagged`` year of
+    its unit, the units numbered by ``group_rows``."""
+    codes, first = units
+    at = codes[flagged]
+    earliest = np.full(len(first), year.max(initial=0))  # at or above every year
+    np.minimum.at(earliest, at, year[flagged])
+    ever = np.zeros(len(first), dtype=bool)
+    ever[at] = True
+    return ever[codes] & (year >= earliest[codes])
 
 
 def _fail_rows(rows: np.ndarray, mask: np.ndarray, what: str) -> NoReturn:
@@ -400,11 +415,17 @@ def _validate_arrays(
         checks.append((_differs_from_first(by_cluster, block), "block varies within a cluster"))
     checks.append((_differs_from_first(by_unit, cluster), "unit appears in more than one cluster"))
     if tested_in is not None:
-        drops = persist_flags(tested_in, unit, year) != tested_in
+        drops = _persisted(tested_in != 0, by_unit, year) != tested_in
         checks.append((drops, "tested_in flag drops back to 0 within a unit"))
     for bad, what in checks:  # the first failing check names its rows
         if bad.any():
             _fail_rows(rows, bad, what)
+    beyond = cluster[cluster >= len(cluster)]  # C codes need C rows; before bincount sizes by them
+    if beyond.size:
+        raise InputError(
+            f"cluster codes must run from 0 to C - 1; code {int(beyond.max())} "
+            f"is not below the row count {len(cluster)}"
+        )
     skipped = np.flatnonzero(np.bincount(cluster) == 0)
     if skipped.size:
         raise InputError(
@@ -596,11 +617,10 @@ class PanelDataset:
     def exit_mask(self) -> np.ndarray:
         """Boolean mask selecting each unit's exit observation, its last
         follow-up year."""
-        if not self.n_obs:
-            return np.zeros(0, dtype=bool)
-        last_year = np.zeros(int(self.unit.max()) + 1, dtype=np.int64)
-        np.maximum.at(last_year, self.unit, self.year)
-        return self.year == last_year[self.unit]
+        codes, first = group_rows(self.unit)
+        last_year = self.year[first]
+        np.maximum.at(last_year, codes, self.year)
+        return self.year == last_year[codes]
 
     # ------------------------------------------------------------------
 
@@ -746,9 +766,10 @@ def _raising(exc: Exception) -> Iterator[str]:
     yield  # makes this a generator, so the raise waits for the first read
 
 
-# Characters csv.reader reads otherwise than a comma split would: quotes,
-# a record end, and a NUL, which it refuses before Python 3.11.
-_NOT_PLAIN = ('"', "\r") if sys.version_info >= (3, 11) else ('"', "\r", "\0")
+# Characters csv.reader may read otherwise than a comma split would:
+# quotes, a record end, and a NUL, which it refuses before Python 3.11.
+# Text holding one goes to csv.reader on every version.
+_NOT_PLAIN = ('"', "\r", "\0")
 
 
 def _is_plain(text: str, chunk: list[str], limit: int, header: list | None) -> bool:

@@ -292,6 +292,20 @@ def test_peters_belson_design_covariate_exits_2(small_csv, capsys, name):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", ["grade", "cohort"])
+def test_exit_covariate_constant_on_the_control_exit_rows_exits_2(
+    small_csv, effect1_csv, capsys, name
+):
+    # the single-track panel's exit rows share one grade and one cohort; the
+    # default preset's span grades 0-3 and cohorts 1-4
+    code, _, err = run(["analyze", small_csv, "--estimator", "exit", "--covariates", name], capsys)
+    assert code == 2
+    assert f"covariate '{name}' is constant on the exit rows' control arm" in err
+    assert len(err.strip().splitlines()) == 1
+    code, _, _ = run(["analyze", effect1_csv, "--estimator", "exit", "--covariates", name], capsys)
+    assert code == 0
+
+
 def test_analyze_schema_mapping(tmp_path, capsys):
     rng = np.random.default_rng(1)
     csv_path = tmp_path / "renamed.csv"

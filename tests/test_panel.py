@@ -357,6 +357,9 @@ def test_rejects_cluster_codes_that_skip_a_number():
     # codes 0 and 2: a cluster 1 with no rows would count in C and its df
     with pytest.raises(InputError, match=r"must run from 0 to C - 1; missing codes \[1\]"):
         tiny_panel(cluster=np.array([0, 0, 0, 0, 2, 2, 2, 2]))
+    # C codes need C rows, so 2**62 is refused before counting by code
+    with pytest.raises(InputError, match=r"must run from 0 to C - 1; code 4611686018427387904 "):
+        tiny_panel(cluster=np.array([0, 0, 1, 1, 2, 2, 2**62, 2**62]))
 
 
 def test_consistency_checks_name_rows_of_shuffled_input():
@@ -399,6 +402,8 @@ def test_vectorized_checks_match_row_walks():
         unit, year, raw = rng.integers(0, 4, n), rng.permutation(n), rng.integers(0, 2, n)
         expected = persisted_flags(raw, unit, year)
         np.testing.assert_array_equal(persist_flags(raw, unit, year), expected)
+        sparse = np.array([3, 2**40, 2**62, 17])[unit]  # sparse unit codes, the same units
+        np.testing.assert_array_equal(persist_flags(raw, sparse, year), expected)
 
 
 def test_error_names_offending_rows():
@@ -441,6 +446,9 @@ def test_exit_mask_defaults_to_last_year():
         tested_in=np.zeros(8, dtype=int),
     )
     np.testing.assert_array_equal(q.exit_mask(), [1, 0, 1, 0, 1, 0, 0, 1])
+    # exit rows follow the units, not the size of their codes
+    r = tiny_panel(unit=np.array([2**62, 2**62, 1, 1, 2, 2, 3, 3]))
+    np.testing.assert_array_equal(r.exit_mask(), [0, 1, 0, 1, 0, 1, 0, 1])
 
 
 # ----------------------------------------------------------------------
