@@ -10,6 +10,18 @@ plain ``diff`` of two runs shows whether a change moved any result:
     PYTHONPATH=src python scripts/fingerprint.py --reps 200 > after.txt
     diff before.txt after.txt
 
+To tell how far a moved line moved, save the raw values behind each line
+on one commit and compare the other's with them:
+
+    PYTHONPATH=src python scripts/fingerprint.py --dump before.npz
+    PYTHONPATH=src python scripts/fingerprint.py --against before.npz
+
+``--dump FILE`` writes, with ``np.savez``, each line's digest and the
+numbers fed to it in order (the floats and integers of its results and of
+the CLI's JSON payloads; the CSV bytes of ``simulate`` are hashed only).
+``--against FILE`` prints, per line, whether its digest matches the file's
+and, if not, the largest relative difference between the two runs' numbers.
+
 The replicates are ``default_scenario(EffectSpec("effect1", tau=5.5))``
 at effect levels 0 and 5.5, each analyzed under CR0 and CR2. Each line
 hashes, over every replicate, level and variant:
@@ -129,13 +141,47 @@ TAIL_TS = np.concatenate(
 ORACLES = Path(__file__).resolve().parents[1] / "tests" / "oracles.py"
 
 
+class Line:
+    """One printed line: the sha256 of what is fed to it, and the numbers
+    among what is fed, in order (what ``--dump`` saves)."""
+
+    def __init__(self) -> None:
+        self.h = hashlib.sha256()
+        self.values: list = []
+
+    def update(self, data: bytes) -> None:
+        self.h.update(data)
+
+    def record(self, numbers) -> None:
+        self.values.append(np.asarray(numbers, dtype=np.float64).ravel())
+
+    def hexdigest(self) -> str:
+        return self.h.hexdigest()
+
+    def numbers(self) -> np.ndarray:
+        return np.concatenate(self.values) if self.values else np.empty(0)
+
+
+def json_numbers(payload) -> list:
+    """The numbers of a JSON payload, keys in sorted order."""
+    if isinstance(payload, dict):
+        return [x for k in sorted(payload) for x in json_numbers(payload[k])]
+    if isinstance(payload, list):
+        return [x for v in payload for x in json_numbers(v)]
+    if isinstance(payload, (int, float)):
+        return [payload]
+    return []
+
+
 def feed(h, value) -> None:
     """Add a result to the hash: arrays by dtype, shape and bytes, dataclasses
     field by field, containers item by item, anything else by its repr
-    (exact for floats)."""
+    (exact for floats). Numeric arrays and numbers are also recorded."""
     if isinstance(value, np.ndarray):
         h.update(f"{value.dtype}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
+        if value.dtype.kind in "biuf":
+            h.record(value)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             feed(h, f.name)
@@ -150,6 +196,8 @@ def feed(h, value) -> None:
             feed(h, v)
         h.update(b"]")
     else:
+        if isinstance(value, (int, float, np.number)):
+            h.record(value)
         h.update(repr(value).encode())
     h.update(b";")
 
@@ -197,9 +245,9 @@ def exit_fit(panel, variant):
     return ex, ex.p_value("greater")
 
 
-def power_run(sc, reps: int, variant: str, df_rule: str, workers: int) -> bytes:
-    """The digest of one ``estimate_power`` run's cells and failures."""
-    h = hashlib.sha256()
+def power_run(sc, reps: int, variant: str, df_rule: str, workers: int) -> Line:
+    """One ``estimate_power`` run's cells and failures, fed to a line."""
+    h = Line()
 
     def run():
         res = estimate_power(
@@ -209,19 +257,20 @@ def power_run(sc, reps: int, variant: str, df_rule: str, workers: int) -> bytes:
         return res.cells, res.failures
 
     guarded(h, run)
-    return h.digest()
+    return h
 
 
-def power_digest(sc, reps: int) -> str:
-    h = hashlib.sha256()
+def power_digest(sc, reps: int) -> Line:
+    h = Line()
     for variant in VARIANTS:
         for df_rule in DF_RULES:
             serial, pooled = (power_run(sc, reps, variant, df_rule, w) for w in (1, 2))
-            if serial != pooled:
+            if serial.h.digest() != pooled.h.digest():
                 raise SystemExit(f"power: 1 and 2 workers differ under {variant}, {df_rule}")
             feed(h, [variant, df_rule])
-            h.update(serial)
-    return h.hexdigest()
+            h.update(serial.h.digest())
+            h.record(serial.numbers())
+    return h
 
 
 def cli_json(h, argv) -> None:
@@ -232,6 +281,7 @@ def cli_json(h, argv) -> None:
     payload = json.loads(out.getvalue()) if code == 0 else {"exit": code}
     payload.pop("manifest", None)
     h.update(json.dumps(payload, sort_keys=True).encode())
+    h.record(json_numbers(payload))
 
 
 def write_analyze_panel(path: str) -> None:
@@ -240,19 +290,19 @@ def write_analyze_panel(path: str) -> None:
         cli_main(["simulate", "--effect", "effect1", "--tau", "5.5", "--out", path])
 
 
-def analyze_digest() -> str:
-    h = hashlib.sha256()
+def analyze_digest() -> Line:
+    h = Line()
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "panel.csv")
         write_analyze_panel(path)
         for flags in ANALYZE_FLAGS:
             feed(h, list(flags))
             cli_json(h, ["analyze", path, "--json", *flags])
-    return h.hexdigest()
+    return h
 
 
-def ingest_digest() -> str:
-    h = hashlib.sha256()
+def ingest_digest() -> Line:
+    h = Line()
     with tempfile.TemporaryDirectory() as work:
         path, shuffled, schema = (
             os.path.join(work, name) for name in ("panel.csv", "shuffled.csv", "schema.json")
@@ -270,11 +320,11 @@ def ingest_digest() -> str:
             for flags in INGEST_FLAGS:
                 feed(h, [source, list(flags)])
                 cli_json(h, ["analyze", shuffled, "--json", *schema_flags, *flags])
-    return h.hexdigest()
+    return h
 
 
-def weights_digest() -> str:
-    h = hashlib.sha256()
+def weights_digest() -> Line:
+    h = Line()
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "summary.json")
         for spread, flags in WEIGHTS_RUNS:
@@ -282,11 +332,11 @@ def weights_digest() -> str:
                 json.dump({**README_SUMMARY, **spread}, fh)
             feed(h, [sorted(spread), list(flags)])
             cli_json(h, ["weights", path, *flags])
-    return h.hexdigest()
+    return h
 
 
-def tails_digest() -> str:
-    h = hashlib.sha256()
+def tails_digest() -> Line:
+    h = Line()
     for df in TAIL_DFS:
         for t in TAIL_TS:
             feed(h, [t_p_value(t, df, alternative).hex() for alternative in ALTERNATIVES])
@@ -297,11 +347,11 @@ def tails_digest() -> str:
     for i in range(500):
         sigma, p0 = oracles.random_problem(rng, 2 + i % 4)
         guarded(h, lambda: [v.hex() for v in pwrd_weights(sigma, p0).omega.tolist()])
-    return h.hexdigest()
+    return h
 
 
-def calibrate_digest() -> str:
-    h = hashlib.sha256()
+def calibrate_digest() -> Line:
+    h = Line()
     for name, build in PRESETS.items():
         for icc in CALIBRATE_ICCS:
             sc = build(icc=icc)
@@ -312,11 +362,11 @@ def calibrate_digest() -> str:
         feed(h, "converged")
     except NumericalError as exc:
         feed(h, str(exc))
-    return h.hexdigest()
+    return h
 
 
-def simulate_digest() -> str:
-    h = hashlib.sha256()
+def simulate_digest() -> Line:
+    h = Line()
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "panel.csv")
         for preset in PRESETS:
@@ -326,34 +376,74 @@ def simulate_digest() -> str:
                 feed(h, [preset, list(flags), code])
                 with open(path, "rb") as fh:
                     h.update(fh.read())
-    return h.hexdigest()
+    return h
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest |a - b| / max(|a|, |b|) over entries that differ; inf
+    where only one is NaN, and 0 where nothing differs."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel = np.where(np.isnan(rel), np.inf, rel)
+    return float(rel[~same].max()) if (~same).any() else 0.0
+
+
+def compare(lines: dict, path: str) -> None:
+    """Each line's digest and numbers against those ``--dump`` saved at ``path``."""
+    saved = np.load(path)
+    for name, line in lines.items():
+        if f"{name}.sha256" not in saved:
+            print(f"{name:<10} not in {path}")
+            continue
+        if str(saved[f"{name}.sha256"]) == line.hexdigest():
+            print(f"{name:<10} matches")
+            continue
+        old, new = saved[name], line.numbers()
+        if old.shape != new.shape:
+            print(f"{name:<10} moved: {new.size} numbers against {old.size}")
+        else:
+            print(f"{name:<10} moved: largest relative difference "
+                  f"{relative_difference(old, new):.3g} over {new.size} numbers")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--reps", type=int, default=200, help="replicates per effect level")
+    ap.add_argument("--dump", metavar="FILE", help="save each line's digest and numbers (np.savez)")
+    ap.add_argument("--against", metavar="FILE", help="compare each line with a --dump file")
     args = ap.parse_args()
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5))
-    hashes = {name: hashlib.sha256() for name in ("pwrd", "flat", "mixed", "exit")}
+    lines = {name: Line() for name in ("pwrd", "flat", "mixed", "exit")}
     for r in range(args.reps):
         base = generate_panel(sc, r)
         for level in LEVELS:
             panel = apply_effect(base, sc.effect.with_level(level), r)
             for variant in VARIANTS:
-                group_line(hashes["pwrd"], hashes["flat"], panel, variant)
+                group_line(lines["pwrd"], lines["flat"], panel, variant)
                 for covariates in MIXED_COVARIATES:
-                    guarded(hashes["mixed"], lambda: mixed_fit(panel, covariates, variant))
-                guarded(hashes["exit"], lambda: exit_fit(panel, variant))
-    for name, h in hashes.items():
+                    guarded(lines["mixed"], lambda: mixed_fit(panel, covariates, variant))
+                guarded(lines["exit"], lambda: exit_fit(panel, variant))
+    for name, h in lines.items():
         print(f"{name:<8} {h.hexdigest()}")
-    print(f"{'power':<8} {power_digest(sc, args.reps)}")
-    print(f"{'analyze':<8} {analyze_digest()}")
-    print(f"{'ingest':<8} {ingest_digest()}")
-    print(f"{'weights':<8} {weights_digest()}")
-    print(f"{'tails':<8} {tails_digest()}")
-    print(f"{'calibrate':<8} {calibrate_digest()}")
-    print(f"{'simulate':<8} {simulate_digest()}")
+    for name, digest in (
+        ("power", lambda: power_digest(sc, args.reps)),
+        ("analyze", analyze_digest),
+        ("ingest", ingest_digest),
+        ("weights", weights_digest),
+        ("tails", tails_digest),
+        ("calibrate", calibrate_digest),
+        ("simulate", simulate_digest),
+    ):
+        lines[name] = digest()
+        print(f"{name:<8} {lines[name].hexdigest()}")
+    if args.dump:
+        saved = {name: line.numbers() for name, line in lines.items()}
+        saved.update({f"{name}.sha256": np.array(line.hexdigest()) for name, line in lines.items()})
+        np.savez(args.dump, **saved)
+    if args.against:
+        compare(lines, args.against)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ n the arm total. Eigenvalues of I - H below the floor are clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,14 +53,36 @@ VARIANTS = ("cr0", "cr2")
 
 @dataclass(frozen=True, eq=False)
 class CovarianceEstimate:
-    """Covariance matrix of the per-group effect estimates."""
+    """Covariance matrix of the per-group effect estimates.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of ``sigma_hat`` (0 for an
+    empty matrix), from the check that refuses a substantially negative one;
+    ``weights.pwrd_weights`` gates on it rather than decomposing again.
+    """
 
     sigma_hat: np.ndarray
     variant: str
     n_clusters: int
     df: float
     groups: tuple[GroupInfo, ...]
+    min_eigenvalue: float = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
+        self._check(None)
+
+    @classmethod
+    def _checked(cls, eigmin: float, sigma_hat, variant, n_clusters, df, groups):
+        """The estimate, given the smallest eigenvalue of ``sigma_hat`` from a
+        batched ``eigvalsh`` over a stack; every check of the constructor runs."""
+        est = object.__new__(cls)
+        fields = zip(("sigma_hat", "variant", "n_clusters", "df", "groups"),
+                     (sigma_hat, variant, n_clusters, df, groups))
+        for name, value in fields:
+            object.__setattr__(est, name, value)
+        est._check(eigmin)
+        return est
+
+    def _check(self, eigmin: float | None) -> None:
         S = self.sigma_hat
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise InputError("sigma_hat must be square")
@@ -71,9 +93,11 @@ class CovarianceEstimate:
         scale = max(np.abs(S).max(), 1.0)
         if np.abs(S - S.T).max() > 1e-10 * scale:
             raise NumericalError("covariance matrix is not symmetric")
-        eigmin = float(np.linalg.eigvalsh(S).min()) if S.size else 0.0
+        if eigmin is None:
+            eigmin = float(np.linalg.eigvalsh(S).min()) if S.size else 0.0
         if eigmin < -1e-10 * max(np.trace(S), 1e-300):
             raise NumericalError("covariance matrix has a substantially negative eigenvalue")
+        object.__setattr__(self, "min_eigenvalue", eigmin)
 
     def group_ordinals(self) -> tuple[int, ...]:
         return tuple(gi.g for gi in self.groups)
@@ -153,29 +177,56 @@ def sandwich(stack: CellStack, variant: str) -> tuple[np.ndarray, np.ndarray, in
         if variant == "cr2":
             R = R * scales
         U = (sign * R / n_z)[:, active]
-        # Canonical row order makes the accumulated sum independent of cluster labels.
-        order = np.lexsort(U.transpose(2, 0, 1)[::-1], axis=-1)
-        Us = np.take_along_axis(U, order[:, :, None], axis=1)
+        Us = np.take_along_axis(U, _canonical_order(U)[:, :, None], axis=1)
         V = np.swapaxes(Us, 1, 2) @ Us
     return stack.contrasts, V, U.shape[1]
 
 
+def _canonical_order(U: np.ndarray) -> np.ndarray:
+    """Each item's order of the rows of ``U`` (R, C, K) by their values,
+    first column first: the order of one stable ``np.lexsort`` on all K
+    columns. Canonical row order makes the accumulated sum independent of
+    cluster labels. The lexsort's primary key is the first column, so a
+    stable sort on that column alone gives its order unless the column
+    holds a tie or a NaN."""
+    first = U[:, :, 0]
+    order = np.argsort(first, axis=-1, kind="stable")
+    ranked = np.take_along_axis(first, order, axis=-1)
+    if (ranked[:, 1:] == ranked[:, :-1]).any() or np.isnan(ranked).any():
+        order = np.lexsort(U.transpose(2, 0, 1)[::-1], axis=-1)
+    return order
+
+
+def _min_eigenvalues(V: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each finite matrix of ``V`` (R, K, K), from
+    one batched ``eigvalsh``; NaN for a matrix with a non-finite entry,
+    which ``CovarianceEstimate`` refuses before it reads this."""
+    eigmin = np.full(len(V), np.nan)
+    finite = np.isfinite(V).all(axis=(1, 2))
+    if finite.any():
+        eigmin[finite] = np.linalg.eigvalsh(V[finite]).min(axis=1)
+    return eigmin
+
+
 def covariances(effects, variant: str = "cr2") -> list:
-    """``cluster_covariance`` of each of ``effects``, from one sandwich per
-    stack of their cell tables: a CovarianceEstimate, or the package error
-    that refuses it."""
+    """``cluster_covariance`` of each of ``effects``, from one sandwich and
+    one batched ``eigvalsh`` per stack of their cell tables: a
+    CovarianceEstimate, or the package error that refuses it."""
     out, found = stacks([e.cells for e in effects])
     for idx, stack in found:
         _, V, n_clusters = sandwich(stack, variant)
-        for i, S, ms in zip(idx, V, stack.mean_square.tolist()):
-            out[i] = attempt(lambda: _covariance(effects[i].groups, S, ms, variant, n_clusters))
+        items = zip(idx, V, stack.mean_square.tolist(), _min_eigenvalues(V).tolist())
+        for i, S, ms, eigmin in items:
+            out[i] = attempt(
+                lambda: _covariance(effects[i].groups, S, ms, variant, n_clusters, eigmin))
     return out
 
 
-def _covariance(groups, S, mean_square, variant, n_clusters) -> CovarianceEstimate:
+def _covariance(groups, S, mean_square, variant, n_clusters, eigmin) -> CovarianceEstimate:
     if n_clusters > 2:  # else the test refuses its df first
         check_test_variance(float(np.trace(S)), mean_square, n_clusters - 2)
-    return CovarianceEstimate(S, variant, n_clusters, float(n_clusters - 2), groups)
+    return CovarianceEstimate._checked(
+        eigmin, S, variant, n_clusters, float(n_clusters - 2), groups)
 
 
 def cluster_covariance(

@@ -5,9 +5,9 @@ covariates, with a cluster-level random intercept. Variance components
 come from method-of-moments mean squares (within-cluster versus
 between-cluster), floored at zero, and the coefficient fit is generalized
 least squares via the standard quasi-demeaning transform. Both a
-model-based and a cluster-robust standard error are reported. The CR2
-adjustment (Bell & McCaffrey) is computed for all clusters at once: their
-Gram blocks are stacked and go through one batched eigendecomposition.
+model-based and a cluster-robust standard error are reported. A covariate
+constant on the fit's rows is refused as input, by name: the intercept
+already holds it.
 
 The fit reads records, not rows: the rows that share a cluster, a group
 and a design row, each given by its row count, outcome sum and the sum of
@@ -15,18 +15,36 @@ squared deviations from its mean. Every quantity of the fit is an exact
 function of these ("You Only Compress Once", Wong et al. 2021), since the
 within-record part of any residual sums to zero. When every covariate is
 constant within each (cluster, group) cell, as grade, cohort and follow-up
-year are, the records are the panel's nonempty cells, in row-major order;
-otherwise they are the distinct (cell, covariate values) rows. The record
-layout is computed once per design when the design fixes every covariate,
-else once per assignment, and the design matrix once per assignment (see
-``panel``), so a fit on a new outcome reads only its sums.
+year are, the records are the panel's nonempty cells, in row-major order,
+and their outcome sums are the cell table's (``panel.cells.s``), added
+from the same rows in the same order, so no second pass over the rows
+computes them; otherwise they are the distinct (cell, covariate values)
+rows, summed from the rows. The record layout is computed once per design
+when the design fixes every covariate, else once per assignment, and the
+design matrix once per assignment (see ``panel``), so a fit on a new
+outcome reads only its sums.
+
+The CR2 adjustment (Bell & McCaffrey 2002) is exact and is computed for
+all clusters at once, in p - 1 dimensions for p design columns. Treatment
+is constant within a cluster, so after the transform the treatment column
+is z_c times the intercept column: H_cc = Y_c (T K T') Y_c' with Y_c the
+transformed rows less treatment and T the map of the cluster's arm. So
+(I - H_cc)^(-1/2) comes from the eigendecomposition of F'G_cF, with F F'
+the Cholesky factorization of T K T' (one per arm) and G_c = Y_c'Y_c, and
+the treatment score is z_c times the intercept score. G_c is W_c + (1 -
+lambda_c)^2 m_c xbar_c xbar_c', from each cluster's within scatter W_c
+and mean row xbar_c, computed once per record layout (``_gram``); both
+terms are positive semidefinite, so nothing cancels, and a covariate far
+from zero keeps its accuracy. The default fit on grade takes one batched
+2 x 2 eigendecomposition over every cluster of the stack.
 
 ``fits_random_intercept`` fits a list of panels. Each makes its own pass
-over its rows (the record sums, the OLS fit and the within-record sum of
-squares); the fits whose panels share a record layout then run as one
-stack, every array below the records carrying a leading replicate axis,
-and the CR2 eigendecompositions of all their clusters are one call.
-``fit_random_intercept`` is the stack of one panel.
+over its rows (the OLS fit and the within-record sum of squares, and the
+record sums when the records are finer than the cells); the fits whose
+panels share a record layout then run as one stack, every array below the
+records carrying a leading replicate axis, and the CR2 eigendecompositions
+of all their clusters are one call. ``fit_random_intercept`` is the stack
+of one panel.
 """
 
 from __future__ import annotations
@@ -38,7 +56,7 @@ import numpy as np
 
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
-from .panel import DESIGN_COVARIATES, PanelDataset, group_rows
+from .panel import DESIGN_COVARIATES, PanelDataset, Tier, group_rows
 from .weights import ROUNDING_FLOOR, check_finite, check_test_variance, t_p_value
 
 
@@ -98,7 +116,9 @@ class MixedModelFit:
 class _Records:
     """The fit's records, ordered by cluster, and what they fix before the
     outcome: each row's record, the cluster, group, row count and design row
-    of each record, and the records and rows per cluster."""
+    of each record, the records and rows per cluster, and each record's
+    cell when the records are the panel's nonempty cells (else None).
+    ``shared`` holds what the layout fixes, for every assignment on it."""
 
     row: np.ndarray
     cl: np.ndarray
@@ -108,9 +128,14 @@ class _Records:
     counts: np.ndarray
     starts: np.ndarray
     m: np.ndarray
+    cell: np.ndarray | None
+    shared: Tier
 
     def sums(self, panel: PanelDataset) -> np.ndarray:
-        """Each record's outcome sum."""
+        """Each record's outcome sum: its cell's sum when the records are
+        the cells, the same rows added in the same order."""
+        if self.cell is not None:
+            return panel.cells.s.ravel()[self.cell]
         return np.bincount(self.row, weights=panel.outcome, minlength=len(self.w))
 
     @cached_property
@@ -136,22 +161,64 @@ class _Records:
         sums = np.add.reduceat(self.w[:, None] * self.X, self.starts, axis=0)
         return (sums / self.m[:, None])[self.cl]
 
+    @property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_gram`` of the covariates, once per layout; read once no
+        cluster is empty."""
+        return self.shared.get(
+            "gram", lambda: _gram(self.w, self.X[:, 2:], self.cl, self.starts, self.m)
+        )
+
 
 def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
     """The records: rows grouped by (cell key, covariate values), in that
     sort order, the key being the panel's ``cell_layout``. Each row's
     record; each record's cluster and group (those of its first row), row
-    count and covariate values; and the records and rows per cluster with
-    each cluster's first record."""
+    count and covariate values; the records and rows per cluster with each
+    cluster's first record; each record's flat cell index when the records
+    are the nonempty cells, else None; and an empty ``Tier`` for what the
+    layout fixes.
+
+    A covariate constant on the rows is refused: the intercept holds it."""
     cols = [panel.column(name) for name in covariates]
-    row, first = group_rows(panel.cell_layout[0], *cols)
+    key, cell_m = panel.cell_layout
+    row, first = group_rows(key, *cols)
     cl, grp = panel.cluster[first], panel.group_ids[first]
     cov = np.stack([col[first] for col in cols], axis=1) if cols else np.empty((len(first), 0))
+    for name, col in zip(covariates, cov.T):
+        if (col == col[0]).all():
+            raise InputError(
+                f"covariate '{name}' is constant on the fit's rows, "
+                "so the random-intercept fit cannot adjust for it"
+            )
     w = np.bincount(row).astype(np.float64)
     counts = np.bincount(cl, minlength=panel.n_clusters)
+    starts = np.cumsum(counts) - counts
     # row counts are integers, so this sum is exact in any order
     m = np.bincount(cl, weights=w, minlength=panel.n_clusters)
-    return row, cl, grp, w, cov, counts, np.cumsum(counts) - counts, m
+    # records refine the nonempty cells, so if they are as many, they are the cells
+    cell = np.flatnonzero(cell_m.ravel())
+    if len(cell) != len(first):
+        cell = None
+    return row, cl, grp, w, cov, counts, starts, m, cell, Tier()
+
+
+def _gram(w, cov, cl, starts, m) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster c, with x the design row less its treatment column,
+    x = (1, covariates): the within scatter W_c = sum of w (x - xbar_c)(x -
+    xbar_c)', (C, p - 1, p - 1), and the weighted mean xbar_c, (C, p - 1).
+    The transformed rows x - lambda_c xbar_c then have the Gram block
+    W_c + (1 - lambda_c)^2 m_c xbar_c xbar_c', two positive semidefinite
+    terms; neither term depends on the arms or the outcome."""
+    C, k = len(starts), cov.shape[1]
+    mean = np.add.reduceat(w[:, None] * cov, starts, axis=0) / m[:, None]
+    D = cov - mean[cl]
+    j, l = np.triu_indices(k)
+    within = np.zeros((C, k + 1, k + 1))
+    within[:, 1 + j, 1 + l] = within[:, 1 + l, 1 + j] = np.add.reduceat(
+        (w[:, None] * D[:, j]) * D[:, l], starts, axis=0
+    )
+    return within, np.column_stack([np.ones(C), mean])
 
 
 def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
@@ -161,56 +228,92 @@ def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
     def build() -> _Records:
         fixed = set(covariates) <= DESIGN_COVARIATES.keys()
         tier = panel.design_tier if fixed else panel.assignment_tier
-        row, cl, grp, w, cov, counts, starts, m = tier.get(
+        row, cl, grp, w, cov, counts, starts, m, cell, shared = tier.get(
             ("mixed layout", covariates), lambda: _layout(panel, covariates)
         )
         X = np.column_stack([np.ones(len(w)), panel.z_by_cluster[cl], cov])
         X.flags.writeable = False
-        return _Records(row, cl, grp, w, X, counts, starts, m)
+        return _Records(row, cl, grp, w, X, counts, starts, m, cell, shared)
 
     return panel.assignment_tier.get(("mixed records", covariates), build)
 
 
-def _cr_meat(
-    Xt: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    starts: np.ndarray,
-    eigen: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
+def _cr_meat(Xt: np.ndarray, w: np.ndarray, u: np.ndarray, starts: np.ndarray, cr2) -> np.ndarray:
     """Sum of b_c b_c' over clusters, from records weighted by ``w``, for a
     stack of fits: ``Xt`` (R, N, p) and ``u`` (R, N), giving (R, p, p).
 
-    b_c = Xt_c' e_c for CR0 (``eigen`` None), and Xt_c'(I - H_cc)^(-1/2) e_c
-    for CR2, from ``eigen``, the eigendecomposition of each fit's Xt'WXt. A
-    record's rows share its design row, so their residuals enter only
-    through their sum ``w * u``. The per-cluster eigendecompositions of
-    every fit are one batched call.
+    b_c = Xt_c' e_c for CR0 (``cr2`` None), and Xt_c'(I - H_cc)^(-1/2) e_c
+    for CR2, from ``cr2``, the arguments of ``_cr2_scores`` after the
+    scores. A record's rows share its design row, so their residuals enter
+    only through their sum ``w * u``.
     """
-    p = Xt.shape[2]
     wXt = w[:, None] * Xt
     # per-cluster score sums, one row per cluster
     B = np.add.reduceat(wXt * u[:, :, None], starts, axis=1)
-    if eigen is not None:
-        eva, evec = eigen
-        Khalf = (evec / np.sqrt(eva)[:, None, :]) @ np.swapaxes(evec, 1, 2)
-        # per-cluster Gram blocks Xc'Xc, stacked, from their distinct entries
-        j, k = np.array([(a, b) for a in range(p) for b in range(a, p)]).T
-        products = np.stack([wXt[:, :, a] * Xt[:, :, b] for a, b in zip(j, k)], axis=2)
-        G = np.empty((*B.shape, p))
-        G[:, :, j, k] = G[:, :, k, j] = np.add.reduceat(products, starts, axis=1)
-        Kc = Khalf[:, None]
-        d, Q = np.linalg.eigh(Kc @ G @ Kc)
-        d = np.clip(d, 0.0, None)
-        coef = np.where(
-            d > 1e-12,
-            (1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR)) - 1.0) / np.where(d > 1e-12, d, 1.0),
-            0.5,
-        )
-        # b_c + Gc Khalf Q diag(coef) Q' Khalf b_c = Xc'(I - H_cc)^(-1/2) e_c, per cluster
-        t = coef * (np.swapaxes(Q, 2, 3) @ (B @ np.swapaxes(Khalf, 1, 2))[:, :, :, None])[..., 0]
-        B = B + (G @ (Kc @ (Q @ t[..., None])))[..., 0]
+    if cr2 is not None:
+        B = _cr2_scores(B, *cr2)
     return np.swapaxes(B, 1, 2) @ B
+
+
+def _cr2_scores(B: np.ndarray, F: np.ndarray, G: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Xt_c'(I - H_cc)^(-1/2) e_c per cluster, (R, C, p), from the scores
+    Xt_c' e_c, ``B`` (R, C, p), in p - 1 dimensions.
+
+    Treatment is constant within a cluster, so in cluster c the transformed
+    treatment column is z_c times the transformed intercept column: Xt_c =
+    Y_c T with Y_c the transformed rows less their treatment column and T
+    the (p - 1, p) map of the cluster's arm. Then H_cc = Y_c (T K T') Y_c',
+    and with T K T' = F F' (``F`` (R, C, p - 1, p - 1), each cluster's
+    arm's Cholesky factor) and ``G`` (R, C, p - 1, p - 1) the blocks Y_c'Y_c,
+    the nonzero eigenvalues of H_cc are those of F'GF = Q diag(d) Q'. So
+    (I - H_cc)^(-1/2) = I + Y_c F Q diag(coef) Q' F' Y_c', coef =
+    ((1 - d)^(-1/2) - 1) / d, with eigenvalues of I - H clipped at the
+    floor. The treatment score is z_c (``z`` (R, C)) times the intercept
+    score, as it is before the adjustment.
+    """
+    keep = np.r_[0, 2 : B.shape[2]]
+    b = B[:, :, keep]
+    d, Q = np.linalg.eigh(np.swapaxes(F, 2, 3) @ G @ F)
+    d = np.clip(d, 0.0, None)
+    coef = np.where(
+        d > 1e-12,
+        (1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR)) - 1.0) / np.where(d > 1e-12, d, 1.0),
+        0.5,
+    )
+    FQ = F @ Q
+    t = coef * (np.swapaxes(FQ, 2, 3) @ b[..., None])[..., 0]
+    b = b + (G @ (FQ @ t[..., None]))[..., 0]
+    out = np.empty_like(B)
+    out[:, :, keep] = b
+    out[:, :, 1] = z * b[:, :, 0]
+    return out
+
+
+def _cr2_inputs(rec: _Records, X, XtX, K, lam) -> tuple | None:
+    """The arguments of ``_cr2_scores`` after the scores, for a stack of
+    fits on the records ``rec`` with design rows ``X`` (R, N, p), transformed
+    Gram matrices ``XtX`` and their inverses ``K`` (R, p, p) and GLS factors
+    ``lam`` (R, C); None when a fit's design is singular for the adjustment.
+
+    T for arm a maps (intercept, covariates) to (intercept, treatment,
+    covariates): the intercept's entry goes to the treatment column times a.
+    """
+    if (np.linalg.eigvalsh(XtX).min(axis=1) <= 0).any():
+        return None
+    p = X.shape[2]
+    T = np.zeros((2, p - 1, p))
+    T[:, 0, 0] = T[1, 0, 1] = 1.0
+    T[:, 1:, 2:] = np.eye(p - 2)
+    try:
+        F = np.linalg.cholesky(T @ K[:, None] @ np.swapaxes(T, 1, 2))
+    except np.linalg.LinAlgError:
+        return None
+    z = X[:, rec.starts, 1]
+    within, centre = rec.gram
+    G = within + ((1.0 - lam) ** 2 * rec.m)[:, :, None, None] * (
+        centre[:, :, None] * centre[:, None, :]
+    )
+    return F[np.arange(len(F))[:, None], z.astype(np.intp)], G, z
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +442,8 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
     mu = np.array([out[k][0].sigma2_mu for k in live])[:, None]
 
     # quasi-demeaning GLS transform, on record means
-    lam_r = np.where(mu > 0, 1.0 - np.sqrt(eps / (eps + m * mu)), 0.0)[:, cl]
+    lam = np.where(mu > 0, 1.0 - np.sqrt(eps / (eps + m * mu)), 0.0)
+    lam_r = lam[:, cl]
     S = np.stack([passes[k].s for k in live])
     X = np.stack([passes[k].rec.X for k in live])
     yt = ybar[live] - lam_r * (np.add.reduceat(S, starts, axis=1) / m)[:, cl]
@@ -351,9 +455,11 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
         refused = None
     except np.linalg.LinAlgError:
         refused = "singular transformed design"
-    eigen = np.linalg.eigh(XtX) if variant == "cr2" else None
-    if refused is None and eigen is not None and (eigen[0].min(axis=1) <= 0).any():
-        refused = "singular design in cluster adjustment"
+    cr2 = None
+    if refused is None and variant == "cr2":
+        cr2 = _cr2_inputs(rec, X, XtX, K, lam)
+        if cr2 is None:
+            refused = "singular design in cluster adjustment"
     if refused is not None:  # a fit refuses its design: each is fitted alone
         for k in live:
             if len(live) > 1:
@@ -366,7 +472,7 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
     u = yt - (Xt @ beta[:, :, None])[:, :, 0]
     ss_gls = np.array([passes[k].ss_within + w @ u2 for k, u2 in zip(live, u**2)])
     s2 = ss_gls / max(n - p, 1)
-    V = K @ _cr_meat(Xt, w, u, starts, eigen) @ K
+    V = K @ _cr_meat(Xt, w, u, starts, cr2) @ K
     with np.errstate(invalid="ignore"):  # a negative variance fails check_test_variance
         se_model = np.sqrt(s2 * K[:, 1, 1])
         se_cr = np.sqrt(V[:, 1, 1])

@@ -87,9 +87,9 @@ _T = TypeVar("_T")
 
 
 class Tier:
-    """Values fixed by one tier of a panel (its design or its assignment)
-    or by a cell table's counts, each computed once, on first use, and
-    shared by everything that tier serves.
+    """Values fixed by one tier of a panel (its design or its assignment),
+    by a cell table's counts or by the mixed fit's record layout, each
+    computed once, on first use, and shared by everything that tier serves.
 
     ``get(name, build)`` returns the value stored under ``name``, storing
     ``build()`` there first if there is none. A build that raises stores

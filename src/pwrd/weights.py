@@ -135,7 +135,11 @@ class AggregatedTest:
         }
 
 
-def _gate_matrix(S: np.ndarray, ridge: bool) -> np.ndarray:
+def _gate_matrix(S: np.ndarray, ridge: bool, eigmin: float | None = None) -> np.ndarray:
+    """``S``, plus the ridge if asked, once it is finite with a positive
+    trace and a smallest eigenvalue above the gate. ``eigmin``, the
+    smallest eigenvalue of ``S`` when already known, spares a second
+    decomposition; the ridge moves the eigenvalues, so it is then unread."""
     G = S.shape[0]
     tr = float(np.trace(S))
     if not np.isfinite(S).all():
@@ -145,7 +149,9 @@ def _gate_matrix(S: np.ndarray, ridge: bool) -> np.ndarray:
     if ridge:
         S = S + (RIDGE_FACTOR * tr / G) * np.eye(G)
         tr = float(np.trace(S))
-    eigmin = float(np.linalg.eigvalsh(S).min())
+        eigmin = None
+    if eigmin is None:
+        eigmin = float(np.linalg.eigvalsh(S).min())
     if eigmin <= PD_GATE * tr / G:
         raise NumericalError(
             "covariance is singular or near singular "
@@ -224,7 +230,7 @@ def pwrd_weights(sigma, p0, ridge: bool = False) -> AggregationWeights:
     nothing clips, v = sigma^{-1} p0. ``clipped_groups`` lists the groups
     the optimum gives exactly zero weight.
     """
-    S = _gate_matrix(_matrix(sigma), ridge)
+    S = _gate_matrix(_matrix(sigma), ridge, getattr(sigma, "min_eigenvalue", None))
     p = _vector(p0, "p_hat")
     G = S.shape[0]
     if len(p) != G:

@@ -306,6 +306,16 @@ def test_exit_covariate_constant_on_the_control_exit_rows_exits_2(
     assert code == 0
 
 
+def test_mixed_covariate_constant_on_the_rows_exits_2(small_csv, capsys):
+    # every single-track unit is in one cohort; grade varies, so the fit runs
+    code, _, err = run(["analyze", small_csv, "--estimator", "mixed", "--covariates", "cohort"], capsys)
+    assert code == 2
+    assert "covariate 'cohort' is constant on the fit's rows" in err
+    assert len(err.strip().splitlines()) == 1
+    code, _, _ = run(["analyze", small_csv, "--estimator", "mixed", "--covariates", "grade"], capsys)
+    assert code == 0
+
+
 def test_analyze_schema_mapping(tmp_path, capsys):
     rng = np.random.default_rng(1)
     csv_path = tmp_path / "renamed.csv"

@@ -114,6 +114,37 @@ def test_cluster_relabeling_is_exactly_invariant():
         assert exit_observation_estimate(p).se == exit_observation_estimate(q).se
 
 
+def test_clusters_tied_in_the_first_group_keep_the_sandwich_invariant():
+    # a cluster's rows copied under a new cluster code, with the outcome
+    # moved outside the first group: the two clusters tie in the first
+    # column of the sandwich's rows and differ in the others, so their
+    # order comes from the full lexicographic sort
+    sc = single_track_scenario(EffectSpec("effect1", tau=5.5), n_clusters=8)
+    p = apply_effect(generate_panel(sc, 4), sc.effect, 4)
+    rows = np.flatnonzero(p.cluster == 2)
+    moved = np.where(p.group_ids[rows] == 0, 0.0, np.linspace(0.5, 3.0, len(rows)))
+    twin = PanelDataset(
+        unit=np.r_[p.unit, p.unit[rows] + p.unit.max() + 1],
+        cluster=np.r_[p.cluster, np.full(len(rows), p.n_clusters)],
+        treatment=np.r_[p.treatment, p.treatment[rows]],
+        cohort=np.r_[p.cohort, p.cohort[rows]],
+        grade=np.r_[p.grade, p.grade[rows]],
+        year=np.r_[p.year, p.year[rows]],
+        outcome=np.r_[p.outcome, p.outcome[rows] + moved],
+        tested_in=np.r_[p.tested_in, p.tested_in[rows]],
+    )
+    rng = np.random.default_rng(8)
+    sigmas = []
+    for codes in (np.arange(twin.n_clusters), *(rng.permutation(twin.n_clusters) for _ in range(4))):
+        q = _relabel(twin, codes)
+        eff = estimate_effects_diffmeans(q)
+        for variant in ("cr0", "cr2"):
+            sigmas.append((variant, cluster_covariance(q, eff, variant=variant).sigma_hat))
+    for variant in ("cr0", "cr2"):
+        first, *rest = (S for v, S in sigmas if v == variant)
+        assert all(S.tobytes() == first.tobytes() for S in rest)
+
+
 def test_a_skipped_cluster_code_is_an_empty_cluster():
     sc = single_track_scenario(EffectSpec("effect1", tau=5.5), n_clusters=8)
     p = apply_effect(generate_panel(sc, 2), sc.effect, 2)
@@ -195,6 +226,11 @@ def test_variance_estimate_validates_itself():
             df=2.0,
             groups=gi[:2],
         )
+    ok = CovarianceEstimate(
+        sigma_hat=np.array([[2.0, 1.0], [1.0, 2.0]]), variant="cr0", n_clusters=4, df=2.0,
+        groups=gi[:2],
+    )
+    assert ok.min_eigenvalue == pytest.approx(1.0, rel=1e-14)
     for bad in (np.nan, np.inf):  # refused before the eigensolver sees it
         with pytest.raises(NumericalError, match="covariance contains non-finite entries"):
             CovarianceEstimate(

@@ -60,6 +60,21 @@ def intercept_panel(
     )
 
 
+def with_covariates(p, covariates):
+    """``p`` with the schema covariates ``covariates`` in place of its own."""
+    return PanelDataset(
+        unit=p.unit,
+        cluster=p.cluster,
+        treatment=p.treatment,
+        cohort=p.cohort,
+        grade=p.grade,
+        year=p.year,
+        outcome=p.outcome,
+        covariates=covariates,
+        validate=False,
+    )
+
+
 def test_moment_components_recover_truth_at_scale():
     p = intercept_panel(C=400, m=20, sigma2_eps=4.0, sigma2_mu=1.0, seed=3)
     fit = fit_random_intercept(p, covariates=())
@@ -147,9 +162,14 @@ def test_input_validation():
     p = intercept_panel(C=20, m=3, seed=1)
     with pytest.raises(InputError, match="variant"):
         fit_random_intercept(p, covariates=(), variant="cr9")
-    # constant grade column is collinear with the intercept
-    with pytest.raises(NumericalError, match="rank-deficient"):
+    # a constant grade column is the intercept's: refused as input, by name
+    with pytest.raises(InputError, match="covariate 'grade' is constant on the fit's rows"):
         fit_random_intercept(p, covariates=("grade",))
+    # two covariates that vary but are collinear reach the numerical check
+    twin = intercept_panel(C=20, m=3, seed=1, grades=True)
+    twin = with_covariates(twin, {"twice_grade": 2.0 * twin.column("grade")})
+    with pytest.raises(NumericalError, match="rank-deficient design matrix"):
+        fit_random_intercept(twin, covariates=("grade", "twice_grade"))
     with pytest.raises(DegenerateDataError, match="at least 2"):
         fit_random_intercept(intercept_panel(C=1, m=8), covariates=())
     # an outcome constant within clusters leaves sigma2_eps zero and icc 1
@@ -244,17 +264,7 @@ def test_cell_and_row_records_agree(variant, covariates):
     sc = default_scenario(EffectSpec("effect1", tau=5.5), n_clusters=12)
     p = apply_effect(generate_panel(sc, 3), sc.effect, 3)
     schema = {f"{c}_copy": p.column(c) for c in ("grade", "cohort", "follow_up_year")}
-    p = PanelDataset(
-        unit=p.unit,
-        cluster=p.cluster,
-        treatment=p.treatment,
-        cohort=p.cohort,
-        grade=p.grade,
-        year=p.year,
-        outcome=p.outcome,
-        covariates={**schema, "parity": (p.unit % 2).astype(np.float64)},
-        validate=False,
-    )
+    p = with_covariates(p, {**schema, "parity": (p.unit % 2).astype(np.float64)})
     ref = random_intercept_by_rows(
         design_matrix(p, covariates), p.outcome, p.cluster, p.group_ids, p.n_groups, variant
     )
@@ -300,3 +310,60 @@ def test_a_refused_fit_in_a_stack_leaves_its_neighbours_alone(monkeypatch):
     for i in (0, 1, 2, 4, 5):
         assert found[i].tau_hat == alone[i].tau_hat
         assert found[i].se_cluster_robust == alone[i].se_cluster_robust
+
+
+@pytest.mark.parametrize("case", ["default", "unbalanced-empty-cells"])
+def test_record_sums_from_the_cells_equal_the_row_bincount(case):
+    from pwrd.mixed import _records
+
+    if case == "default":
+        sc = default_scenario(EffectSpec("effect1", tau=5.5))
+        p = apply_effect(generate_panel(sc, 3), sc.effect, 3)
+    else:  # clusters of one or two rows leave later follow-up years empty
+        p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=21, grades=True)
+        assert (p.cells.m == 0).any()
+    rec = _records(p, ("grade",))
+    assert rec.cell is not None
+    want = np.bincount(rec.row, weights=p.outcome, minlength=len(rec.w))
+    assert rec.sums(p).tobytes() == want.tobytes()
+    # records finer than the cells sum their rows
+    parity = with_covariates(p, {"parity": (p.unit % 2).astype(np.float64)})
+    assert _records(parity, ("grade", "parity")).cell is None
+
+
+@pytest.mark.parametrize("variant", ["cr0", "cr2"])
+@pytest.mark.parametrize(
+    "covariates", [(), ("grade",), ("grade", "cohort"), ("follow_up_year",), ("pretest",)]
+)
+def test_stacked_fits_match_the_per_panel_oracle(variant, covariates):
+    # the stack's CR2 works in p - 1 dimensions from Gram blocks built once
+    # per layout; the oracle decomposes each cluster's full p x p block
+    from pwrd.mixed import fits_random_intercept
+
+    from oracles import replicate_mixed
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5), n_clusters=12)
+    rng = np.random.default_rng(17)
+    panels = []
+    for r in range(3):
+        base = generate_panel(sc, r)
+        if covariates == ("pretest",):
+            base = with_covariates(base, {"pretest": rng.normal(size=base.n_obs)})
+        for level in (0.0, 5.5):
+            panels.append(base.with_outcome(base.outcome + level * base.treatment * (r + 1) / 3))
+    for p, fit in zip(panels, fits_random_intercept(panels, covariates, variant)):
+        tau, se, df = replicate_mixed(p, covariates, variant)
+        assert fit.tau_hat == tau
+        assert fit.se_cluster_robust == pytest.approx(se, rel=1e-12, abs=0.0)
+        assert fit.df == df
+
+
+def test_an_offset_covariate_keeps_the_cr2_se():
+    # a covariate far from zero makes the transformed design ill conditioned;
+    # the CR2 Gram blocks are built from within-cluster deviations, so the
+    # standard error is the centred covariate's
+    p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
+    x = np.random.default_rng(6).normal(size=p.n_obs)
+    centred = fit_random_intercept(with_covariates(p, {"x": x}), ("x",))
+    offset = fit_random_intercept(with_covariates(p, {"x": 2e4 + x}), ("x",))
+    assert offset.se_cluster_robust == pytest.approx(centred.se_cluster_robust, rel=1e-7)

@@ -139,6 +139,29 @@ def test_missing_cutoffs_are_named_together():
         expected_testin_profile(sc)
 
 
+def test_one_eigvalsh_per_covariance_stack(monkeypatch):
+    # the covariance check and the pwrd weights' gate read one batched
+    # eigenvalue pass; a second pass per panel would double the calls
+    import pwrd.simulate as sim
+    from pwrd.covariance import stacks
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    panels = [
+        apply_effect(generate_panel(sc, r), sc.effect.with_level(lv), r)
+        for r in range(4)
+        for lv in (0.0, 5.5)
+    ]
+    calls, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(
+        np.shape(a)) or real(a, *args, **kw))
+    found = sim._analyze_panels(panels, ("pwrd", "flat"), "cr2", "clusters-2")
+    assert all(set(res) == {"pwrd", "flat"} for res in found)
+    n_stacks = len(stacks([p.cells for p in panels])[1])
+    assert n_stacks == 1
+    assert len(calls) <= n_stacks
+    assert calls[0][0] == len(panels)
+
+
 def test_worker_count_does_not_change_results(monkeypatch):
     import pwrd.simulate as sim
 
