@@ -34,6 +34,18 @@ hashes, over every replicate, level and variant:
           in MIXED_COVARIATES
   exit    every field of the exit estimate and its p-value
 
+The ``peters-belson`` line hashes the same replicates with a cluster
+covariate, the design of ``scripts/peters_belson_variance.py``: x_c ~
+N(0, 1) per cluster from ``default_rng([seed, r, 7])``, PB_COEF * x_c
+added to the outcome and x named as the covariate, on each replicate's
+group layout and design tier. Per replicate, level and variant it hashes
+the public per-panel calls: the Peters-Belson effects, their sandwich,
+p0 on their groups, the pwrd and flat weights and their p-values, as on
+the ``pwrd`` line. Then it hashes one ``simulate._analyze_panels`` list of
+every such panel, for ``pwrd``, ``flat`` and ``exit`` under each of
+PB_ANALYSES: each panel's p-values, effects, sandwich, p0, weights,
+tests and exit estimates.
+
 A computation that raises hashes the error's type and message instead.
 The ``power`` line hashes the cells and failures of ``estimate_power`` on
 the same scenario, every method in ``METHODS`` at the same levels and
@@ -81,12 +93,14 @@ import numpy as np
 from pwrd import (
     EffectSpec,
     NumericalError,
+    PanelDataset,
     PwrdError,
     aggregate_test,
     apply_effect,
     cluster_covariance,
     default_scenario,
     estimate_effects_diffmeans,
+    estimate_effects_peters_belson,
     estimate_p0,
     estimate_power,
     exit_observation_estimate,
@@ -100,12 +114,15 @@ from pwrd import (
 )
 from pwrd.cli import main as cli_main
 from pwrd.panel import LOGICAL_COLUMNS
-from pwrd.simulate import DF_RULES, METHODS
+from pwrd.simulate import DF_RULES, METHODS, _analyze_panels
 from pwrd.weights import ALTERNATIVES, t_p_value
 
 LEVELS = (0.0, 5.5)
 VARIANTS = ("cr0", "cr2")
 MIXED_COVARIATES = (("grade",), ("grade", "cohort"), (), ("follow_up_year",))
+PB_COEF = 6.0
+PB_METHODS = ("pwrd", "flat", "exit")
+PB_ANALYSES = (("cr0", "clusters-2"), ("cr2", "clusters-2"), ("cr2", "satterthwaite"))
 ANALYZE_FLAGS = (
     (),
     ("--df-rule", "satterthwaite"),
@@ -233,6 +250,50 @@ def group_line(h_pwrd, h_flat, panel, variant) -> None:
 
     guarded(h_pwrd, pwrd)
     guarded(h_flat, flat)
+
+
+def with_covariate(panel, seed: int, r: int):
+    """``panel`` plus a cluster covariate x, x_c ~ N(0, 1) from
+    ``default_rng([seed, r, 7])``, and PB_COEF * x_c on its outcome, on the
+    panel's group layout and design tier."""
+    x = np.random.default_rng([seed, r, 7]).normal(size=panel.n_clusters)[panel.cluster]
+    return PanelDataset(
+        unit=panel.unit, cluster=panel.cluster, treatment=panel.treatment,
+        cohort=panel.cohort, grade=panel.grade, year=panel.year,
+        outcome=panel.outcome + PB_COEF * x, tested_in=panel.tested_in,
+        covariates={"x": x}, validate=False,
+        _layout=(panel.catalog, panel.group_ids), _design=panel.design_tier,
+    )
+
+
+def peters_belson_fit(h, panel, variant) -> None:
+    def fit():
+        effects = estimate_effects_peters_belson(panel, covariates=("x",))
+        cov = cluster_covariance(panel, effects, variant=variant)
+        p0 = estimate_p0(panel).on_groups(effects.groups)
+        out = [effects.estimates, effects.method, cov.sigma_hat, p0.p_hat]
+        for w in (pwrd_weights(cov, p0), flat_weights(effects)):
+            out += [w.omega, p_values(panel, effects, cov, w, variant)]
+        return out
+
+    guarded(h, fit)
+
+
+def analyzed(h, panels) -> None:
+    """One ``_analyze_panels`` list of ``panels`` under each of PB_ANALYSES."""
+    for variant, df_rule in PB_ANALYSES:
+        feed(h, [variant, df_rule])
+        for found in _analyze_panels(panels, PB_METHODS, variant, df_rule, covariates=("x",)):
+            if isinstance(found, PwrdError):
+                feed(h, f"{type(found).__name__}: {found}")
+                continue
+            for method, (p, computed) in found.items():
+                if method == "exit":
+                    feed(h, [method, p, computed])
+                    continue
+                effects, cov, p0, w, test = computed
+                feed(h, [method, p, effects.estimates, effects.method, effects.group_ordinals(),
+                         cov.sigma_hat, p0.p_hat, w.omega, test])
 
 
 def mixed_fit(panel, covariates, variant):
@@ -415,16 +476,20 @@ def main() -> None:
     args = ap.parse_args()
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5))
-    lines = {name: Line() for name in ("pwrd", "flat", "mixed", "exit")}
+    lines = {name: Line() for name in ("pwrd", "flat", "mixed", "exit", "peters-belson")}
+    adjusted = []
     for r in range(args.reps):
         base = generate_panel(sc, r)
         for level in LEVELS:
             panel = apply_effect(base, sc.effect.with_level(level), r)
+            adjusted.append(with_covariate(panel, sc.seed, r))
             for variant in VARIANTS:
                 group_line(lines["pwrd"], lines["flat"], panel, variant)
                 for covariates in MIXED_COVARIATES:
                     guarded(lines["mixed"], lambda: mixed_fit(panel, covariates, variant))
                 guarded(lines["exit"], lambda: exit_fit(panel, variant))
+                peters_belson_fit(lines["peters-belson"], adjusted[-1], variant)
+    analyzed(lines["peters-belson"], adjusted)
     for name, h in lines.items():
         print(f"{name:<8} {h.hexdigest()}")
     for name, digest in (

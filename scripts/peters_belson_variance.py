@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
-"""Size and power of the Peters-Belson pwrd test under two variance estimates.
+"""Size and power of the Peters-Belson pwrd test.
 
 The design is ``default_scenario()`` (effect1) plus a cluster-level
 baseline covariate: x_c ~ N(0, 1) per cluster and y += COEF * x_c, with x
 passed to the regression-adjusted estimator. Each replicate runs the pwrd
-test (CR2, C - 2 df, one-sided at ALPHA) twice on the same adjusted effects:
+test (CR2, C - 2 df, one-sided at ALPHA) on the adjusted effects, with the
+sandwich of the control-fit residuals, the variance of the contrast
+actually taken (``cluster_covariance``): the ``residual`` row.
 
-  residual   the sandwich of the control-fit residuals, the variance of
-             the contrast actually taken (``cluster_covariance``)
-  outcome    the sandwich of the raw outcome on the same groups, the
-             difference-in-means variance the adjusted effects once got
-
-Prints one row per (variance, tau in LEVELS): the rejection rate, its Monte Carlo
-standard error, the replicate count, and the median over replicates of
-the test variance w'Sw relative to the outcome sandwich's.
+Prints one row per tau in LEVELS: the rejection rate, its Monte Carlo
+standard error, the replicate count and the excluded replicates.
 
     PYTHONPATH=src python scripts/peters_belson_variance.py --reps 1000
 """
 
 import argparse
-import dataclasses
 import time
 
 import numpy as np
@@ -37,7 +32,6 @@ from pwrd import (
     generate_panel,
     pwrd_weights,
 )
-from pwrd.panel import CellTable
 
 COEF = 6.0  # outcome slope on the covariate
 ALPHA = 0.05
@@ -62,20 +56,13 @@ def with_covariate(p: PanelDataset, x_cluster: np.ndarray, coef: float) -> Panel
     )
 
 
-def one_replicate(panel: PanelDataset) -> dict[str, tuple[bool, float]]:
-    """Rejection and test variance w'Sw for each variance estimate."""
+def one_replicate(panel: PanelDataset) -> bool:
+    """Whether the pwrd test rejects."""
     eff = estimate_effects_peters_belson(panel, covariates=("x",))
     p0 = estimate_p0(panel).on_groups(eff.groups)
-    idx = np.asarray(eff.group_ordinals())
-    c = panel.cells
-    outcome_table = CellTable(m=c.m[:, idx], s=c.s[:, idx], f=None, z=c.z)
-    out = {}
-    for name, cells in (("residual", eff.cells), ("outcome", outcome_table)):
-        cov = cluster_covariance(panel, dataclasses.replace(eff, cells=cells))
-        w = pwrd_weights(cov, p0)
-        test = aggregate_test(eff, cov, w, alternative="greater")
-        out[name] = (test.p_value <= ALPHA, test.se**2)
-    return out
+    cov = cluster_covariance(panel, eff)
+    w = pwrd_weights(cov, p0)
+    return aggregate_test(eff, cov, w, alternative="greater").p_value <= ALPHA
 
 
 def main() -> None:
@@ -84,32 +71,25 @@ def main() -> None:
     args = ap.parse_args()
 
     sc = default_scenario(effect=EffectSpec("effect1", tau=5.5), seed=SEED)
-    print("variance  level   rate     mc_se    reps   excluded  median w'Sw / outcome")
+    print("variance  level   rate     mc_se    reps   excluded")
     start = time.perf_counter()
     for level in LEVELS:
-        rejections = {"residual": [], "outcome": []}
-        ratios = []
+        rejections = []
         excluded = 0
         for r in range(args.reps):
             base = generate_panel(sc, r)
             panel = apply_effect(base, sc.effect.with_level(level), r) if level else base
             x_cluster = np.random.default_rng([SEED, r, 7]).normal(size=sc.n_clusters)
             try:
-                res = one_replicate(with_covariate(panel, x_cluster, COEF))
+                rejections.append(one_replicate(with_covariate(panel, x_cluster, COEF)))
             except PwrdError:
                 excluded += 1
-                continue
-            for name, (reject, _) in res.items():
-                rejections[name].append(reject)
-            ratios.append(res["residual"][1] / res["outcome"][1])
-        for name, rej in rejections.items():
-            rate = float(np.mean(rej))
-            n = len(rej)
-            ratio = float(np.median(ratios)) if name == "residual" else 1.0
-            print(
-                f"{name:<9} {level:<7g} {rate:<8.4f} {np.sqrt(rate * (1 - rate) / n):<8.4f} "
-                f"{n:<6} {excluded:<9} {ratio:.3f}"
-            )
+        rate = float(np.mean(rejections))
+        n = len(rejections)
+        print(
+            f"{'residual':<9} {level:<7g} {rate:<8.4f} {np.sqrt(rate * (1 - rate) / n):<8.4f} "
+            f"{n:<6} {excluded}"
+        )
     print(f"({time.perf_counter() - start:.1f} s)")
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import CellStack, CellTable, GroupInfo, PanelDataset
-from .weights import check_test_variance
+from .weights import check_estimate_variance
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
@@ -223,8 +223,7 @@ def covariances(effects, variant: str = "cr2") -> list:
 
 
 def _covariance(groups, S, mean_square, variant, n_clusters, eigmin) -> CovarianceEstimate:
-    if n_clusters > 2:  # else the test refuses its df first
-        check_test_variance(float(np.trace(S)), mean_square, n_clusters - 2)
+    check_estimate_variance(float(np.trace(S)), mean_square, n_clusters)
     return CovarianceEstimate._checked(
         eigmin, S, variant, n_clusters, float(n_clusters - 2), groups)
 

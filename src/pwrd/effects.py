@@ -13,10 +13,10 @@ What the assignment fixes is computed once per assignment and shared by
 every outcome on it (see ``panel``): the kept groups, their count table,
 p0, and the exit rows' table of counts.
 
-The difference-in-means and exit estimators take a list of panels
-(``effects_diffmeans``, ``exit_estimates``): each panel sums its own rows,
-and the contrasts of tables that share a layout are one computation
-(``covariance.stacks``). The single-panel functions run them on one panel.
+The group and exit estimators take a list of panels (``group_effects``,
+``exit_estimates``): each panel sums its own rows, and the contrasts of
+tables that share a layout are one computation (``covariance.stacks``).
+A covariate list alone makes either contrast Peters-Belson's.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .covariance import sandwich, stacks
-from .errors import DegenerateDataError, InputError, NumericalError, attempt, one
+from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
-from .weights import check_test_variance, t_p_value
+from .weights import check_estimate_variance, check_test_variance, t_p_value
 
 
 @dataclass(frozen=True)
@@ -110,56 +110,99 @@ def _split_catalog(
     return tuple(kept), tuple(out)
 
 
-def contrasts(tables, method: str, groups, excluded) -> list:
-    """Group effects as the arm-mean contrast of each table, carrying the
-    table, from one contrast per stack of tables (``covariance.stacks``):
-    a GroupEffects, or the package error that refuses it. ``groups`` and
-    ``excluded`` hold each table's groups and exclusions."""
-    out, found = stacks(tables)
+def _kept_counts(panel: PanelDataset, groups) -> tuple[np.ndarray, CellTable]:
+    """The columns of ``groups`` in the cell table and their table of
+    counts, once per assignment; the counts' layout from the design tier,
+    keyed by the columns, so replicates of one design that keep the same
+    groups share it and stack."""
+    idx = np.asarray([gi.g for gi in groups], dtype=np.int64)
+    key = ("kept counts", idx.tobytes())
+    m = panel.design_tier.get(key, lambda: panel.cell_counts.m[:, idx])
+    return idx, panel.assignment_tier.get(key, lambda: CellTable(m, None, None, panel.z_by_cluster))
+
+
+def group_effects(panels, covariates: tuple[str, ...] = ()) -> list:
+    """The group effects of each panel, a GroupEffects or the package error
+    that refuses it: the Peters-Belson contrasts on ``covariates``, or
+    without them the differences in means, once per stack of tables."""
+    built = [attempt(lambda: _group_table(p, covariates)) for p in panels]
+    out, found = stacks([b if isinstance(b, PwrdError) else b[0] for b in built])
+    method = "peters-belson" if covariates else "difference-in-means"
     for idx, stack in found:
         for i, delta in zip(idx, stack.contrasts):
-            cells = tables[i]
+            cells, groups, excluded = built[i]
             n = cells.counts.get("group n", lambda: (cells.n[0] + cells.n[1]).astype(np.int64))
-            out[i] = GroupEffects(delta, groups[i], n, method, cells, excluded[i])
+            out[i] = GroupEffects(delta, groups, n, method, cells, excluded)
     return out
-
-
-def _kept_counts(panel: PanelDataset) -> tuple[np.ndarray, CellTable]:
-    """The kept groups' columns of the cell table and their row counts; the
-    counts' layout from the design tier, so replicates of one design that
-    keep the same groups share it and stack."""
-    kept, _ = included_groups(panel)
-    idx = np.asarray([gi.g for gi in kept])
-    counts = panel.cell_counts
-    m = panel.design_tier.get(("kept counts", idx.tobytes()), lambda: counts.m[:, idx])
-    return idx, CellTable(m, None, None, counts.z)
-
-
-def _diffmeans_table(panel: PanelDataset) -> CellTable:
-    kept, _ = included_groups(panel)
-    if not kept:
-        raise DegenerateDataError("no group has observations in both arms")
-    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
-    return counts.with_sums(panel.cells.s[:, idx])
-
-
-def effects_diffmeans(panels) -> list:
-    """``estimate_effects_diffmeans`` of each panel, each a GroupEffects or
-    the package error that refuses it: each panel sums its own rows, and
-    the contrasts are taken once per stack of their tables."""
-    tables = [attempt(lambda: _diffmeans_table(p)) for p in panels]
-    split = [included_groups(p) for p in panels]
-    return contrasts(tables, "difference-in-means", *zip(*split))
 
 
 def estimate_effects_diffmeans(panel: PanelDataset) -> GroupEffects:
     """Treated-minus-control mean outcome within each group."""
-    return one(effects_diffmeans([panel]))
+    return one(group_effects([panel]))
+
+
+def estimate_effects_peters_belson(
+    panel: PanelDataset, covariates: tuple[str, ...] = ()
+) -> GroupEffects:
+    """Regression-adjusted group effects.
+
+    Within each group, a least squares fit of outcome on the covariates is
+    computed from control observations only, and the group effect is the
+    contrast of mean prediction residuals, treated minus control (the
+    control mean is zero up to rounding). Groups with fewer control rows
+    than coefficients are excluded. With no covariates the effects are the
+    difference in means. Grade, cohort and follow-up year are refused: each
+    is constant within every group, so no group's fit can separate it from
+    the intercept.
+    """
+    return one(group_effects([panel], covariates))
+
+
+def _group_table(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
+    """The cell table whose arm-mean contrast gives the group effects, with
+    its groups and the excluded ones: the kept groups' outcome sums, or with
+    ``covariates`` each group's control-fit residual sums on the groups with
+    enough control rows."""
+    for name in covariates:
+        if name in DESIGN_COVARIATES:
+            raise InputError(
+                f"covariate '{name}' is constant within every cohort-year group, "
+                "so the Peters-Belson group fits cannot adjust for it"
+            )
+    kept, excluded = included_groups(panel)
+    if not kept:
+        raise DegenerateDataError("no group has observations in both arms")
+    if not covariates:
+        idx, counts = _kept_counts(panel, kept)
+        return counts.with_sums(panel.cells.s[:, idx]), kept, excluded
+    X = _design(panel, covariates)
+    p = X.shape[1]
+    n_control = panel.cell_counts.n[0].astype(np.int64)
+    fit = tuple(gi for gi in kept if n_control[gi.g] >= p)
+    thin = tuple(
+        ExclusionRecord(gi, f"only {n_control[gi.g]} control rows for {p} coefficients")
+        for gi in kept
+        if n_control[gi.g] < p
+    )
+    if not fit:
+        raise DegenerateDataError("no group retains enough control rows for the regression")
+
+    idx, counts = _kept_counts(panel, fit)
+    column = np.full(panel.n_groups, -1, dtype=np.int64)
+    column[idx] = np.arange(len(fit))
+    k = column[panel.group_ids]
+    rows = k >= 0
+    name = "group g={0.g} (cohort {0.cohort}, entry grade {0.entry_grade}, year {0.follow_up_year})"
+    y, z = panel.outcome[rows], panel.treatment[rows]
+    resid = _control_residuals(y, X[rows], z, k[rows], len(fit), lambda j: name.format(fit[j]))
+    key, m = panel.cell_layout
+    s = np.bincount(key[rows], weights=resid, minlength=m.size).reshape(m.shape)
+    return counts.with_sums(s[:, idx]), fit, excluded + thin
 
 
 def _design(panel: PanelDataset, covariates: tuple[str, ...]) -> np.ndarray:
     """Intercept plus the named covariate columns, one row per panel row."""
-    return np.column_stack([np.ones(panel.n_obs)] + [panel.column(c) for c in covariates])
+    return np.column_stack([np.ones(panel.n_obs)] + panel.columns(covariates))
 
 
 def _control_residuals(
@@ -188,56 +231,6 @@ def _control_residuals(
     return resid
 
 
-def estimate_effects_peters_belson(
-    panel: PanelDataset, covariates: tuple[str, ...] = ()
-) -> GroupEffects:
-    """Regression-adjusted group effects.
-
-    Within each group, a least squares fit of outcome on the covariates is
-    computed from control observations only, and the group effect is the
-    contrast of mean prediction residuals, treated minus control (the
-    control mean is zero up to rounding). Groups with fewer control rows
-    than coefficients are excluded. With no covariates this reduces to the
-    difference in means. Grade, cohort and follow-up year are refused: each
-    is constant within every group, so no group's fit can separate it from
-    the intercept.
-    """
-    for name in covariates:
-        if name in DESIGN_COVARIATES:
-            raise InputError(
-                f"covariate '{name}' is constant within every cohort-year group, "
-                "so the Peters-Belson group fits cannot adjust for it"
-            )
-    kept, excluded = included_groups(panel)
-    if not kept:
-        raise DegenerateDataError("no group has observations in both arms")
-    X = _design(panel, covariates)
-    p = X.shape[1]
-    n_control = panel.cell_counts.n[0].astype(np.int64)
-    fit = tuple(gi for gi in kept if n_control[gi.g] >= p)
-    thin = tuple(
-        ExclusionRecord(gi, f"only {n_control[gi.g]} control rows for {p} coefficients")
-        for gi in kept
-        if n_control[gi.g] < p
-    )
-    if not fit:
-        raise DegenerateDataError("no group retains enough control rows for the regression")
-
-    column = np.full(panel.n_groups, -1, dtype=np.int64)
-    column[[gi.g for gi in fit]] = np.arange(len(fit))
-    k = column[panel.group_ids]
-    rows = k >= 0
-    k = k[rows]
-    name = "group g={0.g} (cohort {0.cohort}, entry grade {0.entry_grade}, year {0.follow_up_year})"
-    y, z = panel.outcome[rows], panel.treatment[rows]
-    resid = _control_residuals(y, X[rows], z, k, len(fit), lambda j: name.format(fit[j]))
-    key, m = panel.cell_layout
-    s = np.bincount(key[rows], weights=resid, minlength=m.size).reshape(m.shape)
-    idx = [gi.g for gi in fit]
-    table = CellTable(m[:, idx], s[:, idx], None, panel.z_by_cluster)
-    return one(contrasts([table], "peters-belson", [fit], [excluded + thin]))
-
-
 def estimate_p0(panel: PanelDataset) -> TestInProportions:
     """Proportion of control observations flagged as tested in, per group.
 
@@ -254,7 +247,7 @@ def estimate_p0(panel: PanelDataset) -> TestInProportions:
 
 
 def _control_testin(panel: PanelDataset, kept: tuple[GroupInfo, ...]) -> TestInProportions:
-    idx, counts = panel.assignment_tier.get("kept counts", lambda: _kept_counts(panel))
+    idx, counts = _kept_counts(panel, kept)
     flagged = arm_counts(panel.cell_counts.f[:, idx], counts.z)[0]
     denom = counts.n[0]
     p_hat, n_control = flagged / denom, denom.astype(np.int64)
@@ -338,8 +331,7 @@ def _exit_table(panel: PanelDataset, covariates: tuple[str, ...]) -> CellTable:
 
 
 def _exit_estimate(table, method, delta, variance, mean_square, n_clusters) -> ExitEstimate:
-    if n_clusters > 2:  # else the test refuses its df first
-        check_test_variance(variance, mean_square, n_clusters - 2)
+    check_estimate_variance(variance, mean_square, n_clusters)
     n0, n1 = (int(n) for n in table.n[:, 0])
     return ExitEstimate(
         estimate=delta,

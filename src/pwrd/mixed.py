@@ -57,7 +57,9 @@ import numpy as np
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, PanelDataset, Tier, group_rows
-from .weights import ROUNDING_FLOOR, check_finite, check_test_variance, t_p_value
+from .weights import (
+    ROUNDING_FLOOR, check_estimate_variance, check_finite, check_test_variance, t_p_value,
+)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
     layout fixes.
 
     A covariate constant on the rows is refused: the intercept holds it."""
-    cols = [panel.column(name) for name in covariates]
+    cols = panel.columns(covariates)
     key, cell_m = panel.cell_layout
     row, first = group_rows(key, *cols)
     cl, grp = panel.cluster[first], panel.group_ids[first]
@@ -498,15 +500,9 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
             variant=variant,
             warnings=warnings_,
         )
-        out[k] = attempt(lambda: _checked(fit, v11, mean_square))
+        refused = attempt(lambda: check_estimate_variance(v11, mean_square, C))
+        out[k] = fit if refused is None else refused
     return out
-
-
-def _checked(fit: MixedModelFit, variance: float, mean_square: float) -> MixedModelFit:
-    """The fit, once its cluster-robust variance is not rounding."""
-    if fit.n_clusters > 2:  # else the test refuses its df first
-        check_test_variance(variance, mean_square, fit.n_clusters - 2)
-    return fit
 
 
 def fit_random_intercept(

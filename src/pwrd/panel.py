@@ -564,6 +564,14 @@ class PanelDataset:
             return self.covariates[name]
         raise InputError(f"unknown covariate column '{name}'")
 
+    def columns(self, names: tuple[str, ...]) -> list[np.ndarray]:
+        """The ``column`` of each name, as every estimator reads its covariate
+        list; a repeated name is refused, as its copy adds only collinearity."""
+        for name in names:
+            if names.count(name) > 1:
+                raise InputError(f"covariate '{name}' is named more than once")
+        return [self.column(name) for name in names]
+
     @cached_property
     def cells(self) -> CellTable:
         """The panel's (cluster, group) cell table, built on first use: the

@@ -70,7 +70,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .covariance import VARIANTS, covariances, satterthwaite_dfs
-from .effects import effects_diffmeans, estimate_effects_peters_belson, estimate_p0, exit_estimates
+from .effects import estimate_p0, exit_estimates, group_effects
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .mixed import fits_random_intercept
 from .panel import PanelDataset, Tier, grade_cutoffs, group_layout
@@ -717,10 +717,7 @@ def _analyze_panels(
 
     every = range(len(panels))
     if "pwrd" in methods or "flat" in methods:
-        if covariates:
-            effects = each(lambda i: estimate_effects_peters_belson(panels[i], covariates), every)
-        else:
-            effects = stage(lambda idx: effects_diffmeans([panels[i] for i in idx]), every)
+        effects = stage(lambda idx: group_effects([panels[i] for i in idx], covariates), every)
         covs = stage(lambda idx: covariances([effects[i] for i in idx], cov_variant), effects)
         # flat reads no flags; Peters-Belson drops groups with too few control rows
         wanted = [i for i in covs if "pwrd" in methods or panels[i].tested_in is not None]

@@ -412,6 +412,13 @@ def check_test_variance(variance: float, mean_square: float, df: float) -> None:
         raise NumericalError(f"zero standard error: test variance {variance:.3g} is rounding")
 
 
+def check_estimate_variance(variance: float, mean_square: float, n_clusters: int) -> None:
+    """``check_test_variance`` on the n_clusters - 2 df of an estimate,
+    unless they are 0 or fewer: its test refuses them first."""
+    if n_clusters > 2:
+        check_test_variance(variance, mean_square, n_clusters - 2)
+
+
 def t_p_value(t: float, df: float, alternative: str) -> float:
     """P-value of statistic ``t`` against a t reference on ``df`` degrees of
     freedom, or the standard normal when ``df`` is infinite. Refuses

@@ -275,8 +275,8 @@ def test_analyze_other_estimators(small_csv, tmp_path, capsys, estimator):
 
 def test_analyze_regression_adjusted(small_csv):
     # grade is constant inside a cohort-year group, so no covariate from
-    # the simulated panel varies within group; the intercept-only fit
-    # must reproduce the difference in means
+    # the simulated panel varies within group; with no covariates the
+    # adjusted effects are the difference in means
     panel = ingest_panel(small_csv)
     pb = pwrd.estimate_effects_peters_belson(panel)
     dm = pwrd.estimate_effects_diffmeans(panel)
@@ -760,6 +760,22 @@ def test_unknown_covariate_exits_2_naming_it(small_csv, capsys, estimator):
     )
     assert code == 2
     assert err.strip() == "pwrd: error: unknown covariate column 'nosuch'"
+
+
+@pytest.mark.parametrize("estimator", ["pwrd", "flat", "exit", "mixed"])
+def test_repeated_covariate_exits_2_naming_it(tmp_path, capsys, estimator):
+    from test_covariance import unbalanced_panel
+
+    path, schema = tmp_path / "panel.csv", tmp_path / "schema.json"
+    unbalanced_panel(seed=1).to_csv(path)
+    columns = ("unit", "cluster", "treatment", "cohort", "grade", "year", "outcome", "tested_in")
+    schema.write_text(json.dumps({"columns": {c: c for c in columns}, "covariates": ["x"]}))
+    code, out, err = run(
+        ["analyze", path, "--schema", schema, "--estimator", estimator, "--covariates", "x,x"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "pwrd: error: covariate 'x' is named more than once"
 
 
 def test_missing_summary_key_exits_2(tmp_path, capsys):

@@ -66,8 +66,8 @@ def test_peters_belson_without_covariates_is_diffmeans():
     p = tiny_panel()
     a = estimate_effects_diffmeans(p)
     b = estimate_effects_peters_belson(p)
-    np.testing.assert_allclose(b.estimates, a.estimates, atol=1e-12)
-    assert b.method == "peters-belson"
+    np.testing.assert_array_equal(b.estimates, a.estimates)
+    assert b.method == "difference-in-means"
 
 
 def test_peters_belson_removes_linear_covariate_signal():
@@ -169,6 +169,17 @@ def test_peters_belson_refuses_design_covariates_before_any_fit(monkeypatch, nam
     panel = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=4), 0)
     with pytest.raises(InputError, match=f"covariate '{name}' is constant within every"):
         estimate_effects_peters_belson(panel, covariates=(name,))
+
+
+def test_a_repeated_covariate_is_refused_by_every_estimator():
+    from test_covariance import unbalanced_panel
+
+    from pwrd import fit_random_intercept
+
+    p = unbalanced_panel(seed=1)
+    for estimate in (estimate_effects_peters_belson, exit_observation_estimate, fit_random_intercept):
+        with pytest.raises(InputError, match="^covariate 'x' is named more than once$"):
+            estimate(p, ("x", "x"))
 
 
 def test_p0_uses_control_rows_only():

@@ -162,6 +162,50 @@ def test_one_eigvalsh_per_covariance_stack(monkeypatch):
     assert calls[0][0] == len(panels)
 
 
+def with_cluster_covariate(panel, r):
+    """``panel`` plus a cluster covariate x on its outcome, on the panel's
+    group layout and design tier."""
+    x = np.random.default_rng([20260822, r, 7]).normal(size=panel.n_clusters)[panel.cluster]
+    return PanelDataset(
+        unit=panel.unit, cluster=panel.cluster, treatment=panel.treatment,
+        cohort=panel.cohort, grade=panel.grade, year=panel.year,
+        outcome=panel.outcome + 6.0 * x, tested_in=panel.tested_in,
+        covariates={"x": x}, validate=False,
+        _layout=(panel.catalog, panel.group_ids), _design=panel.design_tier,
+    )
+
+
+@pytest.mark.parametrize("variant, df_rule", [("cr0", "clusters-2"), ("cr2", "satterthwaite")])
+def test_peters_belson_panels_of_one_design_stack(monkeypatch, variant, df_rule):
+    # the adjusted tables of one design share their counts layout, so the
+    # list takes one sandwich, and each panel's results are its own alone
+    import pwrd.covariance as covariance
+    import pwrd.simulate as sim
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    panels = [
+        with_cluster_covariate(apply_effect(generate_panel(sc, r), sc.effect.with_level(lv), r), r)
+        for r in range(4)
+        for lv in (0.0, 5.5)
+    ]
+    methods, args = ("pwrd", "flat"), (variant, df_rule)
+    alone = [sim._analyze(p, methods, *args, covariates=("x",)) for p in panels]
+    calls, real = [], covariance.sandwich
+    monkeypatch.setattr(
+        covariance, "sandwich", lambda stack, v: calls.append(stack) or real(stack, v))
+    found = sim._analyze_panels(panels, methods, *args, covariates=("x",))
+    assert [len(stack.tables) for stack in calls] == [len(panels)]
+    for single, batched in zip(alone, found):
+        for m in methods:
+            (p1, (e1, c1, _, w1, t1)), (p2, (e2, c2, _, w2, t2)) = single[m], batched[m]
+            assert e2.method == "peters-belson"
+            assert e1.groups == e2.groups
+            np.testing.assert_array_equal(e1.estimates, e2.estimates)
+            np.testing.assert_array_equal(c1.sigma_hat, c2.sigma_hat)
+            np.testing.assert_array_equal(w1.omega, w2.omega)
+            assert (p1, t1) == (p2, t2)
+
+
 def test_worker_count_does_not_change_results(monkeypatch):
     import pwrd.simulate as sim
 
