@@ -31,7 +31,9 @@ hashes, over every replicate, level and variant:
           Satterthwaite df, which take no other variant
   flat    the flat weights and the same p-values
   mixed   every field of the random-intercept fit, for each covariate set
-          in MIXED_COVARIATES
+          in MIXED_COVARIATES; then of the fit of each ``peters-belson``
+          panel (below) on its cluster covariate x, and on x replaced by a
+          row covariate 2e4 + N(0, 1) from ``default_rng([seed, r, 8])``
   exit    every field of the exit estimate and its p-value
 
 The ``peters-belson`` line hashes the same replicates with a cluster
@@ -252,15 +254,13 @@ def group_line(h_pwrd, h_flat, panel, variant) -> None:
     guarded(h_flat, flat)
 
 
-def with_covariate(panel, seed: int, r: int):
-    """``panel`` plus a cluster covariate x, x_c ~ N(0, 1) from
-    ``default_rng([seed, r, 7])``, and PB_COEF * x_c on its outcome, on the
-    panel's group layout and design tier."""
-    x = np.random.default_rng([seed, r, 7]).normal(size=panel.n_clusters)[panel.cluster]
+def with_covariate(panel, x, outcome):
+    """``panel`` with ``outcome`` and the one covariate x, on the panel's
+    group layout and design tier."""
     return PanelDataset(
         unit=panel.unit, cluster=panel.cluster, treatment=panel.treatment,
         cohort=panel.cohort, grade=panel.grade, year=panel.year,
-        outcome=panel.outcome + PB_COEF * x, tested_in=panel.tested_in,
+        outcome=outcome, tested_in=panel.tested_in,
         covariates={"x": x}, validate=False,
         _layout=(panel.catalog, panel.group_ids), _design=panel.design_tier,
     )
@@ -482,11 +482,16 @@ def main() -> None:
         base = generate_panel(sc, r)
         for level in LEVELS:
             panel = apply_effect(base, sc.effect.with_level(level), r)
-            adjusted.append(with_covariate(panel, sc.seed, r))
+            x = np.random.default_rng([sc.seed, r, 7]).normal(size=panel.n_clusters)[panel.cluster]
+            adjusted.append(with_covariate(panel, x, panel.outcome + PB_COEF * x))
+            x = 2e4 + np.random.default_rng([sc.seed, r, 8]).normal(size=panel.n_obs)
+            row_adjusted = with_covariate(adjusted[-1], x, adjusted[-1].outcome)
             for variant in VARIANTS:
                 group_line(lines["pwrd"], lines["flat"], panel, variant)
                 for covariates in MIXED_COVARIATES:
                     guarded(lines["mixed"], lambda: mixed_fit(panel, covariates, variant))
+                for fitted in (adjusted[-1], row_adjusted):
+                    guarded(lines["mixed"], lambda: mixed_fit(fitted, ("x",), variant))
                 guarded(lines["exit"], lambda: exit_fit(panel, variant))
                 peters_belson_fit(lines["peters-belson"], adjusted[-1], variant)
     analyzed(lines["peters-belson"], adjusted)

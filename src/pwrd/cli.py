@@ -156,6 +156,8 @@ def _refuse_unread_flags(args) -> None:
 
 def cmd_analyze(args) -> int:
     covs = tuple(args.covariates.split(",")) if args.covariates else ()
+    if "" in covs:
+        raise InputError("--covariates has an empty entry")
     _refuse_unread_flags(args)
     schema = PanelSchema.from_json(args.schema) if args.schema else IDENTITY_SCHEMA
     panel = ingest_panel(args.panel, schema=schema)

@@ -19,10 +19,14 @@ year are, the records are the panel's nonempty cells, in row-major order,
 and their outcome sums are the cell table's (``panel.cells.s``), added
 from the same rows in the same order, so no second pass over the rows
 computes them; otherwise they are the distinct (cell, covariate values)
-rows, summed from the rows. The record layout is computed once per design
-when the design fixes every covariate, else once per assignment, and the
-design matrix once per assignment (see ``panel``), so a fit on a new
-outcome reads only its sums.
+rows, summed from the rows. The record layout (``_layout``) is computed
+once per design when the design fixes every covariate, else once per
+assignment (see ``panel``), with all it fixes: the covariates centred on
+their row means, so that a shifted covariate moves only the intercept
+(reported uncentred); each cluster's weighted mean of (1, covariates) and
+within scatter; and q, the design columns constant within every cluster.
+An assignment adds the treatment column and each record's cluster mean
+row, so a fit on a new outcome reads only its sums.
 
 The CR2 adjustment (Bell & McCaffrey 2002) is exact and is computed for
 all clusters at once, in p - 1 dimensions for p design columns. Treatment
@@ -32,11 +36,10 @@ transformed rows less treatment and T the map of the cluster's arm. So
 (I - H_cc)^(-1/2) comes from the eigendecomposition of F'G_cF, with F F'
 the Cholesky factorization of T K T' (one per arm) and G_c = Y_c'Y_c, and
 the treatment score is z_c times the intercept score. G_c is W_c + (1 -
-lambda_c)^2 m_c xbar_c xbar_c', from each cluster's within scatter W_c
-and mean row xbar_c, computed once per record layout (``_gram``); both
-terms are positive semidefinite, so nothing cancels, and a covariate far
-from zero keeps its accuracy. The default fit on grade takes one batched
-2 x 2 eigendecomposition over every cluster of the stack.
+lambda_c)^2 m_c xbar_c xbar_c', from the layout's within scatter W_c and
+mean row xbar_c; both terms are positive semidefinite, so nothing
+cancels. The default fit on grade takes one batched 2 x 2
+eigendecomposition over every cluster of the stack.
 
 ``fits_random_intercept`` fits a list of panels. Each makes its own pass
 over its rows (the OLS fit and the within-record sum of squares, and the
@@ -56,7 +59,7 @@ import numpy as np
 
 from .covariance import EIG_FLOOR, VARIANTS
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
-from .panel import DESIGN_COVARIATES, PanelDataset, Tier, group_rows
+from .panel import DESIGN_COVARIATES, PanelDataset, group_rows
 from .weights import (
     ROUNDING_FLOOR, check_estimate_variance, check_finite, check_test_variance, t_p_value,
 )
@@ -115,23 +118,44 @@ class MixedModelFit:
 
 
 @dataclass(frozen=True, eq=False)
-class _Records:
-    """The fit's records, ordered by cluster, and what they fix before the
-    outcome: each row's record, the cluster, group, row count and design row
-    of each record, the records and rows per cluster, and each record's
-    cell when the records are the panel's nonempty cells (else None).
-    ``shared`` holds what the layout fixes, for every assignment on it."""
+class _Layout:
+    """What a record layout fixes, for every assignment on it (``_layout``):
+    each row's record; each record's cluster, group, row count and
+    centred covariate values; the records and rows per cluster with each
+    cluster's first record; each record's cell when the records are the
+    panel's nonempty cells (else None); the covariates' row means
+    (``shift``); per cluster, the weighted mean of x = (1, centred
+    covariates) and the within scatter of x; and q, the design columns
+    constant within every cluster. Its arrays are read-only."""
 
     row: np.ndarray
     cl: np.ndarray
     grp: np.ndarray
     w: np.ndarray
-    X: np.ndarray
+    cov: np.ndarray
     counts: np.ndarray
     starts: np.ndarray
     m: np.ndarray
     cell: np.ndarray | None
-    shared: Tier
+    shift: np.ndarray
+    mean: np.ndarray
+    within: np.ndarray
+    q: int
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _Records(_Layout):
+    """A layout's records on one assignment: the design rows X = (1,
+    treatment, centred covariates) and each record's cluster mean row
+    ``xbar``, the layout's ``mean`` with the cluster's arm inserted."""
+
+    X: np.ndarray
+    xbar: np.ndarray
 
     def sums(self, panel: PanelDataset) -> np.ndarray:
         """Each record's outcome sum: its cell's sum when the records are
@@ -148,40 +172,13 @@ class _Records:
     def swX(self) -> np.ndarray:
         return self.sw[:, None] * self.X
 
-    @cached_property
-    def q(self) -> int:
-        """Design columns constant within every cluster; read once no
-        cluster is empty."""
-        mx = np.maximum.reduceat(self.X, self.starts, axis=0)
-        mn = np.minimum.reduceat(self.X, self.starts, axis=0)
-        # per column, the test of np.allclose(mx[:, j], mn[:, j]) on finite values
-        return int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
 
-    @cached_property
-    def xbar(self) -> np.ndarray:
-        """Each record's cluster mean design row; read once no cluster is empty."""
-        sums = np.add.reduceat(self.w[:, None] * self.X, self.starts, axis=0)
-        return (sums / self.m[:, None])[self.cl]
-
-    @property
-    def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_gram`` of the covariates, once per layout; read once no
-        cluster is empty."""
-        return self.shared.get(
-            "gram", lambda: _gram(self.w, self.X[:, 2:], self.cl, self.starts, self.m)
-        )
-
-
-def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
+def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> _Layout:
     """The records: rows grouped by (cell key, covariate values), in that
-    sort order, the key being the panel's ``cell_layout``. Each row's
-    record; each record's cluster and group (those of its first row), row
-    count and covariate values; the records and rows per cluster with each
-    cluster's first record; each record's flat cell index when the records
-    are the nonempty cells, else None; and an empty ``Tier`` for what the
-    layout fixes.
-
-    A covariate constant on the rows is refused: the intercept holds it."""
+    sort order, the key being the panel's ``cell_layout``, with what they
+    fix before the assignment (``_Layout``). A covariate constant on the
+    rows is refused, as the intercept holds it, and so is an empty cluster,
+    before any per-cluster reduction reads it."""
     cols = panel.columns(covariates)
     key, cell_m = panel.cell_layout
     row, first = group_rows(key, *cols)
@@ -194,33 +191,32 @@ def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> tuple:
                 "so the random-intercept fit cannot adjust for it"
             )
     w = np.bincount(row).astype(np.float64)
-    counts = np.bincount(cl, minlength=panel.n_clusters)
+    # centred on the rows, so a shifted covariate moves only the intercept
+    shift = w @ cov / panel.n_obs
+    cov = cov - shift
+    C, k = panel.n_clusters, cov.shape[1]
+    counts = np.bincount(cl, minlength=C)
+    if (counts == 0).any():
+        raise DegenerateDataError("a cluster has no observations")
     starts = np.cumsum(counts) - counts
     # row counts are integers, so this sum is exact in any order
-    m = np.bincount(cl, weights=w, minlength=panel.n_clusters)
-    # records refine the nonempty cells, so if they are as many, they are the cells
-    cell = np.flatnonzero(cell_m.ravel())
-    if len(cell) != len(first):
-        cell = None
-    return row, cl, grp, w, cov, counts, starts, m, cell, Tier()
-
-
-def _gram(w, cov, cl, starts, m) -> tuple[np.ndarray, np.ndarray]:
-    """Per cluster c, with x the design row less its treatment column,
-    x = (1, covariates): the within scatter W_c = sum of w (x - xbar_c)(x -
-    xbar_c)', (C, p - 1, p - 1), and the weighted mean xbar_c, (C, p - 1).
-    The transformed rows x - lambda_c xbar_c then have the Gram block
-    W_c + (1 - lambda_c)^2 m_c xbar_c xbar_c', two positive semidefinite
-    terms; neither term depends on the arms or the outcome."""
-    C, k = len(starts), cov.shape[1]
-    mean = np.add.reduceat(w[:, None] * cov, starts, axis=0) / m[:, None]
-    D = cov - mean[cl]
+    m = np.bincount(cl, weights=w, minlength=C)
+    sums = np.add.reduceat(w[:, None] * cov, starts, axis=0)
+    mean = np.column_stack([np.ones(C), sums / m[:, None]])
+    D = cov - mean[cl, 1:]
     j, l = np.triu_indices(k)
     within = np.zeros((C, k + 1, k + 1))
     within[:, 1 + j, 1 + l] = within[:, 1 + l, 1 + j] = np.add.reduceat(
         (w[:, None] * D[:, j]) * D[:, l], starts, axis=0
     )
-    return within, np.column_stack([np.ones(C), mean])
+    # intercept, treatment and each covariate that np.allclose finds constant in every cluster
+    mx, mn = np.maximum.reduceat(cov, starts, axis=0), np.minimum.reduceat(cov, starts, axis=0)
+    q = 2 + int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
+    # records refine the nonempty cells, so if they are as many, they are the cells
+    cell = np.flatnonzero(cell_m.ravel())
+    if len(cell) != len(first):
+        cell = None
+    return _Layout(row, cl, grp, w, cov, counts, starts, m, cell, shift, mean, within, q)
 
 
 def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
@@ -230,12 +226,10 @@ def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
     def build() -> _Records:
         fixed = set(covariates) <= DESIGN_COVARIATES.keys()
         tier = panel.design_tier if fixed else panel.assignment_tier
-        row, cl, grp, w, cov, counts, starts, m, cell, shared = tier.get(
-            ("mixed layout", covariates), lambda: _layout(panel, covariates)
-        )
-        X = np.column_stack([np.ones(len(w)), panel.z_by_cluster[cl], cov])
-        X.flags.writeable = False
-        return _Records(row, cl, grp, w, X, counts, starts, m, cell, shared)
+        lay = tier.get(("mixed layout", covariates), lambda: _layout(panel, covariates))
+        z = panel.z_by_cluster
+        X = np.column_stack([np.ones(len(lay.w)), z[lay.cl], lay.cov])
+        return _Records(**vars(lay), X=X, xbar=np.insert(lay.mean, 1, z, axis=1)[lay.cl])
 
     return panel.assignment_tier.get(("mixed records", covariates), build)
 
@@ -311,9 +305,8 @@ def _cr2_inputs(rec: _Records, X, XtX, K, lam) -> tuple | None:
     except np.linalg.LinAlgError:
         return None
     z = X[:, rec.starts, 1]
-    within, centre = rec.gram
-    G = within + ((1.0 - lam) ** 2 * rec.m)[:, :, None, None] * (
-        centre[:, :, None] * centre[:, None, :]
+    G = rec.within + ((1.0 - lam) ** 2 * rec.m)[:, :, None, None] * (
+        rec.mean[:, :, None] * rec.mean[:, None, :]
     )
     return F[np.arange(len(F))[:, None], z.astype(np.intp)], G, z
 
@@ -347,8 +340,6 @@ def _row_pass(panel: PanelDataset, covariates: tuple[str, ...]) -> _RowPass:
     e = ybar - rec.X @ beta_ols
     dev2 = (panel.outcome - ybar[rec.row]) ** 2
     ss_within = float(np.bincount(rec.row, weights=dev2, minlength=len(rec.w)).sum())
-    if (rec.counts == 0).any():
-        raise DegenerateDataError("a cluster has no observations")
     return _RowPass(rec, s, ybar, e, ss_within)
 
 
@@ -483,6 +474,8 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
     v = (Xt @ K[:, :, 1:2])[:, :, 0]
     a = v - lam_r * (np.add.reduceat(w * v, starts, axis=1) / m)[:, cl]
     names = ["intercept", "treatment", *covariates]
+    # the intercept of the uncentred covariates; beta's other uses are above
+    beta[:, 0] -= beta[:, 2:] @ rec.shift
     found = zip(live, beta, se_model.tolist(), se_cr.tolist(), V[:, 1, 1].tolist(), a, X)
     for k, b, se_m, se_r, v11, a_k, X_k in found:
         components, mean_square, warnings_ = out[k]

@@ -58,10 +58,14 @@ def _vector(x, attr: str) -> np.ndarray:
 
 
 def _matrix(x) -> np.ndarray:
-    arr = getattr(x, "sigma_hat") if hasattr(x, "sigma_hat") else x
-    S = np.asarray(arr, dtype=np.float64)
+    raw = not hasattr(x, "sigma_hat")  # a CovarianceEstimate checks its own symmetry
+    S = np.asarray(x if raw else x.sigma_hat, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InputError(f"covariance must be a square matrix, got shape {S.shape}")
+    # CovarianceEstimate's tolerance: eigvalsh reads one triangle, the solver both
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite S fails the gate
+        if raw and np.abs(S - S.T).max(initial=0.0) > 1e-10 * max(np.abs(S).max(initial=0.0), 1.0):
+            raise InputError("cov must be a symmetric matrix")
     return S
 
 

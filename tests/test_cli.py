@@ -778,6 +778,16 @@ def test_repeated_covariate_exits_2_naming_it(tmp_path, capsys, estimator):
     assert err.strip() == "pwrd: error: covariate 'x' is named more than once"
 
 
+@pytest.mark.parametrize("estimator", ["pwrd", "mixed"])
+@pytest.mark.parametrize("covariates", [",", "grade,"])
+def test_an_empty_covariate_entry_exits_2(small_csv, capsys, estimator, covariates):
+    code, out, err = run(
+        ["analyze", small_csv, "--estimator", estimator, "--covariates", covariates], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.strip() == "pwrd: error: --covariates has an empty entry"
+
+
 def test_missing_summary_key_exits_2(tmp_path, capsys):
     spath = tmp_path / "summary.json"
     spath.write_text(json.dumps({"delta_hat": [0.1]}))
@@ -982,6 +992,16 @@ def test_weights_refuses_a_vector_covariance(tmp_path, capsys):
     code, out, err = run(["weights", spath], capsys)
     assert (code, out) == (2, "")
     assert "covariance must be a square matrix, got shape (4,)" in err
+
+
+def test_weights_refuses_an_asymmetric_covariance(tmp_path, capsys):
+    # eigvalsh would read one triangle and the weight solver the whole matrix
+    spath = tmp_path / "summary.json"
+    cov = [[1, 0.9], [-0.9, 1]]
+    spath.write_text(json.dumps({"delta_hat": [0.1, 0.2], "p0": [0.3, 0.5], "cov": cov}))
+    code, out, err = run(["weights", spath], capsys)
+    assert (code, out) == (2, "")
+    assert err.strip() == "pwrd: error: cov must be a symmetric matrix"
 
 
 @pytest.fixture(scope="module")

@@ -359,11 +359,37 @@ def test_stacked_fits_match_the_per_panel_oracle(variant, covariates):
 
 
 def test_an_offset_covariate_keeps_the_cr2_se():
-    # a covariate far from zero makes the transformed design ill conditioned;
-    # the CR2 Gram blocks are built from within-cluster deviations, so the
-    # standard error is the centred covariate's
+    # the layout centres each covariate on the rows, so a covariate far from
+    # zero leaves the fit as the centred one's; the intercept maps back
     p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
     x = np.random.default_rng(6).normal(size=p.n_obs)
-    centred = fit_random_intercept(with_covariates(p, {"x": x}), ("x",))
-    offset = fit_random_intercept(with_covariates(p, {"x": 2e4 + x}), ("x",))
-    assert offset.se_cluster_robust == pytest.approx(centred.se_cluster_robust, rel=1e-7)
+    for variant in ("cr0", "cr2"):
+        centred = fit_random_intercept(with_covariates(p, {"x": x}), ("x",), variant)
+        offset = fit_random_intercept(with_covariates(p, {"x": 2e4 + x}), ("x",), variant)
+        for field in ("tau_hat", "se_model", "se_cluster_robust"):
+            assert getattr(offset, field) == pytest.approx(getattr(centred, field), rel=1e-12)
+        b = centred.coefficients
+        assert offset.coefficients["x"] == pytest.approx(b["x"], rel=1e-10)
+        assert offset.coefficients["intercept"] == pytest.approx(
+            b["intercept"] - 2e4 * b["x"], rel=1e-10
+        )
+
+
+def test_a_shifted_covariate_keeps_the_between_df():
+    # a cluster-level covariate with row noise varies within clusters; the
+    # cluster-constant test reads centred columns, so a shift of 2e4 cannot
+    # widen its tolerance until the covariate counts as constant
+    from pwrd.mixed import _records
+
+    p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=p.n_clusters)[p.cluster] + rng.normal(scale=0.02, size=p.n_obs)
+    fits = []
+    for shift in (0.0, 2e4):
+        shifted = with_covariates(p, {"x": shift + x})
+        assert _records(shifted, ("x",)).q == 2
+        fits.append(fit_random_intercept(shifted, ("x",)))
+    base, offset = fits
+    assert offset.components.sigma2_eps == pytest.approx(base.components.sigma2_eps, rel=1e-12)
+    assert offset.components.sigma2_mu == pytest.approx(base.components.sigma2_mu, rel=1e-12)
+    assert offset.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)

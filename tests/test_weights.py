@@ -153,6 +153,23 @@ def test_weights_input_checks_raise_input_error(call):
         call()
 
 
+def test_an_asymmetric_covariance_is_refused_naming_cov():
+    # eigvalsh reads one triangle and the weight solver the whole matrix,
+    # so neither would see the matrix as given
+    cov = np.array([[1.0, 0.9], [-0.9, 1.0]])
+    p0 = np.array([0.3, 0.5])
+    for call in (
+        lambda: pwrd_weights(cov, p0),
+        lambda: aggregate_external([0.1, 0.2], p0=p0, cov=cov),
+        lambda: slope_of(np.array([0.5, 0.5]), p0, cov),
+    ):
+        with pytest.raises(InputError, match="cov must be a symmetric matrix"):
+            call()
+    # an asymmetry within CovarianceEstimate's tolerance is rounding
+    near = np.eye(2) + np.array([[0.0, 1e-11], [0.0, 0.0]])
+    assert pwrd_weights(near, p0).omega == pytest.approx(pwrd_weights(np.eye(2), p0).omega)
+
+
 def test_solver_failure_is_a_numerical_error(monkeypatch):
     # the solver's own step cap, here with no step allowed
     monkeypatch.setattr(weights_module, "SOLVER_STEPS_PER_GROUP", 0)
