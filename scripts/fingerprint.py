@@ -43,7 +43,7 @@ added to the outcome and x named as the covariate, on each replicate's
 group layout and design tier. Per replicate, level and variant it hashes
 the public per-panel calls: the Peters-Belson effects, their sandwich,
 p0 on their groups, the pwrd and flat weights and their p-values, as on
-the ``pwrd`` line. Then it hashes one ``simulate._analyze_panels`` list of
+the ``pwrd`` line. Then it hashes one ``power._analyze_panels`` list of
 every such panel, for ``pwrd``, ``flat`` and ``exit`` under each of
 PB_ANALYSES: each panel's p-values, effects, sandwich, p0, weights,
 tests and exit estimates.
@@ -116,11 +116,10 @@ from pwrd import (
 )
 from pwrd.cli import main as cli_main
 from pwrd.panel import LOGICAL_COLUMNS
-from pwrd.simulate import DF_RULES, METHODS, _analyze_panels
-from pwrd.weights import ALTERNATIVES, t_p_value
+from pwrd.power import _analyze_panels
+from pwrd.tails import ALTERNATIVES, DF_RULES, METHODS, VARIANTS, t_p_value
 
 LEVELS = (0.0, 5.5)
-VARIANTS = ("cr0", "cr2")
 MIXED_COVARIATES = (("grade",), ("grade", "cohort"), (), ("follow_up_year",))
 PB_COEF = 6.0
 PB_METHODS = ("pwrd", "flat", "exit")

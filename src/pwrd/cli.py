@@ -11,6 +11,9 @@ All JSON output embeds a manifest with the resolved configuration, the
 package version, and a checksum of every input file, so a result can be
 traced back to exactly what produced it. Exit codes: 1 for a closed
 stdout, 2 for bad input, 3 for degenerate data, 4 for numerical failure.
+
+The analysis commands import the estimators inside their handlers, so
+``simulate`` loads none and ``weights`` loads only ``weights``.
 """
 
 from __future__ import annotations
@@ -26,24 +29,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .covariance import VARIANTS
-from .effects import effects_to_json_dict
 from .errors import InputError, PwrdError
 from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
 from .simulate import (
-    DF_RULES,
-    METHODS,
     REGIMES,
     EffectSpec,
-    _analyze,
     default_scenario,
-    estimate_power,
     generate_panel,
     apply_effect,
     single_track_scenario,
     spillover_scenario,
 )
-from .weights import ALTERNATIVES, aggregate_external, flat_weights, test_slope
+from .tails import ALTERNATIVES, DF_RULES, METHODS, VARIANTS
 
 
 def _sha256(path: str) -> str:
@@ -155,6 +152,10 @@ def _refuse_unread_flags(args) -> None:
 
 
 def cmd_analyze(args) -> int:
+    from .effects import effects_to_json_dict
+    from .power import _analyze
+    from .weights import flat_weights, test_slope
+
     covs = tuple(args.covariates.split(",")) if args.covariates else ()
     if "" in covs:
         raise InputError("--covariates has an empty entry")
@@ -241,6 +242,8 @@ def _summary_array(data: dict, key: str) -> np.ndarray | None:
 
 
 def cmd_weights(args) -> int:
+    from .weights import aggregate_external
+
     data = load_json_object(args.summary, "summary")
     for key in ("delta_hat", "p0"):
         if data.get(key) is None:
@@ -297,6 +300,8 @@ def _number(kind, text: str, source: str):
 
 
 def cmd_power(args) -> int:
+    from .power import estimate_power
+
     if args.levels is not None and args.tau is not None:
         raise InputError("--tau has no effect when --levels is given: each level is an effect size")
     sc, config = _scenario_from_args(args)

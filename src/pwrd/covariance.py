@@ -42,13 +42,13 @@ import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import CellStack, CellTable, GroupInfo, PanelDataset
+from .tails import VARIANTS
 from .weights import check_estimate_variance
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
 
 EIG_FLOOR = 1e-12
-VARIANTS = ("cr0", "cr2")
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,8 @@ import numpy as np
 from .covariance import sandwich, stacks
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
-from .weights import check_estimate_variance, check_test_variance, t_p_value
+from .tails import t_p_value
+from .weights import check_estimate_variance, check_test_variance
 
 
 @dataclass(frozen=True)

@@ -57,12 +57,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .covariance import EIG_FLOOR, VARIANTS
+from .covariance import EIG_FLOOR
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, PanelDataset, group_rows
-from .weights import (
-    ROUNDING_FLOOR, check_estimate_variance, check_finite, check_test_variance, t_p_value,
-)
+from .tails import VARIANTS, t_p_value
+from .weights import ROUNDING_FLOOR, check_estimate_variance, check_finite, check_test_variance
 
 
 @dataclass(frozen=True)
@@ -209,9 +208,10 @@ def _layout(panel: PanelDataset, covariates: tuple[str, ...]) -> _Layout:
     within[:, 1 + j, 1 + l] = within[:, 1 + l, 1 + j] = np.add.reduceat(
         (w[:, None] * D[:, j]) * D[:, l], starts, axis=0
     )
-    # intercept, treatment and each covariate that np.allclose finds constant in every cluster
+    # intercept, treatment and each covariate whose range in every cluster is
+    # within 1e-5 of its range over the rows, a test no change of units moves
     mx, mn = np.maximum.reduceat(cov, starts, axis=0), np.minimum.reduceat(cov, starts, axis=0)
-    q = 2 + int((np.abs(mx - mn) <= 1e-8 + 1e-5 * np.abs(mn)).all(axis=0).sum())
+    q = 2 + int((mx - mn <= 1e-5 * np.ptp(cov, axis=0)).all(axis=0).sum())
     # records refine the nonempty cells, so if they are as many, they are the cells
     cell = np.flatnonzero(cell_m.ravel())
     if len(cell) != len(first):

@@ -650,7 +650,8 @@ def replicate_satterthwaite(m, z, omega) -> float:
 def replicate_test(d, V, w, df: float, mean_square: float) -> float:
     """One-sided p-value of w'd against the t reference on ``df``."""
     from pwrd.errors import NumericalError
-    from pwrd.weights import check_test_variance, t_p_value
+    from pwrd.tails import t_p_value
+    from pwrd.weights import check_test_variance
 
     var = float(w @ V @ w)
     check_test_variance(var, mean_square, df)
@@ -756,7 +757,8 @@ def analyze_replicate(panel, methods=_REJECTED, cov_variant="cr2", df_rule="clus
     by the per-replicate pipeline; a refused panel raises its error."""
     from pwrd.effects import estimate_p0, included_groups
     from pwrd.errors import DegenerateDataError
-    from pwrd.weights import check_test_variance, flat_weights, pwrd_weights, t_p_value
+    from pwrd.tails import t_p_value
+    from pwrd.weights import check_test_variance, flat_weights, pwrd_weights
 
     out = {}
     if "pwrd" in methods or "flat" in methods:

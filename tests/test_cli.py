@@ -18,7 +18,7 @@ import pytest
 import pwrd
 from pwrd import aggregate_external, ingest_panel
 from pwrd.cli import main
-from pwrd.simulate import analyze_replicate
+from pwrd.power import analyze_replicate
 
 
 README_SUMMARY = {
@@ -112,6 +112,89 @@ def test_commands_without_a_pool_load_no_pool_module(tmp_path):
         "simulate spillover": [],
         "analyze flat": [],
     }
+
+
+MODULE_PROBE = """
+import contextlib, io, json, sys
+
+def pwrd_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "pwrd")
+
+out, summary = sys.argv[1:3]
+loaded = {}
+import pwrd
+loaded["import pwrd"] = [0, pwrd_modules()]
+from pwrd.cli import main
+runs = {
+    "simulate single-track": ["simulate", "--preset", "single-track", "--out", out],
+    "simulate spillover": ["simulate", "--preset", "spillover", "--out", out],
+    "weights": ["weights", summary],
+    "analyze": ["analyze", out, "--estimator", "flat"],
+    "power": [
+        "power", "--preset", "single-track", "--clusters", "8", "--units", "4",
+        "--methods", "flat", "--reps", "4",
+    ],
+}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded[name] = [code, pwrd_modules()]
+print(json.dumps(loaded))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # import pwrd and simulate load the generator half; the estimators and
+    # the engine load when a command runs them, and weights needs no fit
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(README_SUMMARY))
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULE_PROBE, str(tmp_path / "panel.csv"), str(summary)],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    generator = ["pwrd", "pwrd.errors", "pwrd.panel", "pwrd.simulate", "pwrd.tails"]
+    with_cli = sorted(generator + ["pwrd.cli"])
+    assert loaded["import pwrd"] == [0, generator]
+    assert loaded["simulate single-track"] == [0, with_cli]
+    assert loaded["simulate spillover"] == [0, with_cli]
+    assert loaded["weights"] == [0, sorted(with_cli + ["pwrd.weights"])]
+    assert [code for code, _ in loaded.values()] == [0] * 6
+
+
+API_PROBE = """
+import json
+import pwrd
+
+found = {"listed": [name for name in pwrd.__all__ if name in dir(pwrd)]}
+found["resolved"] = [name for name in pwrd.__all__ if getattr(pwrd, name, None) is not None]
+namespace = {}
+exec("from pwrd import *", namespace)
+found["bound"] = sorted(name for name in namespace if name != "__builtins__")
+try:
+    pwrd.no_such_name
+except AttributeError as exc:
+    found["unknown"] = str(exc)
+print(json.dumps(found))
+"""
+
+
+def test_every_public_name_resolves_in_a_fresh_interpreter():
+    # the lazily loaded names resolve by attribute, by star import and in dir()
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", API_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True,
+    )
+    found = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(pwrd.__all__) == 49
+    assert found["resolved"] == pwrd.__all__
+    assert found["bound"] == sorted(pwrd.__all__)
+    assert found["listed"] == pwrd.__all__
+    assert found["unknown"] == "module 'pwrd' has no attribute 'no_such_name'"
 
 
 SCIPY_PROBE = """
@@ -1042,13 +1125,13 @@ def test_cli_and_monte_carlo_loop_agree(effect1_csv, capsys, estimator, variant,
 def test_analyze_goes_through_the_one_pipeline(effect1_csv, capsys, monkeypatch, estimator):
     argv = ["analyze", effect1_csv, "--estimator", estimator, "--json"]
     _, plain, _ = run(argv, capsys)
-    pipeline, calls = pwrd.cli._analyze, []
+    pipeline, calls = pwrd.power._analyze, []
 
     def spy(panel, methods, *args, **kwargs):
         calls.append(methods)
         return pipeline(panel, methods, *args, **kwargs)
 
-    monkeypatch.setattr(pwrd.cli, "_analyze", spy)
+    monkeypatch.setattr(pwrd.power, "_analyze", spy)
     code, out, _ = run(argv, capsys)
     assert (code, calls) == (0, [(estimator,)])
     assert json.loads(out) == json.loads(plain)

@@ -22,7 +22,7 @@ from pwrd import (
 from pwrd import effects
 from pwrd.effects import effects_to_json_dict
 from pwrd.panel import PanelDataset
-from pwrd.weights import t_p_value
+from pwrd.tails import t_p_value
 
 from test_panel import tiny_panel
 

@@ -393,3 +393,22 @@ def test_a_shifted_covariate_keeps_the_between_df():
     assert offset.components.sigma2_eps == pytest.approx(base.components.sigma2_eps, rel=1e-12)
     assert offset.components.sigma2_mu == pytest.approx(base.components.sigma2_mu, rel=1e-12)
     assert offset.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)
+
+
+def test_a_rescaled_covariate_keeps_the_between_df():
+    # a row covariate varies within clusters in any units: the
+    # cluster-constant test compares each cluster's range with the column's,
+    # so neither 1e-9 nor 1e9 makes it count as constant
+    from pwrd.mixed import _records
+
+    p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
+    x = np.random.default_rng(6).normal(size=p.n_obs)
+    fits = []
+    for scale in (1.0, 1e-9, 1e9):
+        scaled = with_covariates(p, {"x": scale * x})
+        assert _records(scaled, ("x",)).q == 2
+        fits.append(fit_random_intercept(scaled, ("x",)))
+    base = fits[0]
+    for fit in fits[1:]:
+        assert fit.components.sigma2_mu == pytest.approx(base.components.sigma2_mu, rel=1e-12)
+        assert fit.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)

@@ -45,7 +45,7 @@ from pwrd.simulate import (
     _year_share,
     default_scenario,
 )
-from pwrd.weights import normal_tail
+from pwrd.tails import normal_tail
 
 from oracles import (
     bisection_by_profile,
@@ -142,7 +142,7 @@ def test_missing_cutoffs_are_named_together():
 def test_one_eigvalsh_per_covariance_stack(monkeypatch):
     # the covariance check and the pwrd weights' gate read one batched
     # eigenvalue pass; a second pass per panel would double the calls
-    import pwrd.simulate as sim
+    import pwrd.power as power
     from pwrd.covariance import stacks
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5))
@@ -154,7 +154,7 @@ def test_one_eigvalsh_per_covariance_stack(monkeypatch):
     calls, real = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: calls.append(
         np.shape(a)) or real(a, *args, **kw))
-    found = sim._analyze_panels(panels, ("pwrd", "flat"), "cr2", "clusters-2")
+    found = power._analyze_panels(panels, ("pwrd", "flat"), "cr2", "clusters-2")
     assert all(set(res) == {"pwrd", "flat"} for res in found)
     n_stacks = len(stacks([p.cells for p in panels])[1])
     assert n_stacks == 1
@@ -180,7 +180,7 @@ def test_peters_belson_panels_of_one_design_stack(monkeypatch, variant, df_rule)
     # the adjusted tables of one design share their counts layout, so the
     # list takes one sandwich, and each panel's results are its own alone
     import pwrd.covariance as covariance
-    import pwrd.simulate as sim
+    import pwrd.power as power
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5))
     panels = [
@@ -189,11 +189,11 @@ def test_peters_belson_panels_of_one_design_stack(monkeypatch, variant, df_rule)
         for lv in (0.0, 5.5)
     ]
     methods, args = ("pwrd", "flat"), (variant, df_rule)
-    alone = [sim._analyze(p, methods, *args, covariates=("x",)) for p in panels]
+    alone = [power._analyze(p, methods, *args, covariates=("x",)) for p in panels]
     calls, real = [], covariance.sandwich
     monkeypatch.setattr(
         covariance, "sandwich", lambda stack, v: calls.append(stack) or real(stack, v))
-    found = sim._analyze_panels(panels, methods, *args, covariates=("x",))
+    found = power._analyze_panels(panels, methods, *args, covariates=("x",))
     assert [len(stack.tables) for stack in calls] == [len(panels)]
     for single, batched in zip(alone, found):
         for m in methods:
@@ -207,7 +207,7 @@ def test_peters_belson_panels_of_one_design_stack(monkeypatch, variant, df_rule)
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
-    import pwrd.simulate as sim
+    import pwrd.power as power
 
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
     methods, levels, reps = ("pwrd", "flat", "mixed", "exit"), (0.0, 6.0), range(24)
@@ -223,7 +223,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
         found = []
         for start in range(0, len(panels), per_call):
             batch = panels[start : start + per_call]
-            found += sim._analyze_panels(batch, methods, "cr2", "clusters-2")
+            found += power._analyze_panels(batch, methods, "cr2", "clusters-2")
         return [
             f"{type(res).__name__}: {res}" if isinstance(res, pwrd.PwrdError)
             else [(m, res[m][0]) for m in methods]
@@ -231,7 +231,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
         ]
 
     batched = analyzed(len(panels))
-    assert analyzed(len(levels) * sim.REPLICATE_BATCH) == batched
+    assert analyzed(len(levels) * power.REPLICATE_BATCH) == batched
     assert analyzed(len(levels)) == batched
     assert analyzed(1) == batched
 
@@ -245,7 +245,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
 
     serial = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=1)
     parallel = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=3)
-    monkeypatch.setattr(sim, "REPLICATE_BATCH", 1)
+    monkeypatch.setattr(power, "REPLICATE_BATCH", 1)
     alone = estimate_power(sc, methods=methods, effect_levels=levels, n_reps=24, workers=1)
     assert [c.method for c in serial.cells] == list(methods) * len(levels)
     for res in (parallel, alone):
@@ -733,9 +733,9 @@ def test_effect_level_grid_shares_base_replicates():
 
 
 def test_failed_replicates_are_excluded_and_recorded(monkeypatch):
-    import pwrd.simulate as sim
+    import pwrd.power as power
 
-    real = sim._analyze_panels
+    real = power._analyze_panels
     failing = {3}
 
     def flaky(panels, *args):
@@ -745,36 +745,36 @@ def test_failed_replicates_are_excluded_and_recorded(monkeypatch):
             for p, res in zip(panels, found)
         ]
 
-    monkeypatch.setattr(sim, "_analyze_panels", flaky)
+    monkeypatch.setattr(power, "_analyze_panels", flaky)
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
     # one failure of 50 is within the allowed 0.02 * 50, two are not
-    assert sim.MAX_EXCLUSION_FRACTION == 0.02
-    res = sim.estimate_power(sc, methods=("flat",), n_reps=50)
+    assert power.MAX_EXCLUSION_FRACTION == 0.02
+    res = power.estimate_power(sc, methods=("flat",), n_reps=50)
     assert res.cell("flat").n_reps == 49
     assert res.cell("flat").n_excluded == 1
     assert res.failures == ((3, 6.0, "DegenerateDataError: synthetic failure"),)
     failing.add(17)
     with pytest.raises(DegenerateDataError, match="2 of 50 replicates failed .* unreliable"):
-        sim.estimate_power(sc, methods=("flat",), n_reps=50)
+        power.estimate_power(sc, methods=("flat",), n_reps=50)
 
 
 def test_a_failing_replicate_inside_a_batch_is_excluded_as_alone(monkeypatch):
-    import pwrd.simulate as sim
+    import pwrd.power as power
 
     # one unit per cluster and low cutoffs: replicate 21 flags no control unit
     sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0), units_per_grade=1)
     sc = sc.with_thresholds({g: v - 10.0 for g, v in sc.threshold_map.items()})
     methods, levels, reps = ("pwrd", "flat", "mixed", "exit"), (0.0, 6.0), tuple(range(24))
-    assert sim.REPLICATE_BATCH < 21 < 2 * sim.REPLICATE_BATCH
+    assert power.REPLICATE_BATCH < 21 < 2 * power.REPLICATE_BATCH
     args = (sc, levels, reps, methods, 0.05, "cr2", "clusters-2")
-    hits, failures = sim._run_chunk(*args)
+    hits, failures = power._run_chunk(*args)
     text = "DegenerateDataError: no test-in signal: p0 is zero in every group"
     assert sorted(failures) == [(21, 0.0, text), (21, 6.0, text)]
     oracle_hits, _, oracle_failures = replicate_loop(sc, levels, reps, methods)
     assert sorted(failures) == sorted(oracle_failures)
     np.testing.assert_array_equal(hits, oracle_hits)
-    monkeypatch.setattr(sim, "REPLICATE_BATCH", 1)
-    alone_hits, alone_failures = sim._run_chunk(*args)
+    monkeypatch.setattr(power, "REPLICATE_BATCH", 1)
+    alone_hits, alone_failures = power._run_chunk(*args)
     np.testing.assert_array_equal(hits, alone_hits)
     assert sorted(alone_failures) == sorted(failures)
 
@@ -802,12 +802,12 @@ def forbid_replicates(monkeypatch):
     """Make starting a replicate or a worker pool fail the test."""
     import concurrent.futures
 
-    import pwrd.simulate as sim
+    import pwrd.power as power
 
     def never(*args, **kwargs):
         raise AssertionError("a replicate or a worker started")
 
-    monkeypatch.setattr(sim, "_run_chunk", never)
+    monkeypatch.setattr(power, "_run_chunk", never)
     # estimate_power imports the pool from here, and only when it runs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", never)
 

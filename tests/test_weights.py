@@ -25,7 +25,8 @@ from pwrd import (
 from pwrd import test_slope as slope_of
 
 import pwrd.weights as weights_module
-from pwrd.weights import AggregationWeights, t_p_value
+from pwrd.tails import t_p_value
+from pwrd.weights import AggregationWeights
 
 from oracles import (
     best_slope_by_enumeration,
