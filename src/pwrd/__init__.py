@@ -1,12 +1,16 @@
 """Power-weighted aggregation of group effects from repeated measurement trials.
 
-``import pwrd`` loads the generator half of the package: ``errors``,
-``panel``, ``simulate`` and ``tails``. The estimators (``covariance``,
-``effects``, ``mixed``, ``weights``) and the analysis engine (``power``)
-load on the first lookup of one of their public names (PEP 562).
+``import pwrd`` loads the data model: ``errors`` and ``panel``. The
+estimators (``covariance``, ``effects``, ``mixed``, ``weights``) and the
+analysis engine (``power``) load on the first lookup of one of their
+public names (PEP 562). The generator (``simulate``) is registered in
+``sys.modules`` at once but loads on its first use, so a command compiles
+only the modules it runs.
 """
 
 import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -19,20 +23,23 @@ from .panel import (
     ingest_panel,
     persist_flags,
 )
-from .simulate import (
-    CohortSpec,
-    EffectSpec,
-    Scenario,
-    apply_effect,
-    calibrate_thresholds,
-    default_scenario,
-    expected_group_testin,
-    expected_testin_profile,
-    generate_panel,
-    single_track_scenario,
-    spillover_scenario,
-    theoretical_covariance,
-)
+
+
+def _registered(name: str):
+    """Submodule ``name``, put in ``sys.modules`` now and run on the first
+    use of one of its attributes (``importlib.util.LazyLoader``)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The generator is in ``sys.modules`` and bound here from ``import pwrd`` on,
+# as when it loaded eagerly, so code that patches it through
+# ``sys.modules["pwrd.simulate"]``, as perfbench's calibration counter does,
+# finds it there; its code still runs only when something uses it.
+simulate = _registered("simulate")
 
 # The modules that load on first use, each with the public names it defines.
 _LAZY = {
@@ -45,6 +52,11 @@ _LAZY = {
     "power": (
         "PowerCell", "PowerResult", "analyze_replicate", "estimate_power", "icc_sweep",
         "negative_effect_sweep",
+    ),
+    "simulate": (
+        "CohortSpec", "EffectSpec", "Scenario", "apply_effect", "calibrate_thresholds",
+        "default_scenario", "expected_group_testin", "expected_testin_profile", "generate_panel",
+        "single_track_scenario", "spillover_scenario", "theoretical_covariance",
     ),
     "weights": (
         "AggregatedTest", "AggregationWeights", "aggregate_external", "aggregate_test",
@@ -69,27 +81,15 @@ def __dir__() -> list[str]:
 
 
 __all__ = sorted([
-    "CohortSpec",
     "DegenerateDataError",
-    "EffectSpec",
     "GroupInfo",
     "InputError",
     "NumericalError",
     "PanelDataset",
     "PanelSchema",
     "PwrdError",
-    "Scenario",
     "ThresholdRule",
-    "apply_effect",
-    "calibrate_thresholds",
-    "default_scenario",
-    "expected_group_testin",
-    "expected_testin_profile",
-    "generate_panel",
     "ingest_panel",
     "persist_flags",
-    "single_track_scenario",
-    "spillover_scenario",
-    "theoretical_covariance",
     *_MODULE_OF,
 ])

@@ -12,8 +12,9 @@ package version, and a checksum of every input file, so a result can be
 traced back to exactly what produced it. Exit codes: 1 for a closed
 stdout, 2 for bad input, 3 for degenerate data, 4 for numerical failure.
 
-The analysis commands import the estimators inside their handlers, so
-``simulate`` loads none and ``weights`` loads only ``weights``.
+The commands import the generator and the estimators inside their
+handlers, so ``simulate`` loads no estimator, ``analyze`` no generator and
+``weights`` only ``weights``. The option lists come from ``tails``.
 """
 
 from __future__ import annotations
@@ -31,16 +32,7 @@ import numpy as np
 from . import __version__
 from .errors import InputError, PwrdError
 from .panel import IDENTITY_SCHEMA, PanelSchema, ingest_panel, load_json_object
-from .simulate import (
-    REGIMES,
-    EffectSpec,
-    default_scenario,
-    generate_panel,
-    apply_effect,
-    single_track_scenario,
-    spillover_scenario,
-)
-from .tails import ALTERNATIVES, DF_RULES, METHODS, VARIANTS
+from .tails import ALTERNATIVES, DF_RULES, METHODS, PRESETS, REGIMES, VARIANTS
 
 
 def _sha256(path: str) -> str:
@@ -98,20 +90,19 @@ def _weights_table(omega, groups) -> str:
     return "\n".join(lines)
 
 
-# each preset's builder; the sizes default in the builder
-_PRESETS = {
-    "default": default_scenario,
-    "single-track": single_track_scenario,
-    "spillover": spillover_scenario,
-}
-
-
 def _scenario_from_args(args) -> tuple:
+    from . import simulate
+
     tau = 0.0 if args.tau is None else args.tau
-    effect = EffectSpec(regime=args.effect, tau=tau, spill_fraction=args.spill)
+    effect = simulate.EffectSpec(regime=args.effect, tau=tau, spill_fraction=args.spill)
     sizes = {"n_clusters": args.clusters, "units_per_grade": args.units}
     given = {name: value for name, value in sizes.items() if value is not None}
-    sc = _PRESETS[args.preset](effect=effect, seed=args.seed, icc=args.icc, **given)
+    build = {  # each preset's builder; the sizes default in the builder
+        "default": simulate.default_scenario,
+        "single-track": simulate.single_track_scenario,
+        "spillover": simulate.spillover_scenario,
+    }[args.preset]
+    sc = build(effect=effect, seed=args.seed, icc=args.icc, **given)
     config = {
         "preset": args.preset,
         "n_clusters": sc.n_clusters,
@@ -128,7 +119,7 @@ def _scenario_from_args(args) -> tuple:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", default="default", choices=list(_PRESETS))
+    p.add_argument("--preset", default="default", choices=PRESETS)
     p.add_argument("--clusters", type=int, default=None)
     p.add_argument("--units", type=int, default=None, help="units per grade and cluster")
     p.add_argument("--icc", type=float, default=0.2)
@@ -276,6 +267,8 @@ def cmd_weights(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import apply_effect, generate_panel
+
     sc, config = _scenario_from_args(args)
     config["replicate"] = args.replicate
     panel = generate_panel(sc, args.replicate)

@@ -633,28 +633,35 @@ class PanelDataset:
     # ------------------------------------------------------------------
 
     def to_csv(self, destination: str | os.PathLike | io.TextIOBase) -> None:
-        """Write the panel using canonical logical column names, one whole
-        column at a time; floats print as their repr."""
+        """Write the panel using canonical logical column names, in slices
+        of ``_CHUNK_ROWS`` rows, each a whole column at a time; floats print
+        as their repr."""
+
+        def label_text(labels, prefix: str, width: int):
+            return lambda codes: _label_text(codes, labels, prefix, width)
+
         columns = [
-            ("unit", _label_text(self.unit, self.unit_labels, "u", 7)),
-            ("cluster", _label_text(self.cluster, self.cluster_labels, "c", 4)),
+            ("unit", self.unit, label_text(self.unit_labels, "u", 7)),
+            ("cluster", self.cluster, label_text(self.cluster_labels, "c", 4)),
         ]
         if self.block is not None:
-            columns.append(("block", _label_text(self.block, self.block_labels, "b", 4)))
+            columns.append(("block", self.block, label_text(self.block_labels, "b", 4)))
         columns += [
-            (name, getattr(self, name).tolist())
+            (name, getattr(self, name), np.ndarray.tolist)
             for name in ("treatment", "cohort", "grade", "year", "outcome")
         ]
         if self.tested_in is not None:
-            columns.append(("tested_in", self.tested_in.tolist()))
-        columns += [(name, col.tolist()) for name, col in self.covariates.items()]
+            columns.append(("tested_in", self.tested_in, np.ndarray.tolist))
+        columns += [(name, col, np.ndarray.tolist) for name, col in self.covariates.items()]
 
         own = isinstance(destination, (str, os.PathLike))
         fh = open(destination, "w", newline="", encoding="utf-8") if own else destination
         try:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name for name, _ in columns])
-            writer.writerows(zip(*(col for _, col in columns)))
+            writer.writerow([name for name, _, _ in columns])
+            for start in range(0, self.n_obs, _CHUNK_ROWS):
+                rows = slice(start, start + _CHUNK_ROWS)
+                writer.writerows(zip(*(text(col[rows]) for _, col, text in columns)))
         finally:
             if own:
                 fh.close()
@@ -670,7 +677,8 @@ def _label_text(codes: np.ndarray, labels: np.ndarray | None, prefix: str, width
 IDENTITY_SCHEMA = PanelSchema(columns={c: c for c in LOGICAL_COLUMNS})
 
 
-_CHUNK_ROWS = 4096  # lines read per step (rows, past a hand-off); it bounds the text held
+# Lines read per step (rows, past a hand-off), and rows written per step: it bounds the text held.
+_CHUNK_ROWS = 4096
 
 
 def ingest_panel(
@@ -700,16 +708,21 @@ def ingest_panel(
 
 def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator:
     """The header row (None for empty text), then the nonblank rows in
-    chunks, each as (row count, columns); a short row's missing fields are
-    None. Undecodable or unparsable text is an InputError, raised after the
-    rows before it and naming the line ``csv.DictReader`` names.
+    chunks, each as (row count, columns, bare); a short row's missing fields
+    are None, and ``bare`` says that no field has whitespace to strip.
+    Undecodable or unparsable text is an InputError, raised after the rows
+    before it and naming the line ``csv.DictReader`` names.
 
-    Lines are read ``_CHUNK_ROWS`` at a time, the header's line alone. A
-    chunk is plain when it holds no quote or carriage return
-    (``_NOT_PLAIN``), no line longer than ``csv.field_size_limit()``, no
-    blank line, and, past the header, only lines of the header's width:
-    ``csv.reader`` would read each line as the line split on commas, so the
-    chunk is split on commas at once. At the first chunk that is not plain,
+    Lines are read ``_CHUNK_ROWS`` at a time through the stream's own line
+    iterator, the header's line alone, so the rows before an undecodable
+    byte are read before it. A chunk is plain when it holds no quote or
+    carriage return (``_NOT_PLAIN``), no line longer than
+    ``csv.field_size_limit()``, no blank line, and, past the header, only
+    lines of the header's width: ``csv.reader`` would read each line as the
+    line split on commas, so the chunk is split on commas at once.
+    ``_is_plain`` decides this on the joined chunk, a few array passes over
+    its characters, and a plain chunk of ASCII without whitespace is bare
+    (``_is_bare``). At the first chunk that is not plain,
     ``csv.reader`` takes over and reads to the end of the text (the
     hand-off), since it alone reads quoted fields, which may span lines,
     CRLF line ends, and blank, short and long rows. ``PanelDataset.to_csv``
@@ -718,14 +731,14 @@ def _csv_chunks(fh: io.TextIOBase, name: str) -> Iterator:
     limit, lines = csv.field_size_limit(), iter(fh)
     header, consumed, error = None, 0, None
     chunk, undecodable = _read_lines(lines, 1)
-    while chunk and _is_plain(text := "".join(chunk), chunk, limit, header):
+    while chunk and _is_plain(text := "".join(chunk), len(chunk), limit, header):
         n = len(chunk)
         if header is None:  # the header's line
             header = next(csv.reader(chunk))
             yield header
         else:
             flat, width = text.replace("\n", ",").split(","), len(header)
-            yield n, [flat[k : n * width : width] for k in range(width)]
+            yield n, [flat[k : n * width : width] for k in range(width)], _is_bare(text)
         consumed += n
         if undecodable is not None:
             break
@@ -780,34 +793,73 @@ def _raising(exc: Exception) -> Iterator[str]:
 _NOT_PLAIN = ('"', "\r", "\0")
 
 
-def _is_plain(text: str, chunk: list[str], limit: int, header: list | None) -> bool:
-    """Whether ``csv.reader`` reads each line of ``chunk`` (joined, ``text``)
-    as the line split on commas into as many fields as ``header`` has (any
-    number for the header's own line), and no line is blank."""
-    if any(c in text for c in _NOT_PLAIN) or max(map(len, chunk)) > limit or "\n" in chunk:
+def _is_plain(text: str, n: int, limit: int, header: list | None) -> bool:
+    """Whether ``csv.reader`` reads each of the ``n`` lines joined in
+    ``text`` as the line split on commas into as many fields as ``header``
+    has (any number for the header's own line), and no line is blank.
+
+    The lines are found in the whole text at once: each starts the text or
+    follows a newline, and their lengths and comma counts are in
+    characters (``_char_codes``).
+    """
+    if any(c in text for c in _NOT_PLAIN):
         return False
-    return header is None or set(map(str.count, chunk, itertools.repeat(","))) == {len(header) - 1}
+    codes = _char_codes(text)
+    newlines = np.flatnonzero(codes == ord("\n"))
+    if newlines.size != n - (text[-1] != "\n"):  # the lines are not the text's lines
+        return False
+    starts = np.concatenate(([0], newlines[: n - 1] + 1))
+    lengths = np.diff(starts, append=codes.size)  # each with its newline
+    blank = codes[starts] == ord("\n")  # a blank line starts at its newline
+    if lengths.max() > limit or blank.any():
+        return False
+    if header is None:
+        return True
+    commas = np.add.reduceat(codes == ord(","), starts, dtype=np.intp)
+    return bool((commas == len(header) - 1).all())
 
 
-def _columns(rows: list[list], width: int) -> tuple[int, list]:
-    """Row count and columns of ``csv.reader`` rows; a short row lacks its last columns."""
+def _char_codes(text: str) -> np.ndarray:
+    """The code point of each character of ``text``, one element each: a
+    byte for ASCII text, else four, with a lone surrogate as its own code."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
+# The ASCII characters str.strip removes, but the newline that joins a chunk's lines.
+_ASCII_SPACE = tuple(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+
+
+def _is_bare(text: str) -> bool:
+    """Whether ``text`` is ASCII without whitespace between its lines, so
+    ``str.strip`` leaves each of its fields as it is."""
+    return text.isascii() and not any(c in text for c in _ASCII_SPACE)
+
+
+def _columns(rows: list[list], width: int) -> tuple[int, list, bool]:
+    """Row count and columns of ``csv.reader`` rows, which are not bare; a
+    short row lacks its last columns."""
     if min(map(len, rows)) < width:
         rows = [row + [None] * (width - len(row)) for row in rows]
-    return len(rows), list(zip(*rows))
+    return len(rows), list(zip(*rows)), False
 
 
 class _LabelCodes:
     """One label column's codes over one ingest: calling it on a chunk's
-    texts gives each stripped label its code, the same in every chunk, and
-    ``decode`` turns every code into its label's index in the sorted
-    labels."""
+    texts gives each stripped label its code, the same in every chunk,
+    ``code`` does so for labels already stripped, and ``decode`` turns
+    every code into its label's index in the sorted labels."""
 
     def __init__(self) -> None:
         self.codes: dict[str, int] = {}
 
     def __call__(self, texts) -> np.ndarray:
-        labels, codes = list(map(str.strip, texts)), self.codes
-        codes.update(zip(set(labels) - codes.keys(), itertools.count(len(codes))))
+        return self.code(list(map(str.strip, texts)))
+
+    def code(self, labels: list[str]) -> np.ndarray:
+        codes = self.codes
+        codes.update(zip(set(labels).difference(codes), itertools.count(len(codes))))
         return np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels))
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -855,15 +907,19 @@ def _convert(convert, column, physical: str, row: int):
         raise
 
 
-def _convert_chunk(fields: list, columns: list, start: int) -> tuple:
+def _convert_chunk(fields: list, columns: list, start: int, bare: bool) -> tuple:
     """One chunk's kept row numbers, dropped rows and converted columns.
 
     Fields convert in the order a row's are checked, so on a one-row chunk
     the first failure is the row's own: a missing value raises InputError
     naming the row, a value that does not parse ValueError or TypeError.
+    The outcome and the labels are stripped of whitespace unless the chunk
+    is ``bare``, which a chunk with an absent column never is.
     """
     kept = np.arange(start, start + len(columns[0]))
-    outcome = _convert(lambda texts: list(map(str.strip, texts)), columns[0], fields[0][1], start)
+    outcome = columns[0] if bare else _convert(
+        lambda texts: list(map(str.strip, texts)), columns[0], fields[0][1], start
+    )
     dropped = []
     if "" in outcome:  # rows with a missing outcome are dropped by a mask
         keep = np.array([text != "" for text in outcome])
@@ -871,7 +927,8 @@ def _convert_chunk(fields: list, columns: list, start: int) -> tuple:
         kept, outcome = kept[keep], list(itertools.compress(outcome, keep))
         columns = [list(itertools.compress(column, keep)) for column in columns]
     values = [_floats(outcome)]
-    values += [_convert(f, c, p, start) for (_, p, f), c in zip(fields[1:], columns[1:])]
+    for (_, p, f), c in zip(fields[1:], columns[1:]):
+        values.append(_convert(f.code if bare and isinstance(f, _LabelCodes) else f, c, p, start))
     return kept, dropped, values
 
 
@@ -901,20 +958,22 @@ def _ingest_chunks(chunks: Iterator, schema: PanelSchema) -> PanelDataset:
     fields += [(None, c, _floats) for c in schema.covariates]
     fields += [("score", rule.score_column, _floats)] if rule is not None else []
     index = {name: i for i, name in enumerate(header or ())}  # a repeated name: the last wins
+    complete = all(p in index for _, p, _ in fields)  # only then may a chunk be bare
     parts: list[list[np.ndarray]] = [[] for _ in range(len(fields) + 1)]  # row numbers, fields
     dropped: list[tuple[int, str]] = []
     errors: list[str] = []
     n_read = 0
-    for n, table in chunks:
+    for n, table, bare in chunks:
         start, n_read = n_read + 2, n_read + n  # row 1 is the header
-        absent = (None,) * n
+        absent, bare = (None,) * n, bare and complete
         columns = [table[index[p]] if p in index else absent for _, p, _ in fields]
         try:
-            kept, chunk_dropped, values = _convert_chunk(fields, columns, start)
+            kept, chunk_dropped, values = _convert_chunk(fields, columns, start, bare)
         except (ValueError, TypeError):  # walk the chunk's rows to name the failures
             for i in range(n):
                 try:
-                    _convert_chunk(fields, [column[i : i + 1] for column in columns], start + i)
+                    rows = [column[i : i + 1] for column in columns]
+                    _convert_chunk(fields, rows, start + i, bare)
                 except InputError:
                     raise
                 except (ValueError, TypeError) as exc:

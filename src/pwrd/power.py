@@ -10,31 +10,34 @@ solve and the t tails stay one call per panel. ``pwrd analyze`` and the
 public per-replicate functions run the same stages on one panel, and a
 panel's results do not depend on the batch it was analyzed in.
 
-This module loads every estimator (``effects``, ``covariance``,
-``weights``, ``mixed``); ``simulate`` loads none, so ``import pwrd`` and
-``pwrd simulate`` do not compile them. Only ``estimate_power`` with more
-than one worker imports the process pool, so the commands that run no
-pool load neither ``concurrent.futures.process`` nor ``multiprocessing``.
+This module loads the estimators of the group effects (``effects``,
+``covariance``, ``weights``); ``simulate`` loads none, so ``import pwrd``
+and ``pwrd simulate`` do not compile them. The random-intercept fit
+(``mixed``) loads when an analysis runs it, and the generator
+(``simulate``) when a power study draws its panels, so ``pwrd analyze``
+compiles no generator and, but with ``--estimator mixed``, no fit. Only
+``estimate_power`` with more than one worker imports the process pool, so
+the commands that run no pool load neither ``concurrent.futures.process``
+nor ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .covariance import covariances, satterthwaite_dfs
 from .effects import estimate_p0, exit_estimates, group_effects
 from .errors import DegenerateDataError, InputError, PwrdError, attempt, one
-from .mixed import fits_random_intercept
 from .panel import PanelDataset
-from .simulate import (
-    Scenario, apply_effect, calibrate_thresholds, expected_testin_profile, generate_panel,
-)
 from .tails import DF_RULES, METHODS, VARIANTS
 from .weights import aggregate_tests, flat_weights, pwrd_weights
+
+if TYPE_CHECKING:
+    from .simulate import Scenario
 
 # The largest share of a power cell's replicates that may fail before a run is refused.
 MAX_EXCLUSION_FRACTION = 0.02
@@ -136,6 +139,8 @@ def _analyze_panels(
         for i, test in tests.items():
             out[i][m] = (test.p_value, (effects[i], covs[i], p0.get(i), w[i], test))
     if "mixed" in methods:
+        from .mixed import fits_random_intercept
+
         fit_on = covariates or ("grade",)
         fits = stage(lambda idx: fits_random_intercept(
             [panels[i] for i in idx], fit_on, cov_variant), every)
@@ -230,6 +235,13 @@ def _run_chunk(
     (replicate, level) panels of each ``REPLICATE_BATCH`` replicates are
     analyzed together (``_analyze_panels``).
     """
+    from .simulate import apply_effect, generate_panel
+
+    # The fit loads before the first panels are drawn: loaded among them,
+    # it fragmented the heap and raised the peak RSS by about 0.5 MB.
+    if "mixed" in methods:
+        from . import mixed
+
     hits = np.full((len(reps), len(levels), len(methods)), -1, dtype=np.int8)
     excluded: list[tuple[int, float, str]] = []
     specs = [scenario.effect.with_level(lv) for lv in levels]
@@ -351,6 +363,8 @@ def icc_sweep(
     Thresholds are recalibrated at every grid point so the test-in profile
     stays at the scenario's own, and only the correlation structure moves.
     """
+    from .simulate import calibrate_thresholds, expected_testin_profile
+
     icc_grid = _distinct("icc_grid", icc_grid)
     targets = {k: round(v, 10) for k, v in expected_testin_profile(scenario).items()}
     scenarios = (

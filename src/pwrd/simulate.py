@@ -26,9 +26,10 @@ layout and design tier, the effect levels of one replicate share its
 assignment tier, and each level computes only what its outcome changes.
 
 The analysis of the panels, the Monte Carlo loop and the power studies
-are in ``power``. This module loads no estimator, so ``import pwrd`` and
-``pwrd simulate`` load none: of the package's modules, only ``errors``,
-``panel``, ``tails`` and this one (and ``cli`` for the command).
+are in ``power``. This module loads no estimator, so ``pwrd simulate``
+loads none: of the package's modules, only ``errors``, ``panel``,
+``tails``, ``cli`` and this one. ``import pwrd`` loads it on first use,
+and ``pwrd analyze`` and ``pwrd weights`` never.
 
 The analytic test-in profile takes its normal tail from the standard
 library, ``0.5 * math.erfc(z * sqrt(0.5))`` one element at a time
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, InputError, NumericalError
 from .panel import PanelDataset, Tier, grade_cutoffs, group_layout
-from .tails import normal_tail
+from .tails import REGIMES, normal_tail
 
 DEFAULT_TESTIN_TARGETS = {1: 0.383, 2: 0.543, 3: 0.611, 4: 0.694}
 # Every year at or below one half flagged: with full negative spillover the
@@ -72,7 +73,6 @@ SPILLOVER_TESTIN_TARGETS = {1: 0.18, 2: 0.32, 3: 0.40, 4: 0.44}
 EFFECT3_DISPERSION = 2.5
 # The largest deviation from a target test-in share a calibration accepts.
 CALIBRATION_TOL = 0.02
-REGIMES = ("effect1", "effect2", "effect3", "null")
 
 _STAGE_ASSIGN = 0
 _STAGE_CLUSTER = 1

@@ -15,11 +15,12 @@ less a number near one, so small p-values keep their relative accuracy:
 within 5e-13 of scipy's over df 0.5 to 1e300 and |t| <= 40.
 P-values below the smallest normal double read 0.
 
-The analysis options are defined here, once each: the estimators
-(``METHODS``), the cluster sandwich variants (``VARIANTS``), the rules for
-the test's degrees of freedom (``DF_RULES``) and the alternatives. The
-command line's parser offers them to every subcommand, and ``pwrd
-simulate`` loads this module but no estimator.
+The command line's option lists are defined here, once each: the
+estimators (``METHODS``), the cluster sandwich variants (``VARIANTS``),
+the rules for the test's degrees of freedom (``DF_RULES``), the
+alternatives, the effect regimes (``REGIMES``) and the scenario presets
+(``PRESETS``). The parser takes its choices from them, so every command
+loads this module, and only the generator and the estimators it runs.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ METHODS = ("pwrd", "flat", "mixed", "exit")
 VARIANTS = ("cr0", "cr2")
 DF_RULES = ("clusters-2", "satterthwaite")
 ALTERNATIVES = ("two-sided", "greater", "less")
+REGIMES = ("effect1", "effect2", "effect3", "null")
+PRESETS = ("default", "single-track", "spillover")
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_PI = math.sqrt(math.pi)

@@ -115,27 +115,21 @@ def test_commands_without_a_pool_load_no_pool_module(tmp_path):
 
 
 MODULE_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 
 def pwrd_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "pwrd")
+    # a module registered to load on first use is a subclass until it loads
+    return sorted(
+        m for m, module in sys.modules.items()
+        if m.split(".")[0] == "pwrd" and type(module) is types.ModuleType
+    )
 
-out, summary = sys.argv[1:3]
 loaded = {}
 import pwrd
 loaded["import pwrd"] = [0, pwrd_modules()]
+loaded["registered"] = [0, sorted(m for m in sys.modules if m.split(".")[0] == "pwrd")]
 from pwrd.cli import main
-runs = {
-    "simulate single-track": ["simulate", "--preset", "single-track", "--out", out],
-    "simulate spillover": ["simulate", "--preset", "spillover", "--out", out],
-    "weights": ["weights", summary],
-    "analyze": ["analyze", out, "--estimator", "flat"],
-    "power": [
-        "power", "--preset", "single-track", "--clusters", "8", "--units", "4",
-        "--methods", "flat", "--reps", "4",
-    ],
-}
-for name, argv in runs.items():
+for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     loaded[name] = [code, pwrd_modules()]
@@ -143,25 +137,55 @@ print(json.dumps(loaded))
 """
 
 
-def test_each_command_loads_only_the_modules_it_runs(tmp_path):
-    # import pwrd and simulate load the generator half; the estimators and
-    # the engine load when a command runs them, and weights needs no fit
-    summary = tmp_path / "summary.json"
-    summary.write_text(json.dumps(README_SUMMARY))
+def _modules_loaded(runs: dict) -> dict:
+    """The ``pwrd`` modules loaded after ``import pwrd`` and after each run,
+    in order, in one fresh interpreter."""
     src_dir = Path(pwrd.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", MODULE_PROBE, str(tmp_path / "panel.csv"), str(summary)],
+        [sys.executable, "-c", MODULE_PROBE, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
         check=True,
     )
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    generator = ["pwrd", "pwrd.errors", "pwrd.panel", "pwrd.simulate", "pwrd.tails"]
-    with_cli = sorted(generator + ["pwrd.cli"])
-    assert loaded["import pwrd"] == [0, generator]
-    assert loaded["simulate single-track"] == [0, with_cli]
-    assert loaded["simulate spillover"] == [0, with_cli]
-    assert loaded["weights"] == [0, sorted(with_cli + ["pwrd.weights"])]
-    assert [code for code, _ in loaded.values()] == [0] * 6
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # import pwrd loads the data model; simulate adds the generator, weights
+    # its one estimator, analyze the estimators it runs and no generator
+    out, summary = str(tmp_path / "panel.csv"), tmp_path / "summary.json"
+    summary.write_text(json.dumps(README_SUMMARY))
+    generator_first = _modules_loaded({
+        "simulate single-track": ["simulate", "--preset", "single-track", "--out", out],
+        "simulate spillover": ["simulate", "--preset", "spillover", "--out", out],
+        "power": [
+            "power", "--preset", "single-track", "--clusters", "8", "--units", "4",
+            "--methods", "flat", "--reps", "4",
+        ],
+    })
+    analysis_first = _modules_loaded({
+        "weights": ["weights", str(summary)],
+        "analyze flat": ["analyze", out, "--estimator", "flat"],
+        "analyze mixed": ["analyze", out, "--estimator", "mixed"],
+    })
+    data_model = ["pwrd", "pwrd.errors", "pwrd.panel"]
+    with_cli = sorted(data_model + ["pwrd.cli", "pwrd.tails"])
+    generator = sorted(with_cli + ["pwrd.simulate"])
+    flat = ["pwrd.covariance", "pwrd.effects", "pwrd.power", "pwrd.weights"]
+    registered = sorted(data_model + ["pwrd.simulate"])  # in sys.modules, as when it loaded
+    assert generator_first == {
+        "import pwrd": [0, data_model],
+        "registered": [0, registered],
+        "simulate single-track": [0, generator],
+        "simulate spillover": [0, generator],
+        "power": [0, sorted(generator + flat)],
+    }
+    assert analysis_first == {
+        "import pwrd": [0, data_model],
+        "registered": [0, registered],
+        "weights": [0, sorted(with_cli + ["pwrd.weights"])],
+        "analyze flat": [0, sorted(with_cli + flat)],
+        "analyze mixed": [0, sorted(with_cli + flat + ["pwrd.mixed"])],
+    }
 
 
 API_PROBE = """
@@ -195,6 +219,31 @@ def test_every_public_name_resolves_in_a_fresh_interpreter():
     assert found["bound"] == sorted(pwrd.__all__)
     assert found["listed"] == pwrd.__all__
     assert found["unknown"] == "module 'pwrd' has no attribute 'no_such_name'"
+
+
+PATCH_PROBE = """
+import sys
+import pwrd
+
+simulate = sys.modules["pwrd.simulate"]  # registered by import pwrd, not yet run
+original, calls = simulate.generate_panel, []
+simulate.generate_panel = lambda *args: calls.append(args) or original(*args)
+sc = pwrd.single_track_scenario(n_clusters=8, units_per_grade=4)
+pwrd.estimate_power(sc, methods=("flat",), n_reps=3)
+print(len(calls))
+"""
+
+
+def test_the_generator_patched_through_sys_modules_is_the_one_that_runs():
+    # code that wraps a generator function right after import pwrd, as
+    # perfbench's calibration counter does, wraps what the engine calls
+    src_dir = Path(pwrd.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PATCH_PROBE],
+        env={**os.environ, "PYTHONPATH": str(src_dir)}, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.split() == ["3"]
 
 
 SCIPY_PROBE = """

@@ -223,6 +223,87 @@ def test_undecodable_byte_after_plain_chunks(chunk, early, quoted):
         assert got == "panel input is not UTF-8 text: invalid start byte"
 
 
+# Each case below sits inside one chunk, after at least one full plain
+# chunk: the whole-chunk check must decide it line by line.
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_a_short_and_a_long_line_in_one_chunk(chunk):
+    # the comma counts even out over the chunk, but not line by line
+    header = HEADER.replace("\n", ",note\n")
+    rows = _plain_rows(chunk).replace("\n", ",n\n")
+    rows += "w,c1,1,1,3,1,2.5\n" + "x,c2,0,1,3,1,3.5,n,extra\n" + _plain_rows(2, "v")
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        got = assert_same_ingest(_text(header + rows, ""))
+    assert {"w", "x"} <= set(got.unit_labels.tolist()) and got.n_obs == chunk + 4
+
+
+LIMIT = 40  # a field size limit small enough to reach in a test
+ROW_END = ",c1,1,1,3,1,2.5\n"
+
+
+@pytest.mark.parametrize("fill", ["w", "é", "日", "\U0001f600"])
+@pytest.mark.parametrize("length", [LIMIT, LIMIT + 1, 2 * LIMIT], ids=["at", "over", "field over"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_a_line_at_and_over_the_field_size_limit(chunk, length, fill):
+    # the limit counts characters; a line over it goes to csv.reader, which
+    # refuses only a field over it
+    line = fill * (length - len(ROW_END)) + ROW_END
+    text = HEADER + _plain_rows(chunk) + line + _plain_rows(2, "v")
+    saved = csv.field_size_limit(LIMIT)
+    try:
+        with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+            got = assert_same_ingest(_text(text, ""))
+    finally:
+        csv.field_size_limit(saved)
+    if length == 2 * LIMIT:  # named by the last line read whole, as csv.DictReader counts
+        assert got == f"panel input, line {chunk + 1}: field larger than field limit ({LIMIT})"
+    else:
+        assert got.n_obs == chunk + 3
+
+
+@pytest.mark.parametrize("fill", ["w", "é", "\U0001f600", "\ud800"])
+def test_the_plain_check_counts_characters(fill):
+    limit = csv.field_size_limit()
+    header = HEADER.rstrip("\n").split(",")
+    at = fill * (limit - len(ROW_END)) + ROW_END
+    assert panel_module._is_plain(at + "u,c1,1,1,3,1,2.5", 2, limit, header)
+    assert not panel_module._is_plain(fill + at, 1, limit, header)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_a_blank_line_inside_a_chunk(chunk):
+    text = HEADER + _plain_rows(chunk) + _plain_rows(1, "v") + "\n" + _plain_rows(2, "w")
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        got = assert_same_ingest(_text(text, ""))
+        assert got.n_obs == chunk + 3
+        # one column, where a blank line has the header's width: it is no row
+        text = "outcome\n" + " \n" * chunk + "\n" + "2.5\n"
+        got = assert_same_ingest(_text(text, ""))
+    assert got == f"row {chunk + 2}: missing column 'unit'"
+
+
+@pytest.mark.parametrize("label", ["é", "日本", "\U0001f600", "a\ud800"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_non_ascii_labels_in_plain_chunks(chunk, label):
+    # a lone surrogate reaches the check as it is from a StringIO
+    text = HEADER + _plain_rows(chunk) + _plain_rows(3, label)
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        got = assert_same_ingest(_text(text, ""))
+    assert {f"{label}{i}" for i in range(3)} <= set(got.unit_labels.tolist())
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\x0b", "\x1c", "\xa0", "\u3000"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_whitespace_around_labels_in_a_plain_chunk(chunk, space):
+    # plain, so split on commas, but the labels and the outcome are still stripped
+    row = f"{space}w{space},{space}c1,1,1,3,1,{space}2.5{space}\n"
+    blank = f"x,c2,0,1,3,1,{space}\n"  # a whitespace outcome is missing
+    text = HEADER + _plain_rows(chunk) + row + blank + _plain_rows(2, "v")
+    with mock.patch.object(panel_module, "_CHUNK_ROWS", chunk):
+        got = assert_same_ingest(_text(text, ""))
+    assert "w" in got.unit_labels.tolist() and "c1" in got.cluster_labels.tolist()
+    assert got.ingest_report.dropped_rows == ((chunk + 3, "missing outcome"),)
+
+
 def test_labels_equal_but_for_trailing_nuls_are_one_label():
     # a <U array drops trailing NULs, and its width counts them
     text = HEADER + "a,s1,1,1,3,1,1.5\na\x00,s1,1,1,3,2,2.5\n"

@@ -610,6 +610,21 @@ def test_to_csv_bytes_match_numpy_string_padding(monkeypatch, tmp_path, labels):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("labels", [False, True], ids=["codes", "labels"])
+def test_to_csv_in_slices_writes_the_bytes_of_one_slice(monkeypatch, tmp_path, labels):
+    from pwrd import generate_panel, single_track_scenario
+
+    panel = generate_panel(single_track_scenario(n_clusters=8, units_per_grade=4), 0)
+    if labels:
+        panel.to_csv(tmp_path / "source.csv")
+        panel = ingest_panel(tmp_path / "source.csv")
+    monkeypatch.setattr(panel_module, "_CHUNK_ROWS", panel.n_obs)
+    panel.to_csv(tmp_path / "whole.csv")
+    monkeypatch.setattr(panel_module, "_CHUNK_ROWS", 3)  # 128 rows: a short last slice
+    panel.to_csv(tmp_path / "sliced.csv")
+    assert (tmp_path / "sliced.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_ingest_renamed_columns():
     text = io.StringIO(
         "sid,school,arm,wave,gr,yr,y\n"
