@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import CellStack, CellTable, GroupInfo, PanelDataset
 from .tails import VARIANTS
-from .weights import check_estimate_variance
+from .weights import check_estimate_variance, min_eigenvalues
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
@@ -197,17 +197,6 @@ def _canonical_order(U: np.ndarray) -> np.ndarray:
     return order
 
 
-def _min_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each finite matrix of ``V`` (R, K, K), from
-    one batched ``eigvalsh``; NaN for a matrix with a non-finite entry,
-    which ``CovarianceEstimate`` refuses before it reads this."""
-    eigmin = np.full(len(V), np.nan)
-    finite = np.isfinite(V).all(axis=(1, 2))
-    if finite.any():
-        eigmin[finite] = np.linalg.eigvalsh(V[finite]).min(axis=1)
-    return eigmin
-
-
 def covariances(effects, variant: str = "cr2") -> list:
     """``cluster_covariance`` of each of ``effects``, from one sandwich and
     one batched ``eigvalsh`` per stack of their cell tables: a
@@ -215,7 +204,7 @@ def covariances(effects, variant: str = "cr2") -> list:
     out, found = stacks([e.cells for e in effects])
     for idx, stack in found:
         _, V, n_clusters = sandwich(stack, variant)
-        items = zip(idx, V, stack.mean_square.tolist(), _min_eigenvalues(V).tolist())
+        items = zip(idx, V, stack.mean_square.tolist(), min_eigenvalues(V).tolist())
         for i, S, ms, eigmin in items:
             out[i] = attempt(
                 lambda: _covariance(effects[i].groups, S, ms, variant, n_clusters, eigmin))
@@ -255,6 +244,10 @@ def satterthwaite_dfs(effects, omegas) -> list:
         omega = np.stack([omegas[i] for i in idx])[:, None, :]
         phi = (sign * omega / n_z * scales)[:, active]
         m, n_z, z = stack.m[active], n_z[:, active], stack.z[:, active]
+        # a cell holding all of its arm's rows in a column adds exactly 0 to
+        # Om below, and its floored CR2 scale would only add rounding; in C
+        # order, so each item's sums below run as they would alone
+        phi = np.ascontiguousarray(np.where(m < n_z, phi, 0.0))
         # Om = V'(I - H)V for the per-cluster coefficient vectors V; the cell
         # projector H couples only clusters of the same arm.
         a = (m * phi**2).sum(axis=2)

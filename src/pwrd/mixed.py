@@ -34,26 +34,29 @@ is constant within a cluster, so after the transform the treatment column
 is z_c times the intercept column: H_cc = Y_c (T K T') Y_c' with Y_c the
 transformed rows less treatment and T the map of the cluster's arm. So
 (I - H_cc)^(-1/2) comes from the eigendecomposition of F'G_cF, with F F'
-the Cholesky factorization of T K T' (one per arm) and G_c = Y_c'Y_c, and
-the treatment score is z_c times the intercept score. G_c is W_c + (1 -
-lambda_c)^2 m_c xbar_c xbar_c', from the layout's within scatter W_c and
-mean row xbar_c; both terms are positive semidefinite, so nothing
-cancels. The default fit on grade takes one batched 2 x 2
-eigendecomposition over every cluster of the stack.
+the Cholesky factorization of T K T' (one per arm) and G_c = Y_c'Y_c. G_c
+is W_c + (1 - lambda_c)^2 m_c xbar_c xbar_c', from the layout's within
+scatter W_c and mean row xbar_c; both terms are positive semidefinite, so
+nothing cancels. Blocks of dimension 1 and 2, as in the default fit on
+grade, are decomposed in closed form; larger ones take one batched
+``eigh`` per stack. The cluster scores come from per-cluster sums of the
+weighted residuals: within a cluster the intercept column of the
+transformed design is 1 - lambda_c and its treatment column z_c (1 -
+lambda_c). Only the treatment coefficient's variance is formed.
 
 ``fits_random_intercept`` fits a list of panels. Each makes its own pass
 over its rows (the OLS fit and the within-record sum of squares, and the
 record sums when the records are finer than the cells); the fits whose
 panels share a record layout then run as one stack, every array below the
-records carrying a leading replicate axis, and the CR2 eigendecompositions
-of all their clusters are one call. ``fit_random_intercept`` is the stack
-of one panel.
+records carrying a leading replicate axis, so the CR2 adjustment of all
+their clusters and the implied weights of all the fits are one
+computation each. ``fit_random_intercept`` is the stack of one panel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -234,81 +237,115 @@ def _records(panel: PanelDataset, covariates: tuple[str, ...]) -> _Records:
     return panel.assignment_tier.get(("mixed records", covariates), build)
 
 
-def _cr_meat(Xt: np.ndarray, w: np.ndarray, u: np.ndarray, starts: np.ndarray, cr2) -> np.ndarray:
-    """Sum of b_c b_c' over clusters, from records weighted by ``w``, for a
-    stack of fits: ``Xt`` (R, N, p) and ``u`` (R, N), giving (R, p, p).
-
-    b_c = Xt_c' e_c for CR0 (``cr2`` None), and Xt_c'(I - H_cc)^(-1/2) e_c
-    for CR2, from ``cr2``, the arguments of ``_cr2_scores`` after the
-    scores. A record's rows share its design row, so their residuals enter
-    only through their sum ``w * u``.
-    """
-    wXt = w[:, None] * Xt
-    # per-cluster score sums, one row per cluster
-    B = np.add.reduceat(wXt * u[:, :, None], starts, axis=1)
-    if cr2 is not None:
-        B = _cr2_scores(B, *cr2)
-    return np.swapaxes(B, 1, 2) @ B
-
-
-def _cr2_scores(B: np.ndarray, F: np.ndarray, G: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Xt_c'(I - H_cc)^(-1/2) e_c per cluster, (R, C, p), from the scores
-    Xt_c' e_c, ``B`` (R, C, p), in p - 1 dimensions.
-
-    Treatment is constant within a cluster, so in cluster c the transformed
-    treatment column is z_c times the transformed intercept column: Xt_c =
-    Y_c T with Y_c the transformed rows less their treatment column and T
-    the (p - 1, p) map of the cluster's arm. Then H_cc = Y_c (T K T') Y_c',
-    and with T K T' = F F' (``F`` (R, C, p - 1, p - 1), each cluster's
-    arm's Cholesky factor) and ``G`` (R, C, p - 1, p - 1) the blocks Y_c'Y_c,
-    the nonzero eigenvalues of H_cc are those of F'GF = Q diag(d) Q'. So
-    (I - H_cc)^(-1/2) = I + Y_c F Q diag(coef) Q' F' Y_c', coef =
-    ((1 - d)^(-1/2) - 1) / d, with eigenvalues of I - H clipped at the
-    floor. The treatment score is z_c (``z`` (R, C)) times the intercept
-    score, as it is before the adjustment.
-    """
-    keep = np.r_[0, 2 : B.shape[2]]
-    b = B[:, :, keep]
-    d, Q = np.linalg.eigh(np.swapaxes(F, 2, 3) @ G @ F)
-    d = np.clip(d, 0.0, None)
-    coef = np.where(
-        d > 1e-12,
-        (1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR)) - 1.0) / np.where(d > 1e-12, d, 1.0),
-        0.5,
-    )
-    FQ = F @ Q
-    t = coef * (np.swapaxes(FQ, 2, 3) @ b[..., None])[..., 0]
-    b = b + (G @ (FQ @ t[..., None]))[..., 0]
-    out = np.empty_like(B)
-    out[:, :, keep] = b
-    out[:, :, 1] = z * b[:, :, 0]
-    return out
-
-
-def _cr2_inputs(rec: _Records, X, XtX, K, lam) -> tuple | None:
-    """The arguments of ``_cr2_scores`` after the scores, for a stack of
-    fits on the records ``rec`` with design rows ``X`` (R, N, p), transformed
-    Gram matrices ``XtX`` and their inverses ``K`` (R, p, p) and GLS factors
-    ``lam`` (R, C); None when a fit's design is singular for the adjustment.
-
-    T for arm a maps (intercept, covariates) to (intercept, treatment,
-    covariates): the intercept's entry goes to the treatment column times a.
-    """
-    if (np.linalg.eigvalsh(XtX).min(axis=1) <= 0).any():
-        return None
-    p = X.shape[2]
+@lru_cache(maxsize=None)
+def _arm_maps(p: int) -> np.ndarray:
+    """T for each arm, (2, p - 1, p), built once per p and read-only. T for
+    arm a maps (intercept, covariates) to (intercept, treatment,
+    covariates): the intercept's entry goes to the treatment column times a."""
     T = np.zeros((2, p - 1, p))
     T[:, 0, 0] = T[1, 0, 1] = 1.0
     T[:, 1:, 2:] = np.eye(p - 2)
+    T.flags.writeable = False
+    return T
+
+
+def _cr2_inputs(rec: _Records, z, XtX, K, lam) -> tuple | None:
+    """Each cluster's arm's Cholesky factor F of T K T' and its block G_c =
+    Y_c'Y_c, both (R, C, p - 1, p - 1), for a stack of fits on the records
+    ``rec`` with the clusters' arms ``z`` (R, C), transformed Gram matrices
+    ``XtX`` and their inverses ``K`` (R, p, p) and GLS factors ``lam`` (R,
+    C); None when a fit's design is singular for the adjustment."""
+    if (np.linalg.eigvalsh(XtX).min(axis=1) <= 0).any():
+        return None
+    T = _arm_maps(K.shape[2])
     try:
         F = np.linalg.cholesky(T @ K[:, None] @ np.swapaxes(T, 1, 2))
     except np.linalg.LinAlgError:
         return None
-    z = X[:, rec.starts, 1]
     G = rec.within + ((1.0 - lam) ** 2 * rec.m)[:, :, None, None] * (
         rec.mean[:, :, None] * rec.mean[:, None, :]
     )
-    return F[np.arange(len(F))[:, None], z.astype(np.intp)], G, z
+    return F[np.arange(len(F))[:, None], z], G
+
+
+def _coefficients(d: np.ndarray) -> np.ndarray:
+    """((1 - d)^(-1/2) - 1) / d of eigenvalues ``d`` of H_cc clipped at 0,
+    with 1 - d floored at ``EIG_FLOOR``; 1/2, its limit, at d <= 1e-12."""
+    d = np.clip(d, 0.0, None)
+    big = d > 1e-12
+    root = 1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR))
+    return np.where(big, (root - 1.0) / np.where(big, d, 1.0), 0.5)
+
+
+def _cr2_coefficients(M: np.ndarray) -> np.ndarray:
+    """Q diag(c) Q' for each symmetric block Q diag(d) Q' of ``M`` (..., k,
+    k), c the ``_coefficients`` of d, reading M's lower triangle as ``eigh``
+    does.
+
+    Blocks of dimension 1 and 2 (the default fit on grade has 2) are in
+    closed form: a 2 x 2 block [[a, b], [b, c]] has eigenvalues mid -/+ r,
+    with mid = (a + c) / 2 and r = hypot((a - c) / 2, b), and the projector
+    on the larger one is [[1 + (a - c) / 2r, b / r], [b / r, 1 - (a - c) /
+    2r]] / 2, so Q diag(c) Q' = c_lo I + (c_hi - c_lo) P. Its entries are
+    ratios of r, accurate however close the eigenvalues, and c_hi - c_lo is
+    0 when they are equal (r = 0), where P is not defined. Larger blocks
+    take ``np.linalg.eigh``.
+    """
+    k = M.shape[-1]
+    if k == 1:
+        return _coefficients(M)
+    if k > 2:
+        d, Q = np.linalg.eigh(M)
+        return (Q * _coefficients(d)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+    half = (a - c) / 2.0
+    r = np.hypot(half, b)
+    mid = (a + c) / 2.0
+    lo, hi = _coefficients(np.stack([mid - r, mid + r]))
+    step = (hi - lo) / 2.0
+    r = np.where(r > 0, r, 1.0)
+    out = np.empty(M.shape)
+    out[..., 0, 0] = lo + step * (1.0 + half / r)
+    out[..., 1, 1] = lo + step * (1.0 - half / r)
+    out[..., 0, 1] = out[..., 1, 0] = step * (b / r)
+    return out
+
+
+def _robust_variance(Xt, wu, lam, K, z, starts, cr2) -> np.ndarray:
+    """The cluster-robust variance of each fit's treatment coefficient, (R,),
+    from the records' weighted residual sums ``wu`` (R, N): the entry (1, 1)
+    of K (sum_c B_c B_c') K over clusters, B_c = Xt_c' e_c for CR0 (``cr2``
+    None) and Xt_c'(I - H_cc)^(-1/2) e_c for CR2, from ``cr2``, the
+    arguments ``_cr2_inputs`` returns. A record's rows share its design row,
+    so their residuals enter only through their sum.
+
+    Treatment is constant within a cluster, so in cluster c the transformed
+    design is Xt_c = Y_c T with Y_c the transformed rows less the treatment
+    column and T the map of the cluster's arm (``_arm_maps``), and B_c = T'b_c
+    with b_c = Y_c' e_c. The intercept column of Y_c is 1 - lambda_c, so
+    b_c's first entry is (1 - lambda_c) times the cluster's sum of ``wu``;
+    its other entries are the cluster's sums of ``wu`` times the covariates'
+    columns of Xt. The coefficient is then the sum over clusters of (t_c'
+    b_c)^2 with t_c = T K e_1.
+
+    For CR2, H_cc = Y_c (T K T') Y_c', and with T K T' = F F' and G_c =
+    Y_c'Y_c the nonzero eigenvalues of H_cc are those of F'G_cF. So
+    (I - H_cc)^(-1/2) = I + Y_c F h F' Y_c' with h the ``_cr2_coefficients``
+    of F'G_cF, and t_c'b_c gains t_c' G_c F h F' b_c: t_c becomes t_c +
+    F h F' G_c t_c.
+    """
+    R, _, p = Xt.shape
+    b = ((1.0 - lam) * np.add.reduceat(wu, starts, axis=1))[:, :, None]
+    if p > 2:
+        covs = np.add.reduceat(wu[:, :, None] * Xt[:, :, 2:], starts, axis=1)
+        b = np.concatenate([b, covs], axis=2)
+    t = (_arm_maps(p) @ K[:, None, :, 1:2])[np.arange(R)[:, None], z]
+    if cr2 is not None:
+        F, G = cr2
+        FG = np.swapaxes(F, 2, 3) @ G
+        t = t + F @ (_cr2_coefficients(FG @ F) @ (FG @ t))
+    g = (b * t[..., 0]).sum(axis=2)
+    return (g * g).sum(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +426,7 @@ def fits_random_intercept(
     Each panel makes its own pass over its rows (``_row_pass``). Everything
     below the records is computed once per stack of panels that share a
     record layout: the components' sums, the GLS transform and solve, the
-    cluster-robust meat and the implied weights.
+    cluster-robust variance and the implied weights.
     """
     if variant not in VARIANTS:
         raise InputError(f"variant must be one of {VARIANTS}")
@@ -448,9 +485,10 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
         refused = None
     except np.linalg.LinAlgError:
         refused = "singular transformed design"
+    z = X[:, starts, 1].astype(np.intp)
     cr2 = None
     if refused is None and variant == "cr2":
-        cr2 = _cr2_inputs(rec, X, XtX, K, lam)
+        cr2 = _cr2_inputs(rec, z, XtX, K, lam)
         if cr2 is None:
             refused = "singular design in cluster adjustment"
     if refused is not None:  # a fit refuses its design: each is fitted alone
@@ -465,35 +503,39 @@ def _fit_stack(panels, passes: list[_RowPass], covariates, variant) -> list:
     u = yt - (Xt @ beta[:, :, None])[:, :, 0]
     ss_gls = np.array([passes[k].ss_within + w @ u2 for k, u2 in zip(live, u**2)])
     s2 = ss_gls / max(n - p, 1)
-    V = K @ _cr_meat(Xt, w, u, starts, cr2) @ K
+    v11 = _robust_variance(Xt, w * u, lam, K, z, starts, cr2)
     with np.errstate(invalid="ignore"):  # a negative variance fails check_test_variance
         se_model = np.sqrt(s2 * K[:, 1, 1])
-        se_cr = np.sqrt(V[:, 1, 1])
+        se_cr = np.sqrt(v11)
 
-    # implied per-group weights of the treated side of the contrast
+    # implied per-group weights of the treated side of the contrast, every
+    # fit's in one bincount, its groups offset by its place in the stack
     v = (Xt @ K[:, :, 1:2])[:, :, 0]
     a = v - lam_r * (np.add.reduceat(w * v, starts, axis=1) / m)[:, cl]
+    n_groups = panels[0].n_groups
+    bins = rec.grp + n_groups * np.arange(len(live))[:, None]
+    gw = np.bincount(bins.ravel(), weights=(w * a * X[:, :, 1]).ravel(),
+                     minlength=len(live) * n_groups).reshape(len(live), n_groups)
     names = ["intercept", "treatment", *covariates]
     # the intercept of the uncentred covariates; beta's other uses are above
     beta[:, 0] -= beta[:, 2:] @ rec.shift
-    found = zip(live, beta, se_model.tolist(), se_cr.tolist(), V[:, 1, 1].tolist(), a, X)
-    for k, b, se_m, se_r, v11, a_k, X_k in found:
+    found = zip(live, beta.tolist(), se_model.tolist(), se_cr.tolist(), v11.tolist(), gw)
+    for k, b, se_m, se_r, var, gw_k in found:
         components, mean_square, warnings_ = out[k]
-        gw = np.bincount(rec.grp, weights=w * a_k * X_k[:, 1], minlength=panels[k].n_groups)
         fit = MixedModelFit(
-            tau_hat=float(b[1]),
+            tau_hat=b[1],
             se_model=se_m,
             se_cluster_robust=se_r,
             components=components,
             df=float(C - 2),
             n_clusters=C,
             n_obs=n,
-            coefficients={nm: float(x) for nm, x in zip(names, b)},
-            implied_group_weights=gw,
+            coefficients=dict(zip(names, b)),
+            implied_group_weights=gw_k,
             variant=variant,
             warnings=warnings_,
         )
-        refused = attempt(lambda: check_estimate_variance(v11, mean_square, C))
+        refused = attempt(lambda: check_estimate_variance(var, mean_square, C))
         out[k] = fit if refused is None else refused
     return out
 

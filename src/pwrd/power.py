@@ -6,9 +6,12 @@ generator, and hands the (replicate, level) panels of ``REPLICATE_BATCH``
 replicates to one analysis (``_analyze_panels``). Each panel sums its own
 rows; every computation below the rows carries a leading replicate axis,
 so a stage runs once per batch rather than once per panel. The weight
-solve and the t tails stay one call per panel. ``pwrd analyze`` and the
-public per-replicate functions run the same stages on one panel, and a
-panel's results do not depend on the batch it was analyzed in.
+stage is one call per batch: its gates are array tests, and each panel's
+Lawson-Hanson solve stays its own, but the later effect levels of a
+replicate first try the first level's free set. The t tails stay one
+call per panel. ``pwrd analyze`` and the public per-replicate functions
+run the same stages on one panel, and a panel's results do not depend on
+the batch it was analyzed in.
 
 This module loads the estimators of the group effects (``effects``,
 ``covariance``, ``weights``); ``simulate`` loads none, so ``import pwrd``
@@ -34,7 +37,7 @@ from .effects import estimate_p0, exit_estimates, group_effects
 from .errors import DegenerateDataError, InputError, PwrdError, attempt, one
 from .panel import PanelDataset
 from .tails import DF_RULES, METHODS, VARIANTS
-from .weights import aggregate_tests, flat_weights, pwrd_weights
+from .weights import aggregate_tests, flat_weights, pwrd_weights_stack
 
 if TYPE_CHECKING:
     from .simulate import Scenario
@@ -91,10 +94,12 @@ def _analyze_panels(
 
     Each stage runs once over the panels still standing: each panel sums
     its own rows, and what lies below the rows (contrasts, sandwiches,
-    degrees of freedom, test variances, the mixed fit's GLS and CR2 meat)
-    is one computation per stack of panels that share a layout. The weight
-    solve and the t tail are one call per panel. A panel's results do not
-    depend on which panels share its list.
+    weight gates, degrees of freedom, test variances, the mixed fit's GLS
+    and CR2 variance) is one computation per stack of panels that share a
+    layout. Each weight solve and t tail is one call per panel; the panels
+    of one assignment, a replicate's effect levels, share their first
+    solve's free set as a first guess (``weights.pwrd_weights_stack``). A
+    panel's results do not depend on which panels share its list.
     """
     _check_analysis(methods, cov_variant, df_rule)
     errors: list = [None] * len(panels)
@@ -126,7 +131,9 @@ def _analyze_panels(
         if m not in methods:
             continue
         if m == "pwrd":
-            w = each(lambda i: pwrd_weights(covs[i], p0[i], ridge=ridge), covs)
+            w = stage(lambda idx: pwrd_weights_stack(
+                [(covs[i], p0[i]) for i in idx], ridge,
+                [id(panels[i].assignment_tier) for i in idx]), covs)
         else:  # the group sizes, so the table's counts, fix the flat weights
             w = each(lambda i: effects[i].cells.counts.get(
                 "flat weights", lambda: flat_weights(effects[i])), covs)

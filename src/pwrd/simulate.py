@@ -275,6 +275,15 @@ def _threshold_row(frame: _Frame, thresholds: tuple[tuple[int, float], ...]) -> 
     return row
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _trend_row(frame: _Frame, beta0: float, beta1: float) -> np.ndarray:
+    """Each row's mean outcome beta0 + beta1 * grade, read-only: it is shared
+    by every replicate. Typed, so an integer coefficient keeps its own row."""
+    row = beta0 + beta1 * frame.grade
+    row.flags.writeable = False
+    return row
+
+
 def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset:
     """Draw one replicate panel under the null (no effect applied).
 
@@ -296,7 +305,7 @@ def generate_panel(scenario: Scenario, replicate_index: int = 0) -> PanelDataset
     eps = _rng(scenario.seed, replicate_index, _STAGE_NOISE).normal(
         0.0, np.sqrt(scenario.sigma2_eps), frame.n_obs
     )
-    y = scenario.beta0 + scenario.beta1 * frame.grade + mu[frame.cluster] + eps
+    y = _trend_row(frame, scenario.beta0, scenario.beta1) + mu[frame.cluster] + eps
 
     flags = (y < _threshold_row(frame, scenario.thresholds)).view(np.int8)
     for start, n_units, T in frame.track_slices:

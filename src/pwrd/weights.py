@@ -10,7 +10,11 @@ exactly with the Lawson-Hanson active-set method in Gram form, directly
 on S and p: it starts with every group clipped, frees the group with the
 largest positive gradient entry p - Sv, and solves S[F, F] z = p[F] on the
 free set F, stepping back whenever a free entry of z is not positive.
-When nothing clips, v = S^{-1} p.
+When nothing clips, v = S^{-1} p. ``pwrd_weights`` is
+``pwrd_weights_stack`` on one problem. The stack runs its problems' gates
+as array tests, and a problem whose key an earlier one shares first solves
+on that one's free set, keeping the solution when Lawson-Hanson's stopping
+test holds there by a margin.
 
 The aggregate test divides the weighted estimate by its standard error
 and reads its p-value from the t or normal reference tails of ``tails``,
@@ -33,6 +37,9 @@ WEIGHT_SUM_TOL = 1e-12
 SCHEMES = ("pwrd", "flat", "custom")
 # The weight solver's cap on linear solves, per group, as in Lawson & Hanson.
 SOLVER_STEPS_PER_GROUP = 3
+# The share of the largest weight and test-in proportion by which a face's
+# stopping test must hold before the solve on it is kept (``_on_face``).
+FACE_MARGIN = 1e-9
 # A test variance at most this share of the outcome's mean square is rounding,
 # not variation: a standard error below 1e-12 of the outcome's root mean square.
 ROUNDING_FLOOR = 1e-24
@@ -127,30 +134,38 @@ class AggregatedTest:
         }
 
 
-def _gate_matrix(S: np.ndarray, ridge: bool, eigmin: float | None = None) -> np.ndarray:
-    """``S``, plus the ridge if asked, once it is finite with a positive
-    trace and a smallest eigenvalue above the gate. ``eigmin``, the
-    smallest eigenvalue of ``S`` when already known, spares a second
-    decomposition; the ridge moves the eigenvalues, so it is then unread."""
-    G = S.shape[0]
-    tr = float(np.trace(S))
-    if not np.isfinite(S).all():
-        raise NumericalError("covariance contains non-finite entries")
-    if tr <= 0:
-        raise NumericalError("covariance has nonpositive trace")
-    if ridge:
-        S = S + (RIDGE_FACTOR * tr / G) * np.eye(G)
-        tr = float(np.trace(S))
-        eigmin = None
-    if eigmin is None:
-        eigmin = float(np.linalg.eigvalsh(S).min())
-    if eigmin <= PD_GATE * tr / G:
-        raise NumericalError(
-            "covariance is singular or near singular "
-            f"(min eigenvalue {eigmin:.3e} vs gate {PD_GATE * tr / G:.3e}); "
-            "enable the ridge option to proceed with a regularized matrix"
-        )
-    return S
+def min_eigenvalues(V: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each finite matrix of ``V`` (R, K, K), from
+    one batched ``eigvalsh``; NaN for a matrix with a non-finite entry,
+    which every caller refuses before it reads this."""
+    eigmin = np.full(len(V), np.nan)
+    finite = np.isfinite(V).all(axis=(1, 2))
+    if finite.any():
+        eigmin[finite] = np.linalg.eigvalsh(V[finite]).min(axis=1)
+    return eigmin
+
+
+def _passes_gates(S: np.ndarray, P: np.ndarray, eigmin, ridge: bool) -> tuple:
+    """The gates of ``pwrd_weights`` as array tests on a stack of covariances
+    ``S`` (R, G, G) and proportions ``P`` (R, G): which items pass them all,
+    and the matrices the solver reads, with the ridge if asked. ``eigmin``
+    holds each smallest eigenvalue when known (NaN where not); the ridge
+    moves them, so it is then unread. Each test is the negation of a
+    refusal of ``_problem``, so a NaN fails exactly the tests it fails there."""
+    G = S.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite S fails the gate
+        tr = np.trace(S, axis1=1, axis2=2)
+        ok = np.isfinite(S).all(axis=(1, 2)) & ~(tr <= 0)
+        if ridge:
+            S = S + (RIDGE_FACTOR * tr / G)[:, None, None] * np.eye(G)
+            tr = np.trace(S, axis1=1, axis2=2)
+            eigmin = np.full(len(S), np.nan)
+        unknown = np.isnan(eigmin) & ok
+        if unknown.any():
+            eigmin[unknown] = min_eigenvalues(S[unknown])
+        ok &= ~(eigmin <= PD_GATE * tr / G)
+        ok &= (np.isfinite(P) & (P >= 0)).all(axis=1) & ~(P.max(axis=1) <= 0)
+    return ok, S
 
 
 def _nonnegative_minimizer(S: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -209,6 +224,73 @@ def _nonnegative_minimizer(S: np.ndarray, p: np.ndarray) -> np.ndarray:
         residual = p - S @ v
 
 
+def _on_face(S: np.ndarray, p: np.ndarray, free: np.ndarray) -> np.ndarray | None:
+    """The solution of ``_nonnegative_minimizer`` when its free set is
+    ``free``, or None when that is not shown. On that set v solves
+    S[F, F] z = p[F] and is zero off it; it is the optimum when
+    Lawson-Hanson's own stopping test holds: every free entry positive, and
+    no clipped group with a positive entry of p - Sv. The test must hold by
+    ``FACE_MARGIN``, relative to the largest entry of z and of p: a group on
+    the boundary, with a weight or gradient near zero, could leave rounding
+    to choose between two faces that both pass it. With the margin the
+    optimum, which is unique, lies on this face, so Lawson-Hanson's search
+    ends here and its last solve is this one."""
+    idx = np.flatnonzero(free)
+    z = np.linalg.solve(S[idx[:, None], idx], p[idx])
+    if not z.min() > FACE_MARGIN * z.max():
+        return None
+    v = np.zeros(len(p))
+    v[idx] = z
+    if not (np.where(free, -np.inf, p - S @ v) < -FACE_MARGIN * p.max()).all():
+        return None
+    return v
+
+
+def _problem(sigma, p0, ridge: bool) -> tuple:
+    """The matrix and proportions one weight problem solves on, after the
+    gates of ``pwrd_weights`` one by one: the error of the first that
+    refuses it, with its text, is raised."""
+    S = _matrix(sigma)
+    G = S.shape[0]
+    tr = float(np.trace(S))
+    if not np.isfinite(S).all():
+        raise NumericalError("covariance contains non-finite entries")
+    if tr <= 0:
+        raise NumericalError("covariance has nonpositive trace")
+    # the smallest eigenvalue of a CovarianceEstimate spares a second
+    # decomposition; the ridge moves the eigenvalues, so it is then unread
+    eigmin = None if ridge else getattr(sigma, "min_eigenvalue", None)
+    if ridge:
+        S = S + (RIDGE_FACTOR * tr / G) * np.eye(G)
+        tr = float(np.trace(S))
+    if eigmin is None:
+        eigmin = float(np.linalg.eigvalsh(S).min())
+    if eigmin <= PD_GATE * tr / G:
+        raise NumericalError(
+            "covariance is singular or near singular "
+            f"(min eigenvalue {eigmin:.3e} vs gate {PD_GATE * tr / G:.3e}); "
+            "enable the ridge option to proceed with a regularized matrix"
+        )
+    p = _vector(p0, "p_hat")
+    if len(p) != G:
+        raise InputError(f"p0 has length {len(p)}, covariance is {G}x{G}")
+    if not (np.isfinite(p) & (p >= 0)).all():
+        raise InputError("test-in proportions must be finite and nonnegative")
+    if p.max() <= 0:
+        raise DegenerateDataError("no test-in signal: p0 is zero in every group")
+    return S, p
+
+
+def _solution(S: np.ndarray, p: np.ndarray, free: np.ndarray | None) -> AggregationWeights:
+    """The pwrd weights of a problem that passed its gates, solved on the
+    free set ``free`` if it is the optimum's, else by Lawson-Hanson."""
+    v = None if free is None else _on_face(S, p, free)
+    if v is None:
+        v = _nonnegative_minimizer(S, p)
+    clipped = tuple(np.flatnonzero(v == 0).tolist())
+    return AggregationWeights(omega=v / v.sum(), scheme="pwrd", clipped_groups=clipped)
+
+
 # ----------------------------------------------------------------------
 # public operations
 
@@ -222,19 +304,51 @@ def pwrd_weights(sigma, p0, ridge: bool = False) -> AggregationWeights:
     nothing clips, v = sigma^{-1} p0. ``clipped_groups`` lists the groups
     the optimum gives exactly zero weight.
     """
-    S = _gate_matrix(_matrix(sigma), ridge, getattr(sigma, "min_eigenvalue", None))
-    p = _vector(p0, "p_hat")
-    G = S.shape[0]
-    if len(p) != G:
-        raise InputError(f"p0 has length {len(p)}, covariance is {G}x{G}")
-    if not (np.isfinite(p) & (p >= 0)).all():
-        raise InputError("test-in proportions must be finite and nonnegative")
-    if p.max() <= 0:
-        raise DegenerateDataError("no test-in signal: p0 is zero in every group")
+    return one(pwrd_weights_stack([(sigma, p0)], ridge, [None]))
 
-    v = _nonnegative_minimizer(S, p)
-    clipped = tuple(int(i) for i in np.flatnonzero(v == 0))
-    return AggregationWeights(omega=v / v.sum(), scheme="pwrd", clipped_groups=clipped)
+
+def pwrd_weights_stack(items, ridge: bool, keys) -> list:
+    """``pwrd_weights`` of each (sigma, p0) item: AggregationWeights, or the
+    package error that refuses the item.
+
+    The gates run as array tests over the items of each group count
+    (``_passes_gates``). An item they refuse, or whose inputs do not read as
+    a square matrix and a vector of its length, takes the gates one by one
+    (``_problem``), which raise its error. Each item that passes is solved
+    by Lawson-Hanson, except that an item that shares its key in ``keys``
+    with an earlier solved item of its group count first tries that item's
+    free set (``_on_face``), and solves from scratch when that set is not
+    shown to be its optimum's. The engine keys each panel by its
+    assignment: the effect levels of a replicate share p0 and mostly their
+    clipped groups. The weights match the call on the item alone bit for
+    bit, except that an item whose search from scratch would run out of
+    steps gets its optimum when an earlier item of its key gave its face.
+    """
+    out: list = [None] * len(items)
+    by_size: dict = {}
+    for i, (sigma, p0) in enumerate(items):
+        found = attempt(lambda: (_matrix(sigma), _vector(p0, "p_hat")))
+        if isinstance(found, PwrdError) or len(found[1]) != len(found[0]):
+            out[i] = attempt(lambda: _problem(sigma, p0, ridge))
+        else:
+            by_size.setdefault(len(found[1]), []).append((i, *found))
+    for group in by_size.values():
+        idx = [i for i, _, _ in group]
+        eigmin = [getattr(items[i][0], "min_eigenvalue", None) for i in idx]
+        eigmin = np.array([np.nan if e is None else e for e in eigmin])
+        S = np.stack([s for _, s, _ in group])
+        P = np.stack([p for _, _, p in group])
+        ok, S = _passes_gates(S, P, eigmin, ridge)
+        for i, S_i, p, passed in zip(idx, S, P, ok.tolist()):
+            out[i] = (S_i, p) if passed else attempt(lambda: _problem(*items[i], ridge))
+    faces: dict = {}
+    for i, found in enumerate(out):
+        if not isinstance(found, PwrdError):
+            key = (keys[i], len(found[1]))
+            out[i] = attempt(lambda: _solution(*found, faces.get(key)))
+            if not isinstance(out[i], PwrdError):
+                faces.setdefault(key, out[i].omega > 0)
+    return out
 
 
 def flat_weights(effects) -> AggregationWeights:

@@ -332,6 +332,76 @@ def test_satterthwaite_is_positive_and_grows_with_clusters():
     assert dfs[0] < dfs[1] < dfs[2]
 
 
+def test_stacked_satterthwaite_matches_the_dense_oracle():
+    # the stack reads Om's trace and Frobenius norm from per-arm K x K Gram
+    # blocks; the oracle builds the C x C matrix
+    from pwrd.covariance import satterthwaite_dfs
+    from pwrd.effects import group_effects
+    from pwrd.simulate import default_scenario
+
+    from oracles import replicate_satterthwaite
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    panels = [apply_effect(generate_panel(sc, r), sc.effect.with_level(lv), r)
+              for r in range(6) for lv in (0.0, 5.5)]
+    effects = group_effects(panels, ())
+    rng = np.random.default_rng(4)
+    omegas = [rng.dirichlet(np.ones(e.n_groups)) for e in effects]
+    for eff, omega, df in zip(effects, omegas, satterthwaite_dfs(effects, omegas)):
+        want = replicate_satterthwaite(eff.cells.m, eff.cells.z, omega)
+        assert df == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_a_column_one_cluster_of_an_arm_holds_adds_nothing_to_the_df():
+    # grade 4 has rows in one treated cluster: its CR2 scale is floored, and
+    # its term of Om is exactly 0, so the df match the row-level definition
+    rows, unit = [], 0
+    for c in range(8):
+        for grade, size in ((3, 3 + c), (4, 2 + c if c in (0, 1, 2) else 0)):
+            rows += [(unit + i, c, c % 2, grade) for i in range(size)]
+            unit += size
+    u, cl, z, grade = (np.array(col) for col in zip(*rows))
+    n = len(u)
+    p = PanelDataset(unit=u, cluster=cl, treatment=z, cohort=np.ones(n, dtype=int), grade=grade,
+                     year=np.ones(n, dtype=int), outcome=np.random.default_rng(5).normal(size=n))
+    eff = estimate_effects_diffmeans(p)
+    assert (eff.cells.m[p.z_by_cluster == 1, 1] > 0).sum() == 1
+    omega = np.array([0.4, 0.6])
+    _, want = cell_mean_sandwich(p.outcome, p.cluster, p.treatment, p.group_ids, "cr2", omega)
+    assert satterthwaite_df(p, eff, omega) == pytest.approx(want, rel=1e-12)
+
+
+def test_a_column_one_cluster_nearly_fills_keeps_the_dense_df():
+    # in grade 3, one treated cluster holds 50,000 of its arm's 50,003 rows:
+    # a form of |Om|^2 from each arm's K x K Gram matrix subtracts large
+    # terms here, and the df must keep the dense C x C sum's digits
+    from pwrd.covariance import satterthwaite_dfs
+
+    from oracles import replicate_satterthwaite
+
+    rng = np.random.default_rng(1)
+    z_c = np.arange(20) % 2
+    panels, tables = [], []
+    for _ in range(10):
+        m = rng.integers(1, 20, size=(20, 3))
+        m[z_c == 1, 0] = [50_000, *rng.multinomial(3, np.full(9, 1 / 9))]
+        cl = np.repeat(np.repeat(np.arange(20), 3), m.ravel())
+        grade = np.repeat(np.tile([3, 4, 5], 20), m.ravel())
+        n = len(cl)
+        panels.append(PanelDataset(
+            unit=np.arange(n), cluster=cl, treatment=z_c[cl], cohort=np.ones(n, dtype=int),
+            grade=grade, year=np.ones(n, dtype=int), outcome=np.zeros(n)))
+        tables.append(m)
+    effects = [estimate_effects_diffmeans(p) for p in panels]
+    for eff, m in zip(effects, tables):
+        np.testing.assert_array_equal(eff.cells.m, m)
+    effects = [eff for eff in effects for _ in range(10)]
+    omegas = rng.dirichlet(np.ones(3), size=len(effects))
+    for eff, omega, df in zip(effects, omegas, satterthwaite_dfs(effects, omegas)):
+        want = replicate_satterthwaite(eff.cells.m, eff.cells.z, omega)
+        assert df == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # ----------------------------------------------------------------------
 # the cell table against the row-level definition
 

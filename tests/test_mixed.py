@@ -358,6 +358,57 @@ def test_stacked_fits_match_the_per_panel_oracle(variant, covariates):
         assert fit.df == df
 
 
+def _spectral_cr2_coefficients(M):
+    """Q diag(c) Q' of each block by ``np.linalg.eigh``, c = ((1 - d)^(-1/2)
+    - 1) / d of the eigenvalues d clipped at 0, with 1 - d floored at 1e-12,
+    and c = 1/2 at d <= 1e-12."""
+    d, Q = np.linalg.eigh(M)
+    d = np.clip(d, 0.0, None)
+    big = d > 1e-12
+    root = 1.0 / np.sqrt(np.maximum(1.0 - d, 1e-12))
+    c = np.where(big, (root - 1.0) / np.where(big, d, 1.0), 0.5)
+    return (Q * c[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+def _blocks(Q, d):
+    return (Q * np.asarray(d, dtype=np.float64)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_form_cr2_blocks_match_eigh(k):
+    from pwrd.covariance import EIG_FLOOR
+    from pwrd.mixed import _cr2_coefficients
+
+    rng = np.random.default_rng(k)
+    Q = np.linalg.qr(rng.normal(size=(400, k, k)))[0]
+    blocks = [_blocks(Q, rng.uniform(0.0, 0.999, size=(400, k)))]
+    if k == 1:
+        blocks.append(np.array([0.0, 1e-13, 1.0 - EIG_FLOOR, 1.0, 1.3]).reshape(-1, 1, 1))
+    else:
+        theta = rng.uniform(0.0, np.pi, size=6)
+        R = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], -1)
+        R = R.reshape(-1, 2, 2)
+        edges = [
+            np.diag([0.3, 0.3]),  # a zero off-diagonal with equal diagonals
+            np.diag([0.0, 0.0]),
+            _blocks(R[0], [1e-13, 0.4]),  # an eigenvalue below 1e-12
+            _blocks(R[1], [0.0, 0.7]),
+            _blocks(R[2], [0.2, 1.0 - EIG_FLOOR]),  # one clipped at the floor
+            _blocks(R[3], [0.5, 1.0]),
+            _blocks(R[4], [0.1, 1.4]),
+            _blocks(R[5], [0.25, 0.25 + 1e-9]),  # nearly equal eigenvalues
+        ]
+        blocks.append(np.stack(edges))
+    M = np.concatenate(blocks)
+    want = _spectral_cr2_coefficients(M)
+    got = _cr2_coefficients(M)
+    scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+    assert (np.abs(got - want) <= 1e-12 * scale).all()
+    if k == 2:  # the lower triangle is read, as eigh reads it
+        M[:, 0, 1] = np.nan
+        assert (np.abs(_cr2_coefficients(M) - want) <= 1e-12 * scale).all()
+
+
 def test_an_offset_covariate_keeps_the_cr2_se():
     # the layout centres each covariate on the rows, so a covariate far from
     # zero leaves the fit as the centred one's; the intercept maps back

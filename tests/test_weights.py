@@ -350,6 +350,120 @@ def test_repeated_calls_are_bit_identical():
 
 
 # ----------------------------------------------------------------------
+# the stacked weight stage
+
+def _serial_weights(sigma, p0, ridge=False):
+    # the per-item route: the gates one by one, then Lawson-Hanson from scratch
+    S, p = weights_module._problem(sigma, p0, ridge)
+    v = weights_module._nonnegative_minimizer(S, p)
+    return v / v.sum(), tuple(np.flatnonzero(v == 0).tolist())
+
+
+def _same_weights(found, want):
+    omega, clipped = want
+    assert np.array_equal(found.omega, omega)
+    assert found.clipped_groups == clipped
+
+
+def test_stacked_weights_equal_the_per_panel_call_on_default_replicates(monkeypatch):
+    # the two effect levels of a replicate share p0 and a key: the second
+    # tries the first's free set, and solves from scratch when the optimum's
+    # is another; both routes give the per-item weights bit for bit
+    from pwrd.covariance import covariances
+    from pwrd.effects import estimate_p0, group_effects
+    from pwrd.simulate import EffectSpec, apply_effect, default_scenario, generate_panel
+    from pwrd.weights import pwrd_weights_stack
+
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    items, keys = [], []
+    for r in range(200):
+        base = generate_panel(sc, r)
+        panels = [apply_effect(base, sc.effect.with_level(lv), r) for lv in (0.0, 5.5)]
+        effects = group_effects(panels, ())
+        for p, eff, cov in zip(panels, effects, covariances(effects)):
+            items.append((cov, estimate_p0(p).on_groups(eff.groups)))
+            keys.append(r)
+    alone = [_serial_weights(*item) for item in items]
+    for item, want in zip(items, alone):
+        _same_weights(pwrd_weights(*item), want)
+    solves, real = [], weights_module._nonnegative_minimizer
+    monkeypatch.setattr(
+        weights_module, "_nonnegative_minimizer", lambda S, p: solves.append(1) or real(S, p))
+    for found, want in zip(pwrd_weights_stack(items, False, keys), alone):
+        _same_weights(found, want)
+    # a level whose optimum clips other groups than the first level's falls back
+    moved = sum(a[1] != b[1] for a, b in zip(alone[::2], alone[1::2]))
+    assert 0 < moved < 100
+    assert len(solves) == 200 + moved
+
+
+@pytest.mark.parametrize("ridge", [False, True])
+def test_stacked_weights_equal_the_per_problem_call_on_random_problems(ridge):
+    # problems of one group count share keys, so each tries the free set of
+    # the first of its key, which is mostly not its own
+    from pwrd.weights import pwrd_weights_stack
+
+    rng = np.random.default_rng(20260822)
+    problems = [random_problem(rng, 2 + i % 4) for i in range(500)]
+    found = pwrd_weights_stack(problems, ridge, [i % 8 for i in range(500)])
+    for got, (sigma, p0) in zip(found, problems):
+        _same_weights(got, _serial_weights(sigma, p0, ridge))
+
+
+def test_a_face_kept_only_by_rounding_is_solved_from_scratch():
+    # v = S^{-1} p = (1, 0): group 1 sits on the boundary, its optimal
+    # weight and its gradient both 0, so the faces {0} and {0, 1} both pass
+    # the stopping test with no margin; the stack keeps neither
+    from pwrd.weights import _on_face, pwrd_weights_stack
+
+    S = np.array([[1.0, 0.5], [0.5, 1.0]])
+    boundary = np.array([1.0, 0.5])
+    assert _on_face(S, boundary, np.array([True, False])) is None
+    assert _on_face(S, boundary, np.array([True, True])) is None
+    inner = np.array([1.0, 0.9])  # both groups free
+    outer = np.array([1.0, 0.2])  # group 1 clipped
+    np.testing.assert_array_equal(_on_face(S, outer, np.array([True, False])), [1.0, 0.0])
+    for first in (inner, outer):
+        items = [(S, first), (S, boundary)]
+        found = pwrd_weights_stack(items, False, [0, 0])
+        for got, item in zip(found, items):
+            _same_weights(got, _serial_weights(*item))
+
+
+@pytest.mark.parametrize("ridge", [False, True])
+def test_a_stack_refuses_each_item_as_the_per_item_call_does(ridge):
+    from pwrd import PwrdError
+    from pwrd.weights import pwrd_weights_stack
+
+    good = random_problem(np.random.default_rng(3), 2)
+    half = np.array([0.5, 0.5])
+    items = [
+        good,
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), half),  # non-finite
+        (-np.eye(2), half),  # nonpositive trace
+        (np.ones((2, 2)), half),  # singular: refused, or weighted with the ridge
+        (np.diag([1.0, -0.5]), half),  # indefinite: refused with the ridge too
+        (np.eye(2), np.array([0.5, -0.1])),
+        (np.eye(2), np.array([0.5, np.nan])),
+        (np.eye(2), np.array([0.5, np.inf])),
+        (np.eye(2), np.zeros(2)),  # no test-in signal
+        (np.array([[1.0, np.inf], [np.inf, 1.0]]), np.zeros(2)),  # the covariance first
+        (np.eye(3), half),  # lengths differ
+        (np.ones((2, 3)), half),  # not square
+        good,
+    ]
+    found = pwrd_weights_stack(items, ridge, [0] * len(items))
+    for got, (sigma, p0) in zip(found, items):
+        try:
+            want = _serial_weights(sigma, p0, ridge)
+        except PwrdError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+        else:
+            _same_weights(got, want)
+    assert sum(isinstance(got, PwrdError) for got in found) == (10 if ridge else 11)
+
+
+# ----------------------------------------------------------------------
 # aggregate test arithmetic
 
 class _Groups:
