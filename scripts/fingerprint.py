@@ -20,7 +20,9 @@ on one commit and compare the other's with them:
 numbers fed to it in order (the floats and integers of its results and of
 the CLI's JSON payloads; the CSV bytes of ``simulate`` are hashed only).
 ``--against FILE`` prints, per line, whether its digest matches the file's
-and, if not, the largest relative difference between the two runs' numbers.
+and, if not, the largest relative difference between the two runs' numbers,
+or that only the hashed text moved when the numbers are equal. The script
+runs BLAS on one thread, so two runs of one commit print the same lines.
 
 The replicates are ``default_scenario(EffectSpec("effect1", tau=5.5))``
 at effect levels 0 and 5.5, each analyzed under CR0 and CR2. Each line
@@ -89,6 +91,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
+
+# BLAS on one thread, set before numpy is first imported: the calibrate
+# line hashes an error text with rates to 16 digits, whose last digits
+# follow the thread count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 
@@ -462,9 +470,11 @@ def compare(lines: dict, path: str) -> None:
         old, new = saved[name], line.numbers()
         if old.shape != new.shape:
             print(f"{name:<10} moved: {new.size} numbers against {old.size}")
+        elif (diff := relative_difference(old, new)) == 0:
+            print(f"{name:<10} moved: text only, numbers equal")
         else:
             print(f"{name:<10} moved: largest relative difference "
-                  f"{relative_difference(old, new):.3g} over {new.size} numbers")
+                  f"{diff:.3g} over {new.size} numbers")
 
 
 def main() -> None:

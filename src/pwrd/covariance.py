@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import CellStack, CellTable, GroupInfo, PanelDataset
 from .tails import VARIANTS
-from .weights import check_estimate_variance, min_eigenvalues
+from .weights import check_estimate_variance
 
 if TYPE_CHECKING:
     from .effects import GroupEffects
@@ -195,6 +195,17 @@ def _canonical_order(U: np.ndarray) -> np.ndarray:
     if (ranked[:, 1:] == ranked[:, :-1]).any() or np.isnan(ranked).any():
         order = np.lexsort(U.transpose(2, 0, 1)[::-1], axis=-1)
     return order
+
+
+def min_eigenvalues(V: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each finite matrix of ``V`` (R, K, K), from
+    one batched ``eigvalsh``; NaN for a matrix with a non-finite entry,
+    which ``CovarianceEstimate`` refuses before it reads this."""
+    eigmin = np.full(len(V), np.nan)
+    finite = np.isfinite(V).all(axis=(1, 2))
+    if finite.any():
+        eigmin[finite] = np.linalg.eigvalsh(V[finite]).min(axis=1)
+    return eigmin
 
 
 def covariances(effects, variant: str = "cr2") -> list:

@@ -4,14 +4,14 @@ Monte Carlo replicate run, and the power studies built on it.
 The Monte Carlo loop draws replicates one at a time from ``simulate``'s
 generator, and hands the (replicate, level) panels of ``REPLICATE_BATCH``
 replicates to one analysis (``_analyze_panels``). Each panel sums its own
-rows; every computation below the rows carries a leading replicate axis,
-so a stage runs once per batch rather than once per panel. The weight
-stage is one call per batch: its gates are array tests, and each panel's
-Lawson-Hanson solve stays its own, but the later effect levels of a
-replicate first try the first level's free set. The t tails stay one
-call per panel. ``pwrd analyze`` and the public per-replicate functions
-run the same stages on one panel, and a panel's results do not depend on
-the batch it was analyzed in.
+rows; the contrasts, sandwiches, Satterthwaite df, mixed fits and exit
+estimates carry a leading replicate axis, so each of those stages runs
+once per batch rather than once per panel. The pwrd weights and the
+aggregate test are one call per panel, but a replicate's later effect
+levels, which share its p0, first try the first level's free set.
+``pwrd analyze`` and the public per-replicate functions run the same
+stages on one panel, and a panel's results do not depend on the batch
+it was analyzed in, but for the one case ``_analyze_panels`` names.
 
 This module loads the estimators of the group effects (``effects``,
 ``covariance``, ``weights``); ``simulate`` loads none, so ``import pwrd``
@@ -27,6 +27,7 @@ nor ``multiprocessing``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -37,7 +38,7 @@ from .effects import estimate_p0, exit_estimates, group_effects
 from .errors import DegenerateDataError, InputError, PwrdError, attempt, one
 from .panel import PanelDataset
 from .tails import DF_RULES, METHODS, VARIANTS
-from .weights import aggregate_tests, flat_weights, pwrd_weights_stack
+from .weights import aggregate_test, flat_weights, pwrd_weights_stack
 
 if TYPE_CHECKING:
     from .simulate import Scenario
@@ -94,12 +95,16 @@ def _analyze_panels(
 
     Each stage runs once over the panels still standing: each panel sums
     its own rows, and what lies below the rows (contrasts, sandwiches,
-    weight gates, degrees of freedom, test variances, the mixed fit's GLS
-    and CR2 variance) is one computation per stack of panels that share a
-    layout. Each weight solve and t tail is one call per panel; the panels
-    of one assignment, a replicate's effect levels, share their first
-    solve's free set as a first guess (``weights.pwrd_weights_stack``). A
-    panel's results do not depend on which panels share its list.
+    degrees of freedom, the mixed fit's GLS and CR2 variance, the exit
+    estimate) is one computation per stack of panels that share a layout.
+    The pwrd weights and the aggregate test are one call per panel; a
+    panel whose p0 an earlier panel shares, as a replicate's effect levels
+    share theirs, first tries that panel's free set
+    (``weights.pwrd_weights_stack``). A panel's results do not depend on
+    which panels share its list, with one exception: a panel whose
+    Lawson-Hanson search from scratch would run out of
+    ``weights.SOLVER_STEPS_PER_GROUP`` steps, and be refused alone, gets
+    its optimum when an earlier panel with the same p0 gave its face.
     """
     _check_analysis(methods, cov_variant, df_rule)
     errors: list = [None] * len(panels)
@@ -132,8 +137,7 @@ def _analyze_panels(
             continue
         if m == "pwrd":
             w = stage(lambda idx: pwrd_weights_stack(
-                [(covs[i], p0[i]) for i in idx], ridge,
-                [id(panels[i].assignment_tier) for i in idx]), covs)
+                [(covs[i], p0[i]) for i in idx], ridge), covs)
         else:  # the group sizes, so the table's counts, fix the flat weights
             w = each(lambda i: effects[i].cells.counts.get(
                 "flat weights", lambda: flat_weights(effects[i])), covs)
@@ -141,8 +145,8 @@ def _analyze_panels(
         if df_rule == "satterthwaite":
             dfs = stage(lambda idx: satterthwaite_dfs(
                 [effects[i] for i in idx], [w[i].omega for i in idx]), w)
-        tests = stage(lambda idx: aggregate_tests(
-            [(effects[i], covs[i], w[i], dfs[i]) for i in idx], delta0, alternative), dfs)
+        tests = each(lambda i: aggregate_test(
+            effects[i], covs[i], w[i], delta0, alternative, dfs[i]), dfs)
         for i, test in tests.items():
             out[i][m] = (test.p_value, (effects[i], covs[i], p0.get(i), w[i], test))
     if "mixed" in methods:
@@ -287,7 +291,10 @@ def estimate_power(
     Every replicate runs each method's full estimation pipeline. A
     replicate that raises a package error is excluded from that cell's
     denominator and recorded; a run whose exclusions exceed
-    ``MAX_EXCLUSION_FRACTION`` of its replicates fails outright.
+    ``MAX_EXCLUSION_FRACTION`` of its replicates fails outright. More than
+    one worker runs the replicates in a process pool of at most
+    ``workers`` processes, and of no more than the cores; the results do
+    not depend on the pool's size.
     """
     # checked up front: inside a replicate the error would only exclude it
     _check_analysis(_distinct("methods", methods), cov_variant, df_rule)
@@ -318,7 +325,9 @@ def estimate_power(
 
         per = max(1, (n_reps + workers * 4 - 1) // (workers * 4))
         parts = [all_reps[i : i + per] for i in range(0, n_reps, per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers up front: none beyond a part or a core
+        size = min(workers, len(parts), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
             futures = [
                 pool.submit(
                     _run_chunk, scenario, levels, part, methods, alpha, cov_variant, df_rule

@@ -11,10 +11,10 @@ on S and p: it starts with every group clipped, frees the group with the
 largest positive gradient entry p - Sv, and solves S[F, F] z = p[F] on the
 free set F, stepping back whenever a free entry of z is not positive.
 When nothing clips, v = S^{-1} p. ``pwrd_weights`` is
-``pwrd_weights_stack`` on one problem. The stack runs its problems' gates
-as array tests, and a problem whose key an earlier one shares first solves
-on that one's free set, keeping the solution when Lawson-Hanson's stopping
-test holds there by a margin.
+``pwrd_weights_stack`` on one problem. The stack takes each problem
+through the gates and the solver in turn; a problem whose p0 equals an
+earlier one's first solves on that one's free set, keeping the solution
+when Lawson-Hanson's stopping test holds there by a margin.
 
 The aggregate test divides the weighted estimate by its standard error
 and reads its p-value from the t or normal reference tails of ``tails``,
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
+from .errors import DegenerateDataError, InputError, NumericalError, attempt, one
 from .tails import _refuse_df, t_p_value
 
 PD_GATE = 1e-12
@@ -132,40 +132,6 @@ class AggregatedTest:
             "p": self.p_value,
             "alternative": self.alternative,
         }
-
-
-def min_eigenvalues(V: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each finite matrix of ``V`` (R, K, K), from
-    one batched ``eigvalsh``; NaN for a matrix with a non-finite entry,
-    which every caller refuses before it reads this."""
-    eigmin = np.full(len(V), np.nan)
-    finite = np.isfinite(V).all(axis=(1, 2))
-    if finite.any():
-        eigmin[finite] = np.linalg.eigvalsh(V[finite]).min(axis=1)
-    return eigmin
-
-
-def _passes_gates(S: np.ndarray, P: np.ndarray, eigmin, ridge: bool) -> tuple:
-    """The gates of ``pwrd_weights`` as array tests on a stack of covariances
-    ``S`` (R, G, G) and proportions ``P`` (R, G): which items pass them all,
-    and the matrices the solver reads, with the ridge if asked. ``eigmin``
-    holds each smallest eigenvalue when known (NaN where not); the ridge
-    moves them, so it is then unread. Each test is the negation of a
-    refusal of ``_problem``, so a NaN fails exactly the tests it fails there."""
-    G = S.shape[1]
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite S fails the gate
-        tr = np.trace(S, axis1=1, axis2=2)
-        ok = np.isfinite(S).all(axis=(1, 2)) & ~(tr <= 0)
-        if ridge:
-            S = S + (RIDGE_FACTOR * tr / G)[:, None, None] * np.eye(G)
-            tr = np.trace(S, axis1=1, axis2=2)
-            eigmin = np.full(len(S), np.nan)
-        unknown = np.isnan(eigmin) & ok
-        if unknown.any():
-            eigmin[unknown] = min_eigenvalues(S[unknown])
-        ok &= ~(eigmin <= PD_GATE * tr / G)
-        ok &= (np.isfinite(P) & (P >= 0)).all(axis=1) & ~(P.max(axis=1) <= 0)
-    return ok, S
 
 
 def _nonnegative_minimizer(S: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -281,12 +247,16 @@ def _problem(sigma, p0, ridge: bool) -> tuple:
     return S, p
 
 
-def _solution(S: np.ndarray, p: np.ndarray, free: np.ndarray | None) -> AggregationWeights:
-    """The pwrd weights of a problem that passed its gates, solved on the
-    free set ``free`` if it is the optimum's, else by Lawson-Hanson."""
-    v = None if free is None else _on_face(S, p, free)
+def _solution(S: np.ndarray, p: np.ndarray, faces: dict) -> AggregationWeights:
+    """The pwrd weights of a problem that passed its gates. ``faces`` maps
+    the bytes of each p already solved to its optimum's free set: the
+    problem is solved on that set if it is its optimum's, else by
+    Lawson-Hanson, and a new p adds its own."""
+    key = p.tobytes()
+    v = _on_face(S, p, faces[key]) if key in faces else None
     if v is None:
         v = _nonnegative_minimizer(S, p)
+    faces.setdefault(key, v > 0)
     clipped = tuple(np.flatnonzero(v == 0).tolist())
     return AggregationWeights(omega=v / v.sum(), scheme="pwrd", clipped_groups=clipped)
 
@@ -304,51 +274,25 @@ def pwrd_weights(sigma, p0, ridge: bool = False) -> AggregationWeights:
     nothing clips, v = sigma^{-1} p0. ``clipped_groups`` lists the groups
     the optimum gives exactly zero weight.
     """
-    return one(pwrd_weights_stack([(sigma, p0)], ridge, [None]))
+    return one(pwrd_weights_stack([(sigma, p0)], ridge))
 
 
-def pwrd_weights_stack(items, ridge: bool, keys) -> list:
+def pwrd_weights_stack(items, ridge: bool) -> list:
     """``pwrd_weights`` of each (sigma, p0) item: AggregationWeights, or the
     package error that refuses the item.
 
-    The gates run as array tests over the items of each group count
-    (``_passes_gates``). An item they refuse, or whose inputs do not read as
-    a square matrix and a vector of its length, takes the gates one by one
-    (``_problem``), which raise its error. Each item that passes is solved
-    by Lawson-Hanson, except that an item that shares its key in ``keys``
-    with an earlier solved item of its group count first tries that item's
-    free set (``_on_face``), and solves from scratch when that set is not
-    shown to be its optimum's. The engine keys each panel by its
-    assignment: the effect levels of a replicate share p0 and mostly their
-    clipped groups. The weights match the call on the item alone bit for
-    bit, except that an item whose search from scratch would run out of
-    steps gets its optimum when an earlier item of its key gave its face.
+    Each item passes the gates (``_problem``), which raise its error, and
+    is solved by Lawson-Hanson, except that an item whose gated p0 equals, byte for
+    byte, that of an earlier solved item first tries that item's free set
+    (``_on_face``), and solves from scratch when that set is not shown to be
+    its optimum's. The effect levels of a Monte Carlo replicate share p0
+    and mostly their clipped groups. The weights match the call on the item
+    alone bit for bit, except that an item whose search from scratch would
+    run out of steps gets its optimum when an earlier item of its p0 gave
+    its face.
     """
-    out: list = [None] * len(items)
-    by_size: dict = {}
-    for i, (sigma, p0) in enumerate(items):
-        found = attempt(lambda: (_matrix(sigma), _vector(p0, "p_hat")))
-        if isinstance(found, PwrdError) or len(found[1]) != len(found[0]):
-            out[i] = attempt(lambda: _problem(sigma, p0, ridge))
-        else:
-            by_size.setdefault(len(found[1]), []).append((i, *found))
-    for group in by_size.values():
-        idx = [i for i, _, _ in group]
-        eigmin = [getattr(items[i][0], "min_eigenvalue", None) for i in idx]
-        eigmin = np.array([np.nan if e is None else e for e in eigmin])
-        S = np.stack([s for _, s, _ in group])
-        P = np.stack([p for _, _, p in group])
-        ok, S = _passes_gates(S, P, eigmin, ridge)
-        for i, S_i, p, passed in zip(idx, S, P, ok.tolist()):
-            out[i] = (S_i, p) if passed else attempt(lambda: _problem(*items[i], ridge))
     faces: dict = {}
-    for i, found in enumerate(out):
-        if not isinstance(found, PwrdError):
-            key = (keys[i], len(found[1]))
-            out[i] = attempt(lambda: _solution(*found, faces.get(key)))
-            if not isinstance(out[i], PwrdError):
-                faces.setdefault(key, out[i].omega > 0)
-    return out
+    return [attempt(lambda: _solution(*_problem(s, p, ridge), faces)) for s, p in items]
 
 
 def flat_weights(effects) -> AggregationWeights:
@@ -403,12 +347,6 @@ def aggregate_test(
     infinite). ``delta0`` defaults to the zero vector and must be finite.
     A variance that is rounding of the effects' arm means is refused.
     """
-    return one(aggregate_tests([(effects, cov, weights, df)], delta0, alternative))
-
-
-def _test_inputs(effects, cov, weights, delta0, df) -> tuple:
-    """The effect vector, covariance, weights, null value, df and outcome
-    mean square of one test, checked."""
     d = _vector(effects, "estimates")
     S = _matrix(cov)
     w = _vector(weights, "omega")
@@ -430,36 +368,13 @@ def _test_inputs(effects, cov, weights, delta0, df) -> tuple:
             raise InputError("delta0 must be finite")
         null_value = float(w @ d0)
 
-    if df is None:
-        df = float(getattr(cov, "df", np.inf))
+    df = float(getattr(cov, "df", np.inf) if df is None else df)
     mean_square = effects.cells.mean_square if hasattr(effects, "cells") else 0.0
-    return d, S, w, null_value, float(df), mean_square
-
-
-def aggregate_tests(items, delta0=None, alternative: str = "greater") -> list:
-    """``aggregate_test`` of each (effects, cov, weights, df) item, each an
-    AggregatedTest or the package error that refuses it. The weighted
-    estimates and variances of items with the same number of groups are
-    computed as one stack; each t tail is its own call."""
-    out: list = [attempt(lambda: _test_inputs(e, c, w, delta0, df)) for e, c, w, df in items]
-    by_size: dict = {}
-    for i, found in enumerate(out):
-        if not isinstance(found, PwrdError):
-            by_size.setdefault(len(found[0]), []).append(i)
-    for idx in by_size.values():
-        d, S, w = (np.stack([out[i][j] for i in idx]) for j in range(3))
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by check_test_variance
-            var = ((w[:, None, :] @ S) @ w[:, :, None])[:, 0, 0]
-            estimate = (w[:, None, :] @ d[:, :, None])[:, 0, 0]
-        for i, v, est in zip(idx, var.tolist(), estimate.tolist()):
-            _, _, _, null_value, df, mean_square = out[i]
-            out[i] = attempt(lambda: _test(est, null_value, v, df, mean_square, alternative))
-    return out
-
-
-def _test(estimate, null_value, var, df, mean_square, alternative) -> AggregatedTest:
-    check_test_variance(var, mean_square, df)
-    se = math.sqrt(var)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by check_test_variance
+        variance = float(w @ S @ w)
+        estimate = float(w @ d)
+    check_test_variance(variance, mean_square, df)
+    se = math.sqrt(variance)
     t = (estimate - null_value) / se
     if not math.isfinite(t):
         raise NumericalError("test statistic is not finite")

@@ -253,6 +253,39 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert res.failures == serial.failures
 
 
+def test_the_pool_starts_no_more_workers_than_parts_or_cores(monkeypatch):
+    # the pool is a fake that records its size and runs each part inline,
+    # so no process starts however many workers are asked for
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    sc = small_scenario(effect=EffectSpec(regime="effect1", tau=6.0))
+    serial = estimate_power(sc, methods=("pwrd", "flat"), n_reps=6)
+    # 6 replicates over 100,000 workers make 6 parts of one replicate
+    for cores, size in ((4, 4), (None, 1), (64, 6)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        res = estimate_power(sc, methods=("pwrd", "flat"), n_reps=6, workers=100_000)
+        assert sizes[-1] == size
+        assert (res.cells, res.failures) == (serial.cells, serial.failures)
+
+
 # ----------------------------------------------------------------------
 # effect injection
 

@@ -366,30 +366,29 @@ def _same_weights(found, want):
 
 
 def test_stacked_weights_equal_the_per_panel_call_on_default_replicates(monkeypatch):
-    # the two effect levels of a replicate share p0 and a key: the second
-    # tries the first's free set, and solves from scratch when the optimum's
-    # is another; both routes give the per-item weights bit for bit
+    # the two effect levels of a replicate share p0: the second tries the
+    # first's free set, and solves from scratch when the optimum's is
+    # another; both routes give the per-item weights bit for bit
     from pwrd.covariance import covariances
     from pwrd.effects import estimate_p0, group_effects
     from pwrd.simulate import EffectSpec, apply_effect, default_scenario, generate_panel
     from pwrd.weights import pwrd_weights_stack
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5))
-    items, keys = [], []
+    items = []
     for r in range(200):
         base = generate_panel(sc, r)
         panels = [apply_effect(base, sc.effect.with_level(lv), r) for lv in (0.0, 5.5)]
         effects = group_effects(panels, ())
         for p, eff, cov in zip(panels, effects, covariances(effects)):
             items.append((cov, estimate_p0(p).on_groups(eff.groups)))
-            keys.append(r)
     alone = [_serial_weights(*item) for item in items]
     for item, want in zip(items, alone):
         _same_weights(pwrd_weights(*item), want)
     solves, real = [], weights_module._nonnegative_minimizer
     monkeypatch.setattr(
         weights_module, "_nonnegative_minimizer", lambda S, p: solves.append(1) or real(S, p))
-    for found, want in zip(pwrd_weights_stack(items, False, keys), alone):
+    for found, want in zip(pwrd_weights_stack(items, False), alone):
         _same_weights(found, want)
     # a level whose optimum clips other groups than the first level's falls back
     moved = sum(a[1] != b[1] for a, b in zip(alone[::2], alone[1::2]))
@@ -399,33 +398,44 @@ def test_stacked_weights_equal_the_per_panel_call_on_default_replicates(monkeypa
 
 @pytest.mark.parametrize("ridge", [False, True])
 def test_stacked_weights_equal_the_per_problem_call_on_random_problems(ridge):
-    # problems of one group count share keys, so each tries the free set of
-    # the first of its key, which is mostly not its own
+    # problem i takes the p0 of problem i % 8, of its length, so each tries
+    # the free set of the first problem of its p0, which is mostly not its own
     from pwrd.weights import pwrd_weights_stack
 
     rng = np.random.default_rng(20260822)
     problems = [random_problem(rng, 2 + i % 4) for i in range(500)]
-    found = pwrd_weights_stack(problems, ridge, [i % 8 for i in range(500)])
+    problems = [(sigma, problems[i % 8][1]) for i, (sigma, _) in enumerate(problems)]
+    found = pwrd_weights_stack(problems, ridge)
     for got, (sigma, p0) in zip(found, problems):
         _same_weights(got, _serial_weights(sigma, p0, ridge))
 
 
 def test_a_face_kept_only_by_rounding_is_solved_from_scratch():
-    # v = S^{-1} p = (1, 0): group 1 sits on the boundary, its optimal
-    # weight and its gradient both 0, so the faces {0} and {0, 1} both pass
-    # the stopping test with no margin; the stack keeps neither
+    # v = S^{-1} p = (1, 0) on the boundary S: group 1's optimal weight and
+    # its gradient are both 0, so the faces {0} and {0, 1} both pass the
+    # stopping test with no margin; the stack keeps neither. The items
+    # share p, so the boundary item first tries the other item's face
     from pwrd.weights import _on_face, pwrd_weights_stack
 
-    S = np.array([[1.0, 0.5], [0.5, 1.0]])
-    boundary = np.array([1.0, 0.5])
-    assert _on_face(S, boundary, np.array([True, False])) is None
-    assert _on_face(S, boundary, np.array([True, True])) is None
-    inner = np.array([1.0, 0.9])  # both groups free
-    outer = np.array([1.0, 0.2])  # group 1 clipped
-    np.testing.assert_array_equal(_on_face(S, outer, np.array([True, False])), [1.0, 0.0])
-    for first in (inner, outer):
-        items = [(S, first), (S, boundary)]
-        found = pwrd_weights_stack(items, False, [0, 0])
+    p = np.array([1.0, 0.5])
+    boundary = np.array([[1.0, 0.5], [0.5, 1.0]])
+    assert _on_face(boundary, p, np.array([True, False])) is None
+    assert _on_face(boundary, p, np.array([True, True])) is None
+    inner = np.array([[1.0, 0.2], [0.2, 1.0]])  # both groups free
+    outer = np.array([[1.0, 0.8], [0.8, 1.0]])  # group 1 clipped
+    np.testing.assert_array_equal(_on_face(outer, p, np.array([True, False])), [1.0, 0.0])
+    assert _on_face(inner, p, np.array([True, True])) is not None
+    # rounding can also give a boundary group a weight: Lawson-Hanson gives
+    # group 1 about 6e-17 on this S, where the face {0} of the first item
+    # passes the stopping test with no margin
+    b = 0.6667216341376746
+    rounded = np.array([[0.47647915513690625, b], [b, 1.3605084796120215]])
+    q = np.array([1.0, b / 0.47647915513690625])
+    cases = [(inner, p, boundary), (outer, p, boundary),
+             (np.array([[1.0, 2.0], [2.0, 5.0]]), q, rounded)]
+    for first, shared, last in cases:
+        items = [(first, shared), (last, shared)]
+        found = pwrd_weights_stack(items, False)
         for got, item in zip(found, items):
             _same_weights(got, _serial_weights(*item))
 
@@ -452,7 +462,7 @@ def test_a_stack_refuses_each_item_as_the_per_item_call_does(ridge):
         (np.ones((2, 3)), half),  # not square
         good,
     ]
-    found = pwrd_weights_stack(items, ridge, [0] * len(items))
+    found = pwrd_weights_stack(items, ridge)
     for got, (sigma, p0) in zip(found, items):
         try:
             want = _serial_weights(sigma, p0, ridge)
