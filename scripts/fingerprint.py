@@ -21,8 +21,10 @@ numbers fed to it in order (the floats and integers of its results and of
 the CLI's JSON payloads; the CSV bytes of ``simulate`` are hashed only).
 ``--against FILE`` prints, per line, whether its digest matches the file's
 and, if not, the largest relative difference between the two runs' numbers,
-or that only the hashed text moved when the numbers are equal. The script
-runs BLAS on one thread, so two runs of one commit print the same lines.
+or that only the hashed text moved when the numbers are equal. With
+``--against`` the script exits 1 when any line moved or is missing from the
+file, and 0 when every line matches. The script runs BLAS on one thread,
+so two runs of one commit print the same lines.
 
 The replicates are ``default_scenario(EffectSpec("effect1", tau=5.5))``
 at effect levels 0 and 5.5, each analyzed under CR0 and CR2. Each line
@@ -457,15 +459,18 @@ def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
     return float(rel[~same].max()) if (~same).any() else 0.0
 
 
-def compare(lines: dict, path: str) -> None:
-    """Each line's digest and numbers against those ``--dump`` saved at ``path``."""
+def compare(lines: dict, path: str) -> bool:
+    """Each line's digest and numbers against those ``--dump`` saved at
+    ``path``; whether every line matches."""
     saved = np.load(path)
+    matched = 0
     for name, line in lines.items():
         if f"{name}.sha256" not in saved:
             print(f"{name:<10} not in {path}")
             continue
         if str(saved[f"{name}.sha256"]) == line.hexdigest():
             print(f"{name:<10} matches")
+            matched += 1
             continue
         old, new = saved[name], line.numbers()
         if old.shape != new.shape:
@@ -475,6 +480,7 @@ def compare(lines: dict, path: str) -> None:
         else:
             print(f"{name:<10} moved: largest relative difference "
                   f"{diff:.3g} over {new.size} numbers")
+    return matched == len(lines)
 
 
 def main() -> None:
@@ -521,8 +527,8 @@ def main() -> None:
         saved = {name: line.numbers() for name, line in lines.items()}
         saved.update({f"{name}.sha256": np.array(line.hexdigest()) for name, line in lines.items()})
         np.savez(args.dump, **saved)
-    if args.against:
-        compare(lines, args.against)
+    if args.against and not compare(lines, args.against):
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

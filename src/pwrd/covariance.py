@@ -23,13 +23,17 @@ case, and each table's result does not depend on its neighbours in the
 stack. The batched entry points (``covariances``, ``satterthwaite_dfs``)
 return, per item, the result or the package error that refuses it.
 
-Two variants are provided. CR0 uses the raw residual sums. CR2 rescales
-each cluster's residuals by the symmetric inverse square root of the
-cluster's (I - H) leverage block before summing. For cell-mean estimating
-equations the leverage block is block diagonal by cell with equicorrelated
-blocks, so that inverse square root acts on a cell's residual sum as the
-scalar (1 - m/n)^(-1/2), where m is the cluster's row count in the cell and
-n the arm total. Eigenvalues of I - H below the floor are clipped.
+Two variants are provided. CR0 uses the raw residual sums. CR2 (Bell &
+McCaffrey 2002) rescales each cluster's residuals by (I - H_cc)^(-1/2),
+H_cc its leverage block, with 1 - d floored at ``EIG_FLOOR`` for each
+eigenvalue d by one function (``_inverse_root``), on one of two routes.
+The cell route (``_terms``) serves the contrasts of cell tables (difference
+in means, Peters-Belson, exit): there H_cc is block diagonal by cell with
+equicorrelated blocks, so the root acts on a cell's residual sum as the
+scalar (1 - m/n)^(-1/2), m the cluster's row count in the cell and n its
+arm total. The block route (``cr2_direction``) serves the random-intercept
+fit (``mixed``), whose H_cc = Y_c F F' Y_c' couples a cluster's design rows
+Y_c; Y_c the cell indicators and F = diag(n^(-1/2)) give the cell route.
 """
 
 from __future__ import annotations
@@ -146,17 +150,67 @@ def stacks(tables) -> tuple[list, list[tuple[list[int], CellStack]]]:
     return errors, [(idx, CellStack([tables[i] for i in idx])) for idx in groups.values()]
 
 
+def _inverse_root(d: np.ndarray) -> np.ndarray:
+    """(1 - d)^(-1/2) of leverages ``d``, with 1 - d floored at ``EIG_FLOOR``."""
+    return 1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR))
+
+
 def _terms(stack: CellStack, variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Each cluster's arm total per column, (R, C, K), its sign in the
-    contrast, (R, C, 1), and its CR2 scale per column, (R, C, K): the
-    (1 - m/n)^(-1/2) that implements (I - H_c)^(-1/2) per cluster cell, with
-    eigenvalues of I - H clipped at the floor. CR0 has no scale (None)."""
+    contrast, (R, C, 1), and its CR2 scale per column, (R, C, K), of the
+    cell route: (1 - m/n)^(-1/2) per cluster cell. CR0 has no scale (None)."""
     treated = stack.z[:, :, None] == 1
     n_z = np.where(treated, stack.n[:, 1:], stack.n[:, :1])
     sign = np.where(treated, 1.0, -1.0)
     if variant == "cr0":
         return n_z, sign, None
-    return n_z, sign, 1.0 / np.sqrt(np.maximum(1.0 - stack.m / n_z, EIG_FLOOR))
+    return n_z, sign, _inverse_root(stack.m / n_z)
+
+
+def _coefficients(d: np.ndarray) -> np.ndarray:
+    """((1 - d)^(-1/2) - 1) / d of eigenvalues ``d`` of H_cc clipped at 0,
+    the root from ``_inverse_root``; 1/2, its limit, at d <= 1e-12."""
+    d = np.clip(d, 0.0, None)
+    big = d > 1e-12
+    return np.where(big, (_inverse_root(d) - 1.0) / np.where(big, d, 1.0), 0.5)
+
+
+def _cr2_coefficients(M: np.ndarray) -> np.ndarray:
+    """Q diag(c) Q' for each symmetric block Q diag(d) Q' of ``M`` (..., k,
+    k), c the ``_coefficients`` of d, reading M's lower triangle as ``eigh``
+    does. A 2 x 2 block [[a, b], [b, c]] (the default fit on grade) is in
+    closed form: its eigenvalues are mid -/+ r, mid = (a + c) / 2 and r =
+    hypot((a - c) / 2, b), and the projector on the larger is [[1 + (a - c)
+    / 2r, b / r], [b / r, 1 - (a - c) / 2r]] / 2, so Q diag(c) Q' = c_lo I +
+    (c_hi - c_lo) P: ratios of r, accurate however close the eigenvalues,
+    and c_hi - c_lo = 0 at r = 0, where P is not defined. Blocks of other
+    dimensions take ``np.linalg.eigh``."""
+    if M.shape[-1] != 2:
+        d, Q = np.linalg.eigh(M)
+        return (Q * _coefficients(d)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
+    half = (a - c) / 2.0
+    r = np.hypot(half, b)
+    mid = (a + c) / 2.0
+    lo, hi = _coefficients(np.stack([mid - r, mid + r]))
+    step = (hi - lo) / 2.0
+    r = np.where(r > 0, r, 1.0)
+    out = np.empty(M.shape)
+    out[..., 0, 0] = lo + step * (1.0 + half / r)
+    out[..., 1, 1] = lo + step * (1.0 - half / r)
+    out[..., 0, 1] = out[..., 1, 0] = step * (b / r)
+    return out
+
+
+def cr2_direction(F: np.ndarray, G: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t + F h F'G t for each cluster's bread factor ``F`` and Gram block
+    ``G`` (..., k, k) and direction ``t`` (..., k, 1), h the
+    ``_cr2_coefficients`` of F'GF (the block route). When H_cc = Y_c F F'
+    Y_c' and G = Y_c'Y_c, the nonzero eigenvalues of H_cc are those of
+    F'GF, so (I - H_cc)^(-1/2) = I + Y_c F h F' Y_c', and t'Y_c'(I -
+    H_cc)^(-1/2) e_c is this direction times the raw score Y_c'e_c."""
+    FG = np.swapaxes(F, -1, -2) @ G
+    return t + F @ (_cr2_coefficients(FG @ F) @ (FG @ t))
 
 
 def sandwich(stack: CellStack, variant: str) -> tuple[np.ndarray, np.ndarray, int]:

@@ -30,8 +30,7 @@ import numpy as np
 from .covariance import sandwich, stacks
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, CellTable, GroupInfo, PanelDataset, arm_counts
-from .tails import t_p_value
-from .weights import check_estimate_variance, check_test_variance
+from .weights import check_estimate_variance, estimate_p_value
 
 
 @dataclass(frozen=True)
@@ -270,9 +269,8 @@ class ExitEstimate:
     method: str
 
     def p_value(self, alternative: str = "greater") -> float:
-        """t test of the estimate (``check_test_variance``)."""
-        check_test_variance(self.se**2, 0.0, self.df)
-        return t_p_value(self.estimate / self.se, self.df, alternative)
+        """t test of the estimate (``estimate_p_value``)."""
+        return estimate_p_value(self.estimate, self.se, self.df, alternative)
 
 
 def exit_estimates(panels, covariates: tuple[str, ...] = (), variant: str = "cr2") -> list:

@@ -32,17 +32,11 @@ The CR2 adjustment (Bell & McCaffrey 2002) is exact and is computed for
 all clusters at once, in p - 1 dimensions for p design columns. Treatment
 is constant within a cluster, so after the transform the treatment column
 is z_c times the intercept column: H_cc = Y_c (T K T') Y_c' with Y_c the
-transformed rows less treatment and T the map of the cluster's arm. So
-(I - H_cc)^(-1/2) comes from the eigendecomposition of F'G_cF, with F F'
-the Cholesky factorization of T K T' (one per arm) and G_c = Y_c'Y_c. G_c
-is W_c + (1 - lambda_c)^2 m_c xbar_c xbar_c', from the layout's within
-scatter W_c and mean row xbar_c; both terms are positive semidefinite, so
-nothing cancels. Blocks of dimension 1 and 2, as in the default fit on
-grade, are decomposed in closed form; larger ones take one batched
-``eigh`` per stack. The cluster scores come from per-cluster sums of the
-weighted residuals: within a cluster the intercept column of the
-transformed design is 1 - lambda_c and its treatment column z_c (1 -
-lambda_c). Only the treatment coefficient's variance is formed.
+transformed rows less treatment and T the map of the cluster's arm. That
+is the block route of ``covariance.cr2_direction``, with F the Cholesky
+factor of T K T' (one per arm) and G_c = Y_c'Y_c = W_c + (1 - lambda_c)^2
+m_c xbar_c xbar_c', from the layout's within scatter W_c and mean row
+xbar_c. Only the treatment coefficient's variance is formed.
 
 ``fits_random_intercept`` fits a list of panels. Each makes its own pass
 over its rows (the OLS fit and the within-record sum of squares, and the
@@ -60,11 +54,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .covariance import EIG_FLOOR
+from .covariance import cr2_direction
 from .errors import DegenerateDataError, InputError, NumericalError, PwrdError, attempt, one
 from .panel import DESIGN_COVARIATES, PanelDataset, group_rows
-from .tails import VARIANTS, t_p_value
-from .weights import ROUNDING_FLOOR, check_estimate_variance, check_finite, check_test_variance
+from .tails import VARIANTS
+from .weights import ROUNDING_FLOOR, check_estimate_variance, check_finite, estimate_p_value
 
 
 @dataclass(frozen=True)
@@ -114,9 +108,8 @@ class MixedModelFit:
         }
 
     def p_value(self, alternative: str = "greater") -> float:
-        """t test on the cluster-robust standard error (``check_test_variance``)."""
-        check_test_variance(self.se_cluster_robust**2, 0.0, self.df)
-        return t_p_value(self.tau_hat / self.se_cluster_robust, self.df, alternative)
+        """t test on the cluster-robust standard error (``estimate_p_value``)."""
+        return estimate_p_value(self.tau_hat, self.se_cluster_robust, self.df, alternative)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,49 +261,6 @@ def _cr2_inputs(rec: _Records, z, XtX, K, lam) -> tuple | None:
     return F[np.arange(len(F))[:, None], z], G
 
 
-def _coefficients(d: np.ndarray) -> np.ndarray:
-    """((1 - d)^(-1/2) - 1) / d of eigenvalues ``d`` of H_cc clipped at 0,
-    with 1 - d floored at ``EIG_FLOOR``; 1/2, its limit, at d <= 1e-12."""
-    d = np.clip(d, 0.0, None)
-    big = d > 1e-12
-    root = 1.0 / np.sqrt(np.maximum(1.0 - d, EIG_FLOOR))
-    return np.where(big, (root - 1.0) / np.where(big, d, 1.0), 0.5)
-
-
-def _cr2_coefficients(M: np.ndarray) -> np.ndarray:
-    """Q diag(c) Q' for each symmetric block Q diag(d) Q' of ``M`` (..., k,
-    k), c the ``_coefficients`` of d, reading M's lower triangle as ``eigh``
-    does.
-
-    Blocks of dimension 1 and 2 (the default fit on grade has 2) are in
-    closed form: a 2 x 2 block [[a, b], [b, c]] has eigenvalues mid -/+ r,
-    with mid = (a + c) / 2 and r = hypot((a - c) / 2, b), and the projector
-    on the larger one is [[1 + (a - c) / 2r, b / r], [b / r, 1 - (a - c) /
-    2r]] / 2, so Q diag(c) Q' = c_lo I + (c_hi - c_lo) P. Its entries are
-    ratios of r, accurate however close the eigenvalues, and c_hi - c_lo is
-    0 when they are equal (r = 0), where P is not defined. Larger blocks
-    take ``np.linalg.eigh``.
-    """
-    k = M.shape[-1]
-    if k == 1:
-        return _coefficients(M)
-    if k > 2:
-        d, Q = np.linalg.eigh(M)
-        return (Q * _coefficients(d)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    a, b, c = M[..., 0, 0], M[..., 1, 0], M[..., 1, 1]
-    half = (a - c) / 2.0
-    r = np.hypot(half, b)
-    mid = (a + c) / 2.0
-    lo, hi = _coefficients(np.stack([mid - r, mid + r]))
-    step = (hi - lo) / 2.0
-    r = np.where(r > 0, r, 1.0)
-    out = np.empty(M.shape)
-    out[..., 0, 0] = lo + step * (1.0 + half / r)
-    out[..., 1, 1] = lo + step * (1.0 - half / r)
-    out[..., 0, 1] = out[..., 1, 0] = step * (b / r)
-    return out
-
-
 def _robust_variance(Xt, wu, lam, K, z, starts, cr2) -> np.ndarray:
     """The cluster-robust variance of each fit's treatment coefficient, (R,),
     from the records' weighted residual sums ``wu`` (R, N): the entry (1, 1)
@@ -326,13 +276,7 @@ def _robust_variance(Xt, wu, lam, K, z, starts, cr2) -> np.ndarray:
     b_c's first entry is (1 - lambda_c) times the cluster's sum of ``wu``;
     its other entries are the cluster's sums of ``wu`` times the covariates'
     columns of Xt. The coefficient is then the sum over clusters of (t_c'
-    b_c)^2 with t_c = T K e_1.
-
-    For CR2, H_cc = Y_c (T K T') Y_c', and with T K T' = F F' and G_c =
-    Y_c'Y_c the nonzero eigenvalues of H_cc are those of F'G_cF. So
-    (I - H_cc)^(-1/2) = I + Y_c F h F' Y_c' with h the ``_cr2_coefficients``
-    of F'G_cF, and t_c'b_c gains t_c' G_c F h F' b_c: t_c becomes t_c +
-    F h F' G_c t_c.
+    b_c)^2 with t_c = T K e_1, under CR2 its ``cr2_direction``.
     """
     R, _, p = Xt.shape
     b = ((1.0 - lam) * np.add.reduceat(wu, starts, axis=1))[:, :, None]
@@ -341,9 +285,7 @@ def _robust_variance(Xt, wu, lam, K, z, starts, cr2) -> np.ndarray:
         b = np.concatenate([b, covs], axis=2)
     t = (_arm_maps(p) @ K[:, None, :, 1:2])[np.arange(R)[:, None], z]
     if cr2 is not None:
-        F, G = cr2
-        FG = np.swapaxes(F, 2, 3) @ G
-        t = t + F @ (_cr2_coefficients(FG @ F) @ (FG @ t))
+        t = cr2_direction(*cr2, t)
     g = (b * t[..., 0]).sum(axis=2)
     return (g * g).sum(axis=1)
 

@@ -332,6 +332,12 @@ def check_estimate_variance(variance: float, mean_square: float, n_clusters: int
         check_test_variance(variance, mean_square, n_clusters - 2)
 
 
+def estimate_p_value(estimate: float, se: float, df: float, alternative: str) -> float:
+    """t test of an estimate on ``df`` df, after ``check_test_variance`` of se**2."""
+    check_test_variance(se**2, 0.0, df)
+    return t_p_value(estimate / se, df, alternative)
+
+
 def aggregate_test(
     effects,
     cov,

@@ -20,9 +20,9 @@ from pwrd import (
     satterthwaite_df,
     single_track_scenario,
 )
-from pwrd.covariance import CovarianceEstimate
+from pwrd.covariance import CovarianceEstimate, _terms, cr2_direction
 from pwrd.effects import GroupEffects
-from pwrd.panel import PanelDataset
+from pwrd.panel import CellStack, CellTable, PanelDataset
 
 from oracles import cell_mean_sandwich
 from test_panel import tiny_panel
@@ -39,6 +39,29 @@ def six_unit_panel():
         year=np.ones(6, dtype=int),
         outcome=np.array([1.0, 3.0, 5.0, 0.0, 2.0, 4.0]),
     )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_block_route_on_cell_indicators_is_the_cell_route(K):
+    # F_c = diag(n_z^(-1/2)) and G_c = diag(m_c) are the bread factor and
+    # Gram block of cluster c's cell indicators, so the block route must
+    # give the cell route's scale times each residual sum
+    rng = np.random.default_rng(K)
+    C = 12
+    z = np.repeat([0, 1], C // 2)
+    m = rng.integers(0, 10, size=(C, K)).astype(np.float64)
+    m[z == 1, 0] = 0.0
+    m[C - 1, 0] = 7.0  # the treated arm's only rows in column 0: m = n_z, clipped
+    m[:3, K - 1] = 1.0, 1e12, 1e12  # d = m / n_z <= 5e-13 for the first
+    stack = CellStack([CellTable(m, rng.normal(size=(C, K)) * m, None, z) for _ in range(3)])
+    n_z, _, scales = _terms(stack, "cr2")
+    assert (m == n_z).any() and ((m > 0) & (m / n_z <= 1e-12)).any()
+    treated = stack.z[:, :, None] == 1
+    resid = stack.s - m * np.where(treated, stack.means[:, 1:], stack.means[:, :1])
+    eye = np.eye(K)
+    got = cr2_direction(eye / np.sqrt(n_z[..., None]), eye * m[:, None], resid[..., None])
+    want = scales * resid
+    assert (np.abs(got[..., 0] - want) <= 1e-12 * np.abs(want)).all()
 
 
 def test_cr0_matches_hand_sandwich():

@@ -374,17 +374,16 @@ def _blocks(Q, d):
     return (Q * np.asarray(d, dtype=np.float64)[..., None, :]) @ np.swapaxes(Q, -1, -2)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_cr2_blocks_match_eigh(k):
-    from pwrd.covariance import EIG_FLOOR
-    from pwrd.mixed import _cr2_coefficients
+    from pwrd.covariance import EIG_FLOOR, _cr2_coefficients
 
     rng = np.random.default_rng(k)
     Q = np.linalg.qr(rng.normal(size=(400, k, k)))[0]
     blocks = [_blocks(Q, rng.uniform(0.0, 0.999, size=(400, k)))]
     if k == 1:
         blocks.append(np.array([0.0, 1e-13, 1.0 - EIG_FLOOR, 1.0, 1.3]).reshape(-1, 1, 1))
-    else:
+    elif k == 2:
         theta = rng.uniform(0.0, np.pi, size=6)
         R = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], -1)
         R = R.reshape(-1, 2, 2)
@@ -399,14 +398,20 @@ def test_closed_form_cr2_blocks_match_eigh(k):
             _blocks(R[5], [0.25, 0.25 + 1e-9]),  # nearly equal eigenvalues
         ]
         blocks.append(np.stack(edges))
+    else:  # 3 x 3 blocks take eigh: an eigenvalue below 1e-12, zeros, one
+        # clipped at the floor, one above 1, and all three equal
+        d = [[1e-13, 0.4, 0.6], [0.0, 0.0, 0.7], [0.2, 0.5, 1.0 - EIG_FLOOR], [0.1, 1.0, 1.4]]
+        blocks.append(_blocks(Q[:4], d))
+        blocks.append(np.diag([0.3, 0.3, 0.3])[None])
     M = np.concatenate(blocks)
     want = _spectral_cr2_coefficients(M)
     got = _cr2_coefficients(M)
     scale = np.abs(want).max(axis=(1, 2), keepdims=True)
     assert (np.abs(got - want) <= 1e-12 * scale).all()
-    if k == 2:  # the lower triangle is read, as eigh reads it
-        M[:, 0, 1] = np.nan
-        assert (np.abs(_cr2_coefficients(M) - want) <= 1e-12 * scale).all()
+    # the lower triangle is read, as eigh reads it
+    upper = np.triu_indices(k, 1)
+    M[:, upper[0], upper[1]] = np.nan
+    assert (np.abs(_cr2_coefficients(M) - want) <= 1e-12 * scale).all()
 
 
 def test_an_offset_covariate_keeps_the_cr2_se():
