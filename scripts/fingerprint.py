@@ -104,6 +104,7 @@ import numpy as np
 
 from pwrd import (
     EffectSpec,
+    MixedModelFit,
     NumericalError,
     PanelDataset,
     PwrdError,
@@ -203,17 +204,22 @@ def json_numbers(payload) -> list:
 
 def feed(h, value) -> None:
     """Add a result to the hash: arrays by dtype, shape and bytes, dataclasses
-    field by field, containers item by item, anything else by its repr
-    (exact for floats). Numeric arrays and numbers are also recorded."""
+    field by field, less their private fields and with a fit's implied
+    group weights last, as they are computed on first read; containers item
+    by item, anything else by its repr (exact for floats). Numeric arrays
+    and numbers are also recorded."""
     if isinstance(value, np.ndarray):
         h.update(f"{value.dtype}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
         if value.dtype.kind in "biuf":
             h.record(value)
     elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            feed(h, f.name)
-            feed(h, getattr(value, f.name))
+        names = [f.name for f in dataclasses.fields(value) if not f.name.startswith("_")]
+        if isinstance(value, MixedModelFit):
+            names.append("implied_group_weights")
+        for name in names:
+            feed(h, name)
+            feed(h, getattr(value, name))
     elif isinstance(value, dict):
         for k, v in value.items():
             feed(h, k)

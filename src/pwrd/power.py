@@ -339,35 +339,35 @@ def estimate_power(
     # chunks cover the replicates in order, so rows are replicates
     hits = np.concatenate([chunk_hits for chunk_hits, _ in chunks])
     failures = sorted(f for _, excluded in chunks for f in excluded)
-    cells = []
-    for j, lv in enumerate(levels):
-        for k, m in enumerate(methods):
-            col = hits[:, j, k]
-            used = col >= 0
-            n_used = int(used.sum())
-            n_excl = n_reps - n_used
-            if n_excl > MAX_EXCLUSION_FRACTION * n_reps:
-                raise DegenerateDataError(
-                    f"{n_excl} of {n_reps} replicates failed for method '{m}' "
-                    f"at effect level {lv}; run is unreliable"
-                )
-            if n_used == 0:
-                raise DegenerateDataError("no usable replicates")
-            rate = float(col[used].mean())
-            cells.append(
-                PowerCell(
-                    method=m,
-                    regime=scenario.effect.regime,
-                    effect_level=lv,
-                    icc=scenario.icc,
-                    p_spill=scenario.effect.spill_fraction,
-                    rejection_rate=rate,
-                    mc_se=float(np.sqrt(rate * (1.0 - rate) / n_used)),
-                    n_reps=n_used,
-                    alpha=alpha,
-                    n_excluded=n_excl,
-                )
-            )
+    # every cell at once, (level, method); a count over a count is exact, so
+    # each rate is the mean of its replicates' indicators to the last bit
+    n_used = (hits >= 0).sum(axis=0)
+    n_excl = n_reps - n_used
+    over = np.argwhere(n_excl > MAX_EXCLUSION_FRACTION * n_reps)
+    if len(over):  # this also refuses a cell with no usable replicate
+        j, k = over[0]
+        raise DegenerateDataError(
+            f"{n_excl[j, k]} of {n_reps} replicates failed for method '{methods[k]}' "
+            f"at effect level {levels[j]}; run is unreliable"
+        )
+    rate = (hits == 1).sum(axis=0) / n_used
+    mc_se = np.sqrt(rate * (1.0 - rate) / n_used)
+    cells = [
+        PowerCell(
+            method=m,
+            regime=scenario.effect.regime,
+            effect_level=lv,
+            icc=scenario.icc,
+            p_spill=scenario.effect.spill_fraction,
+            rejection_rate=float(rate[j, k]),
+            mc_se=float(mc_se[j, k]),
+            n_reps=int(n_used[j, k]),
+            alpha=alpha,
+            n_excluded=int(n_excl[j, k]),
+        )
+        for j, lv in enumerate(levels)
+        for k, m in enumerate(methods)
+    ]
     return PowerResult(cells=tuple(cells), seed=scenario.seed, failures=tuple(failures))
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "replicate_exit",
     "replicate_loop",
     "replicate_mixed",
+    "random_intercept_tau_longdouble",
     "replicate_sandwich",
     "replicate_satterthwaite",
     "replicate_test",
@@ -661,29 +662,44 @@ def replicate_test(d, V, w, df: float, mean_square: float) -> float:
     return t_p_value(t, df, "greater")
 
 
+def _mixed_records(panel, covariates):
+    """The random-intercept fit's records on ``panel`` (``mixed._layout``),
+    their design rows X = (1, treatment, covariates), each taken from the
+    record's first row, and the clusters' arms."""
+    from pwrd.mixed import _layout
+
+    lay = _layout(panel, covariates)
+    first = np.unique(lay.row, return_index=True)[1]
+    z = panel.z_by_cluster.astype(np.float64)
+    cov = [col[first] for col in panel.columns(covariates)]
+    return lay, np.column_stack([np.ones(len(first)), z[lay.cl], *cov]), z
+
+
 def replicate_mixed(panel, covariates=("grade",), variant="cr2") -> tuple[float, float, float]:
     """(tau_hat, cluster-robust se, df) of the random-intercept fit on the
-    fit's records, one panel at a time."""
+    fit's records, one panel at a time: an ``lstsq`` OLS and a GLS on the
+    transformed records."""
     from pwrd.errors import DegenerateDataError, NumericalError
-    from pwrd.mixed import _records
     from pwrd.weights import ROUNDING_FLOOR, check_finite, check_test_variance
 
     n, C = panel.n_obs, panel.n_clusters
     if C < 2:
         raise DegenerateDataError(f"need at least 2 clusters, found {C}")
-    rec = _records(panel, covariates)
-    cl, w, X, starts, m = rec.cl, rec.w, rec.X, rec.starts, rec.m
-    s = np.bincount(rec.row, weights=panel.outcome, minlength=len(w))
+    lay, X, z = _mixed_records(panel, covariates)
+    # the covariates centred as the layout centres them
+    X[:, 2:] -= lay.shift
+    xbar = np.insert(lay.mean, 1, z, axis=1)
+    cl, w, starts, m = lay.cl, lay.w, lay.starts, lay.m
+    s = np.bincount(lay.row, weights=panel.outcome, minlength=len(w))
     p = X.shape[1]
     ybar = s / w
-    beta_ols, _, rank, _ = np.linalg.lstsq(rec.swX, rec.sw * ybar, rcond=None)
+    sw = np.sqrt(w)
+    beta_ols, _, rank, _ = np.linalg.lstsq(sw[:, None] * X, sw * ybar, rcond=None)
     if rank < p:
         raise NumericalError("rank-deficient design matrix")
     e = ybar - X @ beta_ols
-    ss_within = float(np.bincount(rec.row, weights=(panel.outcome - ybar[rec.row]) ** 2).sum())
-    if (rec.counts == 0).any():
-        raise DegenerateDataError("a cluster has no observations")
-    q = rec.q
+    ss_within = float(np.bincount(lay.row, weights=(panel.outcome - ybar[lay.row]) ** 2).sum())
+    q = lay.q
     rbar = np.add.reduceat(w * e, starts) / m
     if n == C or C <= q:
         sigma2_eps, sigma2_mu = (ss_within + float((w * e**2).sum())) / max(n - p, 1), 0.0
@@ -703,7 +719,7 @@ def replicate_mixed(panel, covariates=("grade",), variant="cr2") -> tuple[float,
         raise NumericalError(f"residual variance {total:.3g} is rounding of the outcome")
     lam = 1.0 - np.sqrt(sigma2_eps / (sigma2_eps + m * sigma2_mu)) if sigma2_mu > 0 else np.zeros(C)
     yt = ybar - lam[cl] * (np.add.reduceat(s, starts) / m)[cl]
-    Xt = X - lam[cl][:, None] * rec.xbar
+    Xt = X - lam[cl][:, None] * xbar[cl]
     XtX = Xt.T @ (w[:, None] * Xt)
     try:
         K = np.linalg.inv(XtX)
@@ -732,6 +748,54 @@ def replicate_mixed(panel, covariates=("grade",), variant="cr2") -> tuple[float,
     if C > 2:
         check_test_variance(float(V[1, 1]), mean_square, C - 2)
     return float(beta[1]), float(np.sqrt(V[1, 1])), float(C - 2)
+
+
+def _solve_by_elimination(A, b):
+    """x with A x = b, by Gaussian elimination with partial pivoting in the
+    arrays' own precision (numpy's solvers take no long double)."""
+    A, b = A.copy(), b.copy()
+    p = len(b)
+    for j in range(p):
+        pivot = j + int(np.argmax(np.abs(A[j:, j])))
+        A[[j, pivot]], b[[j, pivot]] = A[[pivot, j]], b[[pivot, j]]
+        for i in range(j + 1, p):
+            ratio = A[i, j] / A[j, j]
+            A[i, j:] -= ratio * A[j, j:]
+            b[i] -= ratio * b[j]
+    x = np.zeros_like(b)
+    for j in reversed(range(p)):
+        x[j] = (b[j] - A[j, j + 1 :] @ x[j + 1 :]) / A[j, j]
+    return x
+
+
+def random_intercept_tau_longdouble(panel, covariates, sigma2_eps: float, sigma2_mu: float):
+    """The GLS treatment coefficient of the random-intercept model at the
+    given components, in long double: the records' sums are added row by
+    row in long double, their design rows, from the panel's own covariate
+    values, centred on their long-double means, each cluster quasi-demeaned by lambda_c = 1 - sqrt(sigma2_eps /
+    (sigma2_eps + m_c sigma2_mu)), and the normal equations solved by hand
+    elimination (``_solve_by_elimination``)."""
+    ld = np.longdouble
+    lay, X, _ = _mixed_records(panel, covariates)
+    X = X.astype(ld)
+    w = lay.w.astype(ld)
+    s = np.zeros(len(w), dtype=ld)
+    np.add.at(s, lay.row, panel.outcome.astype(ld))
+    n = w.sum()
+    X[:, 2:] -= (w @ X[:, 2:]) / n
+    ybar = s / w - s.sum() / n
+    m = np.zeros(panel.n_clusters, dtype=ld)
+    np.add.at(m, lay.cl, w)
+    Xc = np.zeros((panel.n_clusters, X.shape[1]), dtype=ld)
+    yc = np.zeros(panel.n_clusters, dtype=ld)
+    np.add.at(Xc, lay.cl, w[:, None] * X)
+    np.add.at(yc, lay.cl, w * ybar)
+    e, u = ld(sigma2_eps), ld(sigma2_mu)
+    lam = 1 - np.sqrt(e / (e + m * u)) if sigma2_mu > 0 else np.zeros_like(m)
+    Xt = X - (lam / m)[lay.cl, None] * Xc[lay.cl]
+    yt = ybar - (lam / m)[lay.cl] * yc[lay.cl]
+    beta = _solve_by_elimination(Xt.T @ (w[:, None] * Xt), Xt.T @ (w * yt))
+    return beta[1]
 
 
 def replicate_exit(panel, variant="cr2") -> tuple[float, float, float]:

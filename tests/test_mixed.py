@@ -314,7 +314,7 @@ def test_a_refused_fit_in_a_stack_leaves_its_neighbours_alone(monkeypatch):
 
 @pytest.mark.parametrize("case", ["default", "unbalanced-empty-cells"])
 def test_record_sums_from_the_cells_equal_the_row_bincount(case):
-    from pwrd.mixed import _records
+    from pwrd.mixed import _layout
 
     if case == "default":
         sc = default_scenario(EffectSpec("effect1", tau=5.5))
@@ -322,13 +322,13 @@ def test_record_sums_from_the_cells_equal_the_row_bincount(case):
     else:  # clusters of one or two rows leave later follow-up years empty
         p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=21, grades=True)
         assert (p.cells.m == 0).any()
-    rec = _records(p, ("grade",))
-    assert rec.cell is not None
-    want = np.bincount(rec.row, weights=p.outcome, minlength=len(rec.w))
-    assert rec.sums(p).tobytes() == want.tobytes()
+    lay = _layout(p, ("grade",))
+    assert lay.cell is not None
+    want = np.bincount(lay.row, weights=p.outcome, minlength=len(lay.w))
+    assert lay.sums(p).tobytes() == want.tobytes()
     # records finer than the cells sum their rows
     parity = with_covariates(p, {"parity": (p.unit % 2).astype(np.float64)})
-    assert _records(parity, ("grade", "parity")).cell is None
+    assert _layout(parity, ("grade", "parity")).cell is None
 
 
 @pytest.mark.parametrize("variant", ["cr0", "cr2"])
@@ -336,11 +336,16 @@ def test_record_sums_from_the_cells_equal_the_row_bincount(case):
     "covariates", [(), ("grade",), ("grade", "cohort"), ("follow_up_year",), ("pretest",)]
 )
 def test_stacked_fits_match_the_per_panel_oracle(variant, covariates):
-    # the stack's CR2 works in p - 1 dimensions from Gram blocks built once
-    # per layout; the oracle decomposes each cluster's full p x p block
+    # the stack solves from cluster sums and takes its CR2 in p - 1
+    # dimensions from Gram blocks built once per layout; the oracle fits the
+    # records by lstsq and GLS and decomposes each cluster's full p x p
+    # block, and tau_hat is held to a long-double GLS at the fit's components
     from pwrd.mixed import fits_random_intercept
 
-    from oracles import replicate_mixed
+    from oracles import random_intercept_tau_longdouble, replicate_mixed
+
+    if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+        pytest.skip("long double is double here, so it is no reference for tau_hat")
 
     sc = default_scenario(EffectSpec("effect1", tau=5.5), n_clusters=12)
     rng = np.random.default_rng(17)
@@ -353,7 +358,10 @@ def test_stacked_fits_match_the_per_panel_oracle(variant, covariates):
             panels.append(base.with_outcome(base.outcome + level * base.treatment * (r + 1) / 3))
     for p, fit in zip(panels, fits_random_intercept(panels, covariates, variant)):
         tau, se, df = replicate_mixed(p, covariates, variant)
-        assert fit.tau_hat == tau
+        c = fit.components
+        exact = random_intercept_tau_longdouble(p, covariates, c.sigma2_eps, c.sigma2_mu)
+        assert abs(fit.tau_hat - exact) <= 1e-12 * fit.se_cluster_robust
+        assert fit.tau_hat == pytest.approx(tau, rel=1e-10)
         assert fit.se_cluster_robust == pytest.approx(se, rel=1e-12, abs=0.0)
         assert fit.df == df
 
@@ -435,7 +443,7 @@ def test_a_shifted_covariate_keeps_the_between_df():
     # a cluster-level covariate with row noise varies within clusters; the
     # cluster-constant test reads centred columns, so a shift of 2e4 cannot
     # widen its tolerance until the covariate counts as constant
-    from pwrd.mixed import _records
+    from pwrd.mixed import _layout
 
     p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
     rng = np.random.default_rng(6)
@@ -443,7 +451,7 @@ def test_a_shifted_covariate_keeps_the_between_df():
     fits = []
     for shift in (0.0, 2e4):
         shifted = with_covariates(p, {"x": shift + x})
-        assert _records(shifted, ("x",)).q == 2
+        assert _layout(shifted, ("x",)).q == 2
         fits.append(fit_random_intercept(shifted, ("x",)))
     base, offset = fits
     assert offset.components.sigma2_eps == pytest.approx(base.components.sigma2_eps, rel=1e-12)
@@ -455,16 +463,59 @@ def test_a_rescaled_covariate_keeps_the_between_df():
     # a row covariate varies within clusters in any units: the
     # cluster-constant test compares each cluster's range with the column's,
     # so neither 1e-9 nor 1e9 makes it count as constant
-    from pwrd.mixed import _records
+    from pwrd.mixed import _layout
 
     p = intercept_panel(C=16, m=UNBALANCED, tau=1.0, seed=23, grades=True)
     x = np.random.default_rng(6).normal(size=p.n_obs)
     fits = []
     for scale in (1.0, 1e-9, 1e9):
         scaled = with_covariates(p, {"x": scale * x})
-        assert _records(scaled, ("x",)).q == 2
+        assert _layout(scaled, ("x",)).q == 2
         fits.append(fit_random_intercept(scaled, ("x",)))
     base = fits[0]
     for fit in fits[1:]:
         assert fit.components.sigma2_mu == pytest.approx(base.components.sigma2_mu, rel=1e-12)
         assert fit.tau_hat == pytest.approx(base.tau_hat, rel=1e-12)
+
+
+def test_a_shifted_outcome_moves_only_the_intercept():
+    # the fit centres the outcome on its panel mean, so 1e6 added to every
+    # row moves tau_hat only by the rounding of the shifted outcome
+    sc = default_scenario(EffectSpec("effect1", tau=5.5))
+    for r in range(4):
+        p = apply_effect(generate_panel(sc, r), sc.effect, r)
+        base = fit_random_intercept(p)
+        moved = fit_random_intercept(p.with_outcome(p.outcome + 1e6))
+        assert abs(moved.tau_hat - base.tau_hat) <= 1e-10 * base.se_cluster_robust
+        assert moved.se_cluster_robust == pytest.approx(base.se_cluster_robust, rel=1e-10)
+        b = base.coefficients
+        assert moved.coefficients["intercept"] == pytest.approx(b["intercept"] + 1e6, rel=1e-14)
+
+
+def test_the_rank_refusal_is_scale_free():
+    # a twin of grade 1e-9 of noise apart is collinear at the Gram's
+    # precision, and one 1e-6 apart is not, in any units of the twin; the
+    # latter's fits agree to the digits its conditioning leaves
+    p = intercept_panel(C=20, m=3, seed=1, grades=True)
+    noise = np.random.default_rng(0).normal(size=p.n_obs)
+    taus = []
+    for scale in (1e-9, 1.0, 1e9):
+        near = with_covariates(p, {"twin": scale * (p.column("grade") + 1e-9 * noise)})
+        with pytest.raises(NumericalError, match="rank-deficient design matrix"):
+            fit_random_intercept(near, covariates=("grade", "twin"))
+        apart = with_covariates(p, {"twin": scale * (p.column("grade") + 1e-6 * noise)})
+        taus.append(fit_random_intercept(apart, ("grade", "twin")).tau_hat)
+    assert taus == pytest.approx([taus[1]] * 3, rel=1e-5)
+
+
+def test_implied_weights_are_computed_on_first_read():
+    import pickle
+
+    p = intercept_panel(C=50, m=6, seed=13, grades=True)
+    fit = fit_random_intercept(p, covariates=("grade",))
+    assert "implied_group_weights" not in vars(fit)
+    copy = replace(fit, se_cluster_robust=1.0)
+    want = fit.implied_group_weights
+    assert "implied_group_weights" in vars(fit)
+    np.testing.assert_array_equal(copy.implied_group_weights, want)
+    np.testing.assert_array_equal(pickle.loads(pickle.dumps(fit)).implied_group_weights, want)
